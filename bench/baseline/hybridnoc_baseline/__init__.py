@@ -1,0 +1,105 @@
+"""Flit-level simulator and circuit allocator for SDM hybrid-switched NoCs.
+
+A mesh of VC routers shares each physical link with a set of narrow,
+bufferless circuit-switched subnets.  The package covers the whole loop:
+synthetic traffic or trace files, profiling, circuit allocation (greedy,
+genetic, exact), cycle-driven simulation, energy accounting, and the
+baseline/static/adaptive experiment drivers behind the ``hybridnoc`` CLI.
+"""
+
+from .allocator import (
+    AllocationError,
+    CandidatePair,
+    CircuitPlan,
+    GaParams,
+    candidates_from_profile,
+    decode,
+    enumerate_oracle,
+    format_plan,
+    ga_allocate,
+    greedy_allocate,
+    load_plan,
+    plan_weight,
+    profile_granularity_for,
+    save_plan,
+)
+from .energy import (
+    BREAKDOWN_KEYS,
+    EnergyCoefficients,
+    EnergyError,
+    EnergyReport,
+    account,
+    normalize,
+)
+from .orchestrator import (
+    ALLOCATORS,
+    DESK_EPOCH_CYCLES,
+    EPOCH_TO_PERIOD_RATIO,
+    MODES,
+    FULL_SCALE_EPOCH_CYCLES,
+    SUMMARY_HEADER,
+    EpochResult,
+    ExperimentConfig,
+    RunResult,
+    build_plan,
+    compare,
+    load_config,
+    make_trace,
+    read_run_report,
+    rows_from_reports,
+    run_adaptive,
+    run_baseline,
+    run_experiment,
+    run_static,
+    summary_table,
+    write_flit_dump,
+    write_run_report,
+)
+from .simcore import (
+    ConfigError,
+    FlitRecord,
+    SimStats,
+    Simulation,
+    SimulationError,
+    SubnetLayout,
+    SweepPoint,
+    VcConfig,
+    classify_packet,
+    simulate,
+    sweep_injection,
+    unloaded_latency,
+)
+from .topology import (
+    DirectedLink,
+    MeshConfig,
+    Path,
+    TopologyError,
+    enumerate_pairs,
+    iter_links,
+    links_conflict,
+    opposite,
+    xy_route,
+)
+from .traffic import (
+    FULL_LINK_WIDTH_BITS,
+    PATTERNS,
+    PacketClass,
+    PairTraffic,
+    SyntheticSpec,
+    TraceFormatError,
+    TrafficEvent,
+    TrafficProfile,
+    designated_pairs,
+    flits_for_packet,
+    generate,
+    ingest,
+    load_profile,
+    load_trace,
+    packet_class,
+    profile,
+    profile_from_flit_counts,
+    save_profile,
+    save_trace,
+)
+
+__version__ = "0.1.0"

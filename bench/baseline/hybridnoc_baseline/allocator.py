@@ -1,0 +1,454 @@
+"""Circuit selection: greedy first-fit, a genetic search and an exact oracle.
+
+A circuit plan assigns endpoint pairs to the k circuit-switched subnets of
+a link so that no two circuits in the same subnet share a directed link
+(and, for router-granularity circuits, no source or destination router
+either).  Pair weight is flit volume times hop distance, so the allocators
+chase the largest buffer-bypass payoff first.
+"""
+
+from __future__ import annotations
+
+import logging
+import random
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from .topology import MeshConfig, Path, TopologyError, links_conflict, xy_route
+from .traffic import TrafficProfile
+
+log = logging.getLogger(__name__)
+
+PLAN_GRANULARITIES = ("e2e", "r2r")
+
+# profile granularity feeding each plan granularity
+_PROFILE_GRAN = {"e2e": "ni", "r2r": "router"}
+
+
+class AllocationError(ValueError):
+    """Inconsistent plan, profile or allocator parameters."""
+
+
+def profile_granularity_for(plan_granularity: str) -> str:
+    try:
+        return _PROFILE_GRAN[plan_granularity]
+    except KeyError:
+        raise AllocationError(f"unknown plan granularity {plan_granularity!r}") from None
+
+
+@dataclass(frozen=True)
+class CandidatePair:
+    """An endpoint pair that could become a circuit."""
+
+    src: int
+    dst: int
+    weight: int
+    path: Path
+
+
+@dataclass
+class CircuitPlan:
+    """Circuits packed into subnets, indexed 0..k-1 over the CS subnets."""
+
+    granularity: str
+    subnets: Tuple[Tuple[CandidatePair, ...], ...]
+    provenance: str = ""
+    meta: Dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.granularity not in PLAN_GRANULARITIES:
+            raise AllocationError(f"unknown plan granularity {self.granularity!r}")
+
+    @classmethod
+    def empty(cls, k: int, granularity: str, provenance: str = "empty") -> "CircuitPlan":
+        if k < 0:
+            raise AllocationError("subnet count cannot be negative")
+        return cls(granularity, tuple(() for _ in range(k)), provenance)
+
+    @property
+    def subnet_count(self) -> int:
+        return len(self.subnets)
+
+    def all_circuits(self) -> List[Tuple[int, CandidatePair]]:
+        return [(s, c) for s, circuits in enumerate(self.subnets) for c in circuits]
+
+    def circuit_count(self) -> int:
+        return sum(len(s) for s in self.subnets)
+
+    def pair_index(self) -> Dict[Tuple[int, int], int]:
+        """(src, dst) -> subnet index; a pair appears at most once."""
+        index: Dict[Tuple[int, int], int] = {}
+        for s, c in self.all_circuits():
+            key = (c.src, c.dst)
+            if key in index:
+                raise AllocationError(f"pair {key} placed in two subnets")
+            index[key] = s
+        return index
+
+    def validate(self) -> None:
+        """Recheck conflict freedom from scratch; raises on violation."""
+        self.pair_index()
+        endpoint_ports = self.granularity == "r2r"
+        for circuits in self.subnets:
+            for i in range(len(circuits)):
+                for j in range(i + 1, len(circuits)):
+                    if links_conflict(circuits[i].path, circuits[j].path, endpoint_ports):
+                        raise AllocationError(
+                            f"circuits {(circuits[i].src, circuits[i].dst)} and "
+                            f"{(circuits[j].src, circuits[j].dst)} conflict in one subnet"
+                        )
+
+
+def candidates_from_profile(
+    profile: TrafficProfile,
+    mesh: MeshConfig,
+    plan_granularity: str,
+    limit: Optional[int] = None,
+) -> List[CandidatePair]:
+    """Profile pairs as allocation candidates, heaviest first.
+
+    Zero-weight pairs (no flits, or endpoints on one router) are dropped;
+    ties break on ascending (src, dst) so the order is total.
+    """
+    expected = profile_granularity_for(plan_granularity)
+    if profile.granularity != expected:
+        raise AllocationError(
+            f"{plan_granularity} plans need a {expected}-granularity profile, "
+            f"got {profile.granularity}"
+        )
+    out: List[CandidatePair] = []
+    for pair in profile.sorted_pairs():
+        entry = profile.entries[pair]
+        if entry.weight <= 0:
+            continue
+        if profile.granularity == "ni":
+            ra = mesh.router_of_ni(pair[0])
+            rb = mesh.router_of_ni(pair[1])
+        else:
+            ra, rb = pair
+        if ra == rb:
+            continue
+        out.append(CandidatePair(pair[0], pair[1], entry.weight, xy_route(mesh, ra, rb)))
+        if limit is not None and len(out) >= limit:
+            break
+    return out
+
+
+def _first_fit(
+    candidates: Sequence[CandidatePair], k: int, endpoint_ports: bool
+) -> Tuple[Tuple[CandidatePair, ...], ...]:
+    subnets: List[List[CandidatePair]] = [[] for _ in range(k)]
+    for cand in candidates:
+        for placed in subnets:
+            if all(not links_conflict(cand.path, c.path, endpoint_ports) for c in placed):
+                placed.append(cand)
+                break
+    return tuple(tuple(s) for s in subnets)
+
+
+def greedy_allocate(
+    profile: TrafficProfile, mesh: MeshConfig, k: int, granularity: str
+) -> CircuitPlan:
+    """Sweep candidates by descending weight, first-fit into k subnets."""
+    if k < 1:
+        raise AllocationError("need at least one CS subnet to allocate into")
+    cands = candidates_from_profile(profile, mesh, granularity)
+    subnets = _first_fit(cands, k, granularity == "r2r")
+    return CircuitPlan(granularity, subnets, provenance="greedy")
+
+
+def decode(
+    chromosome: Sequence[int],
+    candidates: Sequence[CandidatePair],
+    k: int,
+    granularity: str,
+) -> CircuitPlan:
+    """Repair-by-drop decode: keep requested pairs, first-fit, drop the rest.
+
+    Candidates must already be in canonical order (descending weight,
+    ascending pair), which makes decode(all-ones) the greedy plan.
+    """
+    if len(chromosome) != len(candidates):
+        raise AllocationError("chromosome length must match the candidate list")
+    selected = [c for bit, c in zip(chromosome, candidates) if bit]
+    subnets = _first_fit(selected, k, granularity == "r2r")
+    return CircuitPlan(granularity, subnets, provenance="decode")
+
+
+def plan_weight(plan: CircuitPlan, profile: TrafficProfile) -> int:
+    """Total profile weight carried by the plan's circuits."""
+    total = 0
+    for _, circuit in plan.all_circuits():
+        key = (circuit.src, circuit.dst)
+        if key not in profile.entries:
+            raise AllocationError(f"plan pair {key} not present in the profile")
+        total += profile.entries[key].weight
+    return total
+
+
+@dataclass
+class GaParams:
+    population_size: int = 10
+    generations: int = 5000
+    crossover_rate_range: Tuple[float, float] = (0.3, 0.7)
+    chromosome_mutation_probability: float = 0.5
+    per_gene_flip_rate: Optional[float] = None  # default 1/len(candidates)
+    elitism_count: int = 1
+    seed: int = 0
+
+    def validate(self) -> None:
+        if self.population_size < 2:
+            raise AllocationError("population must hold at least two individuals")
+        if self.generations < 0:
+            raise AllocationError("generations cannot be negative")
+        lo, hi = self.crossover_rate_range
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise AllocationError("crossover_rate_range must be within [0, 1]")
+        if not 0.0 <= self.chromosome_mutation_probability <= 1.0:
+            raise AllocationError("chromosome_mutation_probability must be in [0, 1]")
+        if self.per_gene_flip_rate is not None and not 0.0 <= self.per_gene_flip_rate <= 1.0:
+            raise AllocationError("per_gene_flip_rate must be in [0, 1]")
+        if not 0 <= self.elitism_count < self.population_size:
+            raise AllocationError("elitism_count must be below the population size")
+
+
+def _conflict_masks(candidates: Sequence[CandidatePair], endpoint_ports: bool) -> List[int]:
+    n = len(candidates)
+    masks = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if links_conflict(candidates[i].path, candidates[j].path, endpoint_ports):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
+def _first_fit_bits(order: Sequence[int], masks: Sequence[int], k: int) -> List[int]:
+    """First-fit over candidate indices using precomputed conflict masks."""
+    subnets = [0] * k
+    placed: List[int] = []
+    for idx in order:
+        bit = 1 << idx
+        mask = masks[idx]
+        for s in range(k):
+            if subnets[s] & mask == 0:
+                subnets[s] |= bit
+                placed.append(idx)
+                break
+    return placed
+
+
+def ga_allocate(
+    profile: TrafficProfile,
+    mesh: MeshConfig,
+    k: int,
+    params: GaParams,
+    granularity: str,
+) -> CircuitPlan:
+    """Genetic search seeded with greedy variants.
+
+    One bit per candidate pair; decode repairs infeasible selections by
+    dropping conflicting pairs in weight order.  Elitism keeps the best
+    individual, so best fitness never decreases across generations.  The
+    per-generation best is left in plan.meta["fitness_history"].
+    """
+    params.validate()
+    if k < 1:
+        raise AllocationError("need at least one CS subnet to allocate into")
+    cands = candidates_from_profile(profile, mesh, granularity)
+    n = len(cands)
+    endpoint_ports = granularity == "r2r"
+    if n == 0:
+        plan = CircuitPlan.empty(k, granularity, provenance="ga")
+        plan.meta["fitness_history"] = [0] * max(params.generations, 1)
+        return plan
+
+    masks = _conflict_masks(cands, endpoint_ports)
+    weights = [c.weight for c in cands]
+    flip_rate = params.per_gene_flip_rate if params.per_gene_flip_rate is not None else 1.0 / n
+    rng = random.Random(params.seed)
+
+    def seed_chromosome(excluded: Optional[int]) -> Tuple[int, ...]:
+        order = [i for i in range(n) if i != excluded]
+        placed = _first_fit_bits(order, masks, k)
+        bits = [0] * n
+        for i in placed:
+            bits[i] = 1
+        return tuple(bits)
+
+    population: List[Tuple[int, ...]] = []
+    for i in range(params.population_size):
+        excluded = i - 1 if 1 <= i <= n else None
+        population.append(seed_chromosome(excluded))
+
+    fitness_cache: Dict[Tuple[int, ...], int] = {}
+
+    def fitness(chrom: Tuple[int, ...]) -> int:
+        cached = fitness_cache.get(chrom)
+        if cached is None:
+            order = [i for i in range(n) if chrom[i]]
+            cached = sum(weights[i] for i in _first_fit_bits(order, masks, k))
+            fitness_cache[chrom] = cached
+        return cached
+
+    def tournament(scores: List[int]) -> Tuple[int, ...]:
+        a = rng.randrange(params.population_size)
+        b = rng.randrange(params.population_size)
+        return population[a] if scores[a] >= scores[b] else population[b]
+
+    history: List[int] = []
+    best_chrom = population[0]
+    best_score = fitness(best_chrom)
+    lo, hi = params.crossover_rate_range
+    for _ in range(params.generations):
+        scores = [fitness(c) for c in population]
+        gen_best = max(range(len(population)), key=lambda i: scores[i])
+        if scores[gen_best] > best_score:
+            best_score = scores[gen_best]
+            best_chrom = population[gen_best]
+        history.append(best_score)
+
+        elites = sorted(range(len(population)), key=lambda i: -scores[i])[: params.elitism_count]
+        nxt: List[Tuple[int, ...]] = [population[i] for i in elites]
+        while len(nxt) < params.population_size:
+            p1 = tournament(scores)
+            p2 = tournament(scores)
+            rho = rng.uniform(lo, hi)
+            child = [g2 if rng.random() < rho else g1 for g1, g2 in zip(p1, p2)]
+            if rng.random() < params.chromosome_mutation_probability:
+                for i in range(n):
+                    if rng.random() < flip_rate:
+                        child[i] ^= 1
+            nxt.append(tuple(child))
+        population = nxt
+
+    if params.generations == 0:
+        history.append(best_score)
+    order = [i for i in range(n) if best_chrom[i]]
+    selected = [cands[i] for i in order]
+    plan = CircuitPlan(
+        granularity, _first_fit(selected, k, endpoint_ports), provenance="ga"
+    )
+    plan.meta["fitness_history"] = history
+    plan.meta["fitness"] = best_score
+    return plan
+
+
+def enumerate_oracle(
+    profile: TrafficProfile,
+    mesh: MeshConfig,
+    k: int,
+    granularity: str,
+    max_pairs: int = 20,
+) -> CircuitPlan:
+    """Exact optimum by exhaustive subnet packing with pruning.
+
+    Refuses instances above max_pairs candidates; intended as a reference
+    for small cases, not a production allocator.
+    """
+    if k < 1:
+        raise AllocationError("need at least one CS subnet to allocate into")
+    cands = candidates_from_profile(profile, mesh, granularity)
+    n = len(cands)
+    if n > max_pairs:
+        raise AllocationError(f"{n} candidates exceed the oracle cap of {max_pairs}")
+    endpoint_ports = granularity == "r2r"
+    if n == 0:
+        return CircuitPlan.empty(k, granularity, provenance="oracle")
+
+    masks = _conflict_masks(cands, endpoint_ports)
+    weights = [c.weight for c in cands]
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + weights[i]
+
+    best_weight = -1
+    best_assign: List[List[int]] = [[] for _ in range(k)]
+    subnets = [0] * k
+    assign: List[List[int]] = [[] for _ in range(k)]
+
+    def search(i: int, current: int) -> None:
+        nonlocal best_weight, best_assign
+        if current + suffix[i] <= best_weight:
+            return
+        if i == n:
+            best_weight = current
+            best_assign = [list(s) for s in assign]
+            return
+        bit = 1 << i
+        mask = masks[i]
+        tried_empty = False
+        for s in range(k):
+            if subnets[s] == 0:
+                if tried_empty:
+                    continue  # empty subnets are interchangeable
+                tried_empty = True
+            if subnets[s] & mask:
+                continue
+            subnets[s] |= bit
+            assign[s].append(i)
+            search(i + 1, current + weights[i])
+            assign[s].pop()
+            subnets[s] &= ~bit
+        search(i + 1, current)  # leave candidate i out
+
+    search(0, 0)
+    plan = CircuitPlan(
+        granularity,
+        tuple(tuple(cands[i] for i in s) for s in best_assign),
+        provenance="oracle",
+    )
+    plan.meta["weight"] = best_weight
+    return plan
+
+
+# --- plan files -------------------------------------------------------------
+
+def format_plan(plan: CircuitPlan) -> str:
+    lines = [f"granularity={plan.granularity} subnets={plan.subnet_count}"]
+    for s, circuits in enumerate(plan.subnets):
+        for c in circuits:
+            lines.append(f"{s},{c.src},{c.dst}")
+    return "\n".join(lines) + "\n"
+
+
+def save_plan(plan: CircuitPlan, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(format_plan(plan))
+
+
+def load_plan(path: str, mesh: MeshConfig) -> CircuitPlan:
+    """Rebuild a plan from its file; weights are not stored, paths are."""
+    with open(path) as fh:
+        lines = [l.strip() for l in fh if l.strip() and not l.strip().startswith("#")]
+    if not lines:
+        raise AllocationError("plan file is empty")
+    header = dict(part.split("=", 1) for part in lines[0].split())
+    try:
+        granularity = header["granularity"]
+        k = int(header["subnets"])
+    except (KeyError, ValueError) as exc:
+        raise AllocationError(f"bad plan header: {exc}") from None
+    if granularity not in PLAN_GRANULARITIES:
+        raise AllocationError(f"unknown plan granularity {granularity!r}")
+    subnets: List[List[CandidatePair]] = [[] for _ in range(k)]
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise AllocationError(f"line {lineno}: expected subnet,src,dst")
+        try:
+            s, src, dst = (int(p) for p in parts)
+        except ValueError as exc:
+            raise AllocationError(f"line {lineno}: {exc}") from None
+        if not 0 <= s < k:
+            raise AllocationError(f"line {lineno}: subnet {s} out of range")
+        if granularity == "e2e":
+            ra, rb = mesh.router_of_ni(src), mesh.router_of_ni(dst)
+        else:
+            ra, rb = src, dst
+        if ra == rb:
+            raise AllocationError(f"line {lineno}: circuit endpoints share a router")
+        subnets[s].append(CandidatePair(src, dst, 0, xy_route(mesh, ra, rb)))
+    plan = CircuitPlan(granularity, tuple(tuple(s) for s in subnets), provenance="file")
+    plan.validate()
+    return plan

@@ -1,0 +1,278 @@
+"""Command-line front end.
+
+Subcommands: run (one experiment config), sweep (injection-rate or
+subnet-count sweeps), allocate (profile file to plan file), compare
+(run reports to a summary table).  Exit codes: 0 success, 1 bad
+configuration, 2 bad input data.
+"""
+
+from __future__ import annotations
+
+import argparse
+import logging
+import os
+import sys
+from typing import List, Optional
+
+from .allocator import (
+    AllocationError,
+    enumerate_oracle,
+    ga_allocate,
+    greedy_allocate,
+    profile_granularity_for,
+    save_plan,
+)
+from .energy import EnergyError
+from .orchestrator import (
+    ExperimentConfig,
+    load_config,
+    read_run_report,
+    rows_from_reports,
+    run_experiment,
+    summary_table,
+)
+from .simcore import ConfigError, SubnetLayout, VcConfig, sweep_injection
+from .topology import MeshConfig, TopologyError
+from .traffic import PATTERNS, TraceFormatError, load_profile
+
+
+def _parse_mesh(arg: str) -> MeshConfig:
+    if arg == "cmp-4x4-51ni":
+        return MeshConfig.cmp_4x4_51ni()
+    try:
+        w, h = arg.lower().split("x")
+        return MeshConfig.grid(int(w), int(h))
+    except (ValueError, TopologyError) as exc:
+        raise ConfigError(f"bad mesh {arg!r}; want WxH or cmp-4x4-51ni") from exc
+
+
+def _parse_num_list(arg: str, cast) -> List:
+    try:
+        return [cast(p) for p in arg.split(",") if p.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad list {arg!r}") from exc
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    config = load_config(args.config)
+    out_dir = args.output or config.output_dir or "."
+    os.makedirs(out_dir, exist_ok=True)
+    results = run_experiment(config)
+    from .orchestrator import write_run_report
+
+    for result in results:
+        report_path = os.path.join(out_dir, f"{result.label}.report")
+        write_run_report(report_path, result)
+        if result.plan is not None:
+            save_plan(result.plan, os.path.join(out_dir, f"{result.label}.plan"))
+        lat = result.stats.mean_latency()
+        epf = result.energy.energy_per_flit if result.energy else float("nan")
+        print(
+            f"{result.label}: cycles={result.stats.cycles_simulated} "
+            f"flits={result.stats.flits_ejected} "
+            f"in_circuit={result.stats.percent_in_circuit():.2f}% "
+            f"mean_latency={lat:.2f} energy_per_flit={epf:.4f}"
+        )
+    print(f"reports written to {out_dir}")
+    return 0
+
+
+def _sweep_rates(args: argparse.Namespace) -> int:
+    mesh = _parse_mesh(args.mesh)
+    rates = _parse_num_list(args.rates, float)
+    layout = SubnetLayout(args.width_bits, args.subnets, True)
+    points = sweep_injection(
+        mesh, layout, VcConfig(), args.pattern, rates, None, args.seed,
+        fabric=args.fabric, cycles=args.cycles, regularity=args.regularity,
+    )
+    lines = ["fabric,rate,mean_latency,p99_latency,unloaded_mean,saturated"]
+    for p in points:
+        lines.append(
+            f"{args.fabric},{p.rate:.4f},{p.mean_latency:.2f},{p.p99_latency},"
+            f"{p.unloaded_mean:.2f},{int(p.saturated)}"
+        )
+    table = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(table)
+    sys.stdout.write(table)
+    return 0
+
+
+def _sweep_subnets(args: argparse.Namespace) -> int:
+    from .orchestrator import compare, run_baseline, run_static
+    from .traffic import SyntheticSpec
+
+    mesh = _parse_mesh(args.mesh)
+    counts = _parse_num_list(args.subnet_counts, int)
+    spec = SyntheticSpec(
+        args.pattern, args.rate, regularity=args.regularity,
+    )
+    base_config = ExperimentConfig(
+        mesh=mesh,
+        layout=SubnetLayout(args.width_bits, 1, True),
+        vc=VcConfig(),
+        mode="baseline_vc",
+        traffic_spec=spec,
+        traffic_cycles=args.cycles,
+        seed=args.seed,
+        label="baseline",
+    )
+    baseline = run_baseline(base_config)
+    results = []
+    for k in counts:
+        config = ExperimentConfig(
+            mesh=mesh,
+            layout=SubnetLayout(args.width_bits, k, True),
+            vc=VcConfig(),
+            mode="static_hybrid",
+            allocator=args.allocator,
+            granularity=args.granularity,
+            traffic_spec=spec,
+            traffic_cycles=args.cycles,
+            seed=args.seed,
+            label=f"subnets-{k}",
+        )
+        results.append(run_static(config)[1])
+    table = summary_table(compare(results, baseline))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(table)
+    sys.stdout.write(table)
+    return 0
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if bool(args.rates) == bool(args.subnet_counts):
+        raise ConfigError("pick exactly one of --rates or --subnet-counts")
+    if args.rates:
+        return _sweep_rates(args)
+    return _sweep_subnets(args)
+
+
+def cmd_allocate(args: argparse.Namespace) -> int:
+    mesh = _parse_mesh(args.mesh)
+    gran = profile_granularity_for(args.granularity)
+    profile = load_profile(args.profile, gran)
+    if args.limit is not None:
+        keep = profile.sorted_pairs()[: args.limit]
+        profile.entries = {pair: profile.entries[pair] for pair in keep}
+    if args.method == "greedy":
+        plan = greedy_allocate(profile, mesh, args.subnets, args.granularity)
+    elif args.method == "oracle":
+        plan = enumerate_oracle(profile, mesh, args.subnets, args.granularity)
+    else:
+        from .allocator import GaParams
+
+        plan = ga_allocate(
+            profile, mesh, args.subnets,
+            GaParams(generations=args.generations, seed=args.seed),
+            args.granularity,
+        )
+    save_plan(plan, args.out)
+    print(f"{plan.circuit_count()} circuits over {plan.subnet_count} subnets "
+          f"-> {args.out}")
+    return 0
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    baseline = read_run_report(args.baseline)
+    reports = [read_run_report(p) for p in args.reports]
+    rows = rows_from_reports(reports, baseline)
+    table = summary_table(rows)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(table)
+    sys.stdout.write(table)
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hybridnoc",
+        description="Flit-level simulation of SDM hybrid-switched mesh NoCs",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_run = sub.add_parser("run", help="run one experiment config (INI file)")
+    p_run.add_argument("config")
+    p_run.add_argument("--output", help="directory for report/plan files")
+    p_run.set_defaults(func=cmd_run)
+
+    p_sweep = sub.add_parser("sweep", help="injection-rate or subnet-count sweep")
+    p_sweep.add_argument("--mesh", default="4x4")
+    p_sweep.add_argument("--pattern", default="uniform_random", choices=PATTERNS)
+    p_sweep.add_argument("--regularity", type=float, default=0.0)
+    p_sweep.add_argument("--cycles", type=int, default=20000)
+    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--width-bits", type=int, default=128)
+    p_sweep.add_argument("--out", help="also write the table to this file")
+    p_sweep.add_argument("--rates", help="comma list of injection rates")
+    p_sweep.add_argument(
+        "--fabric", default="vc", choices=("vc", "cs", "hybrid"),
+        help="fabric for an injection-rate sweep",
+    )
+    p_sweep.add_argument("--subnets", type=int, default=1,
+                         help="subnet count for --rates with --fabric hybrid")
+    p_sweep.add_argument("--subnet-counts", help="comma list, e.g. 2,4,8")
+    p_sweep.add_argument("--rate", type=float, default=0.05,
+                         help="injection rate for a subnet-count sweep")
+    p_sweep.add_argument("--allocator", default="greedy",
+                         choices=("greedy", "ga", "oracle"))
+    p_sweep.add_argument("--granularity", default="e2e", choices=("e2e", "r2r"))
+    p_sweep.set_defaults(func=cmd_sweep)
+
+    p_alloc = sub.add_parser("allocate", help="profile file -> plan file")
+    p_alloc.add_argument("profile")
+    p_alloc.add_argument("--mesh", default="4x4")
+    p_alloc.add_argument("--granularity", default="e2e", choices=("e2e", "r2r"))
+    p_alloc.add_argument("--subnets", type=int, default=1,
+                         help="number of CS subnets to fill")
+    p_alloc.add_argument("--method", default="greedy",
+                         choices=("greedy", "ga", "oracle"))
+    p_alloc.add_argument("--generations", type=int, default=5000)
+    p_alloc.add_argument("--seed", type=int, default=0)
+    p_alloc.add_argument("--limit", type=int,
+                         help="keep only the heaviest N profile pairs")
+    p_alloc.add_argument("--out", required=True)
+    p_alloc.set_defaults(func=cmd_allocate)
+
+    p_cmp = sub.add_parser("compare", help="normalize run reports to a baseline")
+    p_cmp.add_argument("baseline")
+    p_cmp.add_argument("reports", nargs="+")
+    p_cmp.add_argument("--out", help="also write the table to this file")
+    p_cmp.set_defaults(func=cmd_compare)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    logging.basicConfig(
+        level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
+    )
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors; that's a config problem here
+        return 0 if exc.code in (0, None) else 1
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except (AllocationError, TopologyError, EnergyError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except TraceFormatError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print(f"data error: missing file {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

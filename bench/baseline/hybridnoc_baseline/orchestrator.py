@@ -1,0 +1,613 @@
+"""Experiment drivers: baseline, static hybrid, adaptive hybrid, comparison.
+
+A run is described by an ExperimentConfig (parseable from an INI file with
+one section per concern).  Baseline runs use the undivided full-width link;
+static hybrid profiles the whole trace first and then re-runs it under one
+plan; adaptive hybrid re-plans every epoch from the previous epoch's
+observed flit counts, with each plan taking effect only after the
+configuration period has elapsed inside its epoch.
+"""
+
+from __future__ import annotations
+
+import configparser
+import logging
+import math
+import os
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from .allocator import (
+    CircuitPlan,
+    GaParams,
+    PLAN_GRANULARITIES,
+    enumerate_oracle,
+    ga_allocate,
+    greedy_allocate,
+    load_plan,
+    plan_weight,
+    profile_granularity_for,
+)
+from .energy import EnergyCoefficients, EnergyReport, account
+from .simcore import ConfigError, SimStats, Simulation, SubnetLayout, VcConfig, simulate
+from .topology import MeshConfig
+from .traffic import (
+    PATTERNS,
+    SyntheticSpec,
+    TrafficEvent,
+    TrafficProfile,
+    generate,
+    load_trace,
+    profile_from_flit_counts,
+)
+
+log = logging.getLogger(__name__)
+
+MODES = ("baseline_vc", "static_hybrid", "adaptive_hybrid")
+ALLOCATORS = ("greedy", "ga", "oracle", "plan-file")
+
+# production-scale epoching and the desk-scale stand-ins (same 200:1 ratio)
+FULL_SCALE_EPOCH_CYCLES = 200_000_000
+DESK_EPOCH_CYCLES = 100_000
+EPOCH_TO_PERIOD_RATIO = 200
+
+
+@dataclass
+class ExperimentConfig:
+    mesh: MeshConfig
+    layout: SubnetLayout
+    vc: VcConfig
+    mode: str
+    allocator: str = "greedy"
+    granularity: str = "e2e"
+    plan_file: Optional[str] = None
+    traffic_spec: Optional[SyntheticSpec] = None
+    trace_path: Optional[str] = None
+    traffic_cycles: Optional[int] = None
+    epoch_cycles: Optional[int] = None
+    config_period_cycles: Optional[int] = None
+    full_scale: bool = False
+    seed: int = 0
+    ga: GaParams = field(default_factory=GaParams)
+    coeffs: EnergyCoefficients = field(default_factory=EnergyCoefficients)
+    label: str = "run"
+    output_dir: Optional[str] = None
+
+    def resolved_epoch_cycles(self) -> int:
+        if self.epoch_cycles is not None:
+            return self.epoch_cycles
+        return FULL_SCALE_EPOCH_CYCLES if self.full_scale else DESK_EPOCH_CYCLES
+
+    def resolved_config_period(self) -> int:
+        if self.config_period_cycles is not None:
+            return self.config_period_cycles
+        return max(1, self.resolved_epoch_cycles() // EPOCH_TO_PERIOD_RATIO)
+
+    def resolved_traffic_cycles(self) -> int:
+        if self.traffic_cycles is not None:
+            return self.traffic_cycles
+        if self.mode == "adaptive_hybrid":
+            return 2 * self.resolved_epoch_cycles()
+        return 20_000
+
+    def validate(self) -> None:
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}; pick one of {MODES}")
+        if self.allocator not in ALLOCATORS:
+            raise ConfigError(
+                f"unknown allocator {self.allocator!r}; pick one of {ALLOCATORS}"
+            )
+        if self.granularity not in PLAN_GRANULARITIES:
+            raise ConfigError(f"unknown granularity {self.granularity!r}")
+        if self.allocator == "plan-file" and not self.plan_file:
+            raise ConfigError("allocator plan-file needs plan_file")
+        if (self.traffic_spec is None) == (self.trace_path is None):
+            raise ConfigError("configure exactly one traffic source (spec or trace)")
+        if self.traffic_spec is not None:
+            self.traffic_spec.validate()
+        if self.resolved_config_period() >= self.resolved_epoch_cycles():
+            raise ConfigError("config period must be shorter than an epoch")
+        if self.mode != "baseline_vc" and self.layout.cs_subnet_count < 1:
+            raise ConfigError(f"{self.mode} needs at least one CS subnet")
+        if self.traffic_cycles is not None and self.traffic_cycles <= 0:
+            raise ConfigError("traffic cycles must be positive")
+
+
+@dataclass
+class RunResult:
+    label: str
+    mode: str
+    stats: SimStats
+    energy: Optional[EnergyReport]
+    plan: Optional[CircuitPlan] = None
+    meta: Dict[str, str] = field(default_factory=dict)
+
+
+@dataclass
+class EpochResult:
+    epoch_index: int
+    plan: CircuitPlan
+    profile: Optional[TrafficProfile]
+    stats: SimStats
+    energy: Optional[EnergyReport]
+
+
+def make_trace(config: ExperimentConfig) -> List[TrafficEvent]:
+    """Materialize the configured traffic source."""
+    if config.trace_path is not None:
+        return load_trace(config.trace_path, config.mesh)
+    assert config.traffic_spec is not None
+    return generate(
+        config.traffic_spec, config.mesh, config.seed, config.resolved_traffic_cycles()
+    )
+
+
+def build_plan(
+    profile: TrafficProfile,
+    config: ExperimentConfig,
+    *,
+    adaptive: bool,
+) -> CircuitPlan:
+    """Run the configured allocator over one profile."""
+    k = config.layout.cs_subnet_count
+    if config.allocator == "plan-file":
+        assert config.plan_file is not None
+        plan = load_plan(config.plan_file, config.mesh)
+        if plan.subnet_count > k:
+            raise ConfigError(
+                f"plan file uses {plan.subnet_count} subnets, layout offers {k}"
+            )
+        return plan
+    if config.allocator == "greedy":
+        return greedy_allocate(profile, config.mesh, k, config.granularity)
+    if config.allocator == "oracle":
+        return enumerate_oracle(profile, config.mesh, k, config.granularity)
+    # GA is an offline-budget search; fine for static runs, out of budget for
+    # per-epoch reconfiguration, so adaptive runs carry an annotation.
+    if adaptive:
+        log.warning("GA allocation per epoch is beyond the online budget; "
+                    "results are for comparison only")
+    else:
+        log.warning("GA allocation runs an offline-sized search budget")
+    plan = ga_allocate(profile, config.mesh, k, config.ga, config.granularity)
+    if adaptive:
+        plan.meta["note"] = "comparison only"
+    return plan
+
+
+def _energy_or_none(
+    stats: SimStats, layout: SubnetLayout, coeffs: EnergyCoefficients
+) -> Optional[EnergyReport]:
+    if stats.flits_ejected == 0:
+        return None
+    return account(stats, layout, coeffs)
+
+
+def run_baseline(config: ExperimentConfig) -> RunResult:
+    """Pure-VC run on the undivided full-width link."""
+    config.validate()
+    trace = make_trace(config)
+    layout = SubnetLayout(
+        config.layout.total_width_bits, 1, config.layout.gate_cs_buffers
+    )
+    stats = simulate(config.mesh, layout, config.vc, trace, None, seed=config.seed)
+    energy = _energy_or_none(stats, layout, config.coeffs)
+    return RunResult(config.label, "baseline_vc", stats, energy,
+                     meta={"width_bits": str(layout.subnet_width_bits)})
+
+
+def _profiling_pass(
+    config: ExperimentConfig, trace: Sequence[TrafficEvent]
+) -> Tuple[SimStats, TrafficProfile]:
+    """Run the trace with no circuits and profile what actually arrived."""
+    sim = Simulation(config.mesh, config.layout, config.vc, trace, None, config.seed)
+    sim.run_to_completion()
+    stats = sim.finalize()
+    counts = sim.take_pair_counts()
+    gran = profile_granularity_for(config.granularity)
+    return stats, profile_from_flit_counts(counts, config.mesh, gran)
+
+
+def run_static(
+    config: ExperimentConfig, trace: Optional[Sequence[TrafficEvent]] = None
+) -> Tuple[RunResult, RunResult]:
+    """Two-pass static hybrid: profile everything, plan once, re-run."""
+    config.validate()
+    if config.mode != "static_hybrid":
+        raise ConfigError("run_static needs mode static_hybrid")
+    if trace is None:
+        trace = make_trace(config)
+    stats1, profile = _profiling_pass(config, trace)
+    energy1 = _energy_or_none(stats1, config.layout, config.coeffs)
+    plan = build_plan(profile, config, adaptive=False)
+    stats2 = simulate(
+        config.mesh, config.layout, config.vc, trace, plan, seed=config.seed
+    )
+    energy2 = _energy_or_none(stats2, config.layout, config.coeffs)
+    profile_run = RunResult(
+        f"{config.label}-profile", "static_hybrid", stats1, energy1, plan=None
+    )
+    production = RunResult(
+        config.label, "static_hybrid", stats2, energy2, plan=plan,
+        meta={"plan_weight": str(plan_weight(plan, profile))},
+    )
+    return profile_run, production
+
+
+def run_adaptive(config: ExperimentConfig) -> List[EpochResult]:
+    """Epoch loop: plan epoch i from epoch i-1's ejected flit counts.
+
+    Epoch 0 runs all-VC under the empty plan.  Each later plan is scheduled
+    at its epoch start plus the configuration period, so flits injected
+    before that moment still ride the previous plan.
+    """
+    config.validate()
+    if config.mode != "adaptive_hybrid":
+        raise ConfigError("run_adaptive needs mode adaptive_hybrid")
+    trace = make_trace(config)
+    epoch = config.resolved_epoch_cycles()
+    period = config.resolved_config_period()
+    span = trace[-1].inject_cycle + 1 if trace else 0
+    k = config.layout.cs_subnet_count
+
+    if span <= epoch:
+        log.warning(
+            "trace covers %d cycles, not more than one %d-cycle epoch; "
+            "running a single static-style pass instead", span, epoch,
+        )
+        stats1, profile = _profiling_pass(config, trace)
+        plan = build_plan(profile, config, adaptive=False)
+        stats2 = simulate(
+            config.mesh, config.layout, config.vc, trace, plan, seed=config.seed
+        )
+        energy2 = _energy_or_none(stats2, config.layout, config.coeffs)
+        return [EpochResult(0, plan, profile, stats2, energy2)]
+
+    n_epochs = math.ceil(span / epoch)
+    sim = Simulation(config.mesh, config.layout, config.vc, trace, None, config.seed)
+    results: List[EpochResult] = []
+    current_plan = CircuitPlan.empty(k, config.granularity)
+    prev_counts: Dict[Tuple[int, int], int] = {}
+    prev_snap = sim.stats.snapshot()
+    gran = profile_granularity_for(config.granularity)
+    for i in range(n_epochs):
+        profile_i: Optional[TrafficProfile] = None
+        if i >= 1:
+            profile_i = profile_from_flit_counts(prev_counts, config.mesh, gran)
+            current_plan = build_plan(profile_i, config, adaptive=True)
+            sim.schedule_plan(current_plan, i * epoch + period)
+        if i == n_epochs - 1:
+            sim.run_to_completion()
+        else:
+            sim.run_until((i + 1) * epoch)
+        prev_counts = sim.take_pair_counts()
+        snap = sim.stats.snapshot()
+        window = snap.diff(prev_snap)
+        prev_snap = snap
+        energy_i = _energy_or_none(window, config.layout, config.coeffs)
+        results.append(EpochResult(i, current_plan, profile_i, window, energy_i))
+    sim.finalize()
+    return results
+
+
+def run_experiment(config: ExperimentConfig) -> List[RunResult]:
+    """Dispatch one config to its mode's driver; epochs become one row each."""
+    if config.mode == "baseline_vc":
+        return [run_baseline(config)]
+    if config.mode == "static_hybrid":
+        return list(run_static(config))
+    epochs = run_adaptive(config)
+    out = []
+    for er in epochs:
+        meta = {"epoch": str(er.epoch_index), "circuits": str(er.plan.circuit_count())}
+        if "note" in er.plan.meta:
+            meta["note"] = str(er.plan.meta["note"])
+        out.append(
+            RunResult(f"{config.label}-epoch{er.epoch_index}", "adaptive_hybrid",
+                      er.stats, er.energy, plan=er.plan, meta=meta)
+        )
+    return out
+
+
+# --- comparison ---------------------------------------------------------------
+
+SUMMARY_HEADER = "config,percent_in_circuit,norm_latency,norm_energy"
+
+
+def compare(
+    results: Sequence[RunResult], baseline: RunResult
+) -> List[Tuple[str, float, float, float]]:
+    """Per-config rows normalized against the baseline run."""
+    if baseline is None:
+        raise ConfigError("comparison needs a baseline run")
+    if baseline.stats.flits_ejected == 0 or baseline.energy is None:
+        raise ConfigError("baseline run ejected no flits; nothing to normalize by")
+    base_lat = baseline.stats.mean_latency()
+    base_epf = baseline.energy.energy_per_flit
+    if base_lat <= 0 or base_epf <= 0:
+        raise ConfigError("baseline latency/energy must be positive")
+    rows = []
+    for r in results:
+        if r.stats.flits_ejected == 0 or r.energy is None:
+            raise ConfigError(f"run {r.label!r} ejected no flits")
+        rows.append(
+            (
+                r.label,
+                r.stats.percent_in_circuit(),
+                r.stats.mean_latency() / base_lat,
+                r.energy.energy_per_flit / base_epf,
+            )
+        )
+    return rows
+
+
+def summary_table(rows: Sequence[Tuple[str, float, float, float]]) -> str:
+    lines = [SUMMARY_HEADER]
+    for label, pct, nlat, nenergy in rows:
+        lines.append(f"{label},{pct:.2f},{nlat:.4f},{nenergy:.4f}")
+    return "\n".join(lines) + "\n"
+
+
+# --- run-report files ----------------------------------------------------------
+
+def write_run_report(path: str, result: RunResult) -> None:
+    """One INI-style report per run; everything compare needs to rebuild rows."""
+    cp = configparser.ConfigParser()
+    st = result.stats
+    cp["run"] = {
+        "label": result.label,
+        "mode": result.mode,
+        "cycles_simulated": str(st.cycles_simulated),
+        "packets_seen": str(st.packets_seen),
+        "flits_injected": str(st.flits_injected),
+        "flits_ejected": str(st.flits_ejected),
+        "in_flight": str(st.in_flight),
+        "in_circuit_flits": str(st.in_circuit_flits),
+        "percent_in_circuit": f"{st.percent_in_circuit():.6f}",
+    }
+    cp["latency"] = {
+        "mean": f"{st.mean_latency():.6f}",
+        "mean_vc": f"{st.mean_latency('vc'):.6f}",
+        "mean_cs": f"{st.mean_latency('cs'):.6f}",
+        "mean_network": f"{st.mean_network_latency():.6f}",
+        "p99": str(st.p99_latency()),
+        "unloaded_mean": f"{st.unloaded_mean():.6f}",
+        "measured_flits": str(st.measured_flits()),
+    }
+    cp["events"] = {
+        "subnet_widths": ",".join(map(str, st.subnet_widths)),
+        "buffer_writes": ",".join(map(str, st.buffer_writes)),
+        "buffer_reads": ",".join(map(str, st.buffer_reads)),
+        "crossbar_traversals": ",".join(map(str, st.crossbar_traversals)),
+        "link_traversals": ",".join(map(str, st.link_traversals)),
+        "cs_flits_per_subnet": ",".join(map(str, st.cs_flits_per_subnet)),
+        "vc_allocations": str(st.vc_allocations),
+        "sw_allocations": str(st.sw_allocations),
+        "max_vc_occupancy": str(st.max_vc_occupancy),
+        "active_buffer_cycles": str(st.active_buffer_cycles),
+        "gated_buffer_cycles": str(st.gated_buffer_cycle_count),
+    }
+    if result.energy is not None:
+        e = result.energy
+        section = {
+            "total": f"{e.total_energy:.6f}",
+            "per_flit": f"{e.energy_per_flit:.6f}",
+            "gated_savings": f"{e.gated_savings:.6f}",
+        }
+        for key, val in e.breakdown.items():
+            section[key] = f"{val:.6f}"
+        cp["energy"] = section
+    if result.plan is not None:
+        cp["plan"] = {
+            "granularity": result.plan.granularity,
+            "subnet_count": str(result.plan.subnet_count),
+            "circuits": str(result.plan.circuit_count()),
+            "provenance": result.plan.provenance,
+        }
+        if "note" in result.plan.meta:
+            cp["plan"]["note"] = str(result.plan.meta["note"])
+    if result.meta:
+        cp["meta"] = {k: str(v) for k, v in result.meta.items()}
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+
+
+def write_flit_dump(path: str, records: Sequence) -> None:
+    """Optional per-flit latency dump to go with a run report."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# packet_id,flit_index,route_class,inject_cycle,eject_cycle\n")
+        for r in records:
+            fh.write(
+                f"{r.packet_id},{r.flit_index},{r.route_class},"
+                f"{r.inject_cycle},{r.eject_cycle}\n"
+            )
+
+
+def read_run_report(path: str) -> Dict[str, Dict[str, str]]:
+    cp = configparser.ConfigParser()
+    loaded = cp.read(path)
+    if not loaded:
+        raise FileNotFoundError(path)
+    if not cp.has_section("run"):
+        raise ValueError(f"{path} is not a run report (no [run] section)")
+    return {section: dict(cp[section]) for section in cp.sections()}
+
+
+def rows_from_reports(
+    reports: Sequence[Mapping[str, Mapping[str, str]]],
+    baseline: Mapping[str, Mapping[str, str]],
+) -> List[Tuple[str, float, float, float]]:
+    """compare(), but over parsed report files instead of live results."""
+    try:
+        base_lat = float(baseline["latency"]["mean"])
+        base_epf = float(baseline["energy"]["per_flit"])
+    except KeyError as exc:
+        raise ValueError(f"baseline report is missing {exc}") from exc
+    if base_lat <= 0 or base_epf <= 0:
+        raise ValueError("baseline latency/energy must be positive")
+    rows = []
+    for rep in reports:
+        try:
+            label = rep["run"]["label"]
+            pct = float(rep["run"]["percent_in_circuit"])
+            lat = float(rep["latency"]["mean"])
+            epf = float(rep["energy"]["per_flit"])
+        except KeyError as exc:
+            raise ValueError(f"report is missing {exc}") from exc
+        rows.append((label, pct, lat / base_lat, epf / base_epf))
+    return rows
+
+
+# --- INI experiment configs -----------------------------------------------------
+
+def _get_int(section: Mapping[str, str], key: str, default: Optional[int]) -> Optional[int]:
+    if key not in section:
+        return default
+    try:
+        return int(section[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be an integer, got {section[key]!r}") from exc
+
+
+def _get_float(section: Mapping[str, str], key: str, default: float) -> float:
+    if key not in section:
+        return default
+    try:
+        return float(section[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be a number, got {section[key]!r}") from exc
+
+
+def _get_bool(section: Mapping[str, str], key: str, default: bool) -> bool:
+    if key not in section:
+        return default
+    val = section[key].strip().lower()
+    if val in ("1", "true", "yes", "on"):
+        return True
+    if val in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"{key} must be a boolean, got {section[key]!r}")
+
+
+def _mesh_from_section(section: Mapping[str, str]) -> MeshConfig:
+    preset = section.get("preset")
+    if preset:
+        if preset == "cmp-4x4-51ni":
+            return MeshConfig.cmp_4x4_51ni()
+        raise ConfigError(f"unknown mesh preset {preset!r}")
+    width = _get_int(section, "width", 4)
+    height = _get_int(section, "height", 4)
+    raw = section.get("ni_per_router", "1").strip()
+    parts = [p for p in raw.split(",") if p.strip()]
+    try:
+        counts = [int(p) for p in parts]
+    except ValueError as exc:
+        raise ConfigError(f"ni_per_router must be integers, got {raw!r}") from exc
+    if len(counts) == 1:
+        ni = tuple(counts * (width * height))
+    else:
+        ni = tuple(counts)
+    try:
+        return MeshConfig(width, height, ni)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def load_config(path: str) -> ExperimentConfig:
+    """Parse one experiment INI file into a validated ExperimentConfig."""
+    cp = configparser.ConfigParser()
+    loaded = cp.read(path)
+    if not loaded:
+        raise ConfigError(f"cannot read config file {path}")
+
+    exp = cp["experiment"] if cp.has_section("experiment") else {}
+    mesh = _mesh_from_section(cp["mesh"] if cp.has_section("mesh") else {})
+
+    lay = cp["layout"] if cp.has_section("layout") else {}
+    try:
+        layout = SubnetLayout(
+            _get_int(lay, "total_width_bits", 128),
+            _get_int(lay, "subnet_count", 2),
+            _get_bool(lay, "gate_cs_buffers", True),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    vcs = cp["vc"] if cp.has_section("vc") else {}
+    try:
+        vc = VcConfig(
+            _get_int(vcs, "vnets", 3),
+            _get_int(vcs, "vcs_per_vnet", 4),
+            _get_int(vcs, "buffer_depth_flits", 4),
+            _get_int(vcs, "pipeline_stages", 4),
+            _get_int(vcs, "link_cycles", 1),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    traffic_spec = None
+    trace_path = None
+    traffic_cycles = None
+    tr = cp["traffic"] if cp.has_section("traffic") else {}
+    if "trace" in tr:
+        trace_path = tr["trace"]
+    else:
+        pattern = tr.get("pattern", "uniform_random")
+        if pattern not in PATTERNS:
+            raise ConfigError(f"unknown traffic pattern {pattern!r}")
+        try:
+            traffic_spec = SyntheticSpec(
+                pattern=pattern,
+                injection_rate=_get_float(tr, "injection_rate", 0.05),
+                control_fraction=_get_float(tr, "control_fraction", 0.5),
+                regularity=_get_float(tr, "regularity", 0.0),
+                designated_pair_count=_get_int(tr, "designated_pair_count", 8),
+                control_payload_bits=_get_int(tr, "control_payload_bits", 128),
+                data_payload_bits=_get_int(tr, "data_payload_bits", 640),
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    traffic_cycles = _get_int(tr, "cycles", None)
+
+    en = cp["energy"] if cp.has_section("energy") else {}
+    try:
+        coeffs = EnergyCoefficients.from_mapping(dict(en))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    gasec = cp["ga"] if cp.has_section("ga") else {}
+    try:
+        ga = GaParams(
+            population_size=_get_int(gasec, "population_size", 10),
+            generations=_get_int(gasec, "generations", 5000),
+            chromosome_mutation_probability=_get_float(
+                gasec, "chromosome_mutation_probability", 0.5
+            ),
+            elitism_count=_get_int(gasec, "elitism_count", 1),
+            seed=_get_int(gasec, "seed", 0),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    config = ExperimentConfig(
+        mesh=mesh,
+        layout=layout,
+        vc=vc,
+        mode=exp.get("mode", "static_hybrid"),
+        allocator=exp.get("allocator", "greedy"),
+        granularity=exp.get("granularity", "e2e"),
+        plan_file=exp.get("plan_file") or None,
+        traffic_spec=traffic_spec,
+        trace_path=trace_path,
+        traffic_cycles=traffic_cycles,
+        epoch_cycles=_get_int(exp, "epoch_cycles", None),
+        config_period_cycles=_get_int(exp, "config_period_cycles", None),
+        full_scale=_get_bool(exp, "full_scale", False),
+        seed=_get_int(exp, "seed", 0),
+        ga=ga,
+        coeffs=coeffs,
+        label=exp.get("label", os.path.splitext(os.path.basename(path))[0]),
+        output_dir=exp.get("output_dir") or None,
+    )
+    config.validate()
+    return config

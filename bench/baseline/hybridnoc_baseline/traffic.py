@@ -1,0 +1,382 @@
+"""Synthetic traffic generation, trace files and per-pair traffic profiles.
+
+Traces are packet granular: one record per packet with the cycle it is
+handed to its source NI.  Serialization into flits depends on the channel
+width of the subnet a packet ends up on, so profiles store flit counts at
+the full link width and get rescaled implicitly when subnets are narrower.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+import random
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from .topology import MeshConfig, TopologyError
+
+log = logging.getLogger(__name__)
+
+FULL_LINK_WIDTH_BITS = 128
+
+PATTERNS = ("uniform_random", "permutation", "hotspot", "regular_mix")
+
+# fraction of hotspot-pattern traffic aimed at the hot interface
+_HOTSPOT_FRACTION = 0.5
+
+
+class TraceFormatError(ValueError):
+    """A trace record that cannot be parsed or names an unknown endpoint."""
+
+
+@dataclass(frozen=True)
+class PacketClass:
+    """A payload size category. kind is a label, payload_bits the truth."""
+
+    kind: str
+    payload_bits: int
+
+    def __post_init__(self) -> None:
+        if self.payload_bits <= 0:
+            raise ValueError("payload_bits must be positive")
+
+
+CONTROL = PacketClass("control", 128)
+DATA = PacketClass("data", 640)
+
+
+def packet_class(kind: str, control_bits: int = 128, data_bits: int = 640) -> PacketClass:
+    if kind == "control":
+        return PacketClass("control", control_bits)
+    if kind == "data":
+        return PacketClass("data", data_bits)
+    raise TraceFormatError(f"unknown packet class {kind!r}")
+
+
+def flits_for_packet(klass: PacketClass, channel_width_bits: int) -> int:
+    """Number of flits needed to carry one packet on a channel."""
+    if channel_width_bits <= 0:
+        raise ValueError("channel width must be positive")
+    return math.ceil(klass.payload_bits / channel_width_bits)
+
+
+@dataclass(frozen=True)
+class TrafficEvent:
+    inject_cycle: int
+    src: int
+    dst: int
+    klass: PacketClass
+    packet_id: int
+
+    def __post_init__(self) -> None:
+        if self.inject_cycle < 0:
+            raise ValueError("inject_cycle cannot be negative")
+        if self.src == self.dst:
+            raise ValueError("packet source and destination NI must differ")
+
+
+@dataclass
+class SyntheticSpec:
+    """Knobs for the synthetic packet generator."""
+
+    pattern: str
+    injection_rate: float
+    control_fraction: float = 0.5
+    regularity: float = 0.0
+    designated_pair_count: int = 8
+    control_payload_bits: int = 128
+    data_payload_bits: int = 640
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        if self.pattern not in PATTERNS:
+            raise ValueError(f"unknown pattern {self.pattern!r}")
+        if self.injection_rate < 0:
+            raise ValueError("injection_rate cannot be negative")
+        if not 0.0 <= self.control_fraction <= 1.0:
+            raise ValueError("control_fraction must lie in [0, 1]")
+        if not 0.0 <= self.regularity <= 1.0:
+            raise ValueError("regularity must lie in [0, 1]")
+        if self.designated_pair_count < 1:
+            raise ValueError("need at least one designated pair")
+
+    def mean_flits_per_packet(self, width_bits: int = FULL_LINK_WIDTH_BITS) -> float:
+        ctrl = flits_for_packet(PacketClass("control", self.control_payload_bits), width_bits)
+        data = flits_for_packet(PacketClass("data", self.data_payload_bits), width_bits)
+        return self.control_fraction * ctrl + (1.0 - self.control_fraction) * data
+
+
+def designated_pairs(mesh: MeshConfig, seed: int, count: int) -> List[Tuple[int, int]]:
+    """The fixed NI pair set used by the regular_mix pattern for this seed."""
+    n = mesh.n_nis
+    all_pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    if count > len(all_pairs):
+        raise ValueError(f"mesh only offers {len(all_pairs)} distinct pairs")
+    rng = random.Random(f"{seed}/designated")
+    return rng.sample(all_pairs, count)
+
+
+def _derangement(rng: random.Random, n: int) -> List[int]:
+    # resample until no NI maps to itself; expected a handful of tries
+    perm = list(range(n))
+    while True:
+        rng.shuffle(perm)
+        if all(perm[i] != i for i in range(n)):
+            return list(perm)
+
+
+def generate(spec: SyntheticSpec, mesh: MeshConfig, seed: int, cycles: int) -> List[TrafficEvent]:
+    """Deterministic synthetic trace for `cycles` cycles.
+
+    injection_rate is accounted in full-width flits per NI per cycle, so
+    the Bernoulli packet probability is rate / mean flits per packet.
+    """
+    if cycles < 0:
+        raise ValueError("cycles cannot be negative")
+    n = mesh.n_nis
+    if n < 2 and spec.injection_rate > 0:
+        raise ValueError("traffic needs at least two interfaces")
+    mean_flits = spec.mean_flits_per_packet()
+    p_packet = spec.injection_rate / mean_flits
+    if p_packet > 1.0:
+        raise ValueError("injection_rate exceeds one packet per NI per cycle")
+
+    rng = random.Random(seed)
+    ctrl = PacketClass("control", spec.control_payload_bits)
+    data = PacketClass("data", spec.data_payload_bits)
+
+    perm: Optional[List[int]] = None
+    hot: Optional[int] = None
+    regular: Optional[List[Tuple[int, int]]] = None
+    if spec.pattern == "permutation":
+        perm = _derangement(rng, n)
+    elif spec.pattern == "hotspot":
+        hot = rng.randrange(n)
+    elif spec.pattern == "regular_mix":
+        regular = designated_pairs(mesh, seed, spec.designated_pair_count)
+
+    events: List[TrafficEvent] = []
+    pid = 0
+    for cycle in range(cycles):
+        for ni in range(n):
+            if rng.random() >= p_packet:
+                continue
+            klass = ctrl if rng.random() < spec.control_fraction else data
+            if spec.pattern == "uniform_random":
+                src = ni
+                dst = rng.randrange(n - 1)
+                if dst >= src:
+                    dst += 1
+            elif spec.pattern == "permutation":
+                src = ni
+                dst = perm[ni]  # type: ignore[index]
+            elif spec.pattern == "hotspot":
+                src = ni
+                if src != hot and rng.random() < _HOTSPOT_FRACTION:
+                    dst = hot  # type: ignore[assignment]
+                else:
+                    dst = rng.randrange(n - 1)
+                    if dst >= src:
+                        dst += 1
+            else:  # regular_mix draws the whole pair, the ni slot only sets rate
+                if rng.random() < spec.regularity:
+                    src, dst = regular[rng.randrange(len(regular))]  # type: ignore[index]
+                else:
+                    src = rng.randrange(n)
+                    dst = rng.randrange(n - 1)
+                    if dst >= src:
+                        dst += 1
+            events.append(TrafficEvent(cycle, src, dst, klass, pid))
+            pid += 1
+    return events
+
+
+# --- trace files -----------------------------------------------------------
+
+def format_trace(events: Iterable[TrafficEvent]) -> str:
+    lines = ["# inject_cycle,src_ni,dst_ni,class"]
+    for ev in events:
+        lines.append(f"{ev.inject_cycle},{ev.src},{ev.dst},{ev.klass.kind}")
+    return "\n".join(lines) + "\n"
+
+
+def save_trace(events: Iterable[TrafficEvent], path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(format_trace(events))
+
+
+def ingest(lines: Iterable[str], mesh: MeshConfig) -> List[TrafficEvent]:
+    """Parse trace records, validating endpoints against the mesh.
+
+    Blank lines and '#' comments are skipped.  Bad records raise
+    TraceFormatError naming the offending line.  Events arriving out of
+    cycle order are re-sorted with a warning.
+    """
+    events: List[TrafficEvent] = []
+    last_cycle = 0
+    out_of_order = False
+    pid = 0
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 4:
+            raise TraceFormatError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            cycle = int(parts[0])
+            src = int(parts[1])
+            dst = int(parts[2])
+        except ValueError as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from None
+        klass = None
+        try:
+            klass = packet_class(parts[3])
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from None
+        if cycle < 0:
+            raise TraceFormatError(f"line {lineno}: negative inject cycle")
+        if not 0 <= src < mesh.n_nis:
+            raise TraceFormatError(f"line {lineno}: unknown source NI {src}")
+        if not 0 <= dst < mesh.n_nis:
+            raise TraceFormatError(f"line {lineno}: unknown destination NI {dst}")
+        if src == dst:
+            raise TraceFormatError(f"line {lineno}: source and destination are both NI {src}")
+        if cycle < last_cycle:
+            out_of_order = True
+        last_cycle = max(last_cycle, cycle)
+        events.append(TrafficEvent(cycle, src, dst, klass, pid))
+        pid += 1
+    if out_of_order:
+        log.warning("trace cycles were not monotone; records re-sorted")
+        events.sort(key=lambda ev: (ev.inject_cycle, ev.packet_id))
+    return events
+
+
+def load_trace(path: str, mesh: MeshConfig) -> List[TrafficEvent]:
+    with open(path) as fh:
+        return ingest(fh, mesh)
+
+
+# --- profiles --------------------------------------------------------------
+
+@dataclass
+class PairTraffic:
+    flit_count: int = 0
+    hop_count: int = 0
+
+    @property
+    def weight(self) -> int:
+        return self.flit_count * self.hop_count
+
+
+@dataclass
+class TrafficProfile:
+    """Aggregated flit counts per endpoint pair at a chosen granularity.
+
+    Flit counts are expressed at the full link width; weights multiply in
+    the X-Y hop distance so long heavy flows rank first.
+    """
+
+    granularity: str
+    entries: Dict[Tuple[int, int], PairTraffic] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.granularity not in ("ni", "router"):
+            raise ValueError(f"unknown granularity {self.granularity!r}")
+
+    def weight(self, pair: Tuple[int, int]) -> int:
+        return self.entries[pair].weight
+
+    def total_flits(self) -> int:
+        return sum(e.flit_count for e in self.entries.values())
+
+    def sorted_pairs(self) -> List[Tuple[int, int]]:
+        """Pairs by descending weight, ties by ascending (src, dst)."""
+        return sorted(self.entries, key=lambda p: (-self.entries[p].weight, p))
+
+
+def profile(
+    trace: Sequence[TrafficEvent],
+    mesh: MeshConfig,
+    granularity: str,
+    channel_width_bits: int = FULL_LINK_WIDTH_BITS,
+) -> TrafficProfile:
+    """Fold a trace into per-pair flit totals and hop counts."""
+    prof = TrafficProfile(granularity)
+    for ev in trace:
+        if not (0 <= ev.src < mesh.n_nis and 0 <= ev.dst < mesh.n_nis):
+            raise TraceFormatError(f"packet {ev.packet_id} names an unknown NI")
+        if granularity == "ni":
+            key = (ev.src, ev.dst)
+            hops = mesh.hop_distance(mesh.router_of_ni(ev.src), mesh.router_of_ni(ev.dst))
+        else:
+            key = (mesh.router_of_ni(ev.src), mesh.router_of_ni(ev.dst))
+            hops = mesh.hop_distance(key[0], key[1])
+            if hops == 0:
+                # same-router pairs never leave the local crossbar
+                continue
+        entry = prof.entries.setdefault(key, PairTraffic(hop_count=hops))
+        entry.flit_count += flits_for_packet(ev.klass, channel_width_bits)
+        entry.hop_count = hops
+    return prof
+
+
+def profile_from_flit_counts(
+    counts: Dict[Tuple[int, int], int],
+    mesh: MeshConfig,
+    granularity: str,
+) -> TrafficProfile:
+    """Build a profile from observed NI-pair flit counts (e.g. one epoch)."""
+    prof = TrafficProfile(granularity)
+    for (src, dst), flits in counts.items():
+        if flits <= 0:
+            continue
+        if granularity == "ni":
+            key = (src, dst)
+            hops = mesh.hop_distance(mesh.router_of_ni(src), mesh.router_of_ni(dst))
+        else:
+            key = (mesh.router_of_ni(src), mesh.router_of_ni(dst))
+            hops = mesh.hop_distance(key[0], key[1])
+            if hops == 0:
+                continue
+        entry = prof.entries.setdefault(key, PairTraffic(hop_count=hops))
+        entry.flit_count += flits
+        entry.hop_count = hops
+    return prof
+
+
+def format_profile(prof: TrafficProfile) -> str:
+    lines = ["# src,dst,flit_count,hop_count"]
+    for pair in sorted(prof.entries):
+        e = prof.entries[pair]
+        lines.append(f"{pair[0]},{pair[1]},{e.flit_count},{e.hop_count}")
+    return "\n".join(lines) + "\n"
+
+
+def save_profile(prof: TrafficProfile, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(format_profile(prof))
+
+
+def load_profile(path: str, granularity: str) -> TrafficProfile:
+    prof = TrafficProfile(granularity)
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) != 4:
+                raise TraceFormatError(f"line {lineno}: expected 4 fields")
+            try:
+                src, dst, flits, hops = (int(p) for p in parts)
+            except ValueError as exc:
+                raise TraceFormatError(f"line {lineno}: {exc}") from None
+            if flits < 0 or hops < 0:
+                raise TraceFormatError(f"line {lineno}: negative count")
+            prof.entries[(src, dst)] = PairTraffic(flit_count=flits, hop_count=hops)
+    return prof
