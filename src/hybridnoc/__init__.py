@@ -13,7 +13,6 @@ from .allocator import (
     CircuitPlan,
     GaParams,
     candidates_from_profile,
-    decode,
     enumerate_oracle,
     format_plan,
     ga_allocate,

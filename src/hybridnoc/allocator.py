@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .topology import MeshConfig, Path, TopologyError, links_conflict, xy_route
+from .topology import MeshConfig, Path, TopologyError, xy_route
 from .traffic import TrafficProfile
 
 log = logging.getLogger(__name__)
@@ -90,20 +90,77 @@ class CircuitPlan:
         self.pair_index()
         endpoint_ports = self.granularity == "r2r"
         for circuits in self.subnets:
-            for i in range(len(circuits)):
-                for j in range(i + 1, len(circuits)):
-                    if links_conflict(circuits[i].path, circuits[j].path, endpoint_ports):
-                        raise AllocationError(
-                            f"circuits {(circuits[i].src, circuits[i].dst)} and "
-                            f"{(circuits[j].src, circuits[j].dst)} conflict in one subnet"
-                        )
+            for i, mask in enumerate(_conflict_masks(circuits, endpoint_ports)):
+                if mask:
+                    # i is the first circuit with a clash, so its lowest partner j > i
+                    j = (mask & -mask).bit_length() - 1
+                    raise AllocationError(
+                        f"circuits {(circuits[i].src, circuits[i].dst)} and "
+                        f"{(circuits[j].src, circuits[j].dst)} conflict in one subnet"
+                    )
+
+
+def _conflict_masks(candidates: Sequence[CandidatePair], endpoint_ports: bool) -> List[int]:
+    """Bitmask of the candidates that each candidate cannot share a subnet with.
+
+    A candidate holds the directed links of its path; with endpoint_ports
+    (r2r circuits) it also holds the injection port of its source router and
+    the ejection port of its destination router.  Two candidates conflict
+    when they hold a common resource.
+    """
+    held: List[List[object]] = []
+    users: Dict[object, int] = {}
+    for i, cand in enumerate(candidates):
+        resources: List[object] = list(cand.path.link_set)
+        if endpoint_ports:
+            resources += [("inject", cand.path.src_router), ("eject", cand.path.dst_router)]
+        held.append(resources)
+        bit = 1 << i
+        for r in resources:
+            users[r] = users.get(r, 0) | bit
+    masks: List[int] = []
+    for i, resources in enumerate(held):
+        mask = 0
+        for r in resources:
+            mask |= users[r]
+        masks.append(mask & ~(1 << i))
+    return masks
+
+
+def _first_fit_bits(order: Sequence[int], masks: Sequence[int], k: int) -> List[List[int]]:
+    """Place candidate indices in order into the first subnet they fit; drop the rest.
+
+    Returns the indices placed in each of the k subnets, in placement order.
+    """
+    occupied = [0] * k
+    placed: List[List[int]] = [[] for _ in range(k)]
+    for idx in order:
+        mask = masks[idx]
+        for s in range(k):
+            if occupied[s] & mask == 0:
+                occupied[s] |= 1 << idx
+                placed[s].append(idx)
+                break
+    return placed
+
+
+def _plan_from_indices(
+    granularity: str,
+    candidates: Sequence[CandidatePair],
+    subnets: Sequence[Sequence[int]],
+    provenance: str,
+) -> CircuitPlan:
+    return CircuitPlan(
+        granularity,
+        tuple(tuple(candidates[i] for i in s) for s in subnets),
+        provenance=provenance,
+    )
 
 
 def candidates_from_profile(
     profile: TrafficProfile,
     mesh: MeshConfig,
     plan_granularity: str,
-    limit: Optional[int] = None,
 ) -> List[CandidatePair]:
     """Profile pairs as allocation candidates, heaviest first.
 
@@ -129,21 +186,7 @@ def candidates_from_profile(
         if ra == rb:
             continue
         out.append(CandidatePair(pair[0], pair[1], entry.weight, xy_route(mesh, ra, rb)))
-        if limit is not None and len(out) >= limit:
-            break
     return out
-
-
-def _first_fit(
-    candidates: Sequence[CandidatePair], k: int, endpoint_ports: bool
-) -> Tuple[Tuple[CandidatePair, ...], ...]:
-    subnets: List[List[CandidatePair]] = [[] for _ in range(k)]
-    for cand in candidates:
-        for placed in subnets:
-            if all(not links_conflict(cand.path, c.path, endpoint_ports) for c in placed):
-                placed.append(cand)
-                break
-    return tuple(tuple(s) for s in subnets)
 
 
 def greedy_allocate(
@@ -153,26 +196,10 @@ def greedy_allocate(
     if k < 1:
         raise AllocationError("need at least one CS subnet to allocate into")
     cands = candidates_from_profile(profile, mesh, granularity)
-    subnets = _first_fit(cands, k, granularity == "r2r")
-    return CircuitPlan(granularity, subnets, provenance="greedy")
-
-
-def decode(
-    chromosome: Sequence[int],
-    candidates: Sequence[CandidatePair],
-    k: int,
-    granularity: str,
-) -> CircuitPlan:
-    """Repair-by-drop decode: keep requested pairs, first-fit, drop the rest.
-
-    Candidates must already be in canonical order (descending weight,
-    ascending pair), which makes decode(all-ones) the greedy plan.
-    """
-    if len(chromosome) != len(candidates):
-        raise AllocationError("chromosome length must match the candidate list")
-    selected = [c for bit, c in zip(chromosome, candidates) if bit]
-    subnets = _first_fit(selected, k, granularity == "r2r")
-    return CircuitPlan(granularity, subnets, provenance="decode")
+    masks = _conflict_masks(cands, granularity == "r2r")
+    return _plan_from_indices(
+        granularity, cands, _first_fit_bits(range(len(cands)), masks, k), "greedy"
+    )
 
 
 def plan_weight(plan: CircuitPlan, profile: TrafficProfile) -> int:
@@ -212,32 +239,6 @@ class GaParams:
             raise AllocationError("elitism_count must be below the population size")
 
 
-def _conflict_masks(candidates: Sequence[CandidatePair], endpoint_ports: bool) -> List[int]:
-    n = len(candidates)
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if links_conflict(candidates[i].path, candidates[j].path, endpoint_ports):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
-
-
-def _first_fit_bits(order: Sequence[int], masks: Sequence[int], k: int) -> List[int]:
-    """First-fit over candidate indices using precomputed conflict masks."""
-    subnets = [0] * k
-    placed: List[int] = []
-    for idx in order:
-        bit = 1 << idx
-        mask = masks[idx]
-        for s in range(k):
-            if subnets[s] & mask == 0:
-                subnets[s] |= bit
-                placed.append(idx)
-                break
-    return placed
-
-
 def ga_allocate(
     profile: TrafficProfile,
     mesh: MeshConfig,
@@ -247,7 +248,7 @@ def ga_allocate(
 ) -> CircuitPlan:
     """Genetic search seeded with greedy variants.
 
-    One bit per candidate pair; decode repairs infeasible selections by
+    One bit per candidate pair; first-fit repairs infeasible selections by
     dropping conflicting pairs in weight order.  Elitism keeps the best
     individual, so best fitness never decreases across generations.  The
     per-generation best is left in plan.meta["fitness_history"].
@@ -257,23 +258,22 @@ def ga_allocate(
         raise AllocationError("need at least one CS subnet to allocate into")
     cands = candidates_from_profile(profile, mesh, granularity)
     n = len(cands)
-    endpoint_ports = granularity == "r2r"
     if n == 0:
         plan = CircuitPlan.empty(k, granularity, provenance="ga")
         plan.meta["fitness_history"] = [0] * max(params.generations, 1)
         return plan
 
-    masks = _conflict_masks(cands, endpoint_ports)
+    masks = _conflict_masks(cands, granularity == "r2r")
     weights = [c.weight for c in cands]
     flip_rate = params.per_gene_flip_rate if params.per_gene_flip_rate is not None else 1.0 / n
     rng = random.Random(params.seed)
 
     def seed_chromosome(excluded: Optional[int]) -> Tuple[int, ...]:
         order = [i for i in range(n) if i != excluded]
-        placed = _first_fit_bits(order, masks, k)
         bits = [0] * n
-        for i in placed:
-            bits[i] = 1
+        for placed in _first_fit_bits(order, masks, k):
+            for i in placed:
+                bits[i] = 1
         return tuple(bits)
 
     population: List[Tuple[int, ...]] = []
@@ -287,7 +287,7 @@ def ga_allocate(
         cached = fitness_cache.get(chrom)
         if cached is None:
             order = [i for i in range(n) if chrom[i]]
-            cached = sum(weights[i] for i in _first_fit_bits(order, masks, k))
+            cached = sum(weights[i] for s in _first_fit_bits(order, masks, k) for i in s)
             fitness_cache[chrom] = cached
         return cached
 
@@ -325,10 +325,7 @@ def ga_allocate(
     if params.generations == 0:
         history.append(best_score)
     order = [i for i in range(n) if best_chrom[i]]
-    selected = [cands[i] for i in order]
-    plan = CircuitPlan(
-        granularity, _first_fit(selected, k, endpoint_ports), provenance="ga"
-    )
+    plan = _plan_from_indices(granularity, cands, _first_fit_bits(order, masks, k), "ga")
     plan.meta["fitness_history"] = history
     plan.meta["fitness"] = best_score
     return plan
@@ -352,11 +349,10 @@ def enumerate_oracle(
     n = len(cands)
     if n > max_pairs:
         raise AllocationError(f"{n} candidates exceed the oracle cap of {max_pairs}")
-    endpoint_ports = granularity == "r2r"
     if n == 0:
         return CircuitPlan.empty(k, granularity, provenance="oracle")
 
-    masks = _conflict_masks(cands, endpoint_ports)
+    masks = _conflict_masks(cands, granularity == "r2r")
     weights = [c.weight for c in cands]
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -393,11 +389,7 @@ def enumerate_oracle(
         search(i + 1, current)  # leave candidate i out
 
     search(0, 0)
-    plan = CircuitPlan(
-        granularity,
-        tuple(tuple(cands[i] for i in s) for s in best_assign),
-        provenance="oracle",
-    )
+    plan = _plan_from_indices(granularity, cands, best_assign, "oracle")
     plan.meta["weight"] = best_weight
     return plan
 
@@ -423,8 +415,8 @@ def load_plan(path: str, mesh: MeshConfig) -> CircuitPlan:
         lines = [l.strip() for l in fh if l.strip() and not l.strip().startswith("#")]
     if not lines:
         raise AllocationError("plan file is empty")
-    header = dict(part.split("=", 1) for part in lines[0].split())
     try:
+        header = dict(part.split("=", 1) for part in lines[0].split())
         granularity = header["granularity"]
         k = int(header["subnets"])
     except (KeyError, ValueError) as exc:

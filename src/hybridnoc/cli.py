@@ -154,6 +154,11 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     mesh = _parse_mesh(args.mesh)
     gran = profile_granularity_for(args.granularity)
     profile = load_profile(args.profile, gran)
+    n_endpoints = mesh.n_nis if gran == "ni" else mesh.n_routers
+    for pair in profile.entries:
+        for endpoint in pair:
+            if not 0 <= endpoint < n_endpoints:
+                raise TraceFormatError(f"profile endpoint {endpoint} is outside mesh {args.mesh}")
     if args.limit is not None:
         keep = profile.sorted_pairs()[: args.limit]
         profile.entries = {pair: profile.entries[pair] for pair in keep}

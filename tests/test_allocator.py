@@ -14,7 +14,6 @@ from hybridnoc import (
     PairTraffic,
     TrafficProfile,
     candidates_from_profile,
-    decode,
     enumerate_oracle,
     ga_allocate,
     greedy_allocate,
@@ -25,6 +24,7 @@ from hybridnoc import (
     save_plan,
     xy_route,
 )
+from hybridnoc.allocator import _conflict_masks
 
 
 def router_profile(mesh, flit_counts):
@@ -108,23 +108,11 @@ def test_variant_instance_weights_25_20_10():
     assert plan_weight(enumerate_oracle(prof, mesh, 1, "r2r"), prof) == 35
 
 
-def test_decode_edges():
-    prof = router_profile(CHAIN_MESH, CHAIN_COUNTS)
-    cands = candidates_from_profile(prof, CHAIN_MESH, "r2r")
-    empty = decode([0] * len(cands), cands, 1, "r2r")
-    assert empty.circuit_count() == 0
-    full = decode([1] * len(cands), cands, 1, "r2r")
-    assert plan_pairs(full) == plan_pairs(greedy_allocate(prof, CHAIN_MESH, 1, "r2r"))
-    with pytest.raises(AllocationError):
-        decode([1, 0], cands, 1, "r2r")
-
-
-def test_candidates_order_and_limit():
+def test_candidates_order():
     prof = router_profile(CHAIN_MESH, CHAIN_COUNTS)
     cands = candidates_from_profile(prof, CHAIN_MESH, "r2r")
     assert [(c.src, c.dst) for c in cands] == [A, B, C]
     assert [c.weight for c in cands] == [30, 20, 10]
-    assert len(candidates_from_profile(prof, CHAIN_MESH, "r2r", limit=2)) == 2
 
 
 def test_candidates_granularity_mismatch():
@@ -299,6 +287,54 @@ def test_plan_validate_catches_conflicts():
         CircuitPlan.empty(-1, "e2e")
 
 
+@pytest.mark.parametrize(
+    "mesh",
+    [MeshConfig.grid(4, 3), MeshConfig.grid(3, 3, 2), MeshConfig.cmp_4x4_51ni()],
+    ids=["grid4x3", "grid3x3x2", "cmp51"],
+)
+def test_conflict_masks_match_pairwise_reference(mesh):
+    rng = random.Random(mesh.n_nis)
+    for granularity in ("e2e", "r2r"):
+        n = mesh.n_nis if granularity == "e2e" else mesh.n_routers
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for trial in range(4):
+            prof = TrafficProfile(profile_granularity_for(granularity))
+            for pair in rng.sample(pairs, min(len(pairs), rng.randint(5, 40))):
+                prof.entries[pair] = PairTraffic(flit_count=rng.randint(1, 50), hop_count=1)
+            cands = candidates_from_profile(prof, mesh, granularity)
+            ports = granularity == "r2r"
+            reference = [
+                sum(
+                    1 << j
+                    for j, other in enumerate(cands)
+                    if j != i and links_conflict(cand.path, other.path, ports)
+                )
+                for i, cand in enumerate(cands)
+            ]
+            assert _conflict_masks(cands, ports) == reference
+
+
+def r2r_circuit(mesh, src, dst):
+    return CandidatePair(src, dst, 1, xy_route(mesh, src, dst))
+
+
+def test_plan_validate_r2r_endpoint_ports():
+    mesh = MeshConfig.grid(3, 3)  # router 4 is the centre
+    # 4->5 leaves east and 4->7 leaves north: no shared link, one source router
+    same_src = CircuitPlan("r2r", ((r2r_circuit(mesh, 4, 5), r2r_circuit(mesh, 4, 7)),))
+    with pytest.raises(AllocationError, match=r"\(4, 5\) and \(4, 7\)"):
+        same_src.validate()
+    # 3->4 arrives from the west and 1->4 from the south: one destination router
+    same_dst = CircuitPlan("r2r", ((r2r_circuit(mesh, 3, 4), r2r_circuit(mesh, 1, 4)),))
+    with pytest.raises(AllocationError, match=r"\(3, 4\) and \(1, 4\)"):
+        same_dst.validate()
+    # one circuit ends where the next begins: different ports, so no clash
+    chain = CircuitPlan("r2r", ((r2r_circuit(mesh, 3, 4), r2r_circuit(mesh, 4, 5)),))
+    chain.validate()
+    # at e2e granularity the shared routers are not a conflict
+    CircuitPlan("e2e", same_src.subnets).validate()
+
+
 def test_plan_round_trip(tmp_path):
     mesh = MeshConfig.grid(3, 3)
     rng = random.Random(12)
@@ -323,6 +359,8 @@ def test_load_plan_rejects_bad_files(tmp_path):
         "subnet.txt": "granularity=r2r subnets=1\n3,0,1\n",
         "fields.txt": "granularity=r2r subnets=1\n0,0\n",
         "local.txt": "granularity=r2r subnets=1\n0,1,1\n",
+        # a header token without "="
+        "token.txt": "granularity r2r subnets=1\n0,0,1\n",
         # two circuits over the same link packed into one subnet
         "conflict.txt": "granularity=r2r subnets=1\n0,0,1\n0,0,2\n",
     }

@@ -1,10 +1,12 @@
 """Exercise the console entry points end to end."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hybridnoc
 from hybridnoc import (
     SUMMARY_HEADER,
     MeshConfig,
@@ -104,6 +106,22 @@ def test_allocate_requires_out(tmp_path, capsys):
     assert main(["allocate", str(prof_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "row, granularity",
+    [("0,99,10,3", "e2e"), ("-1,5,10,3", "e2e"), ("0,16,10,3", "r2r")],
+)
+def test_allocate_rejects_out_of_mesh_endpoints(tmp_path, capsys, row, granularity):
+    prof_path = tmp_path / "p.profile"
+    prof_path.write_text("0,5,10,3\n" + row + "\n")
+    rc = main([
+        "allocate", str(prof_path), "--mesh", "4x4", "--granularity", granularity,
+        "--out", str(tmp_path / "p.plan"),
+    ])
+    assert rc == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "p.plan").exists()
+
+
 def test_sweep_rates_csv(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     rc = main([
@@ -167,9 +185,13 @@ def test_usage_error_is_exit_1(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same hybridnoc as this process, installed or not
+    src = os.path.dirname(os.path.dirname(hybridnoc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hybridnoc", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "sweep" in proc.stdout
