@@ -28,7 +28,6 @@ from .energy import (
     EnergyError,
     EnergyReport,
     account,
-    normalize,
 )
 from .orchestrator import (
     ALLOCATORS,
@@ -63,7 +62,6 @@ from .simcore import (
     SubnetLayout,
     SweepPoint,
     VcConfig,
-    classify_packet,
     simulate,
     sweep_injection,
     unloaded_latency,

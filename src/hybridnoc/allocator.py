@@ -423,6 +423,8 @@ def load_plan(path: str, mesh: MeshConfig) -> CircuitPlan:
         raise AllocationError(f"bad plan header: {exc}") from None
     if granularity not in PLAN_GRANULARITIES:
         raise AllocationError(f"unknown plan granularity {granularity!r}")
+    if k < 0:
+        raise AllocationError(f"plan header gives {k} subnets")
     subnets: List[List[CandidatePair]] = [[] for _ in range(k)]
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")

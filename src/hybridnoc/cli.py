@@ -133,7 +133,7 @@ def _sweep_subnets(args: argparse.Namespace) -> int:
             seed=args.seed,
             label=f"subnets-{k}",
         )
-        results.append(run_static(config)[1])
+        results.append(run_static(config))
     table = summary_table(compare(results, baseline))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -152,6 +152,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_allocate(args: argparse.Namespace) -> int:
     mesh = _parse_mesh(args.mesh)
+    if args.limit is not None and args.limit < 0:
+        raise ConfigError(f"--limit must not be negative, got {args.limit}")
     gran = profile_granularity_for(args.granularity)
     profile = load_profile(args.profile, gran)
     n_endpoints = mesh.n_nis if gran == "ni" else mesh.n_routers

@@ -122,10 +122,3 @@ def account(
         gated_savings=stats.gated_buffer_cycle_count * coeffs.p_buffer_static,
         flits_ejected=stats.flits_ejected,
     )
-
-
-def normalize(report: EnergyReport, baseline: EnergyReport) -> float:
-    """Energy-per-flit ratio of a run against a baseline run."""
-    if baseline.energy_per_flit <= 0:
-        raise EnergyError("baseline energy per flit must be positive")
-    return report.energy_per_flit / baseline.energy_per_flit

@@ -2,10 +2,11 @@
 
 A run is described by an ExperimentConfig (parseable from an INI file with
 one section per concern).  Baseline runs use the undivided full-width link;
-static hybrid profiles the whole trace first and then re-runs it under one
-plan; adaptive hybrid re-plans every epoch from the previous epoch's
-observed flit counts, with each plan taking effect only after the
-configuration period has elapsed inside its epoch.
+static hybrid folds the whole trace into a profile at the subnet width and
+runs it under one plan built from that profile; adaptive hybrid re-plans
+every epoch from the previous epoch's observed flit counts, with each plan
+taking effect only after the configuration period has elapsed inside its
+epoch.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .traffic import (
     TrafficProfile,
     generate,
     load_trace,
+    profile,
     profile_from_flit_counts,
 )
 
@@ -196,42 +198,34 @@ def run_baseline(config: ExperimentConfig) -> RunResult:
                      meta={"width_bits": str(layout.subnet_width_bits)})
 
 
-def _profiling_pass(
+def _planned_run(
     config: ExperimentConfig, trace: Sequence[TrafficEvent]
-) -> Tuple[SimStats, TrafficProfile]:
-    """Run the trace with no circuits and profile what actually arrived."""
-    sim = Simulation(config.mesh, config.layout, config.vc, trace, None, config.seed)
-    sim.run_to_completion()
-    stats = sim.finalize()
-    counts = sim.take_pair_counts()
+) -> Tuple[TrafficProfile, CircuitPlan, SimStats]:
+    """Fold the trace at the subnet width, plan from it, and run the plan."""
     gran = profile_granularity_for(config.granularity)
-    return stats, profile_from_flit_counts(counts, config.mesh, gran)
+    prof = profile(trace, config.mesh, gran, config.layout.subnet_width_bits)
+    plan = build_plan(prof, config, adaptive=False)
+    stats = simulate(
+        config.mesh, config.layout, config.vc, trace, plan, seed=config.seed
+    )
+    return prof, plan, stats
 
 
 def run_static(
     config: ExperimentConfig, trace: Optional[Sequence[TrafficEvent]] = None
-) -> Tuple[RunResult, RunResult]:
-    """Two-pass static hybrid: profile everything, plan once, re-run."""
+) -> RunResult:
+    """Static hybrid: plan once from the whole trace, then run under the plan."""
     config.validate()
     if config.mode != "static_hybrid":
         raise ConfigError("run_static needs mode static_hybrid")
     if trace is None:
         trace = make_trace(config)
-    stats1, profile = _profiling_pass(config, trace)
-    energy1 = _energy_or_none(stats1, config.layout, config.coeffs)
-    plan = build_plan(profile, config, adaptive=False)
-    stats2 = simulate(
-        config.mesh, config.layout, config.vc, trace, plan, seed=config.seed
+    prof, plan, stats = _planned_run(config, trace)
+    return RunResult(
+        config.label, "static_hybrid", stats,
+        _energy_or_none(stats, config.layout, config.coeffs), plan=plan,
+        meta={"plan_weight": str(plan_weight(plan, prof))},
     )
-    energy2 = _energy_or_none(stats2, config.layout, config.coeffs)
-    profile_run = RunResult(
-        f"{config.label}-profile", "static_hybrid", stats1, energy1, plan=None
-    )
-    production = RunResult(
-        config.label, "static_hybrid", stats2, energy2, plan=plan,
-        meta={"plan_weight": str(plan_weight(plan, profile))},
-    )
-    return profile_run, production
 
 
 def run_adaptive(config: ExperimentConfig) -> List[EpochResult]:
@@ -255,13 +249,9 @@ def run_adaptive(config: ExperimentConfig) -> List[EpochResult]:
             "trace covers %d cycles, not more than one %d-cycle epoch; "
             "running a single static-style pass instead", span, epoch,
         )
-        stats1, profile = _profiling_pass(config, trace)
-        plan = build_plan(profile, config, adaptive=False)
-        stats2 = simulate(
-            config.mesh, config.layout, config.vc, trace, plan, seed=config.seed
-        )
-        energy2 = _energy_or_none(stats2, config.layout, config.coeffs)
-        return [EpochResult(0, plan, profile, stats2, energy2)]
+        prof, plan, stats = _planned_run(config, trace)
+        energy = _energy_or_none(stats, config.layout, config.coeffs)
+        return [EpochResult(0, plan, prof, stats, energy)]
 
     n_epochs = math.ceil(span / epoch)
     sim = Simulation(config.mesh, config.layout, config.vc, trace, None, config.seed)
@@ -295,7 +285,17 @@ def run_experiment(config: ExperimentConfig) -> List[RunResult]:
     if config.mode == "baseline_vc":
         return [run_baseline(config)]
     if config.mode == "static_hybrid":
-        return list(run_static(config))
+        # the all-VC run at the hybrid width is reported next to the plan's run
+        config.validate()
+        trace = make_trace(config)
+        stats = simulate(
+            config.mesh, config.layout, config.vc, trace, None, seed=config.seed
+        )
+        profile_run = RunResult(
+            f"{config.label}-profile", "static_hybrid", stats,
+            _energy_or_none(stats, config.layout, config.coeffs),
+        )
+        return [profile_run, run_static(config, trace)]
     epochs = run_adaptive(config)
     out = []
     for er in epochs:
@@ -513,12 +513,37 @@ def _mesh_from_section(section: Mapping[str, str]) -> MeshConfig:
         raise ConfigError(str(exc)) from exc
 
 
+# every section and key load_config reads; anything else is rejected
+_CONFIG_KEYS: Dict[str, Tuple[str, ...]] = {
+    "experiment": ("mode", "allocator", "granularity", "plan_file", "epoch_cycles",
+                   "config_period_cycles", "full_scale", "seed", "label",
+                   "output_dir"),
+    "mesh": ("preset", "width", "height", "ni_per_router"),
+    "layout": ("total_width_bits", "subnet_count", "gate_cs_buffers"),
+    "vc": ("vnets", "vcs_per_vnet", "buffer_depth_flits"),
+    "traffic": ("trace", "pattern", "injection_rate", "control_fraction",
+                "regularity", "designated_pair_count", "control_payload_bits",
+                "data_payload_bits", "cycles"),
+    "energy": tuple(EnergyCoefficients().as_mapping()),
+    "ga": ("population_size", "generations", "chromosome_mutation_probability",
+           "elitism_count", "seed"),
+}
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse one experiment INI file into a validated ExperimentConfig."""
     cp = configparser.ConfigParser()
     loaded = cp.read(path)
     if not loaded:
         raise ConfigError(f"cannot read config file {path}")
+    if cp.defaults():
+        raise ConfigError(f"unknown config section [{cp.default_section}]")
+    for name in cp.sections():
+        if name not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config section [{name}]")
+        for key in cp[name]:
+            if key not in _CONFIG_KEYS[name]:
+                raise ConfigError(f"unknown key {key!r} in [{name}]")
 
     exp = cp["experiment"] if cp.has_section("experiment") else {}
     mesh = _mesh_from_section(cp["mesh"] if cp.has_section("mesh") else {})
@@ -539,8 +564,6 @@ def load_config(path: str) -> ExperimentConfig:
             _get_int(vcs, "vnets", 3),
             _get_int(vcs, "vcs_per_vnet", 4),
             _get_int(vcs, "buffer_depth_flits", 4),
-            _get_int(vcs, "pipeline_stages", 4),
-            _get_int(vcs, "link_cycles", 1),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -85,18 +85,12 @@ class VcConfig:
     vnets: int = 3
     vcs_per_vnet: int = 4
     buffer_depth_flits: int = 4
-    pipeline_stages: int = 4
-    link_cycles: int = 1
 
     def __post_init__(self) -> None:
         if self.vnets < 1 or self.vcs_per_vnet < 1:
             raise ConfigError("need at least one vnet and one VC per vnet")
         if self.buffer_depth_flits < 1:
             raise ConfigError("buffers must hold at least one flit")
-        if self.pipeline_stages != 4:
-            raise ConfigError("engine is fixed to the 4-stage router pipeline")
-        if self.link_cycles != 1:
-            raise ConfigError("engine is fixed to single-cycle links")
 
     @property
     def vc_count(self) -> int:
@@ -281,28 +275,12 @@ def unloaded_latency(route_class: str, hops: int) -> int:
     raise ValueError(f"unknown route class {route_class!r}")
 
 
-def classify_packet(
-    event: TrafficEvent, plan: Optional[CircuitPlan], mesh: MeshConfig
-) -> Optional[int]:
-    """Subnet index (0-based over CS subnets) for a packet, None for VC.
-
-    e2e plans match exact NI pairs; r2r plans match the routers the NIs
-    attach to, so every NI pair between two routers rides one circuit.
-    """
-    if plan is None:
-        return None
-    index = plan.pair_index()
-    if plan.granularity == "e2e":
-        return index.get((event.src, event.dst))
-    return index.get((mesh.router_of_ni(event.src), mesh.router_of_ni(event.dst)))
-
-
 # --- engine internals --------------------------------------------------------
 
 class _Flit:
     __slots__ = (
-        "pid", "idx", "is_head", "is_tail", "src", "dst", "dst_router", "dst_ni",
-        "vnet", "created", "entered", "ready_sa", "hops",
+        "pid", "idx", "is_head", "is_tail", "src", "dst", "dst_router", "vnet",
+        "created", "entered", "ready_sa", "hops",
     )
 
     def __init__(self, pid, idx, is_head, is_tail, src, dst, dst_router, vnet,
@@ -314,7 +292,6 @@ class _Flit:
         self.src = src
         self.dst = dst
         self.dst_router = dst_router
-        self.dst_ni = dst
         self.vnet = vnet
         self.created = created
         self.entered = -1
@@ -664,7 +641,7 @@ class Simulation:
 
     def _route_port(self, r: int, flit: _Flit) -> int:
         if r == flit.dst_router:
-            return self.out_local[r][flit.dst_ni]
+            return self.out_local[r][flit.dst]
         x, y = self.mesh.coords(r)
         dx, dy = self.mesh.coords(flit.dst_router)
         if x != dx:

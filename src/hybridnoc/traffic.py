@@ -2,8 +2,9 @@
 
 Traces are packet granular: one record per packet with the cycle it is
 handed to its source NI.  Serialization into flits depends on the channel
-width of the subnet a packet ends up on, so profiles store flit counts at
-the full link width and get rescaled implicitly when subnets are narrower.
+width of the subnet a packet ends up on, so a profile counts flits at the
+width it was taken at: static and epoch profiles use the subnet width
+128/k, the width an all-VC run of the hybrid layout carries them at.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class PacketClass:
     def __post_init__(self) -> None:
         if self.payload_bits <= 0:
             raise ValueError("payload_bits must be positive")
-
-
-CONTROL = PacketClass("control", 128)
-DATA = PacketClass("data", 640)
 
 
 def packet_class(kind: str, control_bits: int = 128, data_bits: int = 640) -> PacketClass:
@@ -277,7 +274,8 @@ class PairTraffic:
 class TrafficProfile:
     """Aggregated flit counts per endpoint pair at a chosen granularity.
 
-    Flit counts are expressed at the full link width; weights multiply in
+    Flit counts are at the channel width the profile was taken at (the
+    subnet width 128/k for static and epoch profiles); weights multiply in
     the X-Y hop distance so long heavy flows rank first.
     """
 
@@ -305,24 +303,18 @@ def profile(
     granularity: str,
     channel_width_bits: int = FULL_LINK_WIDTH_BITS,
 ) -> TrafficProfile:
-    """Fold a trace into per-pair flit totals and hop counts."""
-    prof = TrafficProfile(granularity)
+    """Fold a trace into per-pair flit totals and hop counts.
+
+    Flits are counted per NI pair at channel_width_bits, which are the counts
+    a drained all-VC run at that width ejects.
+    """
+    counts: Dict[Tuple[int, int], int] = {}
     for ev in trace:
         if not (0 <= ev.src < mesh.n_nis and 0 <= ev.dst < mesh.n_nis):
             raise TraceFormatError(f"packet {ev.packet_id} names an unknown NI")
-        if granularity == "ni":
-            key = (ev.src, ev.dst)
-            hops = mesh.hop_distance(mesh.router_of_ni(ev.src), mesh.router_of_ni(ev.dst))
-        else:
-            key = (mesh.router_of_ni(ev.src), mesh.router_of_ni(ev.dst))
-            hops = mesh.hop_distance(key[0], key[1])
-            if hops == 0:
-                # same-router pairs never leave the local crossbar
-                continue
-        entry = prof.entries.setdefault(key, PairTraffic(hop_count=hops))
-        entry.flit_count += flits_for_packet(ev.klass, channel_width_bits)
-        entry.hop_count = hops
-    return prof
+        pair = (ev.src, ev.dst)
+        counts[pair] = counts.get(pair, 0) + flits_for_packet(ev.klass, channel_width_bits)
+    return profile_from_flit_counts(counts, mesh, granularity)
 
 
 def profile_from_flit_counts(
@@ -330,7 +322,7 @@ def profile_from_flit_counts(
     mesh: MeshConfig,
     granularity: str,
 ) -> TrafficProfile:
-    """Build a profile from observed NI-pair flit counts (e.g. one epoch)."""
+    """Build a profile from NI-pair flit counts (a trace fold or one epoch)."""
     prof = TrafficProfile(granularity)
     for (src, dst), flits in counts.items():
         if flits <= 0:
@@ -342,10 +334,9 @@ def profile_from_flit_counts(
             key = (mesh.router_of_ni(src), mesh.router_of_ni(dst))
             hops = mesh.hop_distance(key[0], key[1])
             if hops == 0:
+                # same-router pairs never leave the local crossbar
                 continue
-        entry = prof.entries.setdefault(key, PairTraffic(hop_count=hops))
-        entry.flit_count += flits
-        entry.hop_count = hops
+        prof.entries.setdefault(key, PairTraffic(hop_count=hops)).flit_count += flits
     return prof
 
 

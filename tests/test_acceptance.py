@@ -213,11 +213,11 @@ def c5_config(subnets, label):
 def test_c5_energy_direction(capsys):
     with verdict(capsys, 5, "hybrid cuts energy; more subnets catch more flits"):
         baseline = run_baseline(c5_config(1, "base"))
-        four = run_static(c5_config(4, "k4"))[1]
+        four = run_static(c5_config(4, "k4"))
         rows = compare([four], baseline)
         assert rows[0][3] < 1.0  # normalized energy per flit
-        two = run_static(c5_config(2, "k2"))[1]
-        eight = run_static(c5_config(8, "k8"))[1]
+        two = run_static(c5_config(2, "k2"))
+        eight = run_static(c5_config(8, "k8"))
         assert (
             eight.stats.percent_in_circuit() > two.stats.percent_in_circuit()
         )
@@ -243,7 +243,7 @@ def test_c6_r2r_coverage(capsys):
                     seed=seed,
                     label=gran,
                 )
-                by_gran[gran] = run_static(config)[1].stats.in_circuit_flits
+                by_gran[gran] = run_static(config).stats.in_circuit_flits
             assert by_gran["r2r"] >= by_gran["e2e"]
 
 

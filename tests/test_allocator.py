@@ -361,6 +361,8 @@ def test_load_plan_rejects_bad_files(tmp_path):
         "local.txt": "granularity=r2r subnets=1\n0,1,1\n",
         # a header token without "="
         "token.txt": "granularity r2r subnets=1\n0,0,1\n",
+        # a negative subnet count, with no circuit lines to trip over it
+        "negative.txt": "granularity=r2r subnets=-2\n",
         # two circuits over the same link packed into one subnet
         "conflict.txt": "granularity=r2r subnets=1\n0,0,1\n0,0,2\n",
     }

@@ -100,6 +100,19 @@ def test_allocate_emits_loadable_plan(tmp_path, capsys):
     assert 0 < plan.circuit_count() <= 6
 
 
+def test_allocate_rejects_negative_limit(tmp_path, capsys):
+    prof_path = tmp_path / "p.profile"
+    prof_path.write_text("0,5,10,2\n1,6,4,2\n")
+    plan_path = tmp_path / "p.plan"
+    rc = main([
+        "allocate", str(prof_path), "--mesh", "4x4", "--limit", "-1",
+        "--out", str(plan_path),
+    ])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    assert not plan_path.exists()
+
+
 def test_allocate_requires_out(tmp_path, capsys):
     prof_path = tmp_path / "p.profile"
     prof_path.write_text("# pair profile\n")

@@ -17,7 +17,6 @@ from hybridnoc import (
     VcConfig,
     account,
     generate,
-    normalize,
     simulate,
     xy_route,
 )
@@ -135,16 +134,6 @@ def test_link_energy_scales_with_subnet_width():
     half = account(stats, FULL, EnergyCoefficients(e_link_per_bit=0.005))
     full = account(stats, FULL, EnergyCoefficients())
     assert half.breakdown["link"] == pytest.approx(full.breakdown["link"] / 2)
-
-
-def test_normalize():
-    stats = run_one_packet()
-    report = account(stats, FULL, EnergyCoefficients())
-    assert normalize(report, report) == 1.0
-    zero = account(stats, FULL, EnergyCoefficients(0, 0, 0, 0, 0, 0, 0, 0))
-    assert normalize(zero, report) == 0.0
-    with pytest.raises(EnergyError):
-        normalize(report, zero)
 
 
 def test_coefficients_from_mapping():

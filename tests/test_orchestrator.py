@@ -78,17 +78,16 @@ def test_run_baseline_flit_math(tmp_path):
 
 def test_run_static_places_circuits():
     cfg = make_config()
-    profile_run, production = run_static(cfg)
-    assert profile_run.label == "t-profile"
-    assert profile_run.stats.in_circuit_flits == 0
+    production = run_static(cfg)
+    assert production.label == "t"
     assert production.stats.in_circuit_flits > 0
     assert production.plan is not None and production.plan.circuit_count() > 0
     assert int(production.meta["plan_weight"]) > 0
 
 
 def test_run_static_deterministic():
-    a = run_static(make_config())[1]
-    b = run_static(make_config())[1]
+    a = run_static(make_config())
+    b = run_static(make_config())
     assert a.stats == b.stats
     assert a.plan.pair_index() == b.plan.pair_index()
 
@@ -97,7 +96,7 @@ def test_run_static_empty_trace(tmp_path):
     trace_file = tmp_path / "empty.csv"
     trace_file.write_text("# nothing\n")
     cfg = make_config(traffic_spec=None, trace_path=str(trace_file), traffic_cycles=None)
-    profile_run, production = run_static(cfg)
+    production = run_static(cfg)
     assert production.stats.flits_ejected == 0
     assert production.energy is None
     assert production.plan.circuit_count() == 0
@@ -179,6 +178,14 @@ def test_run_adaptive_ga_is_flagged(caplog):
 def test_run_experiment_dispatch():
     results = run_experiment(make_config(label="s"))
     assert [r.label for r in results] == ["s-profile", "s"]
+    # the profile report is the all-VC run at the hybrid layout's width
+    profile_run, production = results
+    assert profile_run.mode == "static_hybrid"
+    assert profile_run.plan is None
+    assert profile_run.stats.in_circuit_flits == 0
+    assert profile_run.stats.subnet_widths == [64, 64]
+    assert profile_run.stats.flits_ejected == production.stats.flits_ejected
+    assert production.stats == run_static(make_config(label="s")).stats
     epochs = run_experiment(stationary_adaptive_config(label="a"))
     assert [r.label for r in epochs] == ["a-epoch0", "a-epoch1", "a-epoch2"]
     base = run_experiment(make_config(mode="baseline_vc"))
@@ -222,7 +229,7 @@ def test_summary_table_format():
 
 
 def test_report_round_trip(tmp_path):
-    _, production = run_static(make_config())
+    production = run_static(make_config())
     path = tmp_path / "run.report"
     write_run_report(str(path), production)
     rep = read_run_report(str(path))
@@ -239,7 +246,7 @@ def test_report_round_trip(tmp_path):
 
 def test_rows_from_reports_matches_live_compare(tmp_path):
     base = run_baseline(make_config(mode="baseline_vc", label="base"))
-    _, production = run_static(make_config(label="hyb"))
+    production = run_static(make_config(label="hyb"))
     bpath = tmp_path / "base.report"
     rpath = tmp_path / "hyb.report"
     write_run_report(str(bpath), base)
@@ -385,6 +392,12 @@ def test_load_config_errors(tmp_path):
     bad.write_text("[experiment]\nmode = static_hybrid\n[mesh]\nwidth = x\n")
     with pytest.raises(ConfigError):
         load_config(str(bad))
+    # sections the loader does not read are rejected, not ignored
+    for text in ("[experiment]\nmode = static_hybrid\n[router]\nstages = 4\n",
+                 "[DEFAULT]\nseed = 3\n[experiment]\nmode = static_hybrid\n"):
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match="unknown config section"):
+            load_config(str(bad))
 
 
 def test_two_phase_trace_recovers(tmp_path):

@@ -15,8 +15,8 @@ from hybridnoc import (
     SyntheticSpec,
     TrafficEvent,
     VcConfig,
-    classify_packet,
     generate,
+    load_config,
     simulate,
     sweep_injection,
     unloaded_latency,
@@ -183,23 +183,37 @@ def test_hybrid_latency_split_by_class():
     assert stats.mean_latency() == 8.0
 
 
+def route_classes(mesh, trace, plan):
+    """The route classes each packet's flits ejected under, by packet id."""
+    stats = simulate(mesh, HALF, VC, trace, plan, record_flits=True)
+    out = {}
+    for r in stats.flit_records:
+        out.setdefault(r.packet_id, set()).add(r.route_class)
+    return out
+
+
 def test_classify_packet():
-    ev_fwd = TrafficEvent(0, 0, 5, PacketClass("control", 64), 0)
-    ev_rev = TrafficEvent(0, 5, 0, PacketClass("control", 64), 1)
-    assert classify_packet(ev_fwd, None, MESH) is None
-    plan = e2e_plan(MESH, (0, 5))
+    # the engine's own dispatch decides; plan subnet 0 is physical subnet 1
+    fwd_rev = [
+        TrafficEvent(0, 0, 5, PacketClass("control", 64), 0),
+        TrafficEvent(0, 5, 0, PacketClass("control", 64), 1),
+    ]
+    assert route_classes(MESH, fwd_rev, None) == {0: {"vc"}, 1: {"vc"}}
     # circuits are directed
-    assert classify_packet(ev_fwd, plan, MESH) == 0
-    assert classify_packet(ev_rev, plan, MESH) is None
-    # r2r plans capture every NI pair between the two routers
+    plan = e2e_plan(MESH, (0, 5))
+    assert route_classes(MESH, fwd_rev, plan) == {0: {"cs1"}, 1: {"vc"}}
+    # r2r plans capture every NI pair between the two routers; NI 2 sits on
+    # router 1, so its packet to router 3 is a stray and rides VC
     mesh = MeshConfig.grid(2, 2, 2)
     rplan = CircuitPlan("r2r", ((CandidatePair(0, 3, 1, xy_route(mesh, 0, 3)),),))
-    for src in (0, 1):
-        for dst in (6, 7):
-            ev = TrafficEvent(0, src, dst, PacketClass("control", 64), 0)
-            assert classify_packet(ev, rplan, mesh) == 0
-    stray = TrafficEvent(0, 2, 6, PacketClass("control", 64), 0)
-    assert classify_packet(stray, rplan, mesh) is None
+    pairs = [(0, 6), (0, 7), (1, 6), (1, 7), (2, 6)]
+    trace = [
+        TrafficEvent(0, src, dst, PacketClass("control", 64), pid)
+        for pid, (src, dst) in enumerate(pairs)
+    ]
+    assert route_classes(mesh, trace, rplan) == {
+        0: {"cs1"}, 1: {"cs1"}, 2: {"cs1"}, 3: {"cs1"}, 4: {"vc"},
+    }
 
 
 def test_plan_activation_mid_run():
@@ -253,15 +267,19 @@ def test_cs_all_holds_the_whole_path():
     assert stats.in_circuit_flits == stats.flits_ejected
 
 
-def test_validation_errors():
+def test_validation_errors(tmp_path):
     with pytest.raises(ConfigError):
         SubnetLayout(128, 3)  # does not divide
     with pytest.raises(ConfigError):
         SubnetLayout(128, 0)
-    with pytest.raises(ConfigError):
-        VcConfig(pipeline_stages=5)
-    with pytest.raises(ConfigError):
-        VcConfig(link_cycles=2)
+    # the engine has a fixed 4-stage pipeline and single-cycle links, so the
+    # config loader knows no key for either; a typo is rejected the same way
+    for section, line in (("vc", "pipeline_stages = 5"), ("vc", "link_cycles = 2"),
+                          ("traffic", "cycels = 2000")):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[experiment]\nmode = static_hybrid\n[{section}]\n{line}\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(str(ini))
     with pytest.raises(ConfigError):
         VcConfig(vnets=0)
     trace = [

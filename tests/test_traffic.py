@@ -8,10 +8,13 @@ from hybridnoc import (
     MeshConfig,
     PacketClass,
     PairTraffic,
+    Simulation,
+    SubnetLayout,
     SyntheticSpec,
     TraceFormatError,
     TrafficEvent,
     TrafficProfile,
+    VcConfig,
     designated_pairs,
     flits_for_packet,
     generate,
@@ -276,6 +279,28 @@ def test_profile_from_flit_counts():
     assert prof.entries[(0, 5)].weight == 24
     assert prof.entries[(5, 0)].weight == 6
     assert (2, 2) not in prof.entries  # zero-flit pairs dropped
+
+
+@pytest.mark.parametrize("mesh", [
+    MeshConfig.grid(4, 3),
+    MeshConfig.grid(3, 3, 2),
+    MeshConfig.cmp_4x4_51ni(),
+], ids=["4x3", "3x3x2", "cmp51"])
+def test_trace_fold_equals_drained_all_vc_counts(mesh):
+    # static plans rest on this: folding the trace at the subnet width gives
+    # the profile an all-VC run of the hybrid layout ejects
+    for seed, k in enumerate((2, 4, 8)):
+        layout = SubnetLayout(128, k)
+        spec = SyntheticSpec("regular_mix", 0.04, regularity=0.6)
+        trace = generate(spec, mesh, seed, 300)
+        sim = Simulation(mesh, layout, VcConfig(), trace, None, seed)
+        sim.run_to_completion()
+        sim.finalize()
+        counts = sim.take_pair_counts()
+        for gran in ("ni", "router"):
+            folded = profile(trace, mesh, gran, layout.subnet_width_bits)
+            assert folded == profile_from_flit_counts(counts, mesh, gran)
+            assert folded.entries
 
 
 def test_sorted_pairs_order():
