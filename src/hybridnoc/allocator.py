@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .topology import MeshConfig, Path, TopologyError, xy_route
+from .topology import MeshConfig, Path, xy_route
 from .traffic import TrafficProfile
 
 log = logging.getLogger(__name__)

@@ -82,8 +82,9 @@ def _sweep_rates(args: argparse.Namespace) -> int:
     rates = _parse_num_list(args.rates, float)
     layout = SubnetLayout(args.width_bits, args.subnets, True)
     points = sweep_injection(
-        mesh, layout, VcConfig(), args.pattern, rates, None, args.seed,
-        fabric=args.fabric, cycles=args.cycles, regularity=args.regularity,
+        mesh, layout, VcConfig(), args.pattern, rates, args.seed,
+        fabric=args.fabric, granularity=args.granularity, cycles=args.cycles,
+        regularity=args.regularity,
     )
     lines = ["fabric,rate,mean_latency,p99_latency,unloaded_mean,saturated"]
     for p in points:

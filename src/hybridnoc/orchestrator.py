@@ -233,7 +233,8 @@ def run_adaptive(config: ExperimentConfig) -> List[EpochResult]:
 
     Epoch 0 runs all-VC under the empty plan.  Each later plan is scheduled
     at its epoch start plus the configuration period, so flits injected
-    before that moment still ride the previous plan.
+    before that moment still ride the previous plan.  Each epoch reports
+    the counter window that Simulation.finalize closes at the epoch's end.
     """
     config.validate()
     if config.mode != "adaptive_hybrid":
@@ -258,7 +259,6 @@ def run_adaptive(config: ExperimentConfig) -> List[EpochResult]:
     results: List[EpochResult] = []
     current_plan = CircuitPlan.empty(k, config.granularity)
     prev_counts: Dict[Tuple[int, int], int] = {}
-    prev_snap = sim.stats.snapshot()
     gran = profile_granularity_for(config.granularity)
     for i in range(n_epochs):
         profile_i: Optional[TrafficProfile] = None
@@ -271,12 +271,9 @@ def run_adaptive(config: ExperimentConfig) -> List[EpochResult]:
         else:
             sim.run_until((i + 1) * epoch)
         prev_counts = sim.take_pair_counts()
-        snap = sim.stats.snapshot()
-        window = snap.diff(prev_snap)
-        prev_snap = snap
+        window = sim.finalize()
         energy_i = _energy_or_none(window, config.layout, config.coeffs)
         results.append(EpochResult(i, current_plan, profile_i, window, energy_i))
-    sim.finalize()
     return results
 
 

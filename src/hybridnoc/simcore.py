@@ -25,9 +25,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .allocator import CircuitPlan
+from .allocator import CircuitPlan, greedy_allocate, profile_granularity_for
 from .topology import EAST, MeshConfig, NORTH, SOUTH, WEST, opposite, xy_route
-from .traffic import SyntheticSpec, TrafficEvent, flits_for_packet, generate
+from .traffic import SyntheticSpec, TrafficEvent, flits_for_packet, generate, profile
 
 log = logging.getLogger(__name__)
 
@@ -109,8 +109,10 @@ class FlitRecord:
 
 @dataclass
 class SimStats:
-    """Counters from one run (or one epoch window of a run).
+    """Counters from one window of a run (see Simulation.finalize).
 
+    Every counter, max_vc_occupancy included, covers only its own window;
+    in_flight is what the network still holds when the window closes.
     Event counters that depend on the subnet are lists indexed by subnet;
     index 0 is the VC subnet, so a correct run shows zero buffer activity
     beyond index 0.
@@ -208,61 +210,6 @@ class SimStats:
             return 0.0
         return 100.0 * self.in_circuit_flits / self.flits_ejected
 
-    # --- epoch bookkeeping ---------------------------------------------------
-
-    def snapshot(self) -> "SimStats":
-        copy = SimStats(subnet_count=self.subnet_count)
-        for name in (
-            "flits_injected", "flits_ejected", "in_circuit_flits", "packets_seen",
-            "vc_allocations", "sw_allocations", "unloaded_sum", "cycles_simulated",
-            "n_routers", "active_buffers_per_cycle", "gated_buffers_per_cycle",
-            "max_vc_occupancy", "in_flight",
-        ):
-            setattr(copy, name, getattr(self, name))
-        for name in (
-            "buffer_writes", "buffer_reads", "crossbar_traversals",
-            "link_traversals", "cs_flits_per_subnet", "subnet_widths",
-        ):
-            setattr(copy, name, list(getattr(self, name)))
-        copy.lat_sum = dict(self.lat_sum)
-        copy.lat_net_sum = dict(self.lat_net_sum)
-        copy.lat_count = dict(self.lat_count)
-        copy.latency_hist = {k: dict(v) for k, v in self.latency_hist.items()}
-        copy.flit_records = list(self.flit_records)
-        return copy
-
-    def diff(self, earlier: "SimStats") -> "SimStats":
-        """Counter deltas between two snapshots of the same run."""
-        if earlier.subnet_count != self.subnet_count:
-            raise SimulationError("snapshots come from different runs")
-        out = self.snapshot()
-        for name in (
-            "flits_injected", "flits_ejected", "in_circuit_flits", "packets_seen",
-            "vc_allocations", "sw_allocations", "unloaded_sum", "cycles_simulated",
-        ):
-            setattr(out, name, getattr(self, name) - getattr(earlier, name))
-        for name in (
-            "buffer_writes", "buffer_reads", "crossbar_traversals",
-            "link_traversals", "cs_flits_per_subnet",
-        ):
-            setattr(
-                out, name,
-                [a - b for a, b in zip(getattr(self, name), getattr(earlier, name))],
-            )
-        out.lat_sum = {k: self.lat_sum[k] - earlier.lat_sum[k] for k in self.lat_sum}
-        out.lat_net_sum = {
-            k: self.lat_net_sum[k] - earlier.lat_net_sum[k] for k in self.lat_net_sum
-        }
-        out.lat_count = {k: self.lat_count[k] - earlier.lat_count[k] for k in self.lat_count}
-        out.latency_hist = {}
-        for k, hist in self.latency_hist.items():
-            prev = earlier.latency_hist.get(k, {})
-            d = {lat: cnt - prev.get(lat, 0) for lat, cnt in hist.items()}
-            out.latency_hist[k] = {lat: cnt for lat, cnt in d.items() if cnt}
-        out.in_flight = self.flits_injected - self.flits_ejected
-        out.flit_records = self.flit_records[len(earlier.flit_records):]
-        return out
-
 
 def unloaded_latency(route_class: str, hops: int) -> int:
     """Contract latency of an uncontended flit."""
@@ -333,7 +280,7 @@ class _Packet:
 
 
 class _Circuit:
-    __slots__ = ("cid", "subnet", "src_key", "dst_key", "path", "hops", "lat",
+    __slots__ = ("cid", "subnet", "src_key", "dst_key", "path", "hops",
                  "granularity", "free_at", "queue", "ni_queues", "rr_nis", "rr_ptr")
 
     def __init__(self, cid, subnet, src_key, dst_key, path, granularity):
@@ -344,9 +291,6 @@ class _Circuit:
         self.path = path
         self.hops = path.hops
         self.granularity = granularity
-        self.lat = (
-            2 * self.hops + 1 if granularity == "e2e" else 2 * self.hops + 7
-        )
         self.free_at = 0
         self.queue: deque = deque()          # e2e
         self.ni_queues: Dict[int, deque] = {}  # r2r
@@ -400,12 +344,11 @@ class Simulation:
                 raise ConfigError("trace must be sorted by inject cycle")
         self.trace_ptr = 0
 
-        self.stats = SimStats(subnet_count=layout.subnet_count)
-        self.stats.n_routers = mesh.n_routers
-        self.stats.subnet_widths = [self.width_bits] * layout.subnet_count
-
         self._build_geometry(seed)
-        self._count_buffers()
+        # the open counter window: its first cycle and the flits it inherited
+        self.stats = self._new_stats()
+        self.window_start = 0
+        self.carried = 0
 
         # event queues keyed by cycle
         self.arrival_ev: Dict[int, List] = {}
@@ -481,21 +424,21 @@ class Simulation:
             {} for _ in range(mesh.n_routers)
         ]
 
-    def _count_buffers(self) -> None:
-        total_in_ports = sum(len(p) for p in self.in_ports)
-        per_subnet = total_in_ports * self.vcc.vc_count
-        active = 0
+    def _new_stats(self) -> SimStats:
+        """Zeroed counters carrying the figures fixed for the whole run."""
+        k = self.layout.subnet_count
+        per_subnet = sum(len(p) for p in self.in_ports) * self.vcc.vc_count
         gated = 0
-        for s in range(self.layout.subnet_count):
-            is_vc = s == 0 and not self.cs_all
-            if is_vc:
-                active += per_subnet
-            elif self.layout.gate_cs_buffers or self.cs_all:
-                gated += per_subnet
-            else:
-                active += per_subnet
-        self.stats.active_buffers_per_cycle = active
-        self.stats.gated_buffers_per_cycle = gated
+        if self.layout.gate_cs_buffers or self.cs_all:
+            # subnet 0 keeps its VC buffers unless the fabric is all-circuit
+            gated = k if self.cs_all else k - 1
+        return SimStats(
+            subnet_count=k,
+            n_routers=self.mesh.n_routers,
+            subnet_widths=[self.width_bits] * k,
+            active_buffers_per_cycle=(k - gated) * per_subnet,
+            gated_buffers_per_cycle=gated * per_subnet,
+        )
 
     def _install_plan(self, plan: CircuitPlan) -> None:
         if plan.subnet_count > self.layout.cs_subnet_count:
@@ -713,7 +656,9 @@ class Simulation:
                 if self.wire_free.get((ni, q.subnet), 0) > c:
                     continue
                 pkt = q.queue.popleft()
-                self._cs_start(q, pkt, ni, c)
+                q.free_at = self._send_on_circuit(
+                    pkt, ni, q.subnet, q.hops, q.granularity, c
+                )
                 if not q.queue:
                     del self.waiting[cid]
             else:
@@ -731,13 +676,20 @@ class Simulation:
                 if chosen is None:
                     continue
                 pkt = q.ni_queues[chosen].popleft()
-                self._cs_start(q, pkt, chosen, c)
+                q.free_at = self._send_on_circuit(
+                    pkt, chosen, q.subnet, q.hops, q.granularity, c
+                )
                 if not q.has_waiting():
                     del self.waiting[cid]
 
-    def _cs_start(self, q: _Circuit, pkt: _Packet, ni: int, c: int) -> None:
+    def _send_on_circuit(self, pkt: _Packet, ni: int, subnet: int, hops: int,
+                         granularity: str, c: int) -> int:
+        """Put pkt's flits on NI ni's wire back to back from cycle c.
+
+        Returns the cycle its tail flit ejects.
+        """
         n = pkt.n_flits
-        lat = q.lat
+        lat = unloaded_latency("cs-" + granularity, hops)
         for i in range(n):
             t_in = c + i
             if t_in == c:
@@ -746,11 +698,11 @@ class Simulation:
             else:
                 self.cs_entry_ev[t_in] = self.cs_entry_ev.get(t_in, 0) + 1
             self.cs_eject_ev.setdefault(t_in + lat, []).append(
-                (pkt.pid, i, pkt.src, pkt.dst, pkt.created, t_in, q.subnet,
-                 q.hops, q.granularity, i == n - 1)
+                (pkt.pid, i, pkt.src, pkt.dst, pkt.created, t_in, subnet,
+                 hops, granularity, i == n - 1)
             )
-        q.free_at = c + n - 1 + lat
-        self.wire_free[(ni, q.subnet)] = c + n
+        self.wire_free[(ni, subnet)] = c + n
+        return c + n - 1 + lat
 
     def _phase_cs_all(self, c: int) -> None:
         busy = self.busy_resources
@@ -765,21 +717,8 @@ class Simulation:
                 continue
             busy.update(pkt.resources)
             queue.popleft()
-            n = pkt.n_flits
-            lat = 2 * pkt.hops + 1
-            for i in range(n):
-                t_in = c + i
-                if t_in == c:
-                    self.stats.flits_injected += 1
-                    self.cs_in_flight += 1
-                else:
-                    self.cs_entry_ev[t_in] = self.cs_entry_ev.get(t_in, 0) + 1
-                self.cs_eject_ev.setdefault(t_in + lat, []).append(
-                    (pkt.pid, i, pkt.src, pkt.dst, pkt.created, t_in, 0,
-                     pkt.hops, "e2e", i == n - 1)
-                )
-            self.wire_free[(ni, 0)] = c + n
-            self.release_ev.setdefault(c + n - 1 + lat, []).append(pkt.resources)
+            done = self._send_on_circuit(pkt, ni, 0, pkt.hops, "e2e", c)
+            self.release_ev.setdefault(done, []).append(pkt.resources)
 
     def _phase_va(self, c: int) -> None:
         if not self.va_pending:
@@ -949,7 +888,6 @@ class Simulation:
         while self.cycle < target_cycle:
             self._step(self.cycle)
             self.cycle += 1
-        self.stats.cycles_simulated = self.cycle
 
     def run_to_completion(self, hard_limit: int = 10_000_000) -> None:
         while self.work_remaining():
@@ -957,7 +895,6 @@ class Simulation:
                 raise SimulationError(f"no drain after {hard_limit} cycles")
             self._step(self.cycle)
             self.cycle += 1
-        self.stats.cycles_simulated = self.cycle
 
     def take_pair_counts(self) -> Dict[Tuple[int, int], int]:
         counts = self.pair_flits
@@ -965,8 +902,13 @@ class Simulation:
         return counts
 
     def finalize(self) -> SimStats:
+        """Close the open counter window and return its stats.
+
+        A window runs from the previous finalize (or cycle 0) to the current
+        cycle.  Flits still in the network are its in_flight and carry over
+        into the next window, which starts from fresh counters.
+        """
         st = self.stats
-        st.cycles_simulated = self.cycle
         resident = 0
         for r in range(self.mesh.n_routers):
             for port in self.invc[r]:
@@ -977,12 +919,16 @@ class Simulation:
         for evs in self.vc_eject_ev.values():
             resident += len(evs)
         resident += self.cs_in_flight
+        st.cycles_simulated = self.cycle - self.window_start
         st.in_flight = resident
-        if st.flits_injected - st.flits_ejected != resident:
+        if self.carried + st.flits_injected - st.flits_ejected != resident:
             raise SimulationError(
-                f"conservation broke: injected {st.flits_injected}, ejected "
-                f"{st.flits_ejected}, resident {resident}"
+                f"conservation broke: carried in {self.carried}, injected "
+                f"{st.flits_injected}, ejected {st.flits_ejected}, resident {resident}"
             )
+        self.stats = self._new_stats()
+        self.window_start = self.cycle
+        self.carried = resident
         return st
 
 
@@ -1034,10 +980,10 @@ def sweep_injection(
     vc_config: VcConfig,
     pattern: str,
     rates: Sequence[float],
-    plan: Optional[CircuitPlan] = None,
     seed: int = 0,
     *,
     fabric: str = "hybrid",
+    granularity: str = "e2e",
     cycles: int = 20000,
     control_fraction: float = 0.5,
     regularity: float = 0.0,
@@ -1049,8 +995,10 @@ def sweep_injection(
     fabric selects what carries the traffic: "vc" forces a full-width
     buffered fabric, "cs" a full-width fabric where every packet reserves
     its whole path (no set-up delay modelled), "hybrid" uses the given
-    layout and plan.  A point is saturated when its mean latency exceeds
-    saturation_factor times the unloaded mean of its own traffic.
+    layout, planning each rate greedily at this granularity from the fold
+    of that rate's trace at the subnet width.  A point is saturated when
+    its mean latency exceeds saturation_factor times the unloaded mean of
+    its own traffic.
     """
     if list(rates) != sorted(rates):
         raise ConfigError("rates must be ascending")
@@ -1059,10 +1007,11 @@ def sweep_injection(
 
     if fabric in ("vc", "cs"):
         run_layout = SubnetLayout(layout.total_width_bits, 1, layout.gate_cs_buffers)
-        run_plan = None
     else:
+        if layout.cs_subnet_count < 1:
+            raise ConfigError("a hybrid sweep needs at least one CS subnet")
         run_layout = layout
-        run_plan = plan
+        profile_granularity = profile_granularity_for(granularity)
 
     points: List[SweepPoint] = []
     warmup = cycles // 10
@@ -1072,8 +1021,12 @@ def sweep_injection(
             regularity=regularity, designated_pair_count=designated_pair_count,
         )
         trace = generate(spec, mesh, seed, cycles)
+        plan = None
+        if fabric == "hybrid":
+            prof = profile(trace, mesh, profile_granularity, layout.subnet_width_bits)
+            plan = greedy_allocate(prof, mesh, layout.cs_subnet_count, granularity)
         stats = simulate(
-            mesh, run_layout, vc_config, trace, run_plan,
+            mesh, run_layout, vc_config, trace, plan,
             cycles_limit=cycles, seed=seed, warmup_cycles=warmup,
             cs_all=(fabric == "cs"),
         )

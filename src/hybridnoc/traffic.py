@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .topology import MeshConfig, TopologyError
+from .topology import MeshConfig
 
 log = logging.getLogger(__name__)
 

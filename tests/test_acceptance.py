@@ -33,7 +33,6 @@ from hybridnoc import (
     generate,
     greedy_allocate,
     plan_weight,
-    read_run_report,
     run_adaptive,
     run_baseline,
     run_experiment,
@@ -181,11 +180,11 @@ def test_c4_sweep_shape(capsys):
         rates = [0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.8]
         full = SubnetLayout(128, 1)
         cs = sweep_injection(
-            MESH4, full, VC, "uniform_random", rates, None, 1,
+            MESH4, full, VC, "uniform_random", rates, 1,
             fabric="cs", cycles=6000,
         )
         vc = sweep_injection(
-            MESH4, full, VC, "uniform_random", rates, None, 1,
+            MESH4, full, VC, "uniform_random", rates, 1,
             fabric="vc", cycles=6000,
         )
         cs_sat = min((p.rate for p in cs if p.saturated), default=math.inf)

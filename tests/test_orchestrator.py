@@ -10,7 +10,6 @@ from hybridnoc import (
     FULL_SCALE_EPOCH_CYCLES,
     SUMMARY_HEADER,
     ConfigError,
-    EnergyCoefficients,
     ExperimentConfig,
     GaParams,
     MeshConfig,
@@ -22,7 +21,6 @@ from hybridnoc import (
     designated_pairs,
     generate,
     load_config,
-    plan_weight,
     read_run_report,
     rows_from_reports,
     run_adaptive,

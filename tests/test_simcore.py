@@ -1,5 +1,6 @@
 """Flit-level engine: timing contracts, event counts, circuit service."""
 
+import dataclasses
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from hybridnoc import (
     ConfigError,
     MeshConfig,
     PacketClass,
+    SimStats,
     Simulation,
     SubnetLayout,
     SyntheticSpec,
@@ -324,21 +326,72 @@ def test_cycles_limit_reports_in_flight():
     assert drained.flits_injected == drained.flits_ejected
 
 
-def test_snapshot_diff_adds_up():
+# set for the whole run, so every window repeats the run's value
+PER_RUN_FIELDS = {"subnet_count", "n_routers", "subnet_widths",
+                  "active_buffers_per_cycle", "gated_buffers_per_cycle"}
+
+
+def sum_windows(values):
+    """Add one counter over windows: ints add, dicts add per key, lists of
+    per-subnet counts add per index, and flit records concatenate."""
+    first = values[0]
+    if isinstance(first, int):
+        return sum(values)
+    if isinstance(first, dict):
+        keys = set().union(*values)
+        return {k: sum_windows([v[k] for v in values if k in v]) for k in keys}
+    if all(isinstance(x, int) for v in values for x in v):
+        return [sum(col) for col in zip(*values)]
+    return [x for v in values for x in v]
+
+
+def test_finalize_windows_add_up_to_one_run():
     trace = generate(SyntheticSpec("uniform_random", 0.06), MESH, 9, 800)
-    sim = Simulation(MESH, FULL, VC, trace, None, 0)
-    sim.run_until(300)
-    early = sim.stats.snapshot()
+    plan = e2e_plan(MESH, (0, 5), (3, 12), (9, 2))
+    whole = simulate(MESH, HALF, VC, trace, plan, seed=4, warmup_cycles=50,
+                     record_flits=True)
+    sim = Simulation(MESH, HALF, VC, trace, plan, 4, warmup_cycles=50,
+                     record_flits=True)
+    windows = []
+    for end in (300, 550):
+        sim.run_until(end)
+        windows.append(sim.finalize())
     sim.run_to_completion()
-    final = sim.finalize()
-    window = final.diff(early)
-    assert early.flits_ejected + window.flits_ejected == final.flits_ejected
-    assert early.flits_injected + window.flits_injected == final.flits_injected
-    assert [a + b for a, b in zip(early.link_traversals, window.link_traversals)] == list(
-        final.link_traversals
-    )
-    assert window.in_flight == 0  # drained at the end
-    assert window.cycles_simulated == final.cycles_simulated - 300
+    windows.append(sim.finalize())
+
+    assert all(w.in_flight > 0 for w in windows[:-1])  # windows cut mid-flight
+    carried = 0
+    for w in windows:
+        assert carried + w.flits_injected == w.flits_ejected + w.in_flight
+        carried = w.in_flight
+    assert [w.cycles_simulated for w in windows[:2]] == [300, 250]
+    for f in dataclasses.fields(SimStats):
+        got = [getattr(w, f.name) for w in windows]
+        want = getattr(whole, f.name)
+        if f.name in PER_RUN_FIELDS:
+            assert all(g == want for g in got), f.name
+        elif f.name == "max_vc_occupancy":
+            assert max(got) == want
+        elif f.name == "in_flight":
+            assert got[-1] == want == 0
+        else:
+            assert sum_windows(got) == want, f.name
+
+
+def test_window_max_occupancy_is_its_own():
+    # a heavy burst fills VC buffers; a lone control packet long after it
+    # never queues behind anything, so its window peaks at one flit
+    burst = generate(SyntheticSpec("uniform_random", 0.3), MESH, 3, 200)
+    lone = TrafficEvent(3000, 0, 15, PacketClass("control", 128), len(burst))
+    sim = Simulation(MESH, FULL, VC, burst + [lone], None, 0)
+    sim.run_until(3000)
+    first = sim.finalize()
+    sim.run_to_completion()
+    second = sim.finalize()
+    assert first.in_flight == 0
+    assert first.max_vc_occupancy == VC.buffer_depth_flits
+    assert second.flits_ejected == 1
+    assert second.max_vc_occupancy == 1
 
 
 def test_warmup_excludes_early_packets():
@@ -396,3 +449,14 @@ def test_sweep_cs_fabric_runs_full_width_circuits():
     )
     assert points[0].in_circuit_fraction == 1.0
     assert points[0].flits_ejected > 0
+
+
+@pytest.mark.parametrize("granularity", ["e2e", "r2r"])
+def test_sweep_hybrid_fabric_plans_circuits(granularity):
+    with pytest.raises(ConfigError):
+        sweep_injection(MESH, FULL, VC, "regular_mix", [0.02], fabric="hybrid")
+    points = sweep_injection(
+        MESH, SubnetLayout(128, 4), VC, "regular_mix", [0.02, 0.05], 1,
+        fabric="hybrid", granularity=granularity, regularity=0.9, cycles=2000,
+    )
+    assert all(p.in_circuit_fraction > 0 for p in points)
