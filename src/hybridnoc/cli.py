@@ -86,11 +86,13 @@ def _sweep_rates(args: argparse.Namespace) -> int:
         fabric=args.fabric, granularity=args.granularity, cycles=args.cycles,
         regularity=args.regularity,
     )
-    lines = ["fabric,rate,mean_latency,p99_latency,unloaded_mean,saturated"]
+    lines = ["fabric,rate,mean_latency,p99_latency,unloaded_mean,saturated,"
+             "in_circuit_fraction,flits_ejected"]
     for p in points:
         lines.append(
             f"{args.fabric},{p.rate:.4f},{p.mean_latency:.2f},{p.p99_latency},"
-            f"{p.unloaded_mean:.2f},{int(p.saturated)}"
+            f"{p.unloaded_mean:.2f},{int(p.saturated)},{p.in_circuit_fraction:.4f},"
+            f"{p.flits_ejected}"
         )
     table = "\n".join(lines) + "\n"
     if args.out:

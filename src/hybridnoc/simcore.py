@@ -31,8 +31,6 @@ from .traffic import SyntheticSpec, TrafficEvent, flits_for_packet, generate, pr
 
 log = logging.getLogger(__name__)
 
-_SIDES = (EAST, WEST, NORTH, SOUTH)
-
 # input VC states
 _IDLE, _WAIT_VA, _ACTIVE = 0, 1, 2
 
@@ -358,9 +356,11 @@ class Simulation:
         self.cs_eject_ev: Dict[int, List] = {}
         self.release_ev: Dict[int, List] = {}
 
-        # per-NI VC-side injection
+        # per-NI VC-side injection; busy_nis holds every NI with a queued
+        # packet or one it is part way through sending
         self.ni_queue: Dict[int, deque] = {}
         self.ni_cur: Dict[int, List] = {}
+        self.busy_nis: set = set()
 
         # circuit-switched side
         self.circuits: List[_Circuit] = []
@@ -383,51 +383,70 @@ class Simulation:
     # --- construction ---------------------------------------------------
 
     def _build_geometry(self, seed: int) -> None:
+        """Ports, buffers and the lookup tables the per-cycle phases read.
+
+        A router's ports are its mesh sides in E,W,N,S order, then its
+        local NIs; input and output ports share one numbering.  So the
+        router and port at the far end of mesh port p of router r,
+        peer[r][p], is both where an output port's flits arrive and which
+        output port an input port returns credits to.
+        """
         mesh = self.mesh
-        self.in_ports: List[List[Tuple]] = []
-        self.out_ports: List[List[Tuple]] = []
-        self.in_side: List[Dict[str, int]] = []
-        self.out_side: List[Dict[str, int]] = []
-        self.in_local: List[Dict[int, int]] = []
-        self.out_local: List[Dict[int, int]] = []
-        for r in range(mesh.n_routers):
+        n_routers = mesh.n_routers
+        side_port: List[Dict[str, int]] = []
+        self.local_port: List[int] = [0] * mesh.n_nis
+        for r in range(n_routers):
             sides = mesh.directions_of(r)
-            locals_ = list(mesh.nis_of_router(r))
-            inp = [("M", d) for d in sides] + [("L", ni) for ni in locals_]
-            self.in_ports.append(inp)
-            self.out_ports.append(list(inp))
-            self.in_side.append({d: i for i, d in enumerate(sides)})
-            self.out_side.append({d: i for i, d in enumerate(sides)})
-            base = len(sides)
-            self.in_local.append({ni: base + i for i, ni in enumerate(locals_)})
-            self.out_local.append({ni: base + i for i, ni in enumerate(locals_)})
+            side_port.append({d: i for i, d in enumerate(sides)})
+            for i, ni in enumerate(mesh.nis_of_router(r)):
+                self.local_port[ni] = len(sides) + i
+        self.peer: List[List[Optional[Tuple[int, int]]]] = []
+        for r in range(n_routers):
+            ports: List[Optional[Tuple[int, int]]] = []
+            for d in side_port[r]:
+                nbr = mesh.neighbor(r, d)
+                ports.append((nbr, side_port[nbr][opposite(d)]))
+            ports.extend([None] * len(mesh.nis_of_router(r)))
+            self.peer.append(ports)
+        # X-Y routing: the mesh port toward each other router (X first)
+        self.route: List[List[int]] = []
+        for r in range(n_routers):
+            x, y = mesh.coords(r)
+            row = []
+            for d in range(n_routers):
+                dx, dy = mesh.coords(d)
+                if dx != x:
+                    row.append(side_port[r][EAST if dx > x else WEST])
+                elif dy != y:
+                    row.append(side_port[r][NORTH if dy > y else SOUTH])
+                else:
+                    row.append(-1)
+            self.route.append(row)
 
         n_vc = self.vcc.vc_count
         depth = self.vcc.buffer_depth_flits
         self.invc: List[List[List[_InVC]]] = [
-            [[_InVC() for _ in range(n_vc)] for _ in self.in_ports[r]]
-            for r in range(mesh.n_routers)
+            [[_InVC() for _ in range(n_vc)] for _ in ports] for ports in self.peer
         ]
         self.credits: List[List[Optional[List[int]]]] = [
-            [
-                [depth] * n_vc if kind == "M" else None
-                for kind, _ in self.out_ports[r]
-            ]
-            for r in range(mesh.n_routers)
+            [[depth] * n_vc if far is not None else None for far in ports]
+            for ports in self.peer
         ]
         rr0 = seed % max(1, n_vc)
-        self.sa_rr: List[List[int]] = [
-            [rr0] * len(self.out_ports[r]) for r in range(mesh.n_routers)
-        ]
+        self.sa_rr: List[List[int]] = [[rr0] * len(ports) for ports in self.peer]
+        # the round-robin ring of an output port covers every input VC
+        self.sa_ring: List[int] = [len(ports) * n_vc for ports in self.peer]
         self.va_pending: List[Tuple[int, int, int, _InVC]] = []
         self.sa_active: List[Dict[Tuple[int, int], _InVC]] = [
-            {} for _ in range(mesh.n_routers)
+            {} for _ in range(n_routers)
         ]
+        # routers with an entry in sa_active
+        self.busy_routers: set = set()
 
     def _new_stats(self) -> SimStats:
         """Zeroed counters carrying the figures fixed for the whole run."""
         k = self.layout.subnet_count
-        per_subnet = sum(len(p) for p in self.in_ports) * self.vcc.vc_count
+        per_subnet = sum(len(ports) for ports in self.peer) * self.vcc.vc_count
         gated = 0
         if self.layout.gate_cs_buffers or self.cs_all:
             # subnet 0 keeps its VC buffers unless the fabric is all-circuit
@@ -507,6 +526,7 @@ class Simulation:
                 circuit = self.match.get((pkt.src_router, pkt.dst_router))
         if circuit is None:
             self.ni_queue.setdefault(pkt.src, deque()).append(pkt)
+            self.busy_nis.add(pkt.src)
         else:
             if circuit.granularity == "e2e":
                 circuit.queue.append(pkt)
@@ -581,43 +601,32 @@ class Simulation:
             ivc.out_port = self._route_port(r, flit)
             self.va_pending.append((r, p, v, ivc))
             self.sa_active[r][(p, v)] = ivc
+            self.busy_routers.add(r)
 
     def _route_port(self, r: int, flit: _Flit) -> int:
         if r == flit.dst_router:
-            return self.out_local[r][flit.dst]
-        x, y = self.mesh.coords(r)
-        dx, dy = self.mesh.coords(flit.dst_router)
-        if x != dx:
-            side = EAST if dx > x else WEST
-        else:
-            side = NORTH if dy > y else SOUTH
-        return self.out_side[r][side]
+            return self.local_port[flit.dst]
+        return self.route[r][flit.dst_router]
 
     def _phase_vc_injection(self, c: int) -> None:
-        active = [ni for ni in self.ni_queue if self.ni_queue[ni] or ni in self.ni_cur]
-        for ni in self.ni_cur:
-            if ni not in active:
-                active.append(ni)
-        for ni in sorted(active):
+        depth = self.vcc.buffer_depth_flits
+        for ni in sorted(self.busy_nis):
             cur = self.ni_cur.get(ni)
+            queue = self.ni_queue[ni]
             if cur is None:
-                queue = self.ni_queue.get(ni)
-                if not queue:
-                    continue
                 pkt = queue[0]
                 r = pkt.src_router
-                p = self.in_local[r][ni]
-                ivc = self._free_vc(r, p, pkt.vnet)
-                if ivc is None:
+                p = self.local_port[ni]
+                v = self._free_vc(r, p, pkt.vnet)
+                if v < 0:
                     continue
-                v = self.invc[r][p].index(ivc)
-                ivc.reserved = True
+                self.invc[r][p][v].reserved = True
                 queue.popleft()
                 cur = [pkt, r, p, v, 0]
                 self.ni_cur[ni] = cur
             pkt, r, p, v, idx = cur
             ivc = self.invc[r][p][v]
-            if len(ivc.buf) >= self.vcc.buffer_depth_flits:
+            if len(ivc.buf) >= depth:
                 continue
             flit = _Flit(
                 pkt.pid, idx, idx == 0, idx == pkt.n_flits - 1, pkt.src, pkt.dst,
@@ -629,20 +638,22 @@ class Simulation:
             cur[4] = idx + 1
             if cur[4] == pkt.n_flits:
                 del self.ni_cur[ni]
+                if not queue:
+                    self.busy_nis.discard(ni)
 
-    def _free_vc(self, r: int, p: int, vnet: int) -> Optional[_InVC]:
+    def _free_vc(self, r: int, p: int, vnet: int) -> int:
+        """Index of the first free VC of vnet at input port p, or -1."""
+        vcs = self.invc[r][p]
         base = vnet * self.vcc.vcs_per_vnet
         for v in range(base, base + self.vcc.vcs_per_vnet):
-            ivc = self.invc[r][p][v]
+            ivc = vcs[v]
             if ivc.state == _IDLE and not ivc.buf and not ivc.reserved:
-                return ivc
-        return None
+                return v
+        return -1
 
     def _phase_cs_service(self, c: int) -> None:
         if self.cs_all:
             self._phase_cs_all(c)
-            return
-        if not self.waiting:
             return
         for cid in sorted(self.waiting):
             q = self.waiting[cid]
@@ -708,8 +719,6 @@ class Simulation:
         busy = self.busy_resources
         for ni in sorted(self.pending_cs_all):
             queue = self.pending_cs_all[ni]
-            if not queue:
-                continue
             pkt = queue[0]
             if self.wire_free.get((ni, 0), 0) > c:
                 continue
@@ -717,93 +726,104 @@ class Simulation:
                 continue
             busy.update(pkt.resources)
             queue.popleft()
+            if not queue:
+                del self.pending_cs_all[ni]
             done = self._send_on_circuit(pkt, ni, 0, pkt.hops, "e2e", c)
             self.release_ev.setdefault(done, []).append(pkt.resources)
 
     def _phase_va(self, c: int) -> None:
-        if not self.va_pending:
-            return
         still: List[Tuple[int, int, int, _InVC]] = []
         for r, p, v, ivc in self.va_pending:
             if ivc.va_ready > c:
                 still.append((r, p, v, ivc))
                 continue
-            kind, ident = self.out_ports[r][ivc.out_port]
-            if kind == "L":
+            far = self.peer[r][ivc.out_port]
+            if far is None:
                 ivc.out_vc = -1
                 ivc.state = _ACTIVE
                 self.stats.vc_allocations += 1
                 continue
-            nbr = self.mesh.neighbor(r, ident)
-            p2 = self.in_side[nbr][opposite(ident)]
+            nbr, p2 = far
             head: _Flit = ivc.buf[0]
             target = self._free_vc(nbr, p2, head.vnet)
-            if target is None:
+            if target < 0:
                 still.append((r, p, v, ivc))
                 continue
-            target.reserved = True
-            ivc.out_vc = self.invc[nbr][p2].index(target)
+            self.invc[nbr][p2][target].reserved = True
+            ivc.out_vc = target
             ivc.state = _ACTIVE
             self.stats.vc_allocations += 1
         self.va_pending = still
 
     def _phase_sa(self, c: int) -> None:
+        """Separable, output-first switch allocation with round-robin.
+
+        Each output port grants the requesting VC nearest after its pointer
+        on the ring of all input VCs, skipping input ports that already won
+        this cycle; output ports go in ascending order.
+        """
         n_vc = self.vcc.vc_count
-        for r in range(self.mesh.n_routers):
-            active = self.sa_active[r]
-            if not active:
-                continue
+        for r in sorted(self.busy_routers):
+            credits = self.credits[r]
             requests: Dict[int, List[Tuple[int, int, int, _InVC]]] = {}
-            for (p, v), ivc in active.items():
+            for (p, v), ivc in self.sa_active[r].items():
                 if ivc.state != _ACTIVE or not ivc.buf:
                     continue
                 head: _Flit = ivc.buf[0]
                 if head.ready_sa > c:
                     continue
-                credit = self.credits[r][ivc.out_port]
+                credit = credits[ivc.out_port]
                 if credit is not None and credit[ivc.out_vc] <= 0:
                     continue
                 requests.setdefault(ivc.out_port, []).append((p * n_vc + v, p, v, ivc))
             if not requests:
                 continue
+            ring = self.sa_ring[r]
+            rr = self.sa_rr[r]
             used_inputs: set = set()
             for out_p in sorted(requests):
-                reqs = sorted(requests[out_p])
-                ptr = self.sa_rr[r][out_p]
-                order = sorted(reqs, key=lambda t: ((t[0] - ptr) % (len(self.in_ports[r]) * n_vc)))
-                for canon, p, v, ivc in order:
-                    if p in used_inputs:
+                ptr = rr[out_p]
+                winner = None
+                nearest = ring
+                for t in requests[out_p]:
+                    if t[1] in used_inputs:
                         continue
-                    used_inputs.add(p)
-                    self.sa_rr[r][out_p] = (canon + 1) % (len(self.in_ports[r]) * n_vc)
-                    self._grant(r, out_p, p, v, ivc, c)
-                    break
+                    dist = (t[0] - ptr) % ring
+                    if dist < nearest:
+                        winner, nearest = t, dist
+                if winner is None:
+                    continue
+                canon, p, v, ivc = winner
+                used_inputs.add(p)
+                rr[out_p] = (canon + 1) % ring
+                self._grant(r, out_p, p, v, ivc, c)
 
     def _grant(self, r: int, out_p: int, p: int, v: int, ivc: _InVC, c: int) -> None:
         flit: _Flit = ivc.buf.popleft()
-        self.stats.buffer_reads[0] += 1
-        self.stats.sw_allocations += 1
-        self.stats.crossbar_traversals[0] += 1
-        kind, ident = self.out_ports[r][out_p]
-        if kind == "M":
+        st = self.stats
+        st.buffer_reads[0] += 1
+        st.sw_allocations += 1
+        st.crossbar_traversals[0] += 1
+        ports = self.peer[r]
+        far = ports[out_p]
+        if far is not None:
             self.credits[r][out_p][ivc.out_vc] -= 1
-            nbr = self.mesh.neighbor(r, ident)
-            p2 = self.in_side[nbr][opposite(ident)]
-            self.stats.link_traversals[0] += 1
-            self.arrival_ev.setdefault(c + 3, []).append((nbr, p2, ivc.out_vc, flit))
+            st.link_traversals[0] += 1
+            self.arrival_ev.setdefault(c + 3, []).append(far + (ivc.out_vc, flit))
         else:
             self.vc_eject_ev.setdefault(c + 2, []).append(flit)
-        in_kind, in_ident = self.in_ports[r][p]
-        if in_kind == "M":
-            up = self.mesh.neighbor(r, in_ident)
-            up_out = self.out_side[up][opposite(in_ident)]
-            self.credit_ev.setdefault(c + 2, []).append((up, up_out, v))
+        up = ports[p]
+        if up is not None:
+            self.credit_ev.setdefault(c + 2, []).append(up + (v,))
         if flit.is_tail:
             ivc.state = _IDLE
             ivc.reserved = False
             ivc.out_port = -1
             ivc.out_vc = -1
-            del self.sa_active[r][(p, v)]
+            active = self.sa_active[r]
+            del active[(p, v)]
+            if not active:
+                self.busy_routers.discard(r)
 
     def _check_order(self, pid: int, idx: int, is_tail: bool) -> None:
         expect = self._order_check.get(pid, -1) + 1
@@ -862,35 +882,69 @@ class Simulation:
     # --- driving ---------------------------------------------------------
 
     def _step(self, c: int) -> None:
+        """One cycle; each phase runs only when it has work at c."""
         self._phase_intake(c)
-        self._phase_events(c)
-        self._phase_vc_injection(c)
-        self._phase_cs_service(c)
-        self._phase_va(c)
-        self._phase_sa(c)
-        self._phase_eject(c)
+        if (c in self.arrival_ev or c in self.credit_ev or c in self.cs_entry_ev
+                or c in self.release_ev):
+            self._phase_events(c)
+        if self.busy_nis:
+            self._phase_vc_injection(c)
+        if self.waiting or self.pending_cs_all:
+            self._phase_cs_service(c)
+        if self.va_pending:
+            self._phase_va(c)
+        if self.busy_routers:
+            self._phase_sa(c)
+        if c in self.vc_eject_ev or c in self.cs_eject_ev:
+            self._phase_eject(c)
+
+    def _event_queues(self) -> Tuple[dict, ...]:
+        return (self.arrival_ev, self.credit_ev, self.vc_eject_ev,
+                self.cs_entry_ev, self.cs_eject_ev, self.release_ev)
+
+    def _busy(self) -> bool:
+        """True while some phase may act in a cycle that has no events."""
+        return bool(self.va_pending or self.busy_nis or self.busy_routers
+                    or self.waiting or self.pending_cs_all)
+
+    def _skip_idle(self, limit: int) -> None:
+        """Move the clock over cycles in which no phase can act.
+
+        With nothing buffered, queued or waiting, the next cycle with work
+        is the next packet, plan activation or event, so every cycle before
+        it would step without effect.  The clock stops at limit at the
+        latest.  Counters are unchanged: cycle-integrated figures read
+        cycles_simulated, which counts skipped cycles like stepped ones.
+        """
+        if self._busy():
+            return
+        nxt = limit
+        if self.trace_ptr < len(self.trace):
+            nxt = min(nxt, self.trace[self.trace_ptr].inject_cycle)
+        if self.plan_schedule:
+            nxt = min(nxt, self.plan_schedule[0][0])
+        for events in self._event_queues():
+            if events:
+                nxt = min(nxt, min(events))
+        if nxt > self.cycle:
+            self.cycle = nxt
 
     def work_remaining(self) -> bool:
-        if self.trace_ptr < len(self.trace) or self.plan_schedule:
-            return True
-        if (self.arrival_ev or self.credit_ev or self.vc_eject_ev
-                or self.cs_entry_ev or self.cs_eject_ev or self.release_ev):
-            return True
-        if self.va_pending or self.ni_cur or self.waiting:
-            return True
-        if any(self.ni_queue.values()) or any(self.pending_cs_all.values()):
-            return True
-        if any(self.sa_active[r] for r in range(self.mesh.n_routers)):
-            return True
-        return False
+        return bool(
+            self.trace_ptr < len(self.trace) or self.plan_schedule
+            or any(self._event_queues()) or self._busy()
+        )
 
     def run_until(self, target_cycle: int) -> None:
         while self.cycle < target_cycle:
-            self._step(self.cycle)
-            self.cycle += 1
+            self._skip_idle(target_cycle)
+            if self.cycle < target_cycle:
+                self._step(self.cycle)
+                self.cycle += 1
 
     def run_to_completion(self, hard_limit: int = 10_000_000) -> None:
         while self.work_remaining():
+            self._skip_idle(hard_limit)
             if self.cycle >= hard_limit:
                 raise SimulationError(f"no drain after {hard_limit} cycles")
             self._step(self.cycle)

@@ -62,6 +62,10 @@ class MeshConfig:
         for n in self.ni_per_router:
             starts.append(starts[-1] + n)
         object.__setattr__(self, "_ni_starts", tuple(starts))
+        # router hosting each NI, indexed by NI id
+        object.__setattr__(self, "_ni_router", tuple(
+            r for r, n in enumerate(self.ni_per_router) for _ in range(n)
+        ))
 
     @classmethod
     def grid(cls, width: int, height: int, ni_per_router: int = 1) -> "MeshConfig":
@@ -100,14 +104,10 @@ class MeshConfig:
         return y * self.width + x
 
     def router_of_ni(self, ni: int) -> int:
-        starts = self._ni_starts  # type: ignore[attr-defined]
-        if not 0 <= ni < starts[-1]:
+        routers = self._ni_router  # type: ignore[attr-defined]
+        if not 0 <= ni < len(routers):
             raise TopologyError(f"NI {ni} out of range")
-        # counts are tiny; linear scan keeps this trivially correct
-        for r in range(self.n_routers):
-            if starts[r] <= ni < starts[r + 1]:
-                return r
-        raise TopologyError(f"NI {ni} out of range")
+        return routers[ni]
 
     def nis_of_router(self, router: int) -> range:
         starts = self._ni_starts  # type: ignore[attr-defined]

@@ -144,10 +144,25 @@ def test_sweep_rates_csv(tmp_path, capsys):
     assert rc == 0
     stdout = capsys.readouterr().out
     lines = stdout.splitlines()
-    assert lines[0] == "fabric,rate,mean_latency,p99_latency,unloaded_mean,saturated"
+    assert lines[0] == ("fabric,rate,mean_latency,p99_latency,unloaded_mean,saturated,"
+                        "in_circuit_fraction,flits_ejected")
     assert len(lines) == 3
     assert lines[1].startswith("vc,0.0200,")
+    assert lines[1].split(",")[6] == "0.0000"
+    assert int(lines[1].split(",")[7]) > 0
     assert out_file.read_text() == stdout
+
+
+def test_sweep_rates_hybrid_reports_circuit_traffic(capsys):
+    rc = main([
+        "sweep", "--mesh", "4x4", "--rates", "0.02", "--cycles", "2000",
+        "--fabric", "hybrid", "--subnets", "4", "--pattern", "regular_mix",
+        "--regularity", "0.9",
+    ])
+    assert rc == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[0] == "hybrid"
+    assert float(row[6]) > 0
 
 
 def test_sweep_subnet_counts(capsys):

@@ -13,6 +13,7 @@ from hybridnoc import (
     PacketClass,
     SimStats,
     Simulation,
+    SimulationError,
     SubnetLayout,
     SyntheticSpec,
     TrafficEvent,
@@ -240,6 +241,49 @@ def test_plan_activation_rejects_past_cycles():
     sim.run_until(10)
     with pytest.raises(ConfigError):
         sim.schedule_plan(e2e_plan(MESH, (0, 1)), 5)
+
+
+def test_plan_scheduled_in_idle_gap_activates_on_its_cycle():
+    # nothing is in flight between the two packets, so the engine skips
+    # cycles there; it must still stop at the activation cycle
+    ctrl = PacketClass("control", 64)
+    trace = [TrafficEvent(0, 0, 3, ctrl, 0), TrafficEvent(6000, 0, 3, ctrl, 1)]
+    sim = Simulation(MESH, HALF, VC, trace, None, 0, record_flits=True)
+    sim.schedule_plan(e2e_plan(MESH, (0, 3)), 3000)
+    sim.run_until(3000)
+    assert sim.circuits == []
+    sim.run_until(3001)
+    assert len(sim.circuits) == 1
+    sim.run_to_completion()
+    classes = {r.packet_id: r.route_class for r in sim.finalize().flit_records}
+    assert classes == {0: "vc", 1: "cs1"}
+
+
+def test_run_until_with_nothing_to_do_stops_on_target():
+    for trace in ([], [TrafficEvent(20000, 0, 3, PacketClass("control", 64), 0)]):
+        sim = Simulation(MESH, HALF, VC, trace, None, 0)
+        sim.run_until(12345)
+        assert sim.cycle == 12345
+        stats = sim.finalize()
+        assert stats.cycles_simulated == 12345
+        assert stats.packets_seen == 0
+
+
+def test_hard_limit_holds_across_an_idle_gap():
+    trace = [TrafficEvent(50_000, 0, 3, PacketClass("control", 64), 0)]
+    sim = Simulation(MESH, HALF, VC, trace, None, 0)
+    with pytest.raises(SimulationError, match="10000"):
+        sim.run_to_completion(hard_limit=10_000)
+    assert sim.cycle == 10_000
+
+
+def test_packets_a_million_cycles_apart_keep_the_vc_contract():
+    ctrl = PacketClass("control", 128)
+    trace = [TrafficEvent(0, 0, 15, ctrl, 0), TrafficEvent(1_000_000, 0, 15, ctrl, 1)]
+    stats = simulate(MESH, FULL, VC, trace, record_flits=True)
+    hops = MESH.hop_distance(0, 15)
+    assert [r.eject_cycle - r.inject_cycle for r in stats.flit_records] == [5 * hops + 4] * 2
+    assert stats.cycles_simulated == 1_000_000 + 5 * hops + 4 + 1
 
 
 def test_cs_all_timing():

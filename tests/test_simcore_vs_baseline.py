@@ -1,0 +1,111 @@
+"""Differential test: the engine against the frozen copy in bench/baseline.
+
+bench/baseline/hybridnoc_baseline is the package as it was when the
+benchmark was defined.  Whatever the engine does faster, a whole run must
+still produce the same SimStats, flit records included, as that copy on
+the same inputs.  The copy is imported read-only (no bytecode written).
+"""
+
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+import hybridnoc as hn
+
+_BASELINE = Path(__file__).resolve().parent.parent / "bench" / "baseline" / "hybridnoc_baseline"
+
+
+def _load_baseline():
+    name = "hybridnoc_baseline"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.spec_from_file_location(
+        name, _BASELINE / "__init__.py", submodule_search_locations=[str(_BASELINE)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    was = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = was
+    return module
+
+
+base = _load_baseline()
+
+
+@st.composite
+def scenarios(draw):
+    width = draw(st.integers(2, 4))
+    height = draw(st.integers(2, 4))
+    nis = tuple(draw(st.lists(st.integers(1, 2), min_size=width * height,
+                              max_size=width * height)))
+    k = draw(st.sampled_from([1, 2, 4]))
+    fabric = draw(st.sampled_from(["vc", "cs_all"] if k == 1 else ["e2e", "r2r"]))
+    mesh = hn.MeshConfig(width, height, nis)
+    # bursts of packets separated by gaps of up to thousands of idle
+    # cycles; within a burst, packets run between the NIs of two or three
+    # routers, mostly several in one cycle, so they contend for VCs and
+    # switch ports and NIs sharing a router inject side by side
+    packets = []
+    cycle = 0
+    for _ in range(draw(st.integers(1, 4))):
+        cycle += draw(st.integers(0, 4000))
+        routers = draw(st.lists(st.integers(0, mesh.n_routers - 1), min_size=2,
+                                max_size=3, unique=True))
+        ends = [ni for r in routers for ni in mesh.nis_of_router(r)]
+        for _ in range(draw(st.integers(1, 60))):
+            cycle += draw(st.sampled_from([0, 0, 0, 0, 1]))
+            src, dst = draw(st.permutations(ends))[:2]
+            kind, bits = draw(st.sampled_from(
+                [("control", 64), ("control", 128), ("data", 640)]))
+            packets.append((cycle, src, dst, kind, bits))
+    cut = draw(st.none() | st.integers(1, cycle + 1))
+    seed = draw(st.integers(0, 3))
+    return width, height, nis, k, fabric, packets, cut, seed
+
+
+def _inputs(pkg, scenario):
+    """The scenario's mesh and trace, built from pkg's own classes."""
+    width, height, nis, _, _, packets, _, _ = scenario
+    mesh = pkg.MeshConfig(width, height, nis)
+    trace = [
+        pkg.TrafficEvent(cycle, src, dst, pkg.PacketClass(kind, bits), pid)
+        for pid, (cycle, src, dst, kind, bits) in enumerate(packets)
+    ]
+    return mesh, trace
+
+
+def _run(pkg, scenario, plan):
+    _, _, _, k, fabric, _, cut, seed = scenario
+    mesh, trace = _inputs(pkg, scenario)
+    return pkg.simulate(
+        mesh, pkg.SubnetLayout(128, k), pkg.VcConfig(), trace, plan,
+        cycles_limit=cut, seed=seed, warmup_cycles=20, record_flits=True,
+        cs_all=(fabric == "cs_all"),
+    )
+
+
+def _plan(scenario):
+    k, fabric = scenario[3:5]
+    if fabric not in ("e2e", "r2r"):
+        return None
+    mesh, trace = _inputs(hn, scenario)
+    layout = hn.SubnetLayout(128, k)
+    prof = hn.profile(trace, mesh, hn.profile_granularity_for(fabric),
+                      layout.subnet_width_bits)
+    return hn.greedy_allocate(prof, mesh, layout.cs_subnet_count, fabric)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scenarios())
+def test_simulate_matches_frozen_baseline(scenario):
+    plan = _plan(scenario)
+    ours = _run(hn, scenario, plan)
+    theirs = _run(base, scenario, plan)
+    assert dataclasses.asdict(ours) == dataclasses.asdict(theirs)
