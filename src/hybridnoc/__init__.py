@@ -34,7 +34,6 @@ from .orchestrator import (
     DESK_EPOCH_CYCLES,
     EPOCH_TO_PERIOD_RATIO,
     MODES,
-    FULL_SCALE_EPOCH_CYCLES,
     SUMMARY_HEADER,
     EpochResult,
     ExperimentConfig,
@@ -50,7 +49,6 @@ from .orchestrator import (
     run_experiment,
     run_static,
     summary_table,
-    write_flit_dump,
     write_run_report,
 )
 from .simcore import (

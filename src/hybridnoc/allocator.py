@@ -12,7 +12,9 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from struct import unpack_from
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .topology import MeshConfig, Path, xy_route
 from .traffic import TrafficProfile
@@ -127,17 +129,18 @@ def _conflict_masks(candidates: Sequence[CandidatePair], endpoint_ports: bool) -
     return masks
 
 
-def _first_fit_bits(order: Sequence[int], masks: Sequence[int], k: int) -> List[List[int]]:
+def _first_fit_bits(order: Iterable[int], masks: Sequence[int], k: int) -> List[List[int]]:
     """Place candidate indices in order into the first subnet they fit; drop the rest.
 
     Returns the indices placed in each of the k subnets, in placement order.
     """
     occupied = [0] * k
     placed: List[List[int]] = [[] for _ in range(k)]
+    subnets = range(k)
     for idx in order:
         mask = masks[idx]
-        for s in range(k):
-            if occupied[s] & mask == 0:
+        for s in subnets:
+            if not occupied[s] & mask:
                 occupied[s] |= 1 << idx
                 placed[s].append(idx)
                 break
@@ -239,6 +242,34 @@ class GaParams:
             raise AllocationError("elitism_count must be below the population size")
 
 
+def _draws_below(rng: random.Random, n: int, p: float) -> bytes:
+    """Flags, one byte per draw: is the j-th of the next n rng.random() draws below p?
+
+    random() builds each draw from two 32-bit Mersenne Twister words a and
+    b as ((a >> 5) * 2**26 + (b >> 6)) * 2**-53, so getrandbits(64 * n)
+    holds the same 2n words in the same order (least significant first)
+    and leaves rng in the state that n random() calls would.  A draw whose
+    a has high byte h lies in [h/256, (h+1)/256), which decides it unless
+    p falls strictly inside that interval; those ties (about n/256) are
+    settled from the full draw.
+    """
+    data = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+    # high byte -> 1 (below p), 0 (not below) or 2 (tie: p * 256 not whole)
+    scaled = p * 256.0
+    below = min(int(scaled), 256)
+    table = (b"\x01" * below + (b"\x02" if below < scaled else b"") + bytes(256))[:256]
+    flags = data[3::8].translate(table)
+    j = flags.find(2)
+    if j < 0:
+        return flags
+    out = bytearray(flags)
+    while j >= 0:
+        a, b = unpack_from("<II", data, 8 * j)
+        out[j] = ((a >> 5) * 67108864.0 + (b >> 6)) * 2**-53 < p
+        j = flags.find(2, j + 1)
+    return bytes(out)
+
+
 def ga_allocate(
     profile: TrafficProfile,
     mesh: MeshConfig,
@@ -248,10 +279,13 @@ def ga_allocate(
 ) -> CircuitPlan:
     """Genetic search seeded with greedy variants.
 
-    One bit per candidate pair; first-fit repairs infeasible selections by
-    dropping conflicting pairs in weight order.  Elitism keeps the best
-    individual, so best fitness never decreases across generations.  The
-    per-generation best is left in plan.meta["fitness_history"].
+    One byte (0 or 1) per candidate pair; first-fit repairs infeasible
+    selections by dropping conflicting pairs in weight order.  Elitism keeps
+    the best individual, so best fitness never decreases across generations.
+    The per-generation best is left in plan.meta["fitness_history"].
+
+    Children are built from blocks of draws (_draws_below) that take the
+    same values from rng, in the same order, as one random() per gene.
     """
     params.validate()
     if k < 1:
@@ -268,33 +302,33 @@ def ga_allocate(
     flip_rate = params.per_gene_flip_rate if params.per_gene_flip_rate is not None else 1.0 / n
     rng = random.Random(params.seed)
 
-    def seed_chromosome(excluded: Optional[int]) -> Tuple[int, ...]:
+    def seed_chromosome(excluded: Optional[int]) -> bytes:
         order = [i for i in range(n) if i != excluded]
-        bits = [0] * n
+        bits = bytearray(n)
         for placed in _first_fit_bits(order, masks, k):
             for i in placed:
                 bits[i] = 1
-        return tuple(bits)
+        return bytes(bits)
 
-    population: List[Tuple[int, ...]] = []
+    population: List[bytes] = []
     for i in range(params.population_size):
         excluded = i - 1 if 1 <= i <= n else None
         population.append(seed_chromosome(excluded))
 
-    fitness_cache: Dict[Tuple[int, ...], int] = {}
+    fitness_cache: Dict[bytes, int] = {}
 
-    def fitness(chrom: Tuple[int, ...]) -> int:
+    def fitness(chrom: bytes) -> int:
         cached = fitness_cache.get(chrom)
         if cached is None:
-            order = [i for i in range(n) if chrom[i]]
-            cached = sum(weights[i] for s in _first_fit_bits(order, masks, k) for i in s)
+            placed = _first_fit_bits(compress(range(n), chrom), masks, k)
+            cached = sum(weights[i] for s in placed for i in s)
             fitness_cache[chrom] = cached
         return cached
 
-    def tournament(scores: List[int]) -> Tuple[int, ...]:
+    def tournament(scores: List[int]) -> int:
         a = rng.randrange(params.population_size)
         b = rng.randrange(params.population_size)
-        return population[a] if scores[a] >= scores[b] else population[b]
+        return a if scores[a] >= scores[b] else b
 
     history: List[int] = []
     best_chrom = population[0]
@@ -308,24 +342,27 @@ def ga_allocate(
             best_chrom = population[gen_best]
         history.append(best_score)
 
+        # genes as little-endian ints, one byte per gene, for bytewise crossover
+        genes = [int.from_bytes(c, "little") for c in population]
         elites = sorted(range(len(population)), key=lambda i: -scores[i])[: params.elitism_count]
-        nxt: List[Tuple[int, ...]] = [population[i] for i in elites]
+        nxt: List[bytes] = [population[i] for i in elites]
         while len(nxt) < params.population_size:
-            p1 = tournament(scores)
-            p2 = tournament(scores)
+            g1 = genes[tournament(scores)]
+            g2 = genes[tournament(scores)]
             rho = rng.uniform(lo, hi)
-            child = [g2 if rng.random() < rho else g1 for g1, g2 in zip(p1, p2)]
+            # 0xff in every byte whose gene comes from the second parent
+            take2 = int.from_bytes(_draws_below(rng, n, rho), "little") * 255
+            child = (g1 & ~take2) | (g2 & take2)
             if rng.random() < params.chromosome_mutation_probability:
-                for i in range(n):
-                    if rng.random() < flip_rate:
-                        child[i] ^= 1
-            nxt.append(tuple(child))
+                child ^= int.from_bytes(_draws_below(rng, n, flip_rate), "little")
+            nxt.append(child.to_bytes(n, "little"))
         population = nxt
 
     if params.generations == 0:
         history.append(best_score)
-    order = [i for i in range(n) if best_chrom[i]]
-    plan = _plan_from_indices(granularity, cands, _first_fit_bits(order, masks, k), "ga")
+    plan = _plan_from_indices(
+        granularity, cands, _first_fit_bits(compress(range(n), best_chrom), masks, k), "ga"
+    )
     plan.meta["fitness_history"] = history
     plan.meta["fitness"] = best_score
     return plan

@@ -48,8 +48,8 @@ log = logging.getLogger(__name__)
 MODES = ("baseline_vc", "static_hybrid", "adaptive_hybrid")
 ALLOCATORS = ("greedy", "ga", "oracle", "plan-file")
 
-# production-scale epoching and the desk-scale stand-ins (same 200:1 ratio)
-FULL_SCALE_EPOCH_CYCLES = 200_000_000
+# desk-scale epochs; paper-scale runs set epoch_cycles = 200_000_000 (same
+# 200:1 epoch-to-period ratio)
 DESK_EPOCH_CYCLES = 100_000
 EPOCH_TO_PERIOD_RATIO = 200
 
@@ -68,7 +68,6 @@ class ExperimentConfig:
     traffic_cycles: Optional[int] = None
     epoch_cycles: Optional[int] = None
     config_period_cycles: Optional[int] = None
-    full_scale: bool = False
     seed: int = 0
     ga: GaParams = field(default_factory=GaParams)
     coeffs: EnergyCoefficients = field(default_factory=EnergyCoefficients)
@@ -78,7 +77,7 @@ class ExperimentConfig:
     def resolved_epoch_cycles(self) -> int:
         if self.epoch_cycles is not None:
             return self.epoch_cycles
-        return FULL_SCALE_EPOCH_CYCLES if self.full_scale else DESK_EPOCH_CYCLES
+        return DESK_EPOCH_CYCLES
 
     def resolved_config_period(self) -> int:
         if self.config_period_cycles is not None:
@@ -409,17 +408,6 @@ def write_run_report(path: str, result: RunResult) -> None:
         cp.write(fh)
 
 
-def write_flit_dump(path: str, records: Sequence) -> None:
-    """Optional per-flit latency dump to go with a run report."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# packet_id,flit_index,route_class,inject_cycle,eject_cycle\n")
-        for r in records:
-            fh.write(
-                f"{r.packet_id},{r.flit_index},{r.route_class},"
-                f"{r.inject_cycle},{r.eject_cycle}\n"
-            )
-
-
 def read_run_report(path: str) -> Dict[str, Dict[str, str]]:
     cp = configparser.ConfigParser()
     loaded = cp.read(path)
@@ -513,7 +501,7 @@ def _mesh_from_section(section: Mapping[str, str]) -> MeshConfig:
 # every section and key load_config reads; anything else is rejected
 _CONFIG_KEYS: Dict[str, Tuple[str, ...]] = {
     "experiment": ("mode", "allocator", "granularity", "plan_file", "epoch_cycles",
-                   "config_period_cycles", "full_scale", "seed", "label",
+                   "config_period_cycles", "seed", "label",
                    "output_dir"),
     "mesh": ("preset", "width", "height", "ni_per_router"),
     "layout": ("total_width_bits", "subnet_count", "gate_cs_buffers"),
@@ -622,7 +610,6 @@ def load_config(path: str) -> ExperimentConfig:
         traffic_cycles=traffic_cycles,
         epoch_cycles=_get_int(exp, "epoch_cycles", None),
         config_period_cycles=_get_int(exp, "config_period_cycles", None),
-        full_scale=_get_bool(exp, "full_scale", False),
         seed=_get_int(exp, "seed", 0),
         ga=ga,
         coeffs=coeffs,

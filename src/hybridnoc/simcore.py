@@ -36,6 +36,9 @@ _IDLE, _WAIT_VA, _ACTIVE = 0, 1, 2
 
 # drain barrier the reconfiguration model allows for in-flight circuits
 _RECONFIG_BARRIER_CYCLES = 1000
+# cycles a run may take to drain after its last input before the engine
+# calls it stuck
+_DRAIN_CYCLES = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -942,7 +945,19 @@ class Simulation:
                 self._step(self.cycle)
                 self.cycle += 1
 
-    def run_to_completion(self, hard_limit: int = 10_000_000) -> None:
+    def run_to_completion(self, hard_limit: Optional[int] = None) -> None:
+        """Step until no work remains; SimulationError past hard_limit.
+
+        hard_limit is an absolute cycle.  By default it lies _DRAIN_CYCLES
+        after the last packet injection or scheduled plan activation, as
+        they stand when the call starts, so a valid trace drains however
+        late its packets come.
+        """
+        if hard_limit is None:
+            last = self.trace[-1].inject_cycle if self.trace else 0
+            for activation, _ in self.plan_schedule:
+                last = max(last, activation)
+            hard_limit = last + _DRAIN_CYCLES
         while self.work_remaining():
             self._skip_idle(hard_limit)
             if self.cycle >= hard_limit:

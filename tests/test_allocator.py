@@ -24,7 +24,7 @@ from hybridnoc import (
     save_plan,
     xy_route,
 )
-from hybridnoc.allocator import _conflict_masks
+from hybridnoc.allocator import _conflict_masks, _draws_below
 
 
 def router_profile(mesh, flit_counts):
@@ -251,6 +251,18 @@ def test_ga_fitness_history_monotone():
     assert len(hist) >= 1
     assert all(b >= a for a, b in zip(hist, hist[1:]))
     assert hist[-1] == plan.meta["fitness"]
+
+
+def test_draws_below_matches_single_random_calls():
+    rng = random.Random(12)
+    for _ in range(100):
+        n = rng.randint(1, 3000)
+        seed = rng.getrandbits(32)
+        for p in (0.0, 1.0, 1 / n, 1 / 256, 255 / 256, 0.5, rng.random()):
+            block, single = random.Random(seed), random.Random(seed)
+            assert _draws_below(block, n, p) == bytes(single.random() < p for _ in range(n))
+            assert block.random() == single.random()
+    assert _draws_below(random.Random(3), 0, 0.5) == b""
 
 
 def test_ga_params_validation():

@@ -190,6 +190,14 @@ def test_missing_config_is_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_full_scale_key_is_exit_1(tmp_path, capsys):
+    # paper-scale epochs are epoch_cycles = 200000000; there is no switch
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nmode = adaptive_hybrid\nfull_scale = true\n")
+    assert main(["run", str(ini)]) == 1
+    assert "unknown key 'full_scale'" in capsys.readouterr().err
+
+
 def test_bad_mesh_is_exit_1(capsys):
     assert main(["sweep", "--mesh", "donut", "--rates", "0.1"]) == 1
 

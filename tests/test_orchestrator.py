@@ -7,7 +7,6 @@ import pytest
 
 from hybridnoc import (
     DESK_EPOCH_CYCLES,
-    FULL_SCALE_EPOCH_CYCLES,
     SUMMARY_HEADER,
     ConfigError,
     ExperimentConfig,
@@ -28,9 +27,7 @@ from hybridnoc import (
     run_experiment,
     run_static,
     save_trace,
-    simulate,
     summary_table,
-    write_flit_dump,
     write_run_report,
 )
 
@@ -265,22 +262,6 @@ def test_read_run_report_errors(tmp_path):
         read_run_report(str(bad))
 
 
-def test_write_flit_dump(tmp_path):
-    stats = simulate(
-        MESH, SubnetLayout(128, 1), VcConfig(),
-        generate(SyntheticSpec("uniform_random", 0.05), MESH, 2, 200),
-        record_flits=True,
-    )
-    path = tmp_path / "flits.csv"
-    write_flit_dump(str(path), stats.flit_records)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# packet_id,flit_index,route_class,inject_cycle,eject_cycle"
-    assert len(lines) == 1 + len(stats.flit_records)
-    first = lines[1].split(",")
-    assert len(first) == 5
-    assert first[2] == "vc"
-
-
 @pytest.mark.parametrize(
     "over",
     [
@@ -312,8 +293,6 @@ def test_epoch_and_period_defaults():
     assert cfg.resolved_epoch_cycles() == DESK_EPOCH_CYCLES
     assert cfg.resolved_config_period() == DESK_EPOCH_CYCLES // 200
     assert cfg.resolved_traffic_cycles() == 2 * DESK_EPOCH_CYCLES
-    full = dataclasses.replace(cfg, full_scale=True)
-    assert full.resolved_epoch_cycles() == FULL_SCALE_EPOCH_CYCLES
     pinned = dataclasses.replace(cfg, epoch_cycles=4000, config_period_cycles=7)
     assert pinned.resolved_epoch_cycles() == 4000
     assert pinned.resolved_config_period() == 7

@@ -286,6 +286,16 @@ def test_packets_a_million_cycles_apart_keep_the_vc_contract():
     assert stats.cycles_simulated == 1_000_000 + 5 * hops + 4 + 1
 
 
+def test_packets_past_ten_million_cycles_drain():
+    # the default drain limit counts from the last injection, not cycle 0
+    ctrl = PacketClass("control", 128)
+    trace = [TrafficEvent(0, 0, 15, ctrl, 0), TrafficEvent(11_000_000, 0, 15, ctrl, 1)]
+    stats = simulate(MESH, FULL, VC, trace)
+    hops = MESH.hop_distance(0, 15)
+    assert stats.packets_seen == 2
+    assert stats.cycles_simulated == 11_000_000 + 5 * hops + 4 + 1
+
+
 def test_cs_all_timing():
     mesh2 = MeshConfig.grid(2, 2, 2)
     stats = simulate(

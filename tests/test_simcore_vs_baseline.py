@@ -1,42 +1,15 @@
 """Differential test: the engine against the frozen copy in bench/baseline.
 
-bench/baseline/hybridnoc_baseline is the package as it was when the
-benchmark was defined.  Whatever the engine does faster, a whole run must
-still produce the same SimStats, flit records included, as that copy on
-the same inputs.  The copy is imported read-only (no bytecode written).
+Whatever the engine does faster, a whole run must still produce the same
+SimStats, flit records included, as the frozen copy on the same inputs.
 """
 
 import dataclasses
-import importlib.util
-import sys
-from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 import hybridnoc as hn
-
-_BASELINE = Path(__file__).resolve().parent.parent / "bench" / "baseline" / "hybridnoc_baseline"
-
-
-def _load_baseline():
-    name = "hybridnoc_baseline"
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.spec_from_file_location(
-        name, _BASELINE / "__init__.py", submodule_search_locations=[str(_BASELINE)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    was = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = was
-    return module
-
-
-base = _load_baseline()
+from frozen_baseline import base
 
 
 @st.composite
