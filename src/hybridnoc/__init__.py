@@ -65,14 +65,9 @@ from .simcore import (
     unloaded_latency,
 )
 from .topology import (
-    DirectedLink,
     MeshConfig,
     Path,
     TopologyError,
-    enumerate_pairs,
-    iter_links,
-    links_conflict,
-    opposite,
     xy_route,
 )
 from .traffic import (

@@ -16,6 +16,7 @@ from typing import List, Optional
 
 from .allocator import (
     AllocationError,
+    GaParams,
     enumerate_oracle,
     ga_allocate,
     greedy_allocate,
@@ -25,15 +26,19 @@ from .allocator import (
 from .energy import EnergyError
 from .orchestrator import (
     ExperimentConfig,
+    compare,
     load_config,
     read_run_report,
     rows_from_reports,
+    run_baseline,
     run_experiment,
+    run_static,
     summary_table,
+    write_run_report,
 )
 from .simcore import ConfigError, SubnetLayout, VcConfig, sweep_injection
 from .topology import MeshConfig, TopologyError
-from .traffic import PATTERNS, TraceFormatError, load_profile
+from .traffic import PATTERNS, SyntheticSpec, TraceFormatError, load_profile
 
 
 def _parse_mesh(arg: str) -> MeshConfig:
@@ -58,8 +63,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = args.output or config.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     results = run_experiment(config)
-    from .orchestrator import write_run_report
-
     for result in results:
         report_path = os.path.join(out_dir, f"{result.label}.report")
         write_run_report(report_path, result)
@@ -103,9 +106,6 @@ def _sweep_rates(args: argparse.Namespace) -> int:
 
 
 def _sweep_subnets(args: argparse.Namespace) -> int:
-    from .orchestrator import compare, run_baseline, run_static
-    from .traffic import SyntheticSpec
-
     mesh = _parse_mesh(args.mesh)
     counts = _parse_num_list(args.subnet_counts, int)
     spec = SyntheticSpec(
@@ -172,8 +172,6 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     elif args.method == "oracle":
         plan = enumerate_oracle(profile, mesh, args.subnets, args.granularity)
     else:
-        from .allocator import GaParams
-
         plan = ga_allocate(
             profile, mesh, args.subnets,
             GaParams(generations=args.generations, seed=args.seed),
@@ -267,10 +265,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (AllocationError, TopologyError, EnergyError) as exc:
+    except (ConfigError, AllocationError, TopologyError, EnergyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except TraceFormatError as exc:

@@ -477,6 +477,9 @@ def _get_bool(section: Mapping[str, str], key: str, default: bool) -> bool:
 def _mesh_from_section(section: Mapping[str, str]) -> MeshConfig:
     preset = section.get("preset")
     if preset:
+        mixed = [k for k in section if k != "preset"]
+        if mixed:
+            raise ConfigError(f"[mesh] preset cannot be combined with {', '.join(mixed)}")
         if preset == "cmp-4x4-51ni":
             return MeshConfig.cmp_4x4_51ni()
         raise ConfigError(f"unknown mesh preset {preset!r}")
@@ -558,6 +561,9 @@ def load_config(path: str) -> ExperimentConfig:
     traffic_cycles = None
     tr = cp["traffic"] if cp.has_section("traffic") else {}
     if "trace" in tr:
+        mixed = [k for k in tr if k != "trace"]
+        if mixed:
+            raise ConfigError(f"[traffic] trace cannot be combined with {', '.join(mixed)}")
         trace_path = tr["trace"]
     else:
         pattern = tr.get("pattern", "uniform_random")

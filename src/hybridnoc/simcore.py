@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .allocator import CircuitPlan, greedy_allocate, profile_granularity_for
-from .topology import EAST, MeshConfig, NORTH, SOUTH, WEST, opposite, xy_route
+from .topology import MeshConfig, xy_route
 from .traffic import SyntheticSpec, TrafficEvent, flits_for_packet, generate, profile
 
 log = logging.getLogger(__name__)
@@ -281,26 +281,26 @@ class _Packet:
 
 
 class _Circuit:
-    __slots__ = ("cid", "subnet", "src_key", "dst_key", "path", "hops",
-                 "granularity", "free_at", "queue", "ni_queues", "rr_nis", "rr_ptr")
+    """One installed circuit and the packets queued at its source NIs.
 
-    def __init__(self, cid, subnet, src_key, dst_key, path, granularity):
+    An e2e circuit has one source NI; an r2r circuit serves every NI of its
+    source router round-robin.
+    """
+
+    __slots__ = ("cid", "subnet", "hops", "lat", "free_at", "ni_queues", "rr_nis",
+                 "rr_ptr")
+
+    def __init__(self, cid, subnet, hops, lat, source_nis):
         self.cid = cid
         self.subnet = subnet            # physical subnet index (>= 1)
-        self.src_key = src_key
-        self.dst_key = dst_key
-        self.path = path
-        self.hops = path.hops
-        self.granularity = granularity
+        self.hops = hops
+        self.lat = lat                  # unloaded latency of each flit
         self.free_at = 0
-        self.queue: deque = deque()          # e2e
-        self.ni_queues: Dict[int, deque] = {}  # r2r
-        self.rr_nis: List[int] = []
+        self.rr_nis: List[int] = list(source_nis)
+        self.ni_queues: Dict[int, deque] = {ni: deque() for ni in self.rr_nis}
         self.rr_ptr = 0
 
     def has_waiting(self) -> bool:
-        if self.granularity == "e2e":
-            return bool(self.queue)
         return any(self.ni_queues.values())
 
 
@@ -388,7 +388,7 @@ class Simulation:
     def _build_geometry(self, seed: int) -> None:
         """Ports, buffers and the lookup tables the per-cycle phases read.
 
-        A router's ports are its mesh sides in E,W,N,S order, then its
+        A router's ports are its mesh neighbours in E,W,N,S order, then its
         local NIs; input and output ports share one numbering.  So the
         router and port at the far end of mesh port p of router r,
         peer[r][p], is both where an output port's flits arrive and which
@@ -396,35 +396,23 @@ class Simulation:
         """
         mesh = self.mesh
         n_routers = mesh.n_routers
-        side_port: List[Dict[str, int]] = []
+        nbrs = [mesh.neighbors(r) for r in range(n_routers)]
         self.local_port: List[int] = [0] * mesh.n_nis
-        for r in range(n_routers):
-            sides = mesh.directions_of(r)
-            side_port.append({d: i for i, d in enumerate(sides)})
-            for i, ni in enumerate(mesh.nis_of_router(r)):
-                self.local_port[ni] = len(sides) + i
         self.peer: List[List[Optional[Tuple[int, int]]]] = []
         for r in range(n_routers):
-            ports: List[Optional[Tuple[int, int]]] = []
-            for d in side_port[r]:
-                nbr = mesh.neighbor(r, d)
-                ports.append((nbr, side_port[nbr][opposite(d)]))
-            ports.extend([None] * len(mesh.nis_of_router(r)))
+            ports: List[Optional[Tuple[int, int]]] = [
+                (nbr, nbrs[nbr].index(r)) for nbr in nbrs[r]
+            ]
+            for ni in mesh.nis_of_router(r):
+                self.local_port[ni] = len(ports)
+                ports.append(None)
             self.peer.append(ports)
-        # X-Y routing: the mesh port toward each other router (X first)
-        self.route: List[List[int]] = []
-        for r in range(n_routers):
-            x, y = mesh.coords(r)
-            row = []
-            for d in range(n_routers):
-                dx, dy = mesh.coords(d)
-                if dx != x:
-                    row.append(side_port[r][EAST if dx > x else WEST])
-                elif dy != y:
-                    row.append(side_port[r][NORTH if dy > y else SOUTH])
-                else:
-                    row.append(-1)
-            self.route.append(row)
+        # X-Y routing: the mesh port toward each other router
+        self.route: List[List[int]] = [
+            [nbrs[r].index(mesh.xy_next(r, d)) if d != r else -1
+             for d in range(n_routers)]
+            for r in range(n_routers)
+        ]
 
         n_vc = self.vcc.vc_count
         depth = self.vcc.buffer_depth_flits
@@ -473,22 +461,16 @@ class Simulation:
         self.circuits = []
         self.match = {}
         mesh = self.mesh
+        e2e = plan.granularity == "e2e"
+        unit, n = ("NI", mesh.n_nis) if e2e else ("router", mesh.n_routers)
         for s, circ in plan.all_circuits():
-            if plan.granularity == "e2e":
-                if not (0 <= circ.src < mesh.n_nis and 0 <= circ.dst < mesh.n_nis):
-                    raise ConfigError(f"plan NI pair {(circ.src, circ.dst)} out of range")
-                key = (circ.src, circ.dst)
-            else:
-                if not (0 <= circ.src < mesh.n_routers and 0 <= circ.dst < mesh.n_routers):
-                    raise ConfigError(
-                        f"plan router pair {(circ.src, circ.dst)} out of range"
-                    )
-                key = (circ.src, circ.dst)
-            c = _Circuit(len(self.circuits), 1 + s, circ.src, circ.dst,
-                         circ.path, plan.granularity)
-            if plan.granularity == "r2r":
-                c.rr_nis = list(mesh.nis_of_router(circ.src))
-                c.ni_queues = {ni: deque() for ni in c.rr_nis}
+            key = (circ.src, circ.dst)
+            if not (0 <= circ.src < n and 0 <= circ.dst < n):
+                raise ConfigError(f"plan {unit} pair {key} out of range")
+            hops = circ.path.hops
+            c = _Circuit(len(self.circuits), 1 + s, hops,
+                         unloaded_latency("cs-" + plan.granularity, hops),
+                         (circ.src,) if e2e else mesh.nis_of_router(circ.src))
             self.circuits.append(c)
             self.match[key] = c
 
@@ -531,10 +513,7 @@ class Simulation:
             self.ni_queue.setdefault(pkt.src, deque()).append(pkt)
             self.busy_nis.add(pkt.src)
         else:
-            if circuit.granularity == "e2e":
-                circuit.queue.append(pkt)
-            else:
-                circuit.ni_queues[pkt.src].append(pkt)
+            circuit.ni_queues[pkt.src].append(pkt)
             self.waiting[circuit.cid] = circuit
 
     def _activate_plan(self, plan: CircuitPlan) -> None:
@@ -550,7 +529,6 @@ class Simulation:
             )
         stranded: List[_Packet] = []
         for q in self.circuits:
-            stranded.extend(q.queue)
             for dq in q.ni_queues.values():
                 stranded.extend(dq)
         self.waiting = {}
@@ -662,48 +640,32 @@ class Simulation:
             q = self.waiting[cid]
             if q.free_at > c:
                 continue
-            if q.granularity == "e2e":
-                if not q.queue:
-                    del self.waiting[cid]
-                    continue
-                ni = q.src_key
-                if self.wire_free.get((ni, q.subnet), 0) > c:
-                    continue
-                pkt = q.queue.popleft()
-                q.free_at = self._send_on_circuit(
-                    pkt, ni, q.subnet, q.hops, q.granularity, c
-                )
-                if not q.queue:
-                    del self.waiting[cid]
-            else:
-                if not q.has_waiting():
-                    del self.waiting[cid]
-                    continue
-                n_nis = len(q.rr_nis)
-                chosen = None
-                for step in range(n_nis):
-                    ni = q.rr_nis[(q.rr_ptr + step) % n_nis]
-                    if q.ni_queues[ni] and self.wire_free.get((ni, q.subnet), 0) <= c:
-                        chosen = ni
-                        q.rr_ptr = (q.rr_ptr + step + 1) % n_nis
-                        break
-                if chosen is None:
-                    continue
-                pkt = q.ni_queues[chosen].popleft()
-                q.free_at = self._send_on_circuit(
-                    pkt, chosen, q.subnet, q.hops, q.granularity, c
-                )
-                if not q.has_waiting():
-                    del self.waiting[cid]
+            if not q.has_waiting():
+                del self.waiting[cid]
+                continue
+            n_nis = len(q.rr_nis)
+            chosen = None
+            for step in range(n_nis):
+                ni = q.rr_nis[(q.rr_ptr + step) % n_nis]
+                if q.ni_queues[ni] and self.wire_free.get((ni, q.subnet), 0) <= c:
+                    chosen = ni
+                    q.rr_ptr = (q.rr_ptr + step + 1) % n_nis
+                    break
+            if chosen is None:
+                continue
+            pkt = q.ni_queues[chosen].popleft()
+            q.free_at = self._send_on_circuit(pkt, chosen, q.subnet, q.hops, q.lat, c)
+            if not q.has_waiting():
+                del self.waiting[cid]
 
     def _send_on_circuit(self, pkt: _Packet, ni: int, subnet: int, hops: int,
-                         granularity: str, c: int) -> int:
+                         lat: int, c: int) -> int:
         """Put pkt's flits on NI ni's wire back to back from cycle c.
 
-        Returns the cycle its tail flit ejects.
+        Each flit ejects lat cycles after it enters.  Returns the cycle the
+        tail flit ejects.
         """
         n = pkt.n_flits
-        lat = unloaded_latency("cs-" + granularity, hops)
         for i in range(n):
             t_in = c + i
             if t_in == c:
@@ -713,7 +675,7 @@ class Simulation:
                 self.cs_entry_ev[t_in] = self.cs_entry_ev.get(t_in, 0) + 1
             self.cs_eject_ev.setdefault(t_in + lat, []).append(
                 (pkt.pid, i, pkt.src, pkt.dst, pkt.created, t_in, subnet,
-                 hops, granularity, i == n - 1)
+                 hops, lat, i == n - 1)
             )
         self.wire_free[(ni, subnet)] = c + n
         return c + n - 1 + lat
@@ -731,7 +693,9 @@ class Simulation:
             queue.popleft()
             if not queue:
                 del self.pending_cs_all[ni]
-            done = self._send_on_circuit(pkt, ni, 0, pkt.hops, "e2e", c)
+            done = self._send_on_circuit(
+                pkt, ni, 0, pkt.hops, unloaded_latency("cs-e2e", pkt.hops), c
+            )
             self.release_ev.setdefault(done, []).append(pkt.resources)
 
     def _phase_va(self, c: int) -> None:
@@ -864,7 +828,7 @@ class Simulation:
                 st.flit_records.append(
                     FlitRecord(flit.pid, flit.idx, flit.entered, c, "vc", flit.hops)
                 )
-        for (pid, idx, src, dst, created, entered, subnet, hops, gran,
+        for (pid, idx, src, dst, created, entered, subnet, hops, lat,
              is_tail) in self.cs_eject_ev.pop(c, ()):
             self._check_order(pid, idx, is_tail)
             self.cs_in_flight -= 1
@@ -873,9 +837,7 @@ class Simulation:
             st.cs_flits_per_subnet[subnet] += 1
             st.crossbar_traversals[subnet] += hops + 1
             st.link_traversals[subnet] += hops
-            kind = "cs-e2e" if gran == "e2e" else "cs-r2r"
-            self._record_latency("cs", created, entered, c,
-                                 unloaded_latency(kind, hops))
+            self._record_latency("cs", created, entered, c, lat)
             self.pair_flits[(src, dst)] = self.pair_flits.get((src, dst), 0) + 1
             if self.record_flits:
                 st.flit_records.append(

@@ -1,33 +1,21 @@
-"""Mesh geometry, deterministic X-Y routing and path conflict tests.
+"""Mesh geometry and deterministic X-Y routing.
 
-Routers live on a W x H grid addressed either by id (row-major) or by
-(x, y) coordinate.  Every network interface (NI) attaches to exactly one
-router; routers may host several NIs.  Links are directed: the east and
-west channels between two neighbouring routers are distinct resources.
+Routers live on a W x H grid with row-major ids; coords(r) gives the
+(x, y) position, y growing northward.  Every network interface (NI)
+attaches to exactly one router; routers may host several NIs.  Links are
+directed (src, dst) router pairs: the two channels between neighbouring
+routers are distinct resources.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Optional, Tuple
-
-EAST = "E"
-WEST = "W"
-NORTH = "N"
-SOUTH = "S"
-
-# unit steps in (x, y); y grows northward
-_STEP = {EAST: (1, 0), WEST: (-1, 0), NORTH: (0, 1), SOUTH: (0, -1)}
-_OPPOSITE = {EAST: WEST, WEST: EAST, NORTH: SOUTH, SOUTH: NORTH}
+from typing import Optional, Tuple
 
 
 class TopologyError(ValueError):
     """Malformed mesh parameters or out-of-range endpoints."""
-
-
-def opposite(direction: str) -> str:
-    return _OPPOSITE[direction]
 
 
 @dataclass(frozen=True)
@@ -98,11 +86,6 @@ class MeshConfig:
             raise TopologyError(f"router {router} out of range")
         return router % self.width, router // self.width
 
-    def router_at(self, x: int, y: int) -> int:
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise TopologyError(f"coordinate ({x},{y}) out of range")
-        return y * self.width + x
-
     def router_of_ni(self, ni: int) -> int:
         routers = self._ni_router  # type: ignore[attr-defined]
         if not 0 <= ni < len(routers):
@@ -115,17 +98,33 @@ class MeshConfig:
             raise TopologyError(f"router {router} out of range")
         return range(starts[router], starts[router + 1])
 
-    def neighbor(self, router: int, direction: str) -> Optional[int]:
-        x, y = self.coords(router)
-        dx, dy = _STEP[direction]
-        nx, ny = x + dx, y + dy
-        if 0 <= nx < self.width and 0 <= ny < self.height:
-            return self.router_at(nx, ny)
-        return None
+    def neighbors(self, router: int) -> Tuple[int, ...]:
+        """Adjacent routers in fixed E, W, N, S order (y grows northward).
 
-    def directions_of(self, router: int) -> List[str]:
-        """Mesh sides present on this router, in fixed E,W,N,S order."""
-        return [d for d in (EAST, WEST, NORTH, SOUTH) if self.neighbor(router, d) is not None]
+        A router's mesh port p leads to neighbors(router)[p].
+        """
+        x, y = self.coords(router)
+        w = self.width
+        out = []
+        if x + 1 < w:
+            out.append(router + 1)
+        if x > 0:
+            out.append(router - 1)
+        if y + 1 < self.height:
+            out.append(router + w)
+        if y > 0:
+            out.append(router - w)
+        return tuple(out)
+
+    def xy_next(self, router: int, dst_router: int) -> int:
+        """Next router on the X-Y route to dst_router: X first, then Y."""
+        x, y = self.coords(router)
+        dx, dy = self.coords(dst_router)
+        if dx != x:
+            return router + 1 if dx > x else router - 1
+        if dy != y:
+            return router + self.width if dy > y else router - self.width
+        raise TopologyError(f"router {router} is the destination itself")
 
     def hop_distance(self, router_a: int, router_b: int) -> int:
         xa, ya = self.coords(router_a)
@@ -134,25 +133,12 @@ class MeshConfig:
 
 
 @dataclass(frozen=True)
-class DirectedLink:
-    """One direction of a physical channel between adjacent routers."""
-
-    src_router: int
-    dst_router: int
-    direction: str
-
-    def __post_init__(self) -> None:
-        if self.src_router == self.dst_router:
-            raise TopologyError("a link cannot loop back to its own router")
-
-
-@dataclass(frozen=True)
 class Path:
-    """An X-Y route through the mesh as an ordered tuple of directed links."""
+    """An X-Y route as an ordered tuple of directed (src, dst) router links."""
 
     src_router: int
     dst_router: int
-    links: Tuple[DirectedLink, ...]
+    links: Tuple[Tuple[int, int], ...]
 
     @property
     def hops(self) -> int:
@@ -160,10 +146,7 @@ class Path:
 
     @cached_property
     def link_set(self) -> frozenset:
-        return frozenset((l.src_router, l.dst_router) for l in self.links)
-
-    def routers(self) -> List[int]:
-        return [self.src_router] + [l.dst_router for l in self.links]
+        return frozenset(self.links)
 
 
 def xy_route(mesh: MeshConfig, src_router: int, dst_router: int) -> Path:
@@ -174,51 +157,10 @@ def xy_route(mesh: MeshConfig, src_router: int, dst_router: int) -> Path:
     """
     if src_router == dst_router:
         raise TopologyError("no path between a router and itself")
-    sx, sy = mesh.coords(src_router)
-    dx, dy = mesh.coords(dst_router)
-    links: List[DirectedLink] = []
-    x, y = sx, sy
-    while x != dx:
-        step = EAST if dx > x else WEST
-        nxt = mesh.router_at(x + _STEP[step][0], y)
-        links.append(DirectedLink(mesh.router_at(x, y), nxt, step))
-        x += _STEP[step][0]
-    while y != dy:
-        step = NORTH if dy > y else SOUTH
-        nxt = mesh.router_at(x, y + _STEP[step][1])
-        links.append(DirectedLink(mesh.router_at(x, y), nxt, step))
-        y += _STEP[step][1]
+    links = []
+    r = src_router
+    while r != dst_router:
+        nxt = mesh.xy_next(r, dst_router)
+        links.append((r, nxt))
+        r = nxt
     return Path(src_router, dst_router, tuple(links))
-
-
-def enumerate_pairs(mesh: MeshConfig, granularity: str) -> List[Tuple[int, int]]:
-    """All ordered distinct endpoint pairs at NI or router granularity."""
-    if granularity == "ni":
-        n = mesh.n_nis
-    elif granularity == "router":
-        n = mesh.n_routers
-    else:
-        raise TopologyError(f"unknown granularity {granularity!r}")
-    return [(a, b) for a in range(n) for b in range(n) if a != b]
-
-
-def links_conflict(a: Path, b: Path, endpoint_ports: bool = False) -> bool:
-    """True when two paths cannot share one circuit-switched subnet.
-
-    Sharing any directed link is always a conflict.  With endpoint_ports
-    set (router-granularity circuits) a shared source router or a shared
-    destination router also conflicts, because each router exposes a
-    single injection and a single ejection port per CS subnet.
-    """
-    if a.link_set & b.link_set:
-        return True
-    if endpoint_ports and (a.src_router == b.src_router or a.dst_router == b.dst_router):
-        return True
-    return False
-
-
-def iter_links(mesh: MeshConfig) -> Iterator[DirectedLink]:
-    """Every directed mesh link, row-major by source router."""
-    for r in range(mesh.n_routers):
-        for d in mesh.directions_of(r):
-            yield DirectedLink(r, mesh.neighbor(r, d), d)  # type: ignore[arg-type]

@@ -286,12 +286,6 @@ class TrafficProfile:
         if self.granularity not in ("ni", "router"):
             raise ValueError(f"unknown granularity {self.granularity!r}")
 
-    def weight(self, pair: Tuple[int, int]) -> int:
-        return self.entries[pair].weight
-
-    def total_flits(self) -> int:
-        return sum(e.flit_count for e in self.entries.values())
-
     def sorted_pairs(self) -> List[Tuple[int, int]]:
         """Pairs by descending weight, ties by ascending (src, dst)."""
         return sorted(self.entries, key=lambda p: (-self.entries[p].weight, p))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conflict_reference import links_conflict
 from hybridnoc import (
     AllocationError,
     CandidatePair,
@@ -17,7 +18,6 @@ from hybridnoc import (
     enumerate_oracle,
     ga_allocate,
     greedy_allocate,
-    links_conflict,
     load_plan,
     plan_weight,
     profile_granularity_for,

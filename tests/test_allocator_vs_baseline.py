@@ -53,7 +53,7 @@ def traps(draw, mesh, min_rows=0):
     and its result then hangs on its draws.
     """
     counts = {}
-    ni = lambda x, y: mesh.nis_of_router(mesh.router_at(x, y))[0]
+    ni = lambda x, y: mesh.nis_of_router(y * mesh.width + x)[0]
     rows = st.lists(st.integers(0, mesh.height - 1), min_size=min_rows, max_size=3, unique=True)
     for y in draw(rows) if mesh.width >= 3 else ():
         x0 = draw(st.integers(0, mesh.width - 3))

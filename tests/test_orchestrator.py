@@ -369,6 +369,22 @@ def test_load_config_errors(tmp_path):
     bad.write_text("[experiment]\nmode = static_hybrid\n[mesh]\nwidth = x\n")
     with pytest.raises(ConfigError):
         load_config(str(bad))
+    # one mesh source and one traffic source: a preset or a grid, a trace or
+    # a generator, never both
+    bad.write_text(
+        "[experiment]\nmode = static_hybrid\n"
+        "[mesh]\npreset = cmp-4x4-51ni\nwidth = 8\nheight = 8\n"
+    )
+    with pytest.raises(ConfigError, match="preset cannot be combined with width, height"):
+        load_config(str(bad))
+    bad.write_text(
+        "[experiment]\nmode = static_hybrid\n"
+        "[traffic]\ntrace = t.csv\npattern = hotspot\ninjection_rate = 0.3\ncycles = 5\n"
+    )
+    with pytest.raises(
+        ConfigError, match="trace cannot be combined with pattern, injection_rate, cycles"
+    ):
+        load_config(str(bad))
     # sections the loader does not read are rejected, not ignored
     for text in ("[experiment]\nmode = static_hybrid\n[router]\nstages = 4\n",
                  "[DEFAULT]\nseed = 3\n[experiment]\nmode = static_hybrid\n"):
@@ -408,3 +424,31 @@ def test_two_phase_trace_recovers(tmp_path):
     assert fresh & new_hot
     assert epochs[2].stats.percent_in_circuit() < 20.0
     assert epochs[3].stats.percent_in_circuit() > 50.0
+
+
+def test_sparse_trace_drains_through_adaptive_epochs(tmp_path):
+    # three packets 15M cycles apart under 10M-cycle epochs: the last one
+    # comes 31M cycles in, far past any fixed drain allowance from cycle 0
+    trace_file = tmp_path / "sparse.csv"
+    trace_file.write_text(
+        "# c,s,d,k\n0,0,15,data\n15000000,0,15,data\n31000000,3,12,control\n"
+    )
+    cfg = make_config(
+        mode="adaptive_hybrid", layout=SubnetLayout(128, 4),
+        traffic_spec=None, trace_path=str(trace_file), traffic_cycles=None,
+        epoch_cycles=10_000_000, label="sparse",
+    )
+    epochs = run_adaptive(cfg)
+    assert len(epochs) == 4
+    carried = 0
+    for er in epochs:
+        st = er.stats
+        assert st.cycles_simulated > 0
+        assert carried + st.flits_injected - st.flits_ejected == st.in_flight
+        carried = st.in_flight
+    assert carried == 0
+    # two 640-bit packets and one 128-bit one at the 32-bit subnet width
+    assert sum(er.stats.flits_ejected for er in epochs) == 20 + 20 + 4
+    # epoch 1 runs the circuit planned from epoch 0's packet
+    assert (0, 15) in epochs[1].plan.pair_index()
+    assert epochs[1].stats.in_circuit_flits == 20

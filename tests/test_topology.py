@@ -1,21 +1,32 @@
 """Mesh geometry and X-Y routing checks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hybridnoc import (
-    DirectedLink,
-    MeshConfig,
-    TopologyError,
-    enumerate_pairs,
-    iter_links,
-    links_conflict,
-    opposite,
-    xy_route,
-)
+from conflict_reference import links_conflict
+from hybridnoc import MeshConfig, TopologyError, xy_route
+
+# unit steps in E, W, N, S order; y grows northward
+_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+grids = st.builds(MeshConfig.grid, st.integers(1, 6), st.integers(1, 6))
 
 
-def directions(path):
-    return [l.direction for l in path.links]
+def router(m, x, y):
+    return y * m.width + x
+
+
+def walk(m, a, b):
+    """Routers an X-Y route visits, stepped on coordinates alone."""
+    (x, y), (bx, by) = m.coords(a), m.coords(b)
+    seq = [(x, y)]
+    while x != bx:
+        x += 1 if bx > x else -1
+        seq.append((x, y))
+    while y != by:
+        y += 1 if by > y else -1
+        seq.append((x, y))
+    return [router(m, *xy) for xy in seq]
 
 
 def test_grid_shape():
@@ -24,38 +35,44 @@ def test_grid_shape():
     assert m.n_nis == 16
     assert m.coords(0) == (0, 0)
     assert m.coords(5) == (1, 1)
-    assert m.router_at(3, 2) == 11
-    # row-major ids round trip through coords
+    assert m.coords(11) == (3, 2)
+    # ids are row-major
     for r in range(m.n_routers):
-        assert m.router_at(*m.coords(r)) == r
+        assert router(m, *m.coords(r)) == r
 
 
 def test_xy_route_examples():
     m = MeshConfig.grid(4, 4)
-    assert directions(xy_route(m, 0, 3)) == ["E", "E", "E"]
-    assert directions(xy_route(m, 5, 11)) == ["E", "E", "N"]
+    assert xy_route(m, 0, 3).links == ((0, 1), (1, 2), (2, 3))
+    assert xy_route(m, 5, 11).links == ((5, 6), (6, 7), (7, 11))
     # X is exhausted before Y on the way back too
     p = xy_route(m, 14, 0)
     assert p.hops == 5
-    assert directions(p) == ["W", "W", "S", "S", "S"]
-    assert p.routers()[0] == 14 and p.routers()[-1] == 0
+    assert p.links == ((14, 13), (13, 12), (12, 8), (8, 4), (4, 0))
+    assert p.link_set == frozenset(p.links)
 
 
-def test_xy_route_is_x_then_y_everywhere():
-    m = MeshConfig.grid(4, 3)
-    for a, b in enumerate_pairs(m, "router"):
-        p = xy_route(m, a, b)
-        assert p.hops == m.hop_distance(a, b)
-        dirs = directions(p)
-        seen_y = False
-        for d in dirs:
-            if d in ("N", "S"):
-                seen_y = True
-            else:
-                assert not seen_y, f"X step after Y step on {a}->{b}"
-        # links chain up: each hop starts where the previous ended
-        for prev, nxt in zip(p.links, p.links[1:]):
-            assert prev.dst_router == nxt.src_router
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(grids)
+def test_xy_route_is_x_then_y_everywhere(m):
+    for a in range(m.n_routers):
+        for b in range(m.n_routers):
+            if a == b:
+                continue
+            p = xy_route(m, a, b)
+            assert p.hops == m.hop_distance(a, b)
+            assert p.links[0][0] == a and p.links[-1][1] == b
+            seen_y = False
+            for src, dst in p.links:
+                # every link joins two routers adjacent in both directions
+                assert dst in m.neighbors(src) and src in m.neighbors(dst)
+                if m.coords(src)[0] == m.coords(dst)[0]:
+                    seen_y = True
+                else:
+                    assert not seen_y, f"X step after Y step on {a}->{b}"
+            # links chain up: each hop starts where the previous ended
+            for prev, nxt in zip(p.links, p.links[1:]):
+                assert prev[1] == nxt[0]
 
 
 def test_xy_route_determinism_and_errors():
@@ -69,21 +86,10 @@ def test_xy_route_determinism_and_errors():
 
 def test_hop_distance_symmetric():
     m = MeshConfig.grid(5, 2)
-    for a, b in enumerate_pairs(m, "router"):
-        assert m.hop_distance(a, b) == m.hop_distance(b, a)
+    for a in range(m.n_routers):
         assert m.hop_distance(a, a) == 0
-
-
-def test_enumerate_pairs_counts():
-    assert len(enumerate_pairs(MeshConfig.grid(4, 4), "ni")) == 240
-    assert len(enumerate_pairs(MeshConfig.grid(4, 4), "router")) == 240
-    assert len(enumerate_pairs(MeshConfig.cmp_4x4_51ni(), "ni")) == 2550
-    assert len(enumerate_pairs(MeshConfig.grid(1, 1), "ni")) == 0
-    pairs = enumerate_pairs(MeshConfig.grid(2, 3), "router")
-    assert len(pairs) == 30
-    assert all(a != b for a, b in pairs)
-    with pytest.raises(TopologyError):
-        enumerate_pairs(MeshConfig.grid(2, 2), "core")
+        for b in range(m.n_routers):
+            assert m.hop_distance(a, b) == m.hop_distance(b, a)
 
 
 def test_links_conflict_crossing_diagonals():
@@ -118,16 +124,18 @@ def test_links_conflict_endpoint_ports():
 
 
 def test_links_conflict_matches_set_intersection():
-    # independent oracle: walk both paths and intersect the directed edges
+    # independent oracle: walk both routes on coordinates and intersect
+    # the directed edges
     m = MeshConfig.grid(4, 4)
-    pairs = enumerate_pairs(m, "router")
+    pairs = [(a, b) for a in range(16) for b in range(16) if a != b]
     sample = pairs[::7]
     for a_src, a_dst in sample[:20]:
         for b_src, b_dst in sample[20:40]:
             a = xy_route(m, a_src, a_dst)
             b = xy_route(m, b_src, b_dst)
-            edges_a = {(l.src_router, l.dst_router) for l in a.links}
-            edges_b = {(l.src_router, l.dst_router) for l in b.links}
+            seq_a, seq_b = walk(m, a_src, a_dst), walk(m, b_src, b_dst)
+            edges_a = set(zip(seq_a, seq_a[1:]))
+            edges_b = set(zip(seq_b, seq_b[1:]))
             assert links_conflict(a, b) == bool(edges_a & edges_b)
 
 
@@ -139,24 +147,41 @@ def test_links_conflict_reflexive_and_symmetric():
     assert links_conflict(a, b) == links_conflict(b, a)
 
 
-def test_iter_links_count():
+def test_neighbors_count_directed_links():
     # 2 * (W*(H-1) + H*(W-1)) directed links on a W x H mesh
-    for w, h in [(2, 2), (4, 4), (3, 2), (1, 4)]:
+    for w, h in [(1, 1), (2, 2), (4, 4), (3, 2), (1, 4)]:
         m = MeshConfig.grid(w, h)
-        links = list(iter_links(m))
+        links = [(r, n) for r in range(m.n_routers) for n in m.neighbors(r)]
         assert len(links) == 2 * (w * (h - 1) + h * (w - 1))
         assert len(set(links)) == len(links)
 
 
-def test_neighbor_edges_and_opposite():
+def test_neighbors_in_e_w_n_s_order():
     m = MeshConfig.grid(3, 3)
-    assert m.neighbor(0, "W") is None
-    assert m.neighbor(0, "S") is None
-    assert m.neighbor(0, "E") == 1
-    assert m.neighbor(0, "N") == 3
-    assert m.directions_of(4) == ["E", "W", "N", "S"]
-    for d in ("E", "W", "N", "S"):
-        assert opposite(opposite(d)) == d
+    # corners
+    assert m.neighbors(0) == (1, 3)
+    assert m.neighbors(2) == (1, 5)
+    assert m.neighbors(6) == (7, 3)
+    assert m.neighbors(8) == (7, 5)
+    # edges
+    assert m.neighbors(1) == (2, 0, 4)
+    assert m.neighbors(3) == (4, 6, 0)
+    assert m.neighbors(5) == (4, 8, 2)
+    assert m.neighbors(7) == (8, 6, 4)
+    # interior
+    assert m.neighbors(4) == (5, 3, 7, 1)
+    # every router of other shapes: the unit steps that stay on the mesh,
+    # in E, W, N, S order, and adjacency goes both ways
+    for w, h in [(1, 1), (1, 4), (4, 1), (2, 2), (5, 3)]:
+        m = MeshConfig.grid(w, h)
+        for r in range(m.n_routers):
+            x, y = m.coords(r)
+            expect = tuple(
+                router(m, x + dx, y + dy) for dx, dy in _STEPS
+                if 0 <= x + dx < w and 0 <= y + dy < h
+            )
+            assert m.neighbors(r) == expect
+            assert all(r in m.neighbors(n) for n in expect)
 
 
 def test_nis_of_router_partition():
@@ -193,6 +218,8 @@ def test_validation_errors():
     with pytest.raises(TopologyError):
         m.coords(-1)
     with pytest.raises(TopologyError):
-        m.router_at(2, 0)
+        m.neighbors(4)
     with pytest.raises(TopologyError):
-        DirectedLink(1, 1, "E")
+        m.xy_next(1, 1)
+    with pytest.raises(TopologyError):
+        m.xy_next(0, 4)

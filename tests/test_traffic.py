@@ -241,7 +241,7 @@ def test_profile_weights():
     assert entry.flit_count == 15  # 3 packets x 5 flits at 128 bits
     assert entry.hop_count == 2
     assert entry.weight == 30
-    assert prof.total_flits() == 15
+    assert sum(e.flit_count for e in prof.entries.values()) == 15
 
 
 def test_profile_router_granularity_merges_nis():
