@@ -21,6 +21,7 @@ time) and packets sharing an NI wire serialize flit by flit.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -248,15 +249,28 @@ class _Flit:
 
 
 class _InVC:
-    __slots__ = ("buf", "state", "out_port", "out_vc", "reserved", "va_ready")
+    """One input VC: its buffer and the route and VC its head flit won.
 
-    def __init__(self):
+    router, canon (the VC's place p * vc_count + v on its router's SA ring)
+    and upstream (the (router, port, vc) its credits return to, None at a
+    local port) are fixed; down is the downstream input VC VA reserved, None
+    while idle or when the out port ejects.
+    """
+
+    __slots__ = ("buf", "state", "out_port", "out_vc", "down", "reserved",
+                 "va_ready", "router", "canon", "upstream")
+
+    def __init__(self, router, canon, upstream):
         self.buf: deque = deque()
         self.state = _IDLE
         self.out_port = -1
         self.out_vc = -1
+        self.down: Optional[_InVC] = None
         self.reserved = False
         self.va_ready = 0
+        self.router = router
+        self.canon = canon
+        self.upstream = upstream
 
 
 class _Packet:
@@ -417,7 +431,10 @@ class Simulation:
         n_vc = self.vcc.vc_count
         depth = self.vcc.buffer_depth_flits
         self.invc: List[List[List[_InVC]]] = [
-            [[_InVC() for _ in range(n_vc)] for _ in ports] for ports in self.peer
+            [[_InVC(r, p * n_vc + v, None if far is None else far + (v,))
+              for v in range(n_vc)]
+             for p, far in enumerate(ports)]
+            for r, ports in enumerate(self.peer)
         ]
         self.credits: List[List[Optional[List[int]]]] = [
             [[depth] * n_vc if far is not None else None for far in ports]
@@ -427,10 +444,9 @@ class Simulation:
         self.sa_rr: List[List[int]] = [[rr0] * len(ports) for ports in self.peer]
         # the round-robin ring of an output port covers every input VC
         self.sa_ring: List[int] = [len(ports) * n_vc for ports in self.peer]
-        self.va_pending: List[Tuple[int, int, int, _InVC]] = []
-        self.sa_active: List[Dict[Tuple[int, int], _InVC]] = [
-            {} for _ in range(n_routers)
-        ]
+        self.va_pending: List[_InVC] = []
+        # per router, its VCs holding a routed packet, keyed by ring place
+        self.sa_active: List[Dict[int, _InVC]] = [{} for _ in range(n_routers)]
         # routers with an entry in sa_active
         self.busy_routers: set = set()
 
@@ -516,8 +532,7 @@ class Simulation:
             circuit.ni_queues[pkt.src].append(pkt)
             self.waiting[circuit.cid] = circuit
 
-    def _activate_plan(self, plan: CircuitPlan) -> None:
-        c = self.cycle
+    def _activate_plan(self, plan: CircuitPlan, c: int) -> None:
         drain_end = c
         for q in self.circuits:
             if q.free_at > drain_end:
@@ -531,7 +546,7 @@ class Simulation:
         for q in self.circuits:
             for dq in q.ni_queues.values():
                 stranded.extend(dq)
-        self.waiting = {}
+        self.waiting.clear()
         self._install_plan(plan)
         for q in self.circuits:
             q.free_at = drain_end
@@ -543,56 +558,75 @@ class Simulation:
                 self.ni_queue[ni] = deque(sorted(dq, key=lambda p: (p.created, p.pid)))
 
     # --- per-cycle phases --------------------------------------------------
+    #
+    # _drive calls each phase only in a cycle where it has work.
 
     def _phase_intake(self, c: int) -> None:
         while self.plan_schedule and self.plan_schedule[0][0] == c:
             _, plan = self.plan_schedule.pop(0)
-            self._activate_plan(plan)
+            self._activate_plan(plan, c)
         trace = self.trace
         n = len(trace)
         while self.trace_ptr < n and trace[self.trace_ptr].inject_cycle == c:
             self._intake(trace[self.trace_ptr])
             self.trace_ptr += 1
 
-    def _phase_events(self, c: int) -> None:
-        for keys in self.release_ev.pop(c, ()):
-            self.busy_resources.difference_update(keys)
-        for r, p, v in self.credit_ev.pop(c, ()):
-            self.credits[r][p][v] += 1
-        entered = self.cs_entry_ev.pop(c, 0)
-        if entered:
-            self.stats.flits_injected += entered
-            self.cs_in_flight += entered
-        for r, p, v, flit in self.arrival_ev.pop(c, ()):
-            self._buffer_write(r, p, v, flit, c)
+    def _next_intake(self) -> float:
+        """Cycle of the next packet injection or plan activation, or inf."""
+        nxt = math.inf
+        if self.trace_ptr < len(self.trace):
+            nxt = self.trace[self.trace_ptr].inject_cycle
+        if self.plan_schedule and self.plan_schedule[0][0] < nxt:
+            nxt = self.plan_schedule[0][0]
+        return nxt
 
-    def _buffer_write(self, r: int, p: int, v: int, flit: _Flit, c: int) -> None:
-        ivc = self.invc[r][p][v]
-        ivc.buf.append(flit)
-        occ = len(ivc.buf)
-        if occ > self.stats.max_vc_occupancy:
-            self.stats.max_vc_occupancy = occ
-        if occ > self.vcc.buffer_depth_flits:
-            raise SimulationError("VC buffer overflow; credit accounting broke")
-        self.stats.buffer_writes[0] += 1
-        flit.ready_sa = c + 2
-        if flit.is_head:
-            ivc.state = _WAIT_VA
-            ivc.va_ready = c + 1
-            ivc.out_port = self._route_port(r, flit)
-            self.va_pending.append((r, p, v, ivc))
-            self.sa_active[r][(p, v)] = ivc
-            self.busy_routers.add(r)
+    def _buffer_write(self, writes: List[Tuple[_InVC, _Flit]], c: int) -> None:
+        """Write flits into input VCs: this cycle's arrivals, then injections.
 
-    def _route_port(self, r: int, flit: _Flit) -> int:
-        if r == flit.dst_router:
-            return self.local_port[flit.dst]
-        return self.route[r][flit.dst_router]
-
-    def _phase_vc_injection(self, c: int) -> None:
+        A head flit routes and queues for VA; every flit may bid for the
+        switch two cycles on.
+        """
+        st = self.stats
         depth = self.vcc.buffer_depth_flits
+        max_occ = st.max_vc_occupancy
+        ready = c + 2
+        local_port = self.local_port
+        route = self.route
+        va_pending = self.va_pending
+        sa_active = self.sa_active
+        busy_routers = self.busy_routers
+        for ivc, flit in writes:
+            buf = ivc.buf
+            buf.append(flit)
+            occ = len(buf)
+            if occ > depth:
+                raise SimulationError("VC buffer overflow; credit accounting broke")
+            if occ > max_occ:
+                max_occ = occ
+            flit.ready_sa = ready
+            if flit.is_head:
+                r = ivc.router
+                ivc.state = _WAIT_VA
+                ivc.va_ready = c + 1
+                dst_r = flit.dst_router
+                ivc.out_port = local_port[flit.dst] if r == dst_r else route[r][dst_r]
+                va_pending.append(ivc)
+                sa_active[r][ivc.canon] = ivc
+                busy_routers.add(r)
+        st.max_vc_occupancy = max_occ
+        st.buffer_writes[0] += len(writes)
+
+    def _phase_vc_injection(self, c: int, writes: List[Tuple[_InVC, _Flit]]) -> None:
+        """Each busy NI puts at most one flit into its VC; adds it to writes.
+
+        The write can wait for _buffer_write because an NI's VCs sit at its
+        own local port, which no arrival and no other NI writes.
+        """
+        depth = self.vcc.buffer_depth_flits
+        ni_cur = self.ni_cur
+        injected = 0
         for ni in sorted(self.busy_nis):
-            cur = self.ni_cur.get(ni)
+            cur = ni_cur.get(ni)
             queue = self.ni_queue[ni]
             if cur is None:
                 pkt = queue[0]
@@ -601,12 +635,12 @@ class Simulation:
                 v = self._free_vc(r, p, pkt.vnet)
                 if v < 0:
                     continue
-                self.invc[r][p][v].reserved = True
+                ivc = self.invc[r][p][v]
+                ivc.reserved = True
                 queue.popleft()
-                cur = [pkt, r, p, v, 0]
-                self.ni_cur[ni] = cur
-            pkt, r, p, v, idx = cur
-            ivc = self.invc[r][p][v]
+                cur = [pkt, ivc, 0]
+                ni_cur[ni] = cur
+            pkt, ivc, idx = cur
             if len(ivc.buf) >= depth:
                 continue
             flit = _Flit(
@@ -614,13 +648,14 @@ class Simulation:
                 pkt.dst_router, pkt.vnet, pkt.created, pkt.hops,
             )
             flit.entered = c
-            self.stats.flits_injected += 1
-            self._buffer_write(r, p, v, flit, c)
-            cur[4] = idx + 1
-            if cur[4] == pkt.n_flits:
-                del self.ni_cur[ni]
+            writes.append((ivc, flit))
+            injected += 1
+            cur[2] = idx + 1
+            if cur[2] == pkt.n_flits:
+                del ni_cur[ni]
                 if not queue:
                     self.busy_nis.discard(ni)
+        self.stats.flits_injected += injected
 
     def _free_vc(self, r: int, p: int, vnet: int) -> int:
         """Index of the first free VC of vnet at input port p, or -1."""
@@ -699,213 +734,265 @@ class Simulation:
             self.release_ev.setdefault(done, []).append(pkt.resources)
 
     def _phase_va(self, c: int) -> None:
-        still: List[Tuple[int, int, int, _InVC]] = []
-        for r, p, v, ivc in self.va_pending:
+        still: List[_InVC] = []
+        peer = self.peer
+        allocated = 0
+        for ivc in self.va_pending:
             if ivc.va_ready > c:
-                still.append((r, p, v, ivc))
+                still.append(ivc)
                 continue
-            far = self.peer[r][ivc.out_port]
-            if far is None:
-                ivc.out_vc = -1
-                ivc.state = _ACTIVE
-                self.stats.vc_allocations += 1
-                continue
-            nbr, p2 = far
-            head: _Flit = ivc.buf[0]
-            target = self._free_vc(nbr, p2, head.vnet)
-            if target < 0:
-                still.append((r, p, v, ivc))
-                continue
-            self.invc[nbr][p2][target].reserved = True
-            ivc.out_vc = target
+            far = peer[ivc.router][ivc.out_port]
+            if far is not None:
+                nbr, p2 = far
+                target = self._free_vc(nbr, p2, ivc.buf[0].vnet)
+                if target < 0:
+                    still.append(ivc)
+                    continue
+                down = self.invc[nbr][p2][target]
+                down.reserved = True
+                ivc.out_vc = target
+                ivc.down = down
             ivc.state = _ACTIVE
-            self.stats.vc_allocations += 1
+            allocated += 1
         self.va_pending = still
+        self.stats.vc_allocations += allocated
 
     def _phase_sa(self, c: int) -> None:
         """Separable, output-first switch allocation with round-robin.
 
         Each output port grants the requesting VC nearest after its pointer
         on the ring of all input VCs, skipping input ports that already won
-        this cycle; output ports go in ascending order.
+        this cycle; output ports go in ascending order.  A lone request
+        wins under that rule, so only routers with two or more arbitrate.
+        A winner sends its head flit: across the link to the VC that VA
+        reserved (3 cycles) or out to its NI (2 cycles), and returns a
+        credit upstream (2 cycles).
         """
         n_vc = self.vcc.vc_count
-        for r in sorted(self.busy_routers):
-            credits = self.credits[r]
-            requests: Dict[int, List[Tuple[int, int, int, _InVC]]] = {}
-            for (p, v), ivc in self.sa_active[r].items():
-                if ivc.state != _ACTIVE or not ivc.buf:
+        all_credits = self.credits
+        sa_active = self.sa_active
+        busy_routers = self.busy_routers
+        arrivals: List[Tuple[_InVC, _Flit]] = []
+        ejects: List[_Flit] = []
+        returns: List[Tuple[int, int, int]] = []
+        for r in sorted(busy_routers):
+            credits = all_credits[r]
+            active = sa_active[r]
+            requests = []
+            for ivc in active.values():
+                if ivc.state != _ACTIVE:
                     continue
-                head: _Flit = ivc.buf[0]
-                if head.ready_sa > c:
+                buf = ivc.buf
+                if not buf or buf[0].ready_sa > c:
                     continue
                 credit = credits[ivc.out_port]
-                if credit is not None and credit[ivc.out_vc] <= 0:
-                    continue
-                requests.setdefault(ivc.out_port, []).append((p * n_vc + v, p, v, ivc))
+                if credit is None or credit[ivc.out_vc] > 0:
+                    requests.append(ivc)
             if not requests:
                 continue
             ring = self.sa_ring[r]
             rr = self.sa_rr[r]
-            used_inputs: set = set()
-            for out_p in sorted(requests):
-                ptr = rr[out_p]
-                winner = None
-                nearest = ring
-                for t in requests[out_p]:
-                    if t[1] in used_inputs:
-                        continue
-                    dist = (t[0] - ptr) % ring
-                    if dist < nearest:
-                        winner, nearest = t, dist
-                if winner is None:
-                    continue
-                canon, p, v, ivc = winner
-                used_inputs.add(p)
-                rr[out_p] = (canon + 1) % ring
-                self._grant(r, out_p, p, v, ivc, c)
-
-    def _grant(self, r: int, out_p: int, p: int, v: int, ivc: _InVC, c: int) -> None:
-        flit: _Flit = ivc.buf.popleft()
+            winners = requests
+            if len(requests) > 1:
+                # by output port, then by distance after that port's pointer;
+                # the first request on each port whose input is unused wins
+                winners = []
+                used_inputs: set = set()
+                granted = -1
+                for ivc in sorted(requests, key=lambda ivc: ivc.out_port * ring
+                                  + (ivc.canon - rr[ivc.out_port]) % ring):
+                    p = ivc.canon // n_vc
+                    if ivc.out_port != granted and p not in used_inputs:
+                        used_inputs.add(p)
+                        winners.append(ivc)
+                        granted = ivc.out_port
+            for ivc in winners:
+                out_p = ivc.out_port
+                rr[out_p] = (ivc.canon + 1) % ring
+                flit: _Flit = ivc.buf.popleft()
+                down = ivc.down
+                if down is None:
+                    ejects.append(flit)
+                else:
+                    credits[out_p][ivc.out_vc] -= 1
+                    arrivals.append((down, flit))
+                if ivc.upstream is not None:
+                    returns.append(ivc.upstream)
+                if flit.is_tail:
+                    ivc.state = _IDLE
+                    ivc.reserved = False
+                    ivc.out_port = -1
+                    ivc.out_vc = -1
+                    ivc.down = None
+                    del active[ivc.canon]
+                    if not active:
+                        busy_routers.discard(r)
+        # SA alone schedules these events, once per cycle, so the keys are new
+        if arrivals:
+            self.arrival_ev[c + 3] = arrivals
+        if ejects:
+            self.vc_eject_ev[c + 2] = ejects
+        if returns:
+            self.credit_ev[c + 2] = returns
+        grants = len(arrivals) + len(ejects)
         st = self.stats
-        st.buffer_reads[0] += 1
-        st.sw_allocations += 1
-        st.crossbar_traversals[0] += 1
-        ports = self.peer[r]
-        far = ports[out_p]
-        if far is not None:
-            self.credits[r][out_p][ivc.out_vc] -= 1
-            st.link_traversals[0] += 1
-            self.arrival_ev.setdefault(c + 3, []).append(far + (ivc.out_vc, flit))
-        else:
-            self.vc_eject_ev.setdefault(c + 2, []).append(flit)
-        up = ports[p]
-        if up is not None:
-            self.credit_ev.setdefault(c + 2, []).append(up + (v,))
-        if flit.is_tail:
-            ivc.state = _IDLE
-            ivc.reserved = False
-            ivc.out_port = -1
-            ivc.out_vc = -1
-            active = self.sa_active[r]
-            del active[(p, v)]
-            if not active:
-                self.busy_routers.discard(r)
+        st.buffer_reads[0] += grants
+        st.sw_allocations += grants
+        st.crossbar_traversals[0] += grants
+        st.link_traversals[0] += len(arrivals)
 
-    def _check_order(self, pid: int, idx: int, is_tail: bool) -> None:
-        expect = self._order_check.get(pid, -1) + 1
-        if idx != expect:
-            raise SimulationError(f"packet {pid} flit {idx} ejected out of order")
-        if is_tail:
-            self._order_check.pop(pid, None)
-        else:
-            self._order_check[pid] = idx
+    def _phase_eject(self, c: int, vc_flits: Sequence[_Flit], cs_flits: Sequence[Tuple]) -> None:
+        """Retire ejected flits: per-packet order, latency and pair counts.
 
-    def _record_latency(self, route_class: str, created: int, entered: int,
-                        eject: int, unloaded: int) -> None:
-        if created < self.warmup:
-            return
+        Flits created before the warm-up window are ejected but not
+        measured.
+        """
         st = self.stats
-        st.lat_sum[route_class] += eject - created
-        st.lat_net_sum[route_class] += eject - entered
-        st.lat_count[route_class] += 1
-        hist = st.latency_hist[route_class]
-        lat = eject - created
-        hist[lat] = hist.get(lat, 0) + 1
-        st.unloaded_sum += unloaded
-
-    def _phase_eject(self, c: int) -> None:
-        st = self.stats
-        for flit in self.vc_eject_ev.pop(c, ()):
-            self._check_order(flit.pid, flit.idx, flit.is_tail)
-            st.flits_ejected += 1
-            self._record_latency("vc", flit.created, flit.entered, c,
-                                 unloaded_latency("vc", flit.hops))
-            self.pair_flits[(flit.src, flit.dst)] = (
-                self.pair_flits.get((flit.src, flit.dst), 0) + 1
-            )
-            if self.record_flits:
-                st.flit_records.append(
-                    FlitRecord(flit.pid, flit.idx, flit.entered, c, "vc", flit.hops)
-                )
+        order = self._order_check
+        pair_flits = self.pair_flits
+        warmup = self.warmup
+        records = st.flit_records if self.record_flits else None
+        measured = unloaded = 0
+        lat_sum = net_sum = 0
+        hist = st.latency_hist["vc"]
+        for flit in vc_flits:
+            pid = flit.pid
+            idx = flit.idx
+            if idx != order.get(pid, -1) + 1:
+                raise SimulationError(f"packet {pid} flit {idx} ejected out of order")
+            if flit.is_tail:
+                order.pop(pid, None)
+            else:
+                order[pid] = idx
+            created = flit.created
+            if created >= warmup:
+                lat = c - created
+                lat_sum += lat
+                net_sum += c - flit.entered
+                measured += 1
+                hist[lat] = hist.get(lat, 0) + 1
+                unloaded += unloaded_latency("vc", flit.hops)
+            pair = (flit.src, flit.dst)
+            pair_flits[pair] = pair_flits.get(pair, 0) + 1
+            if records is not None:
+                records.append(FlitRecord(pid, idx, flit.entered, c, "vc", flit.hops))
+        st.lat_sum["vc"] += lat_sum
+        st.lat_net_sum["vc"] += net_sum
+        st.lat_count["vc"] += measured
+        measured = lat_sum = net_sum = 0
+        hist = st.latency_hist["cs"]
         for (pid, idx, src, dst, created, entered, subnet, hops, lat,
-             is_tail) in self.cs_eject_ev.pop(c, ()):
-            self._check_order(pid, idx, is_tail)
-            self.cs_in_flight -= 1
-            st.flits_ejected += 1
-            st.in_circuit_flits += 1
+             is_tail) in cs_flits:
+            if idx != order.get(pid, -1) + 1:
+                raise SimulationError(f"packet {pid} flit {idx} ejected out of order")
+            if is_tail:
+                order.pop(pid, None)
+            else:
+                order[pid] = idx
             st.cs_flits_per_subnet[subnet] += 1
             st.crossbar_traversals[subnet] += hops + 1
             st.link_traversals[subnet] += hops
-            self._record_latency("cs", created, entered, c, lat)
-            self.pair_flits[(src, dst)] = self.pair_flits.get((src, dst), 0) + 1
-            if self.record_flits:
-                st.flit_records.append(
-                    FlitRecord(pid, idx, entered, c, f"cs{subnet}", hops)
-                )
+            if created >= warmup:
+                lat_sum += c - created
+                net_sum += c - entered
+                measured += 1
+                hist[c - created] = hist.get(c - created, 0) + 1
+                unloaded += lat
+            pair = (src, dst)
+            pair_flits[pair] = pair_flits.get(pair, 0) + 1
+            if records is not None:
+                records.append(FlitRecord(pid, idx, entered, c, f"cs{subnet}", hops))
+        st.lat_sum["cs"] += lat_sum
+        st.lat_net_sum["cs"] += net_sum
+        st.lat_count["cs"] += measured
+        st.unloaded_sum += unloaded
+        st.flits_ejected += len(vc_flits) + len(cs_flits)
+        st.in_circuit_flits += len(cs_flits)
+        self.cs_in_flight -= len(cs_flits)
 
     # --- driving ---------------------------------------------------------
 
-    def _step(self, c: int) -> None:
-        """One cycle; each phase runs only when it has work at c."""
-        self._phase_intake(c)
-        if (c in self.arrival_ev or c in self.credit_ev or c in self.cs_entry_ev
-                or c in self.release_ev):
-            self._phase_events(c)
-        if self.busy_nis:
-            self._phase_vc_injection(c)
-        if self.waiting or self.pending_cs_all:
-            self._phase_cs_service(c)
-        if self.va_pending:
-            self._phase_va(c)
-        if self.busy_routers:
-            self._phase_sa(c)
-        if c in self.vc_eject_ev or c in self.cs_eject_ev:
-            self._phase_eject(c)
+    def _drive(self, limit: int, drain: bool) -> None:
+        """Step the clock from self.cycle toward the absolute cycle limit.
 
-    def _event_queues(self) -> Tuple[dict, ...]:
-        return (self.arrival_ev, self.credit_ev, self.vc_eject_ev,
-                self.cs_entry_ev, self.cs_eject_ev, self.release_ev)
-
-    def _busy(self) -> bool:
-        """True while some phase may act in a cycle that has no events."""
-        return bool(self.va_pending or self.busy_nis or self.busy_routers
-                    or self.waiting or self.pending_cs_all)
-
-    def _skip_idle(self, limit: int) -> None:
-        """Move the clock over cycles in which no phase can act.
+        Without drain, stop at limit.  With drain, stop as soon as no work
+        remains, and raise SimulationError if work remains at limit.
 
         With nothing buffered, queued or waiting, the next cycle with work
-        is the next packet, plan activation or event, so every cycle before
-        it would step without effect.  The clock stops at limit at the
-        latest.  Counters are unchanged: cycle-integrated figures read
-        cycles_simulated, which counts skipped cycles like stepped ones.
+        is the next packet, plan activation or event, so the clock jumps
+        there (or to limit) without stepping the cycles between.  Counters
+        are unchanged: cycle-integrated figures read cycles_simulated, which
+        counts skipped cycles like stepped ones.
         """
-        if self._busy():
-            return
-        nxt = limit
-        if self.trace_ptr < len(self.trace):
-            nxt = min(nxt, self.trace[self.trace_ptr].inject_cycle)
-        if self.plan_schedule:
-            nxt = min(nxt, self.plan_schedule[0][0])
-        for events in self._event_queues():
-            if events:
-                nxt = min(nxt, min(events))
-        if nxt > self.cycle:
-            self.cycle = nxt
-
-    def work_remaining(self) -> bool:
-        return bool(
-            self.trace_ptr < len(self.trace) or self.plan_schedule
-            or any(self._event_queues()) or self._busy()
-        )
+        arrival_ev = self.arrival_ev
+        credit_ev = self.credit_ev
+        vc_eject_ev = self.vc_eject_ev
+        cs_entry_ev = self.cs_entry_ev
+        cs_eject_ev = self.cs_eject_ev
+        release_ev = self.release_ev
+        events = (arrival_ev, credit_ev, vc_eject_ev, cs_entry_ev, cs_eject_ev,
+                  release_ev)
+        busy_nis = self.busy_nis
+        busy_routers = self.busy_routers
+        waiting = self.waiting
+        pending_cs_all = self.pending_cs_all
+        credits = self.credits
+        next_intake = self._next_intake()
+        c = self.cycle
+        try:
+            while True:
+                if not (self.va_pending or busy_nis or busy_routers or waiting
+                        or pending_cs_all):
+                    nxt = next_intake
+                    for queue in events:
+                        if queue:
+                            nxt = min(nxt, min(queue))
+                    if drain and nxt == math.inf:
+                        break
+                    if nxt > c:
+                        c = min(nxt, limit)
+                if c >= limit:
+                    if drain:
+                        raise SimulationError(f"no drain after {limit} cycles")
+                    break
+                if c == next_intake:
+                    self._phase_intake(c)
+                    next_intake = self._next_intake()
+                released = release_ev.pop(c, None)
+                if released:
+                    for keys in released:
+                        self.busy_resources.difference_update(keys)
+                returned = credit_ev.pop(c, None)
+                if returned:
+                    for r, p, v in returned:
+                        credits[r][p][v] += 1
+                entered = cs_entry_ev.pop(c, 0)
+                if entered:
+                    self.stats.flits_injected += entered
+                    self.cs_in_flight += entered
+                writes = arrival_ev.pop(c, None)
+                if busy_nis:
+                    if writes is None:
+                        writes = []
+                    self._phase_vc_injection(c, writes)
+                if writes:
+                    self._buffer_write(writes, c)
+                if waiting or pending_cs_all:
+                    self._phase_cs_service(c)
+                if self.va_pending:
+                    self._phase_va(c)
+                if busy_routers:
+                    self._phase_sa(c)
+                vc_out = vc_eject_ev.pop(c, ())
+                cs_out = cs_eject_ev.pop(c, ())
+                if vc_out or cs_out:
+                    self._phase_eject(c, vc_out, cs_out)
+                c += 1
+        finally:
+            self.cycle = c
 
     def run_until(self, target_cycle: int) -> None:
-        while self.cycle < target_cycle:
-            self._skip_idle(target_cycle)
-            if self.cycle < target_cycle:
-                self._step(self.cycle)
-                self.cycle += 1
+        self._drive(target_cycle, drain=False)
 
     def run_to_completion(self, hard_limit: Optional[int] = None) -> None:
         """Step until no work remains; SimulationError past hard_limit.
@@ -920,12 +1007,7 @@ class Simulation:
             for activation, _ in self.plan_schedule:
                 last = max(last, activation)
             hard_limit = last + _DRAIN_CYCLES
-        while self.work_remaining():
-            self._skip_idle(hard_limit)
-            if self.cycle >= hard_limit:
-                raise SimulationError(f"no drain after {hard_limit} cycles")
-            self._step(self.cycle)
-            self.cycle += 1
+        self._drive(hard_limit, drain=True)
 
     def take_pair_counts(self) -> Dict[Tuple[int, int], int]:
         counts = self.pair_flits

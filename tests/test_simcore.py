@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hybridnoc import (
     CandidatePair,
@@ -19,7 +20,10 @@ from hybridnoc import (
     TrafficEvent,
     VcConfig,
     generate,
+    greedy_allocate,
     load_config,
+    profile,
+    profile_granularity_for,
     simulate,
     sweep_injection,
     unloaded_latency,
@@ -414,11 +418,17 @@ def test_finalize_windows_add_up_to_one_run():
     windows.append(sim.finalize())
 
     assert all(w.in_flight > 0 for w in windows[:-1])  # windows cut mid-flight
+    assert [w.cycles_simulated for w in windows[:2]] == [300, 250]
+    assert_windows_add_up(windows, whole)
+
+
+def assert_windows_add_up(windows, whole):
+    """The conservation chain holds across windows, and their counters add
+    up to those of the uncut run."""
     carried = 0
     for w in windows:
         assert carried + w.flits_injected == w.flits_ejected + w.in_flight
         carried = w.in_flight
-    assert [w.cycles_simulated for w in windows[:2]] == [300, 250]
     for f in dataclasses.fields(SimStats):
         got = [getattr(w, f.name) for w in windows]
         want = getattr(whole, f.name)
@@ -430,6 +440,73 @@ def test_finalize_windows_add_up_to_one_run():
             assert got[-1] == want == 0
         else:
             assert sum_windows(got) == want, f.name
+
+
+@st.composite
+def cut_runs(draw):
+    """A random mesh, trace, fabric and plan, and cycles to cut the run at.
+
+    Bursts of packets are separated by idle gaps; some cuts fall in the
+    middle of a gap, where the clock skips idle cycles."""
+    width = draw(st.integers(1, 4))
+    height = draw(st.integers(1, 4))
+    nis = draw(st.lists(st.integers(1, 2), min_size=width * height,
+                        max_size=width * height))
+    mesh = MeshConfig(width, height, tuple(nis))
+    assume(mesh.n_nis >= 2)
+    k = draw(st.sampled_from([1, 2, 4]))
+    fabric = draw(st.sampled_from(["vc", "cs_all"] if k == 1 else ["e2e", "r2r"]))
+    trace = []
+    idle = []
+    cycle = 0
+    for burst in range(draw(st.integers(1, 3))):
+        if burst:
+            gap = draw(st.integers(400, 5000))
+            idle.append(cycle + gap // 2)
+            cycle += gap
+        for _ in range(draw(st.integers(1, 30))):
+            cycle += draw(st.sampled_from([0, 0, 1, 3]))
+            src = draw(st.integers(0, mesh.n_nis - 1))
+            dst = draw(st.integers(0, mesh.n_nis - 2))
+            kind, bits = draw(st.sampled_from(
+                [("control", 64), ("control", 128), ("data", 640)]))
+            trace.append(TrafficEvent(cycle, src, dst + (dst >= src),
+                                      PacketClass(kind, bits), len(trace)))
+    layout = SubnetLayout(128, k)
+    plan = None
+    if fabric in ("e2e", "r2r"):
+        prof = profile(trace, mesh, profile_granularity_for(fabric),
+                       layout.subnet_width_bits)
+        plan = greedy_allocate(prof, mesh, layout.cs_subnet_count, fabric)
+    anywhere = st.integers(1, cycle + 200)
+    cuts = draw(st.lists(st.sampled_from(idle) | anywhere if idle else anywhere,
+                         max_size=4, unique=True))
+    kwargs = dict(seed=draw(st.integers(0, 3)), warmup_cycles=draw(st.integers(0, 50)),
+                  record_flits=True, cs_all=fabric == "cs_all")
+    return mesh, layout, trace, plan, sorted(cuts), kwargs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cut_runs())
+def test_windows_at_random_cuts_add_up_to_one_run(case):
+    mesh, layout, trace, plan, cuts, kwargs = case
+    whole = simulate(mesh, layout, VC, trace, plan, **kwargs)
+    # determinism: the same inputs and seed give the same stats
+    assert dataclasses.asdict(simulate(mesh, layout, VC, trace, plan, **kwargs)) == \
+        dataclasses.asdict(whole)
+    # past the cycle the uncut run drains at, a cut would add idle cycles
+    cuts = [cut for cut in cuts if cut <= whole.cycles_simulated]
+    seed = kwargs.pop("seed")
+    sim = Simulation(mesh, layout, VC, trace, plan, seed, **kwargs)
+    windows = []
+    for cut in cuts:
+        sim.run_until(cut)
+        windows.append(sim.finalize())
+    sim.run_to_completion()
+    windows.append(sim.finalize())
+    assert [w.cycles_simulated for w in windows[:-1]] == \
+        [b - a for a, b in zip([0] + cuts, cuts)]
+    assert_windows_add_up(windows, whole)
 
 
 def test_window_max_occupancy_is_its_own():

@@ -2,6 +2,10 @@
 
 Whatever the engine does faster, a whole run must still produce the same
 SimStats, flit records included, as the frozen copy on the same inputs.
+Two kinds of scenario: bursts between a few routers, and hot spots where
+NIs all over the mesh send to one or two NIs in the same few cycles, so
+inputs from every direction contend for one output port and the switch
+allocator's round-robin ring decides who goes first.
 """
 
 import dataclasses
@@ -43,6 +47,43 @@ def scenarios(draw):
     return width, height, nis, k, fabric, packets, cut, seed
 
 
+@st.composite
+def hot_spots(draw):
+    width = draw(st.integers(3, 4))
+    height = draw(st.integers(3, 4))
+    nis = tuple(draw(st.lists(st.integers(1, 2), min_size=width * height,
+                              max_size=width * height)))
+    k = draw(st.sampled_from([1, 2, 4]))
+    fabric = "vc" if k == 1 else draw(st.sampled_from(["e2e", "r2r"]))
+    mesh = hn.MeshConfig(width, height, nis)
+    every_ni = list(range(mesh.n_nis))
+    # NIs of routers with a neighbour on all four sides: under X-Y routing,
+    # flits for them come in from E, W, N and S and meet at the local port
+    inner = [ni for x in range(1, width - 1) for y in range(1, height - 1)
+             for ni in mesh.nis_of_router(y * width + x)]
+    packets = []
+    cycle = 0
+    for _ in range(draw(st.integers(1, 2))):
+        cycle += draw(st.integers(0, 300))
+        hot = draw(st.lists(st.sampled_from(inner), min_size=1, max_size=2,
+                            unique=True))
+        senders = draw(st.lists(st.sampled_from(every_ni), min_size=len(every_ni) // 2,
+                                unique=True))
+        for src in senders:
+            for _ in range(draw(st.integers(1, 3))):
+                dst = draw(st.sampled_from(hot))
+                if dst == src:
+                    continue
+                kind, bits = draw(st.sampled_from(
+                    [("control", 64), ("control", 128), ("data", 640)]))
+                packets.append((cycle + draw(st.integers(0, 3)), src, dst, kind, bits))
+    packets.sort(key=lambda pkt: pkt[0])
+    # a cut lands while the last burst still drains
+    cut = draw(st.none() | st.integers(cycle + 1, cycle + 60))
+    seed = draw(st.integers(0, 3))
+    return width, height, nis, k, fabric, packets, cut, seed
+
+
 def _inputs(pkg, scenario):
     """The scenario's mesh and trace, built from pkg's own classes."""
     width, height, nis, _, _, packets, _, _ = scenario
@@ -75,8 +116,8 @@ def _plan(scenario):
     return hn.greedy_allocate(prof, mesh, layout.cs_subnet_count, fabric)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(scenarios())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(scenarios() | hot_spots())
 def test_simulate_matches_frozen_baseline(scenario):
     plan = _plan(scenario)
     ours = _run(hn, scenario, plan)
