@@ -216,28 +216,26 @@ def plan_weight(plan: CircuitPlan, profile: TrafficProfile) -> int:
     return total
 
 
-@dataclass
+# each GA child takes its genes from its second parent at a rate drawn
+# uniformly from this range
+_CROSSOVER_RATE_RANGE = (0.3, 0.7)
+
+
+@dataclass(frozen=True)
 class GaParams:
     population_size: int = 10
     generations: int = 5000
-    crossover_rate_range: Tuple[float, float] = (0.3, 0.7)
     chromosome_mutation_probability: float = 0.5
-    per_gene_flip_rate: Optional[float] = None  # default 1/len(candidates)
     elitism_count: int = 1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.population_size < 2:
             raise AllocationError("population must hold at least two individuals")
         if self.generations < 0:
             raise AllocationError("generations cannot be negative")
-        lo, hi = self.crossover_rate_range
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise AllocationError("crossover_rate_range must be within [0, 1]")
         if not 0.0 <= self.chromosome_mutation_probability <= 1.0:
             raise AllocationError("chromosome_mutation_probability must be in [0, 1]")
-        if self.per_gene_flip_rate is not None and not 0.0 <= self.per_gene_flip_rate <= 1.0:
-            raise AllocationError("per_gene_flip_rate must be in [0, 1]")
         if not 0 <= self.elitism_count < self.population_size:
             raise AllocationError("elitism_count must be below the population size")
 
@@ -287,7 +285,6 @@ def ga_allocate(
     Children are built from blocks of draws (_draws_below) that take the
     same values from rng, in the same order, as one random() per gene.
     """
-    params.validate()
     if k < 1:
         raise AllocationError("need at least one CS subnet to allocate into")
     cands = candidates_from_profile(profile, mesh, granularity)
@@ -299,7 +296,7 @@ def ga_allocate(
 
     masks = _conflict_masks(cands, granularity == "r2r")
     weights = [c.weight for c in cands]
-    flip_rate = params.per_gene_flip_rate if params.per_gene_flip_rate is not None else 1.0 / n
+    flip_rate = 1.0 / n
     rng = random.Random(params.seed)
 
     def seed_chromosome(excluded: Optional[int]) -> bytes:
@@ -333,7 +330,7 @@ def ga_allocate(
     history: List[int] = []
     best_chrom = population[0]
     best_score = fitness(best_chrom)
-    lo, hi = params.crossover_rate_range
+    lo, hi = _CROSSOVER_RATE_RANGE
     for _ in range(params.generations):
         scores = [fitness(c) for c in population]
         gen_best = max(range(len(population)), key=lambda i: scores[i])

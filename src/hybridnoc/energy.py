@@ -10,7 +10,7 @@ but needs proportionally more traversals for the same payload.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Mapping
+from typing import Dict
 
 from .simcore import SimStats, SubnetLayout
 
@@ -42,22 +42,6 @@ class EnergyCoefficients:
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 raise EnergyError(f"{f.name} must be >= 0")
-
-    @classmethod
-    def from_mapping(cls, values: Mapping[str, str]) -> "EnergyCoefficients":
-        known = {f.name for f in fields(cls)}
-        kwargs = {}
-        for key, raw in values.items():
-            if key not in known:
-                raise EnergyError(f"unknown energy coefficient {key!r}")
-            try:
-                kwargs[key] = float(raw)
-            except ValueError as exc:
-                raise EnergyError(f"bad value for {key}: {raw!r}") from exc
-        return cls(**kwargs)
-
-    def as_mapping(self) -> Dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ import configparser
 import logging
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, get_type_hints
 
 from .allocator import (
     CircuitPlan,
@@ -33,7 +33,6 @@ from .energy import EnergyCoefficients, EnergyReport, account
 from .simcore import ConfigError, SimStats, Simulation, SubnetLayout, VcConfig, simulate
 from .topology import MeshConfig
 from .traffic import (
-    PATTERNS,
     SyntheticSpec,
     TrafficEvent,
     TrafficProfile,
@@ -445,33 +444,39 @@ def rows_from_reports(
 
 # --- INI experiment configs -----------------------------------------------------
 
+def _parse_value(kind: type, key: str, raw: str) -> object:
+    """One INI value as the declared type of the field it sets."""
+    if kind is bool:
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        except KeyError:
+            raise ConfigError(f"{key} must be a boolean, got {raw!r}") from None
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be of type {kind.__name__}, got {raw!r}") from exc
+
+
+def _from_section(cls: type, section: Mapping[str, str], **defaults: object):
+    """Build dataclass cls from the section keys that name its fields.
+
+    Fields the section leaves out take the dataclass defaults, or the given
+    defaults where the dataclass has none; keys that name no field are
+    left for the caller.
+    """
+    kinds = get_type_hints(cls)
+    values = dict(defaults)
+    for f in fields(cls):
+        if f.name in section:
+            values[f.name] = _parse_value(kinds[f.name], f.name, section[f.name])
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _get_int(section: Mapping[str, str], key: str, default: Optional[int]) -> Optional[int]:
-    if key not in section:
-        return default
-    try:
-        return int(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {section[key]!r}") from exc
-
-
-def _get_float(section: Mapping[str, str], key: str, default: float) -> float:
-    if key not in section:
-        return default
-    try:
-        return float(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {section[key]!r}") from exc
-
-
-def _get_bool(section: Mapping[str, str], key: str, default: bool) -> bool:
-    if key not in section:
-        return default
-    val = section[key].strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {section[key]!r}")
+    return _parse_value(int, key, section[key]) if key in section else default
 
 
 def _mesh_from_section(section: Mapping[str, str]) -> MeshConfig:
@@ -501,26 +506,28 @@ def _mesh_from_section(section: Mapping[str, str]) -> MeshConfig:
         raise ConfigError(str(exc)) from exc
 
 
-# every section and key load_config reads; anything else is rejected
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+# every section and key load_config reads; anything else is rejected.  The
+# sections after [mesh] are read field by field into their dataclasses.
 _CONFIG_KEYS: Dict[str, Tuple[str, ...]] = {
     "experiment": ("mode", "allocator", "granularity", "plan_file", "epoch_cycles",
                    "config_period_cycles", "seed", "label",
                    "output_dir"),
     "mesh": ("preset", "width", "height", "ni_per_router"),
-    "layout": ("total_width_bits", "subnet_count", "gate_cs_buffers"),
-    "vc": ("vnets", "vcs_per_vnet", "buffer_depth_flits"),
-    "traffic": ("trace", "pattern", "injection_rate", "control_fraction",
-                "regularity", "designated_pair_count", "control_payload_bits",
-                "data_payload_bits", "cycles"),
-    "energy": tuple(EnergyCoefficients().as_mapping()),
-    "ga": ("population_size", "generations", "chromosome_mutation_probability",
-           "elitism_count", "seed"),
+    "layout": _field_names(SubnetLayout),
+    "vc": _field_names(VcConfig),
+    "traffic": ("trace", "cycles") + _field_names(SyntheticSpec),
+    "energy": _field_names(EnergyCoefficients),
+    "ga": _field_names(GaParams),
 }
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse one experiment INI file into a validated ExperimentConfig."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     loaded = cp.read(path)
     if not loaded:
         raise ConfigError(f"cannot read config file {path}")
@@ -533,75 +540,29 @@ def load_config(path: str) -> ExperimentConfig:
             if key not in _CONFIG_KEYS[name]:
                 raise ConfigError(f"unknown key {key!r} in [{name}]")
 
-    exp = cp["experiment"] if cp.has_section("experiment") else {}
-    mesh = _mesh_from_section(cp["mesh"] if cp.has_section("mesh") else {})
+    def section(name: str) -> Mapping[str, str]:
+        return cp[name] if cp.has_section(name) else {}
 
-    lay = cp["layout"] if cp.has_section("layout") else {}
-    try:
-        layout = SubnetLayout(
-            _get_int(lay, "total_width_bits", 128),
-            _get_int(lay, "subnet_count", 2),
-            _get_bool(lay, "gate_cs_buffers", True),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    vcs = cp["vc"] if cp.has_section("vc") else {}
-    try:
-        vc = VcConfig(
-            _get_int(vcs, "vnets", 3),
-            _get_int(vcs, "vcs_per_vnet", 4),
-            _get_int(vcs, "buffer_depth_flits", 4),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    exp = section("experiment")
+    mesh = _mesh_from_section(section("mesh"))
+    layout = _from_section(SubnetLayout, section("layout"))
+    vc = _from_section(VcConfig, section("vc"))
 
     traffic_spec = None
     trace_path = None
-    traffic_cycles = None
-    tr = cp["traffic"] if cp.has_section("traffic") else {}
+    tr = section("traffic")
     if "trace" in tr:
         mixed = [k for k in tr if k != "trace"]
         if mixed:
             raise ConfigError(f"[traffic] trace cannot be combined with {', '.join(mixed)}")
         trace_path = tr["trace"]
     else:
-        pattern = tr.get("pattern", "uniform_random")
-        if pattern not in PATTERNS:
-            raise ConfigError(f"unknown traffic pattern {pattern!r}")
-        try:
-            traffic_spec = SyntheticSpec(
-                pattern=pattern,
-                injection_rate=_get_float(tr, "injection_rate", 0.05),
-                control_fraction=_get_float(tr, "control_fraction", 0.5),
-                regularity=_get_float(tr, "regularity", 0.0),
-                designated_pair_count=_get_int(tr, "designated_pair_count", 8),
-                control_payload_bits=_get_int(tr, "control_payload_bits", 128),
-                data_payload_bits=_get_int(tr, "data_payload_bits", 640),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    traffic_cycles = _get_int(tr, "cycles", None)
-
-    en = cp["energy"] if cp.has_section("energy") else {}
-    try:
-        coeffs = EnergyCoefficients.from_mapping(dict(en))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    gasec = cp["ga"] if cp.has_section("ga") else {}
-    try:
-        ga = GaParams(
-            population_size=_get_int(gasec, "population_size", 10),
-            generations=_get_int(gasec, "generations", 5000),
-            chromosome_mutation_probability=_get_float(
-                gasec, "chromosome_mutation_probability", 0.5
-            ),
-            elitism_count=_get_int(gasec, "elitism_count", 1),
-            seed=_get_int(gasec, "seed", 0),
+        traffic_spec = _from_section(
+            SyntheticSpec, tr, pattern="uniform_random", injection_rate=0.05
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    traffic_cycles = _get_int(tr, "cycles", None)
+    coeffs = _from_section(EnergyCoefficients, section("energy"))
+    ga = _from_section(GaParams, section("ga"))
 
     config = ExperimentConfig(
         mesh=mesh,

@@ -40,6 +40,8 @@ _RECONFIG_BARRIER_CYCLES = 1000
 # cycles a run may take to drain after its last input before the engine
 # calls it stuck
 _DRAIN_CYCLES = 10_000_000
+# sweep_injection's saturation threshold, as a multiple of the unloaded mean
+_SATURATION_FACTOR = 10.0
 
 
 class ConfigError(ValueError):
@@ -371,7 +373,6 @@ class Simulation:
         self.vc_eject_ev: Dict[int, List] = {}
         self.cs_entry_ev: Dict[int, int] = {}
         self.cs_eject_ev: Dict[int, List] = {}
-        self.release_ev: Dict[int, List] = {}
 
         # per-NI VC-side injection; busy_nis holds every NI with a queued
         # packet or one it is part way through sending
@@ -383,7 +384,9 @@ class Simulation:
         self.circuits: List[_Circuit] = []
         self.match: Dict[Tuple[int, int], _Circuit] = {}
         self.granularity = ""
-        self.wire_free: Dict[Tuple[int, int], int] = {}
+        # first cycle each wire is free: an NI's wire into a subnet, and on
+        # the all-circuit fabric each link and ejection port a packet holds
+        self.wire_free: Dict[Tuple, int] = {}
         self.waiting: Dict[int, _Circuit] = {}
         self.cs_in_flight = 0
         self.plan_schedule: List[Tuple[int, CircuitPlan]] = []
@@ -392,7 +395,6 @@ class Simulation:
 
         # all-circuit fabric state
         self.pending_cs_all: Dict[int, deque] = {}
-        self.busy_resources: set = set()
 
         self._order_check: Dict[int, int] = {}
         self.pair_flits: Dict[Tuple[int, int], int] = {}
@@ -716,22 +718,25 @@ class Simulation:
         return c + n - 1 + lat
 
     def _phase_cs_all(self, c: int) -> None:
-        busy = self.busy_resources
+        """Send each NI's head packet once its wire and whole path are free.
+
+        The packet holds its path's links and its ejection port until its
+        tail flit ejects, and they are free again from that cycle on.
+        """
+        wire_free = self.wire_free
         for ni in sorted(self.pending_cs_all):
             queue = self.pending_cs_all[ni]
             pkt = queue[0]
-            if self.wire_free.get((ni, 0), 0) > c:
+            if any(wire_free.get(key, 0) > c for key in ((ni, 0),) + pkt.resources):
                 continue
-            if any(key in busy for key in pkt.resources):
-                continue
-            busy.update(pkt.resources)
             queue.popleft()
             if not queue:
                 del self.pending_cs_all[ni]
             done = self._send_on_circuit(
                 pkt, ni, 0, pkt.hops, unloaded_latency("cs-e2e", pkt.hops), c
             )
-            self.release_ev.setdefault(done, []).append(pkt.resources)
+            for key in pkt.resources:
+                wire_free[key] = done
 
     def _phase_va(self, c: int) -> None:
         still: List[_InVC] = []
@@ -929,9 +934,7 @@ class Simulation:
         vc_eject_ev = self.vc_eject_ev
         cs_entry_ev = self.cs_entry_ev
         cs_eject_ev = self.cs_eject_ev
-        release_ev = self.release_ev
-        events = (arrival_ev, credit_ev, vc_eject_ev, cs_entry_ev, cs_eject_ev,
-                  release_ev)
+        events = (arrival_ev, credit_ev, vc_eject_ev, cs_entry_ev, cs_eject_ev)
         busy_nis = self.busy_nis
         busy_routers = self.busy_routers
         waiting = self.waiting
@@ -958,10 +961,6 @@ class Simulation:
                 if c == next_intake:
                     self._phase_intake(c)
                     next_intake = self._next_intake()
-                released = release_ev.pop(c, None)
-                if released:
-                    for keys in released:
-                        self.busy_resources.difference_update(keys)
                 returned = credit_ev.pop(c, None)
                 if returned:
                     for r, p, v in returned:
@@ -1098,10 +1097,7 @@ def sweep_injection(
     fabric: str = "hybrid",
     granularity: str = "e2e",
     cycles: int = 20000,
-    control_fraction: float = 0.5,
     regularity: float = 0.0,
-    designated_pair_count: int = 8,
-    saturation_factor: float = 10.0,
 ) -> List[SweepPoint]:
     """Latency-vs-rate curve for one fabric.
 
@@ -1110,8 +1106,9 @@ def sweep_injection(
     its whole path (no set-up delay modelled), "hybrid" uses the given
     layout, planning each rate greedily at this granularity from the fold
     of that rate's trace at the subnet width.  A point is saturated when
-    its mean latency exceeds saturation_factor times the unloaded mean of
-    its own traffic.
+    its mean latency exceeds _SATURATION_FACTOR times the unloaded mean of
+    its own traffic, or when flits go in and no flit created after the
+    warm-up comes out.
     """
     if list(rates) != sorted(rates):
         raise ConfigError("rates must be ascending")
@@ -1129,10 +1126,7 @@ def sweep_injection(
     points: List[SweepPoint] = []
     warmup = cycles // 10
     for rate in rates:
-        spec = SyntheticSpec(
-            pattern, rate, control_fraction=control_fraction,
-            regularity=regularity, designated_pair_count=designated_pair_count,
-        )
+        spec = SyntheticSpec(pattern, rate, regularity=regularity)
         trace = generate(spec, mesh, seed, cycles)
         plan = None
         if fabric == "hybrid":
@@ -1149,7 +1143,7 @@ def sweep_injection(
             # nothing measurable got through the window at all
             saturated = stats.flits_injected > 0
         else:
-            saturated = unloaded > 0 and mean > saturation_factor * unloaded
+            saturated = unloaded > 0 and mean > _SATURATION_FACTOR * unloaded
         frac = (stats.in_circuit_flits / stats.flits_ejected) if stats.flits_ejected else 0.0
         points.append(
             SweepPoint(rate, mean, stats.p99_latency(), unloaded, saturated,

@@ -267,16 +267,15 @@ def test_draws_below_matches_single_random_calls():
 
 def test_ga_params_validation():
     for bad in (
-        GaParams(population_size=1),
-        GaParams(generations=-1),
-        GaParams(crossover_rate_range=(0.9, 0.1)),
-        GaParams(crossover_rate_range=(-0.1, 0.5)),
-        GaParams(chromosome_mutation_probability=1.5),
-        GaParams(per_gene_flip_rate=2.0),
-        GaParams(elitism_count=10, population_size=10),
+        dict(population_size=1),
+        dict(generations=-1),
+        dict(chromosome_mutation_probability=1.5),
+        dict(chromosome_mutation_probability=-0.1),
+        dict(elitism_count=10, population_size=10),
+        dict(elitism_count=-1),
     ):
         with pytest.raises(AllocationError):
-            bad.validate()
+            GaParams(**bad)
     prof = router_profile(CHAIN_MESH, CHAIN_COUNTS)
     with pytest.raises(AllocationError):
         ga_allocate(prof, CHAIN_MESH, 0, GaParams(), "r2r")

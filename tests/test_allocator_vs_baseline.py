@@ -12,8 +12,7 @@ import hybridnoc as hn
 from frozen_baseline import base
 
 # probabilities spread over [0, 1] (hypothesis draws floats mostly at the
-# ends), most of them strictly between the 1/256 steps that the block draws
-# decide by one byte
+# ends)
 _RATE = st.integers(0, 999).map(lambda i: i / 999)
 
 
@@ -29,13 +28,10 @@ def meshes(draw, min_width=2):
 @st.composite
 def ga_params(draw, min_population=2, min_generations=0):
     population = draw(st.integers(min_population, 9))
-    lo, hi = sorted((draw(_RATE), draw(_RATE)))
     return dict(
         population_size=population,
         generations=draw(st.integers(min_generations, 40)),
-        crossover_rate_range=(lo, hi),
         chromosome_mutation_probability=draw(_RATE),
-        per_gene_flip_rate=draw(st.sampled_from([None, 0.0, 1.0]) | _RATE),
         elitism_count=draw(st.integers(0, population - 1)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )

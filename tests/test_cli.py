@@ -198,6 +198,14 @@ def test_full_scale_key_is_exit_1(tmp_path, capsys):
     assert "unknown key 'full_scale'" in capsys.readouterr().err
 
 
+def test_bad_ga_values_are_exit_1_under_any_allocator(tmp_path, capsys):
+    # the config runs the greedy allocator, so only loading reads [ga]
+    ini = write_static_config(tmp_path, extra="[ga]\npopulation_size = 1\nelitism_count = 5\n")
+    assert main(["run", ini, "--output", str(tmp_path / "out")]) == 1
+    assert "population must hold at least two" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_mesh_is_exit_1(capsys):
     assert main(["sweep", "--mesh", "donut", "--rates", "0.1"]) == 1
 

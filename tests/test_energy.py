@@ -6,6 +6,7 @@ from hybridnoc import (
     BREAKDOWN_KEYS,
     CandidatePair,
     CircuitPlan,
+    ConfigError,
     EnergyCoefficients,
     EnergyError,
     EnergyReport,
@@ -17,6 +18,7 @@ from hybridnoc import (
     VcConfig,
     account,
     generate,
+    load_config,
     simulate,
     xy_route,
 )
@@ -136,17 +138,19 @@ def test_link_energy_scales_with_subnet_width():
     assert half.breakdown["link"] == pytest.approx(full.breakdown["link"] / 2)
 
 
-def test_coefficients_from_mapping():
-    coeffs = EnergyCoefficients.from_mapping({"e_crossbar": "2.5", "p_router_other": 0})
-    assert coeffs.e_crossbar == 2.5
-    assert coeffs.p_router_other == 0.0
-    assert coeffs.e_buffer_write == 1.0  # untouched default
-    round_trip = EnergyCoefficients.from_mapping(coeffs.as_mapping())
-    assert round_trip == coeffs
-    with pytest.raises(EnergyError):
-        EnergyCoefficients.from_mapping({"e_fan": 1.0})
-    with pytest.raises(EnergyError):
-        EnergyCoefficients.from_mapping({"e_crossbar": "fast"})
+def test_energy_coefficients_from_config(tmp_path):
+    ini = tmp_path / "exp.ini"
+
+    def coeffs(lines):
+        ini.write_text("[experiment]\nmode = static_hybrid\n[energy]\n" + lines)
+        return load_config(str(ini)).coeffs
+
+    read = coeffs("e_crossbar = 2.5\np_router_other = 0\n")
+    assert read == EnergyCoefficients(e_crossbar=2.5, p_router_other=0.0)
+    assert read.e_buffer_write == 1.0  # untouched default
+    for bad in ("e_fan = 1.0", "e_crossbar = fast", "e_buffer_write = -1.0"):
+        with pytest.raises(ConfigError):
+            coeffs(bad + "\n")
     with pytest.raises(EnergyError):
         EnergyCoefficients(e_buffer_write=-1.0)
 

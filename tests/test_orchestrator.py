@@ -2,6 +2,8 @@
 
 import dataclasses
 import logging
+import re
+from pathlib import Path
 
 import pytest
 
@@ -30,8 +32,10 @@ from hybridnoc import (
     summary_table,
     write_run_report,
 )
+from hybridnoc.orchestrator import _CONFIG_KEYS
 
 MESH = MeshConfig.grid(4, 4)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def make_config(**over):
@@ -391,6 +395,24 @@ def test_load_config_errors(tmp_path):
         bad.write_text(text)
         with pytest.raises(ConfigError, match="unknown config section"):
             load_config(str(bad))
+
+
+def test_readme_config_block_loads_and_names_every_key(tmp_path):
+    text = README.read_text(encoding="utf-8").split("## Experiment config format", 1)[1]
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    ini = tmp_path / "readme.ini"
+    ini.write_text(block)
+    load_config(str(ini))
+    # keys set in the block, or named on a commented "; key =" line
+    named = {}
+    for line in block.splitlines():
+        header = re.match(r"\[(\w+)\]", line)
+        if header:
+            section = named.setdefault(header.group(1), set())
+        key = re.match(r";?\s*(\w+)\s*=", line)
+        if key:
+            section.add(key.group(1))
+    assert named == {name: set(keys) for name, keys in _CONFIG_KEYS.items()}
 
 
 def test_two_phase_trace_recovers(tmp_path):

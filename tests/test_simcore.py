@@ -315,15 +315,18 @@ def test_cs_all_timing():
 
 
 def test_cs_all_holds_the_whole_path():
-    # 0->2 holds links (0,1) and (1,2); 1->2 must wait for the release
+    # 0->2 holds links (0,1) and (1,2) and NI 2's ejection port until its
+    # tail ejects at cycle 9; 1->2 needs (1,2) and that port, so its one
+    # flit enters in that very cycle and ejects 2*1 + 1 cycles later
     trace = [
         TrafficEvent(0, 0, 2, PacketClass("data", 640), 0),
         TrafficEvent(0, 1, 2, PacketClass("control", 128), 1),
     ]
     stats = simulate(MESH, FULL, VC, trace, cs_all=True, record_flits=True)
     first_tail = max(r.eject_cycle for r in stats.flit_records if r.packet_id == 0)
-    second = [r for r in stats.flit_records if r.packet_id == 1][0]
-    assert second.eject_cycle > first_tail
+    second = [r for r in stats.flit_records if r.packet_id == 1]
+    assert first_tail == 9
+    assert [(r.inject_cycle, r.eject_cycle) for r in second] == [(9, 12)]
     assert stats.in_circuit_flits == stats.flits_ejected
 
 

@@ -5,7 +5,10 @@ SimStats, flit records included, as the frozen copy on the same inputs.
 Two kinds of scenario: bursts between a few routers, and hot spots where
 NIs all over the mesh send to one or two NIs in the same few cycles, so
 inputs from every direction contend for one output port and the switch
-allocator's round-robin ring decides who goes first.
+allocator's round-robin ring decides who goes first.  On the all-circuit
+fabric, hot spots make packets wait for paths that end at the same
+ejection port, so the cycle a path is free again decides when each
+packet goes.
 """
 
 import dataclasses
@@ -54,7 +57,7 @@ def hot_spots(draw):
     nis = tuple(draw(st.lists(st.integers(1, 2), min_size=width * height,
                               max_size=width * height)))
     k = draw(st.sampled_from([1, 2, 4]))
-    fabric = "vc" if k == 1 else draw(st.sampled_from(["e2e", "r2r"]))
+    fabric = draw(st.sampled_from(["vc", "cs_all"] if k == 1 else ["e2e", "r2r"]))
     mesh = hn.MeshConfig(width, height, nis)
     every_ni = list(range(mesh.n_nis))
     # NIs of routers with a neighbour on all four sides: under X-Y routing,
