@@ -108,9 +108,10 @@ def _sweep_rates(args: argparse.Namespace) -> int:
 def _sweep_subnets(args: argparse.Namespace) -> int:
     mesh = _parse_mesh(args.mesh)
     counts = _parse_num_list(args.subnet_counts, int)
-    spec = SyntheticSpec(
-        args.pattern, args.rate, regularity=args.regularity,
-    )
+    try:
+        spec = SyntheticSpec(args.pattern, args.rate, regularity=args.regularity)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     base_config = ExperimentConfig(
         mesh=mesh,
         layout=SubnetLayout(args.width_bits, 1, True),

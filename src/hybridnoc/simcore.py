@@ -171,23 +171,20 @@ class SimStats:
     def measured_flits(self) -> int:
         return sum(self.lat_count.values())
 
-    def mean_latency(self, route_class: Optional[str] = None) -> float:
+    def _mean(self, sums: Dict[str, int], route_class: Optional[str]) -> float:
         if route_class is None:
             n = self.measured_flits()
-            s = sum(self.lat_sum.values())
+            s = sum(sums.values())
         else:
             n = self.lat_count[route_class]
-            s = self.lat_sum[route_class]
+            s = sums[route_class]
         return s / n if n else 0.0
 
+    def mean_latency(self, route_class: Optional[str] = None) -> float:
+        return self._mean(self.lat_sum, route_class)
+
     def mean_network_latency(self, route_class: Optional[str] = None) -> float:
-        if route_class is None:
-            n = self.measured_flits()
-            s = sum(self.lat_net_sum.values())
-        else:
-            n = self.lat_count[route_class]
-            s = self.lat_net_sum[route_class]
-        return s / n if n else 0.0
+        return self._mean(self.lat_net_sum, route_class)
 
     def unloaded_mean(self) -> float:
         n = self.measured_flits()
@@ -229,25 +226,20 @@ def unloaded_latency(route_class: str, hops: int) -> int:
 # --- engine internals --------------------------------------------------------
 
 class _Flit:
-    __slots__ = (
-        "pid", "idx", "is_head", "is_tail", "src", "dst", "dst_router", "vnet",
-        "created", "entered", "ready_sa", "hops",
-    )
+    """Flit idx of packet pkt, on the VC subnet or on a circuit.
 
-    def __init__(self, pid, idx, is_head, is_tail, src, dst, dst_router, vnet,
-                 created, hops):
-        self.pid = pid
+    entered is the cycle it entered the network; ready_sa is the first
+    cycle a buffered flit may bid for the switch.
+    """
+
+    __slots__ = ("pkt", "idx", "is_tail", "entered", "ready_sa")
+
+    def __init__(self, pkt, idx, entered):
+        self.pkt = pkt
         self.idx = idx
-        self.is_head = is_head
-        self.is_tail = is_tail
-        self.src = src
-        self.dst = dst
-        self.dst_router = dst_router
-        self.vnet = vnet
-        self.created = created
-        self.entered = -1
+        self.is_tail = idx == pkt.n_flits - 1
+        self.entered = entered
         self.ready_sa = 0
-        self.hops = hops
 
 
 class _InVC:
@@ -276,9 +268,18 @@ class _InVC:
 
 
 class _Packet:
+    """A packet from intake to ejection.
+
+    route (the route class its flit records read: "vc" or "cs<subnet>"),
+    lat (the unloaded latency of each of its flits) and, on a circuit,
+    subnet are set when it is sent, not when it is queued: a plan change
+    dispatches the packets queued on its circuits again, and those with no
+    circuit in the new plan go over the VC subnet.
+    """
+
     __slots__ = (
         "pid", "src", "dst", "klass", "created", "src_router", "dst_router",
-        "n_flits", "vnet", "hops", "resources",
+        "n_flits", "vnet", "hops", "resources", "route", "subnet", "lat",
     )
 
     def __init__(self, pid, src, dst, klass, created, src_router, dst_router,
@@ -303,13 +304,11 @@ class _Circuit:
     source router round-robin.
     """
 
-    __slots__ = ("cid", "subnet", "hops", "lat", "free_at", "ni_queues", "rr_nis",
-                 "rr_ptr")
+    __slots__ = ("cid", "subnet", "lat", "free_at", "ni_queues", "rr_nis", "rr_ptr")
 
-    def __init__(self, cid, subnet, hops, lat, source_nis):
+    def __init__(self, cid, subnet, lat, source_nis):
         self.cid = cid
         self.subnet = subnet            # physical subnet index (>= 1)
-        self.hops = hops
         self.lat = lat                  # unloaded latency of each flit
         self.free_at = 0
         self.rr_nis: List[int] = list(source_nis)
@@ -388,7 +387,6 @@ class Simulation:
         # the all-circuit fabric each link and ejection port a packet holds
         self.wire_free: Dict[Tuple, int] = {}
         self.waiting: Dict[int, _Circuit] = {}
-        self.cs_in_flight = 0
         self.plan_schedule: List[Tuple[int, CircuitPlan]] = []
         if plan is not None:
             self._install_plan(plan)
@@ -485,9 +483,8 @@ class Simulation:
             key = (circ.src, circ.dst)
             if not (0 <= circ.src < n and 0 <= circ.dst < n):
                 raise ConfigError(f"plan {unit} pair {key} out of range")
-            hops = circ.path.hops
-            c = _Circuit(len(self.circuits), 1 + s, hops,
-                         unloaded_latency("cs-" + plan.granularity, hops),
+            c = _Circuit(len(self.circuits), 1 + s,
+                         unloaded_latency("cs-" + plan.granularity, circ.path.hops),
                          (circ.src,) if e2e else mesh.nis_of_router(circ.src))
             self.circuits.append(c)
             self.match[key] = c
@@ -606,12 +603,13 @@ class Simulation:
             if occ > max_occ:
                 max_occ = occ
             flit.ready_sa = ready
-            if flit.is_head:
+            if flit.idx == 0:
                 r = ivc.router
                 ivc.state = _WAIT_VA
                 ivc.va_ready = c + 1
-                dst_r = flit.dst_router
-                ivc.out_port = local_port[flit.dst] if r == dst_r else route[r][dst_r]
+                pkt = flit.pkt
+                dst_r = pkt.dst_router
+                ivc.out_port = local_port[pkt.dst] if r == dst_r else route[r][dst_r]
                 va_pending.append(ivc)
                 sa_active[r][ivc.canon] = ivc
                 busy_routers.add(r)
@@ -640,17 +638,14 @@ class Simulation:
                 ivc = self.invc[r][p][v]
                 ivc.reserved = True
                 queue.popleft()
+                pkt.route = "vc"
+                pkt.lat = unloaded_latency("vc", pkt.hops)
                 cur = [pkt, ivc, 0]
                 ni_cur[ni] = cur
             pkt, ivc, idx = cur
             if len(ivc.buf) >= depth:
                 continue
-            flit = _Flit(
-                pkt.pid, idx, idx == 0, idx == pkt.n_flits - 1, pkt.src, pkt.dst,
-                pkt.dst_router, pkt.vnet, pkt.created, pkt.hops,
-            )
-            flit.entered = c
-            writes.append((ivc, flit))
+            writes.append((ivc, _Flit(pkt, idx, c)))
             injected += 1
             cur[2] = idx + 1
             if cur[2] == pkt.n_flits:
@@ -691,29 +686,27 @@ class Simulation:
             if chosen is None:
                 continue
             pkt = q.ni_queues[chosen].popleft()
-            q.free_at = self._send_on_circuit(pkt, chosen, q.subnet, q.hops, q.lat, c)
+            q.free_at = self._send_on_circuit(pkt, chosen, q.subnet, q.lat, c)
             if not q.has_waiting():
                 del self.waiting[cid]
 
-    def _send_on_circuit(self, pkt: _Packet, ni: int, subnet: int, hops: int,
-                         lat: int, c: int) -> int:
+    def _send_on_circuit(self, pkt: _Packet, ni: int, subnet: int, lat: int,
+                         c: int) -> int:
         """Put pkt's flits on NI ni's wire back to back from cycle c.
 
         Each flit ejects lat cycles after it enters.  Returns the cycle the
         tail flit ejects.
         """
+        pkt.route = f"cs{subnet}"
+        pkt.subnet = subnet
+        pkt.lat = lat
         n = pkt.n_flits
+        self.stats.flits_injected += 1
         for i in range(n):
             t_in = c + i
-            if t_in == c:
-                self.stats.flits_injected += 1
-                self.cs_in_flight += 1
-            else:
+            if i:
                 self.cs_entry_ev[t_in] = self.cs_entry_ev.get(t_in, 0) + 1
-            self.cs_eject_ev.setdefault(t_in + lat, []).append(
-                (pkt.pid, i, pkt.src, pkt.dst, pkt.created, t_in, subnet,
-                 hops, lat, i == n - 1)
-            )
+            self.cs_eject_ev.setdefault(t_in + lat, []).append(_Flit(pkt, i, t_in))
         self.wire_free[(ni, subnet)] = c + n
         return c + n - 1 + lat
 
@@ -732,9 +725,7 @@ class Simulation:
             queue.popleft()
             if not queue:
                 del self.pending_cs_all[ni]
-            done = self._send_on_circuit(
-                pkt, ni, 0, pkt.hops, unloaded_latency("cs-e2e", pkt.hops), c
-            )
+            done = self._send_on_circuit(pkt, ni, 0, unloaded_latency("cs-e2e", pkt.hops), c)
             for key in pkt.resources:
                 wire_free[key] = done
 
@@ -749,7 +740,7 @@ class Simulation:
             far = peer[ivc.router][ivc.out_port]
             if far is not None:
                 nbr, p2 = far
-                target = self._free_vc(nbr, p2, ivc.buf[0].vnet)
+                target = self._free_vc(nbr, p2, ivc.buf[0].pkt.vnet)
                 if target < 0:
                     still.append(ivc)
                     continue
@@ -846,7 +837,7 @@ class Simulation:
         st.crossbar_traversals[0] += grants
         st.link_traversals[0] += len(arrivals)
 
-    def _phase_eject(self, c: int, vc_flits: Sequence[_Flit], cs_flits: Sequence[Tuple]) -> None:
+    def _phase_eject(self, c: int, vc_flits: Sequence[_Flit], cs_flits: Sequence[_Flit]) -> None:
         """Retire ejected flits: per-packet order, latency and pair counts.
 
         Flits created before the warm-up window are ejected but not
@@ -857,63 +848,47 @@ class Simulation:
         pair_flits = self.pair_flits
         warmup = self.warmup
         records = st.flit_records if self.record_flits else None
-        measured = unloaded = 0
-        lat_sum = net_sum = 0
-        hist = st.latency_hist["vc"]
-        for flit in vc_flits:
-            pid = flit.pid
-            idx = flit.idx
-            if idx != order.get(pid, -1) + 1:
-                raise SimulationError(f"packet {pid} flit {idx} ejected out of order")
-            if flit.is_tail:
-                order.pop(pid, None)
-            else:
-                order[pid] = idx
-            created = flit.created
-            if created >= warmup:
-                lat = c - created
-                lat_sum += lat
-                net_sum += c - flit.entered
-                measured += 1
-                hist[lat] = hist.get(lat, 0) + 1
-                unloaded += unloaded_latency("vc", flit.hops)
-            pair = (flit.src, flit.dst)
-            pair_flits[pair] = pair_flits.get(pair, 0) + 1
-            if records is not None:
-                records.append(FlitRecord(pid, idx, flit.entered, c, "vc", flit.hops))
-        st.lat_sum["vc"] += lat_sum
-        st.lat_net_sum["vc"] += net_sum
-        st.lat_count["vc"] += measured
-        measured = lat_sum = net_sum = 0
-        hist = st.latency_hist["cs"]
-        for (pid, idx, src, dst, created, entered, subnet, hops, lat,
-             is_tail) in cs_flits:
-            if idx != order.get(pid, -1) + 1:
-                raise SimulationError(f"packet {pid} flit {idx} ejected out of order")
-            if is_tail:
-                order.pop(pid, None)
-            else:
-                order[pid] = idx
-            st.cs_flits_per_subnet[subnet] += 1
-            st.crossbar_traversals[subnet] += hops + 1
-            st.link_traversals[subnet] += hops
-            if created >= warmup:
-                lat_sum += c - created
-                net_sum += c - entered
-                measured += 1
-                hist[c - created] = hist.get(c - created, 0) + 1
-                unloaded += lat
-            pair = (src, dst)
-            pair_flits[pair] = pair_flits.get(pair, 0) + 1
-            if records is not None:
-                records.append(FlitRecord(pid, idx, entered, c, f"cs{subnet}", hops))
-        st.lat_sum["cs"] += lat_sum
-        st.lat_net_sum["cs"] += net_sum
-        st.lat_count["cs"] += measured
+        cs_per_subnet = st.cs_flits_per_subnet
+        crossbar = st.crossbar_traversals
+        links = st.link_traversals
+        unloaded = 0
+        for kind, flits in (("vc", vc_flits), ("cs", cs_flits)):
+            circuit = kind == "cs"
+            hist = st.latency_hist[kind]
+            measured = lat_sum = net_sum = 0
+            for flit in flits:
+                pkt = flit.pkt
+                pid = pkt.pid
+                idx = flit.idx
+                if idx != order.get(pid, -1) + 1:
+                    raise SimulationError(f"packet {pid} flit {idx} ejected out of order")
+                if flit.is_tail:
+                    order.pop(pid, None)
+                else:
+                    order[pid] = idx
+                if circuit:
+                    subnet = pkt.subnet
+                    cs_per_subnet[subnet] += 1
+                    crossbar[subnet] += pkt.hops + 1
+                    links[subnet] += pkt.hops
+                created = pkt.created
+                if created >= warmup:
+                    lat = c - created
+                    lat_sum += lat
+                    net_sum += c - flit.entered
+                    measured += 1
+                    hist[lat] = hist.get(lat, 0) + 1
+                    unloaded += pkt.lat
+                pair = (pkt.src, pkt.dst)
+                pair_flits[pair] = pair_flits.get(pair, 0) + 1
+                if records is not None:
+                    records.append(FlitRecord(pid, idx, flit.entered, c, pkt.route, pkt.hops))
+            st.lat_sum[kind] += lat_sum
+            st.lat_net_sum[kind] += net_sum
+            st.lat_count[kind] += measured
         st.unloaded_sum += unloaded
         st.flits_ejected += len(vc_flits) + len(cs_flits)
         st.in_circuit_flits += len(cs_flits)
-        self.cs_in_flight -= len(cs_flits)
 
     # --- driving ---------------------------------------------------------
 
@@ -968,7 +943,6 @@ class Simulation:
                 entered = cs_entry_ev.pop(c, 0)
                 if entered:
                     self.stats.flits_injected += entered
-                    self.cs_in_flight += entered
                 writes = arrival_ev.pop(c, None)
                 if busy_nis:
                     if writes is None:
@@ -1030,7 +1004,9 @@ class Simulation:
             resident += len(evs)
         for evs in self.vc_eject_ev.values():
             resident += len(evs)
-        resident += self.cs_in_flight
+        # a circuit flit is in the network from the cycle it enters
+        for evs in self.cs_eject_ev.values():
+            resident += sum(flit.entered < self.cycle for flit in evs)
         st.cycles_simulated = self.cycle - self.window_start
         st.in_flight = resident
         if self.carried + st.flits_injected - st.flits_ejected != resident:
@@ -1123,10 +1099,14 @@ def sweep_injection(
         run_layout = layout
         profile_granularity = profile_granularity_for(granularity)
 
+    try:
+        specs = [SyntheticSpec(pattern, rate, regularity=regularity) for rate in rates]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
     points: List[SweepPoint] = []
     warmup = cycles // 10
-    for rate in rates:
-        spec = SyntheticSpec(pattern, rate, regularity=regularity)
+    for rate, spec in zip(rates, specs):
         trace = generate(spec, mesh, seed, cycles)
         plan = None
         if fabric == "hybrid":

@@ -99,6 +99,10 @@ class SyntheticSpec:
             raise ValueError("regularity must lie in [0, 1]")
         if self.designated_pair_count < 1:
             raise ValueError("need at least one designated pair")
+        if self.control_payload_bits <= 0 or self.data_payload_bits <= 0:
+            raise ValueError("payload bits must be positive")
+        if self.injection_rate / self.mean_flits_per_packet() > 1.0:
+            raise ValueError("injection_rate exceeds one packet per NI per cycle")
 
     def mean_flits_per_packet(self, width_bits: int = FULL_LINK_WIDTH_BITS) -> float:
         ctrl = flits_for_packet(PacketClass("control", self.control_payload_bits), width_bits)
@@ -136,10 +140,7 @@ def generate(spec: SyntheticSpec, mesh: MeshConfig, seed: int, cycles: int) -> L
     n = mesh.n_nis
     if n < 2 and spec.injection_rate > 0:
         raise ValueError("traffic needs at least two interfaces")
-    mean_flits = spec.mean_flits_per_packet()
-    p_packet = spec.injection_rate / mean_flits
-    if p_packet > 1.0:
-        raise ValueError("injection_rate exceeds one packet per NI per cycle")
+    p_packet = spec.injection_rate / spec.mean_flits_per_packet()
 
     rng = random.Random(seed)
     ctrl = PacketClass("control", spec.control_payload_bits)

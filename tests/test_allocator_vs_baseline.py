@@ -99,13 +99,13 @@ def _allocate(pkg, scenario):
     return [[(c.src, c.dst) for c in s] for s in plan.subnets], plan.meta
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(scenarios())
 def test_ga_allocate_matches_frozen_baseline(scenario):
     assert _allocate(hn, scenario) == _allocate(base, scenario)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(trap_scenarios())
 def test_ga_search_matches_frozen_baseline_where_it_beats_its_seeds(scenario):
     assert _allocate(hn, scenario) == _allocate(base, scenario)

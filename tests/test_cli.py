@@ -206,6 +206,31 @@ def test_bad_ga_values_are_exit_1_under_any_allocator(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("extra", ["data_payload_bits = 0\n", "injection_rate = 5\n"],
+                         ids=["payload-bits-0", "rate-5"])
+def test_bad_traffic_values_are_exit_1(tmp_path, capsys, extra):
+    ini = tmp_path / "t.ini"
+    ini.write_text(
+        "[experiment]\nmode = baseline_vc\n"
+        "[mesh]\nwidth = 4\nheight = 4\n"
+        "[traffic]\npattern = uniform_random\ncycles = 200\n" + extra
+    )
+    assert main(["run", str(ini), "--output", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--rates", "5"],
+    ["--rates", "-1"],
+    ["--rates", "0.02,5"],
+    ["--subnet-counts", "2", "--rate", "5"],
+], ids=["rates-5", "rates-minus-1", "second-rate-5", "subnet-counts-rate-5"])
+def test_bad_sweep_rates_are_exit_1(capsys, args):
+    assert main(["sweep", "--mesh", "2x2", "--cycles", "200"] + args) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_bad_mesh_is_exit_1(capsys):
     assert main(["sweep", "--mesh", "donut", "--rates", "0.1"]) == 1
 

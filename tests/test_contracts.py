@@ -57,7 +57,7 @@ def records(mesh, src, dst, payload_bits, plan=None):
     return stats.flit_records
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(lone_packets())
 def test_lone_packet_latency_contracts(case):
     mesh, src, dst = case
@@ -92,7 +92,7 @@ def subnet_pairs(plan):
     return [[(c.src, c.dst) for c in circuits] for circuits in plan.subnets]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(profiles())
 def test_greedy_plan_file_round_trip(case):
     mesh, granularity, k, counts = case

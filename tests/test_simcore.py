@@ -489,7 +489,7 @@ def cut_runs(draw):
     return mesh, layout, trace, plan, sorted(cuts), kwargs
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(cut_runs())
 def test_windows_at_random_cuts_add_up_to_one_run(case):
     mesh, layout, trace, plan, cuts, kwargs = case

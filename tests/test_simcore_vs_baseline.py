@@ -8,7 +8,9 @@ inputs from every direction contend for one output port and the switch
 allocator's round-robin ring decides who goes first.  On the all-circuit
 fabric, hot spots make packets wait for paths that end at the same
 ejection port, so the cycle a path is free again decides when each
-packet goes.
+packet goes.  Re-plan scenarios activate a second plan while packets
+still queue on the first plan's circuits, so those packets go again by
+the new plan, over a new circuit or over the VC subnet.
 """
 
 import dataclasses
@@ -119,10 +121,75 @@ def _plan(scenario):
     return hn.greedy_allocate(prof, mesh, layout.cs_subnet_count, fabric)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(scenarios() | hot_spots())
 def test_simulate_matches_frozen_baseline(scenario):
     plan = _plan(scenario)
     ours = _run(hn, scenario, plan)
     theirs = _run(base, scenario, plan)
     assert dataclasses.asdict(ours) == dataclasses.asdict(theirs)
+
+
+@st.composite
+def replans(draw):
+    """A burst scenario on a planned fabric, a second plan and its cycle.
+
+    The second plan is empty or planned from the packets created from its
+    activation on; it activates a few cycles after some packet's
+    creation, mostly while that burst still queues at its circuits.
+    """
+    scenario = draw(scenarios().filter(lambda s: s[4] in ("e2e", "r2r")))
+    packets = scenario[5]
+    activation = draw(st.sampled_from(packets))[0] + draw(st.integers(0, 20))
+    return scenario, activation, draw(st.sampled_from(["empty", "later"]))
+
+
+def _replan(scenario, activation, second):
+    k, fabric = scenario[3:5]
+    if second == "empty":
+        return hn.CircuitPlan.empty(k - 1, fabric)
+    mesh, trace = _inputs(hn, scenario)
+    layout = hn.SubnetLayout(128, k)
+    later = [ev for ev in trace if ev.inject_cycle >= activation]
+    prof = hn.profile(later, mesh, hn.profile_granularity_for(fabric),
+                      layout.subnet_width_bits)
+    return hn.greedy_allocate(prof, mesh, layout.cs_subnet_count, fabric)
+
+
+def _run_replanned(pkg, scenario, plan, activation, second_plan):
+    _, _, _, k, _, _, cut, seed = scenario
+    mesh, trace = _inputs(pkg, scenario)
+    sim = pkg.Simulation(mesh, pkg.SubnetLayout(128, k), pkg.VcConfig(), trace,
+                         plan, seed, warmup_cycles=20, record_flits=True)
+    sim.schedule_plan(second_plan, activation)
+    if cut is None:
+        sim.run_to_completion()
+    else:
+        sim.run_until(cut)
+    pairs = sim.take_pair_counts()
+    return dataclasses.asdict(sim.finalize()), pairs
+
+
+@settings(max_examples=60)
+@given(replans())
+def test_replanned_run_matches_frozen_baseline(case):
+    scenario, activation, second = case
+    plans = (_plan(scenario), activation, _replan(scenario, activation, second))
+    assert _run_replanned(hn, scenario, *plans) == _run_replanned(base, scenario, *plans)
+
+
+def test_packets_stranded_by_a_replan_go_over_vc():
+    # six data packets NI 0 -> 3 queue on one e2e circuit after the warm-up;
+    # the empty plan 15 cycles on sends those not yet on the wire over the
+    # VC subnet, and their flits read "vc" and 5h + 4 = 19 cycles unloaded
+    packets = [(30, 0, 3, "data", 640)] * 6
+    scenario = (4, 4, (1,) * 16, 2, "e2e", packets, None, 0)
+    plans = (_plan(scenario), 45, hn.CircuitPlan.empty(1, "e2e"))
+    assert plans[0].circuit_count() == 1
+    ours, pairs = _run_replanned(hn, scenario, *plans)
+    assert (ours, pairs) == _run_replanned(base, scenario, *plans)
+    classes = [r["route_class"] for r in ours["flit_records"]]
+    assert set(classes) == {"cs1", "vc"}
+    n_vc = classes.count("vc")
+    assert ours["unloaded_sum"] == 19 * n_vc + 7 * (len(classes) - n_vc)
+    assert pairs == {(0, 3): 60}

@@ -52,7 +52,7 @@ def test_xy_route_examples():
     assert p.link_set == frozenset(p.links)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(grids)
 def test_xy_route_is_x_then_y_everywhere(m):
     for a in range(m.n_routers):

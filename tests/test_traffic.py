@@ -68,6 +68,10 @@ def test_spec_validation():
         SyntheticSpec("regular_mix", 0.1, regularity=2.0)
     with pytest.raises(ValueError):
         SyntheticSpec("regular_mix", 0.1, designated_pair_count=0)
+    with pytest.raises(ValueError, match="payload bits"):
+        SyntheticSpec("uniform_random", 0.1, data_payload_bits=0)
+    with pytest.raises(ValueError, match="payload bits"):
+        SyntheticSpec("uniform_random", 0.1, control_payload_bits=-8)
 
 
 def test_generate_deterministic():
@@ -108,10 +112,13 @@ def test_generate_rate_accuracy():
 
 
 def test_generate_rate_too_high():
-    m = MeshConfig.grid(2, 2)
-    spec = SyntheticSpec("uniform_random", 5.0)
-    with pytest.raises(ValueError):
-        generate(spec, m, 0, 10)
+    # the spec itself rejects the rate, so generate never sees it
+    with pytest.raises(ValueError, match="one packet per NI per cycle"):
+        SyntheticSpec("uniform_random", 5.0)
+    # the limit is one packet per NI per cycle, in full-width flits
+    assert SyntheticSpec("uniform_random", 3.0, control_fraction=0.5).injection_rate == 3.0
+    with pytest.raises(ValueError, match="one packet per NI per cycle"):
+        SyntheticSpec("uniform_random", 3.01, control_fraction=0.5)
 
 
 def test_permutation_pattern_is_a_derangement():
