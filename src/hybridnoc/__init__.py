@@ -38,17 +38,19 @@ from .orchestrator import (
     EpochResult,
     ExperimentConfig,
     RunResult,
+    SweepPoint,
     build_plan,
-    compare,
     load_config,
     make_trace,
     read_run_report,
-    rows_from_reports,
     run_adaptive,
     run_baseline,
     run_experiment,
+    run_report,
     run_static,
+    summary_rows,
     summary_table,
+    sweep_injection,
     write_run_report,
 )
 from .simcore import (
@@ -58,10 +60,8 @@ from .simcore import (
     Simulation,
     SimulationError,
     SubnetLayout,
-    SweepPoint,
     VcConfig,
     simulate,
-    sweep_injection,
     unloaded_latency,
 )
 from .topology import (

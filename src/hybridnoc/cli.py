@@ -9,6 +9,7 @@ configuration, 2 bad input data.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -26,17 +27,18 @@ from .allocator import (
 from .energy import EnergyError
 from .orchestrator import (
     ExperimentConfig,
-    compare,
     load_config,
     read_run_report,
-    rows_from_reports,
     run_baseline,
     run_experiment,
+    run_report,
     run_static,
+    summary_rows,
     summary_table,
+    sweep_injection,
     write_run_report,
 )
-from .simcore import ConfigError, SubnetLayout, VcConfig, sweep_injection
+from .simcore import ConfigError, SubnetLayout, VcConfig
 from .topology import MeshConfig, TopologyError
 from .traffic import PATTERNS, SyntheticSpec, TraceFormatError, load_profile
 
@@ -56,6 +58,15 @@ def _parse_num_list(arg: str, cast) -> List:
         return [cast(p) for p in arg.split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad list {arg!r}") from exc
+
+
+def _emit(table: str, out: Optional[str]) -> int:
+    """Print a table, and also write it to out when one is given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(table)
+    sys.stdout.write(table)
+    return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -97,12 +108,7 @@ def _sweep_rates(args: argparse.Namespace) -> int:
             f"{p.unloaded_mean:.2f},{int(p.saturated)},{p.in_circuit_fraction:.4f},"
             f"{p.flits_ejected}"
         )
-    table = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table)
-    sys.stdout.write(table)
-    return 0
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def _sweep_subnets(args: argparse.Namespace) -> int:
@@ -117,33 +123,26 @@ def _sweep_subnets(args: argparse.Namespace) -> int:
         layout=SubnetLayout(args.width_bits, 1, True),
         vc=VcConfig(),
         mode="baseline_vc",
+        allocator=args.allocator,
+        granularity=args.granularity,
         traffic_spec=spec,
         traffic_cycles=args.cycles,
         seed=args.seed,
         label="baseline",
     )
-    baseline = run_baseline(base_config)
-    results = []
-    for k in counts:
-        config = ExperimentConfig(
-            mesh=mesh,
-            layout=SubnetLayout(args.width_bits, k, True),
-            vc=VcConfig(),
-            mode="static_hybrid",
-            allocator=args.allocator,
-            granularity=args.granularity,
-            traffic_spec=spec,
-            traffic_cycles=args.cycles,
-            seed=args.seed,
-            label=f"subnets-{k}",
-        )
-        results.append(run_static(config))
-    table = summary_table(compare(results, baseline))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table)
-    sys.stdout.write(table)
-    return 0
+    baseline = run_report(run_baseline(base_config))
+    reports = [
+        run_report(run_static(dataclasses.replace(
+            base_config, layout=SubnetLayout(args.width_bits, k, True),
+            mode="static_hybrid", label=f"subnets-{k}",
+        )))
+        for k in counts
+    ]
+    try:
+        rows = summary_rows(reports, baseline)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return _emit(summary_table(rows), args.out)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -187,13 +186,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     baseline = read_run_report(args.baseline)
     reports = [read_run_report(p) for p in args.reports]
-    rows = rows_from_reports(reports, baseline)
-    table = summary_table(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table)
-    sys.stdout.write(table)
-    return 0
+    return _emit(summary_table(summary_rows(reports, baseline)), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

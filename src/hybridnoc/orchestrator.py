@@ -1,4 +1,4 @@
-"""Experiment drivers: baseline, static hybrid, adaptive hybrid, comparison.
+"""Experiment drivers: baseline, static hybrid, adaptive hybrid, sweeps, reports.
 
 A run is described by an ExperimentConfig (parseable from an INI file with
 one section per concern).  Baseline runs use the undivided full-width link;
@@ -6,7 +6,9 @@ static hybrid folds the whole trace into a profile at the subnet width and
 runs it under one plan built from that profile; adaptive hybrid re-plans
 every epoch from the previous epoch's observed flit counts, with each plan
 taking effect only after the configuration period has elapsed inside its
-epoch.
+epoch.  A run's report is one mapping of sections to string values; the
+summary table is built from such mappings only, whether they come from
+live runs or from report files.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ import configparser
 import logging
 import math
 import os
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, get_type_hints
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import (
+    Dict, List, Mapping, Optional, Sequence, Tuple, Union, get_args, get_origin,
+    get_type_hints,
+)
 
 from .allocator import (
     CircuitPlan,
@@ -47,10 +52,21 @@ log = logging.getLogger(__name__)
 MODES = ("baseline_vc", "static_hybrid", "adaptive_hybrid")
 ALLOCATORS = ("greedy", "ga", "oracle", "plan-file")
 
+# sweep_injection's saturation threshold, as a multiple of the unloaded mean
+_SATURATION_FACTOR = 10.0
+
 # desk-scale epochs; paper-scale runs set epoch_cycles = 200_000_000 (same
 # 200:1 epoch-to-period ratio)
 DESK_EPOCH_CYCLES = 100_000
 EPOCH_TO_PERIOD_RATIO = 200
+
+
+def _check_generator(spec: SyntheticSpec, mesh: MeshConfig) -> None:
+    """Generated packets need a destination other than their source NI."""
+    if spec.injection_rate > 0 and mesh.n_nis < 2:
+        raise ConfigError(
+            f"traffic at rate {spec.injection_rate} needs at least two interfaces"
+        )
 
 
 @dataclass
@@ -105,6 +121,7 @@ class ExperimentConfig:
             raise ConfigError("configure exactly one traffic source (spec or trace)")
         if self.traffic_spec is not None:
             self.traffic_spec.validate()
+            _check_generator(self.traffic_spec, self.mesh)
         if self.resolved_config_period() >= self.resolved_epoch_cycles():
             raise ConfigError("config period must be shorter than an epoch")
         if self.mode != "baseline_vc" and self.layout.cs_subnet_count < 1:
@@ -304,110 +321,170 @@ def run_experiment(config: ExperimentConfig) -> List[RunResult]:
     return out
 
 
-# --- comparison ---------------------------------------------------------------
+# --- injection sweeps ----------------------------------------------------------
+
+@dataclass
+class SweepPoint:
+    rate: float
+    mean_latency: float
+    p99_latency: int
+    unloaded_mean: float
+    saturated: bool
+    flits_ejected: int
+    in_circuit_fraction: float
+
+
+def sweep_injection(
+    mesh: MeshConfig,
+    layout: SubnetLayout,
+    vc_config: VcConfig,
+    pattern: str,
+    rates: Sequence[float],
+    seed: int = 0,
+    *,
+    fabric: str = "hybrid",
+    granularity: str = "e2e",
+    cycles: int = 20000,
+    regularity: float = 0.0,
+) -> List[SweepPoint]:
+    """Latency-vs-rate curve for one fabric.
+
+    fabric selects what carries the traffic: "vc" forces a full-width
+    buffered fabric, "cs" a full-width fabric where every packet reserves
+    its whole path (no set-up delay modelled), "hybrid" uses the given
+    layout, planning each rate greedily at this granularity from the fold
+    of that rate's trace at the subnet width.  A point is saturated when
+    its mean latency exceeds _SATURATION_FACTOR times the unloaded mean of
+    its own traffic, or when flits go in and no flit created after the
+    warm-up comes out.
+    """
+    if list(rates) != sorted(rates):
+        raise ConfigError("rates must be ascending")
+    if fabric not in ("vc", "cs", "hybrid"):
+        raise ConfigError(f"unknown fabric {fabric!r}")
+    if cycles <= 0:
+        raise ConfigError(f"sweep cycles must be positive, got {cycles}")
+
+    if fabric in ("vc", "cs"):
+        run_layout = SubnetLayout(layout.total_width_bits, 1, layout.gate_cs_buffers)
+    else:
+        if layout.cs_subnet_count < 1:
+            raise ConfigError("a hybrid sweep needs at least one CS subnet")
+        run_layout = layout
+        profile_granularity = profile_granularity_for(granularity)
+
+    try:
+        specs = [SyntheticSpec(pattern, rate, regularity=regularity) for rate in rates]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for spec in specs:
+        _check_generator(spec, mesh)
+
+    points: List[SweepPoint] = []
+    warmup = cycles // 10
+    for rate, spec in zip(rates, specs):
+        trace = generate(spec, mesh, seed, cycles)
+        plan = None
+        if fabric == "hybrid":
+            prof = profile(trace, mesh, profile_granularity, layout.subnet_width_bits)
+            plan = greedy_allocate(prof, mesh, layout.cs_subnet_count, granularity)
+        stats = simulate(
+            mesh, run_layout, vc_config, trace, plan,
+            cycles_limit=cycles, seed=seed, warmup_cycles=warmup,
+            cs_all=(fabric == "cs"),
+        )
+        mean = stats.mean_latency()
+        unloaded = stats.unloaded_mean()
+        if stats.measured_flits() == 0:
+            # nothing measurable got through the window at all
+            saturated = stats.flits_injected > 0
+        else:
+            saturated = unloaded > 0 and mean > _SATURATION_FACTOR * unloaded
+        frac = (stats.in_circuit_flits / stats.flits_ejected) if stats.flits_ejected else 0.0
+        points.append(
+            SweepPoint(rate, mean, stats.p99_latency(), unloaded, saturated,
+                       stats.flits_ejected, frac)
+        )
+    return points
+
+
+# --- run reports and the summary table ----------------------------------------
 
 SUMMARY_HEADER = "config,percent_in_circuit,norm_latency,norm_energy"
 
-
-def compare(
-    results: Sequence[RunResult], baseline: RunResult
-) -> List[Tuple[str, float, float, float]]:
-    """Per-config rows normalized against the baseline run."""
-    if baseline is None:
-        raise ConfigError("comparison needs a baseline run")
-    if baseline.stats.flits_ejected == 0 or baseline.energy is None:
-        raise ConfigError("baseline run ejected no flits; nothing to normalize by")
-    base_lat = baseline.stats.mean_latency()
-    base_epf = baseline.energy.energy_per_flit
-    if base_lat <= 0 or base_epf <= 0:
-        raise ConfigError("baseline latency/energy must be positive")
-    rows = []
-    for r in results:
-        if r.stats.flits_ejected == 0 or r.energy is None:
-            raise ConfigError(f"run {r.label!r} ejected no flits")
-        rows.append(
-            (
-                r.label,
-                r.stats.percent_in_circuit(),
-                r.stats.mean_latency() / base_lat,
-                r.energy.energy_per_flit / base_epf,
-            )
-        )
-    return rows
+# section -> key -> value, exactly as a report file holds them
+Report = Dict[str, Dict[str, str]]
 
 
-def summary_table(rows: Sequence[Tuple[str, float, float, float]]) -> str:
-    lines = [SUMMARY_HEADER]
-    for label, pct, nlat, nenergy in rows:
-        lines.append(f"{label},{pct:.2f},{nlat:.4f},{nenergy:.4f}")
-    return "\n".join(lines) + "\n"
-
-
-# --- run-report files ----------------------------------------------------------
-
-def write_run_report(path: str, result: RunResult) -> None:
-    """One INI-style report per run; everything compare needs to rebuild rows."""
-    cp = configparser.ConfigParser()
+def run_report(result: RunResult) -> Report:
+    """A run's report: everything summary_rows needs to rebuild its row."""
     st = result.stats
-    cp["run"] = {
-        "label": result.label,
-        "mode": result.mode,
-        "cycles_simulated": str(st.cycles_simulated),
-        "packets_seen": str(st.packets_seen),
-        "flits_injected": str(st.flits_injected),
-        "flits_ejected": str(st.flits_ejected),
-        "in_flight": str(st.in_flight),
-        "in_circuit_flits": str(st.in_circuit_flits),
-        "percent_in_circuit": f"{st.percent_in_circuit():.6f}",
-    }
-    cp["latency"] = {
-        "mean": f"{st.mean_latency():.6f}",
-        "mean_vc": f"{st.mean_latency('vc'):.6f}",
-        "mean_cs": f"{st.mean_latency('cs'):.6f}",
-        "mean_network": f"{st.mean_network_latency():.6f}",
-        "p99": str(st.p99_latency()),
-        "unloaded_mean": f"{st.unloaded_mean():.6f}",
-        "measured_flits": str(st.measured_flits()),
-    }
-    cp["events"] = {
-        "subnet_widths": ",".join(map(str, st.subnet_widths)),
-        "buffer_writes": ",".join(map(str, st.buffer_writes)),
-        "buffer_reads": ",".join(map(str, st.buffer_reads)),
-        "crossbar_traversals": ",".join(map(str, st.crossbar_traversals)),
-        "link_traversals": ",".join(map(str, st.link_traversals)),
-        "cs_flits_per_subnet": ",".join(map(str, st.cs_flits_per_subnet)),
-        "vc_allocations": str(st.vc_allocations),
-        "sw_allocations": str(st.sw_allocations),
-        "max_vc_occupancy": str(st.max_vc_occupancy),
-        "active_buffer_cycles": str(st.active_buffer_cycles),
-        "gated_buffer_cycles": str(st.gated_buffer_cycle_count),
+    report = {
+        "run": {
+            "label": result.label,
+            "mode": result.mode,
+            "cycles_simulated": str(st.cycles_simulated),
+            "packets_seen": str(st.packets_seen),
+            "flits_injected": str(st.flits_injected),
+            "flits_ejected": str(st.flits_ejected),
+            "in_flight": str(st.in_flight),
+            "in_circuit_flits": str(st.in_circuit_flits),
+            "percent_in_circuit": f"{st.percent_in_circuit():.6f}",
+        },
+        "latency": {
+            "mean": f"{st.mean_latency():.6f}",
+            "mean_vc": f"{st.mean_latency('vc'):.6f}",
+            "mean_cs": f"{st.mean_latency('cs'):.6f}",
+            "mean_network": f"{st.mean_network_latency():.6f}",
+            "p99": str(st.p99_latency()),
+            "unloaded_mean": f"{st.unloaded_mean():.6f}",
+            "measured_flits": str(st.measured_flits()),
+        },
+        "events": {
+            "subnet_widths": ",".join(map(str, st.subnet_widths)),
+            "buffer_writes": ",".join(map(str, st.buffer_writes)),
+            "buffer_reads": ",".join(map(str, st.buffer_reads)),
+            "crossbar_traversals": ",".join(map(str, st.crossbar_traversals)),
+            "link_traversals": ",".join(map(str, st.link_traversals)),
+            "cs_flits_per_subnet": ",".join(map(str, st.cs_flits_per_subnet)),
+            "vc_allocations": str(st.vc_allocations),
+            "sw_allocations": str(st.sw_allocations),
+            "max_vc_occupancy": str(st.max_vc_occupancy),
+            "active_buffer_cycles": str(st.active_buffer_cycles),
+            "gated_buffer_cycles": str(st.gated_buffer_cycle_count),
+        },
     }
     if result.energy is not None:
         e = result.energy
-        section = {
+        report["energy"] = {
             "total": f"{e.total_energy:.6f}",
             "per_flit": f"{e.energy_per_flit:.6f}",
             "gated_savings": f"{e.gated_savings:.6f}",
+            **{key: f"{val:.6f}" for key, val in e.breakdown.items()},
         }
-        for key, val in e.breakdown.items():
-            section[key] = f"{val:.6f}"
-        cp["energy"] = section
     if result.plan is not None:
-        cp["plan"] = {
+        report["plan"] = {
             "granularity": result.plan.granularity,
             "subnet_count": str(result.plan.subnet_count),
             "circuits": str(result.plan.circuit_count()),
             "provenance": result.plan.provenance,
         }
         if "note" in result.plan.meta:
-            cp["plan"]["note"] = str(result.plan.meta["note"])
+            report["plan"]["note"] = str(result.plan.meta["note"])
     if result.meta:
-        cp["meta"] = {k: str(v) for k, v in result.meta.items()}
+        report["meta"] = {k: str(v) for k, v in result.meta.items()}
+    return report
+
+
+def write_run_report(path: str, result: RunResult) -> None:
+    """Write run_report(result) as one INI-style file."""
+    cp = configparser.ConfigParser()
+    cp.read_dict(run_report(result))
     with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)
 
 
-def read_run_report(path: str) -> Dict[str, Dict[str, str]]:
+def read_run_report(path: str) -> Report:
     cp = configparser.ConfigParser()
     loaded = cp.read(path)
     if not loaded:
@@ -417,11 +494,15 @@ def read_run_report(path: str) -> Dict[str, Dict[str, str]]:
     return {section: dict(cp[section]) for section in cp.sections()}
 
 
-def rows_from_reports(
+def summary_rows(
     reports: Sequence[Mapping[str, Mapping[str, str]]],
     baseline: Mapping[str, Mapping[str, str]],
 ) -> List[Tuple[str, float, float, float]]:
-    """compare(), but over parsed report files instead of live results."""
+    """Per-report rows normalized against the baseline report.
+
+    A run that ejected no flits has no [energy] section, so it cannot be
+    a row or the baseline.
+    """
     try:
         base_lat = float(baseline["latency"]["mean"])
         base_epf = float(baseline["energy"]["per_flit"])
@@ -442,10 +523,23 @@ def rows_from_reports(
     return rows
 
 
+def summary_table(rows: Sequence[Tuple[str, float, float, float]]) -> str:
+    lines = [SUMMARY_HEADER]
+    for label, pct, nlat, nenergy in rows:
+        lines.append(f"{label},{pct:.2f},{nlat:.4f},{nenergy:.4f}")
+    return "\n".join(lines) + "\n"
+
+
 # --- INI experiment configs -----------------------------------------------------
 
-def _parse_value(kind: type, key: str, raw: str) -> object:
+def _declared(kind: object) -> type:
+    """X for a field declared Optional[X], else the declared type itself."""
+    return get_args(kind)[0] if get_origin(kind) is Union else kind
+
+
+def _parse_value(kind: object, key: str, raw: str) -> object:
     """One INI value as the declared type of the field it sets."""
+    kind = _declared(kind)
     if kind is bool:
         try:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
@@ -460,9 +554,8 @@ def _parse_value(kind: type, key: str, raw: str) -> object:
 def _from_section(cls: type, section: Mapping[str, str], **defaults: object):
     """Build dataclass cls from the section keys that name its fields.
 
-    Fields the section leaves out take the dataclass defaults, or the given
-    defaults where the dataclass has none; keys that name no field are
-    left for the caller.
+    Fields the section leaves out take the given defaults, else the
+    dataclass defaults; keys that name no field are left for the caller.
     """
     kinds = get_type_hints(cls)
     values = dict(defaults)
@@ -510,16 +603,21 @@ def _field_names(cls: type) -> Tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
+# [traffic] keys that set ExperimentConfig fields, not SyntheticSpec ones
+_TRAFFIC_FIELDS = {"trace": "trace_path", "cycles": "traffic_cycles"}
+
 # every section and key load_config reads; anything else is rejected.  The
-# sections after [mesh] are read field by field into their dataclasses.
+# sections after [mesh] are read field by field into their dataclasses, and
+# [experiment] sets the ExperimentConfig fields that no other section sets.
 _CONFIG_KEYS: Dict[str, Tuple[str, ...]] = {
-    "experiment": ("mode", "allocator", "granularity", "plan_file", "epoch_cycles",
-                   "config_period_cycles", "seed", "label",
-                   "output_dir"),
+    "experiment": tuple(
+        name for name, kind in get_type_hints(ExperimentConfig).items()
+        if not is_dataclass(_declared(kind)) and name not in _TRAFFIC_FIELDS.values()
+    ),
     "mesh": ("preset", "width", "height", "ni_per_router"),
     "layout": _field_names(SubnetLayout),
     "vc": _field_names(VcConfig),
-    "traffic": ("trace", "cycles") + _field_names(SyntheticSpec),
+    "traffic": tuple(_TRAFFIC_FIELDS) + _field_names(SyntheticSpec),
     "energy": _field_names(EnergyCoefficients),
     "ga": _field_names(GaParams),
 }
@@ -543,45 +641,32 @@ def load_config(path: str) -> ExperimentConfig:
     def section(name: str) -> Mapping[str, str]:
         return cp[name] if cp.has_section(name) else {}
 
-    exp = section("experiment")
     mesh = _mesh_from_section(section("mesh"))
     layout = _from_section(SubnetLayout, section("layout"))
     vc = _from_section(VcConfig, section("vc"))
 
     traffic_spec = None
-    trace_path = None
     tr = section("traffic")
     if "trace" in tr:
         mixed = [k for k in tr if k != "trace"]
         if mixed:
             raise ConfigError(f"[traffic] trace cannot be combined with {', '.join(mixed)}")
-        trace_path = tr["trace"]
     else:
         traffic_spec = _from_section(
             SyntheticSpec, tr, pattern="uniform_random", injection_rate=0.05
         )
-    traffic_cycles = _get_int(tr, "cycles", None)
-    coeffs = _from_section(EnergyCoefficients, section("energy"))
-    ga = _from_section(GaParams, section("ga"))
-
-    config = ExperimentConfig(
+    config = _from_section(
+        ExperimentConfig, section("experiment"),
         mesh=mesh,
         layout=layout,
         vc=vc,
-        mode=exp.get("mode", "static_hybrid"),
-        allocator=exp.get("allocator", "greedy"),
-        granularity=exp.get("granularity", "e2e"),
-        plan_file=exp.get("plan_file") or None,
         traffic_spec=traffic_spec,
-        trace_path=trace_path,
-        traffic_cycles=traffic_cycles,
-        epoch_cycles=_get_int(exp, "epoch_cycles", None),
-        config_period_cycles=_get_int(exp, "config_period_cycles", None),
-        seed=_get_int(exp, "seed", 0),
-        ga=ga,
-        coeffs=coeffs,
-        label=exp.get("label", os.path.splitext(os.path.basename(path))[0]),
-        output_dir=exp.get("output_dir") or None,
+        trace_path=tr.get("trace"),
+        traffic_cycles=_get_int(tr, "cycles", None),
+        coeffs=_from_section(EnergyCoefficients, section("energy")),
+        ga=_from_section(GaParams, section("ga")),
+        mode="static_hybrid",
+        label=os.path.splitext(os.path.basename(path))[0],
     )
     config.validate()
     return config

@@ -26,9 +26,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .allocator import CircuitPlan, greedy_allocate, profile_granularity_for
+from .allocator import CircuitPlan
 from .topology import MeshConfig, xy_route
-from .traffic import SyntheticSpec, TrafficEvent, flits_for_packet, generate, profile
+from .traffic import TrafficEvent, flits_for_packet
 
 log = logging.getLogger(__name__)
 
@@ -40,8 +40,6 @@ _RECONFIG_BARRIER_CYCLES = 1000
 # cycles a run may take to drain after its last input before the engine
 # calls it stuck
 _DRAIN_CYCLES = 10_000_000
-# sweep_injection's saturation threshold, as a multiple of the unloaded mean
-_SATURATION_FACTOR = 10.0
 
 
 class ConfigError(ValueError):
@@ -1047,86 +1045,3 @@ def simulate(
     else:
         sim.run_to_completion()
     return sim.finalize()
-
-
-# --- injection sweeps --------------------------------------------------------
-
-@dataclass
-class SweepPoint:
-    rate: float
-    mean_latency: float
-    p99_latency: int
-    unloaded_mean: float
-    saturated: bool
-    flits_ejected: int
-    in_circuit_fraction: float
-
-
-def sweep_injection(
-    mesh: MeshConfig,
-    layout: SubnetLayout,
-    vc_config: VcConfig,
-    pattern: str,
-    rates: Sequence[float],
-    seed: int = 0,
-    *,
-    fabric: str = "hybrid",
-    granularity: str = "e2e",
-    cycles: int = 20000,
-    regularity: float = 0.0,
-) -> List[SweepPoint]:
-    """Latency-vs-rate curve for one fabric.
-
-    fabric selects what carries the traffic: "vc" forces a full-width
-    buffered fabric, "cs" a full-width fabric where every packet reserves
-    its whole path (no set-up delay modelled), "hybrid" uses the given
-    layout, planning each rate greedily at this granularity from the fold
-    of that rate's trace at the subnet width.  A point is saturated when
-    its mean latency exceeds _SATURATION_FACTOR times the unloaded mean of
-    its own traffic, or when flits go in and no flit created after the
-    warm-up comes out.
-    """
-    if list(rates) != sorted(rates):
-        raise ConfigError("rates must be ascending")
-    if fabric not in ("vc", "cs", "hybrid"):
-        raise ConfigError(f"unknown fabric {fabric!r}")
-
-    if fabric in ("vc", "cs"):
-        run_layout = SubnetLayout(layout.total_width_bits, 1, layout.gate_cs_buffers)
-    else:
-        if layout.cs_subnet_count < 1:
-            raise ConfigError("a hybrid sweep needs at least one CS subnet")
-        run_layout = layout
-        profile_granularity = profile_granularity_for(granularity)
-
-    try:
-        specs = [SyntheticSpec(pattern, rate, regularity=regularity) for rate in rates]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    points: List[SweepPoint] = []
-    warmup = cycles // 10
-    for rate, spec in zip(rates, specs):
-        trace = generate(spec, mesh, seed, cycles)
-        plan = None
-        if fabric == "hybrid":
-            prof = profile(trace, mesh, profile_granularity, layout.subnet_width_bits)
-            plan = greedy_allocate(prof, mesh, layout.cs_subnet_count, granularity)
-        stats = simulate(
-            mesh, run_layout, vc_config, trace, plan,
-            cycles_limit=cycles, seed=seed, warmup_cycles=warmup,
-            cs_all=(fabric == "cs"),
-        )
-        mean = stats.mean_latency()
-        unloaded = stats.unloaded_mean()
-        if stats.measured_flits() == 0:
-            # nothing measurable got through the window at all
-            saturated = stats.flits_injected > 0
-        else:
-            saturated = unloaded > 0 and mean > _SATURATION_FACTOR * unloaded
-        frac = (stats.in_circuit_flits / stats.flits_ejected) if stats.flits_ejected else 0.0
-        points.append(
-            SweepPoint(rate, mean, stats.p99_latency(), unloaded, saturated,
-                       stats.flits_ejected, frac)
-        )
-    return points

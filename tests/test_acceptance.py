@@ -26,7 +26,6 @@ from hybridnoc import (
     TrafficEvent,
     TrafficProfile,
     VcConfig,
-    compare,
     designated_pairs,
     enumerate_oracle,
     ga_allocate,
@@ -36,9 +35,12 @@ from hybridnoc import (
     run_adaptive,
     run_baseline,
     run_experiment,
+    run_report,
     run_static,
     save_trace,
     simulate,
+    summary_rows,
+    summary_table,
     sweep_injection,
     write_run_report,
     xy_route,
@@ -213,8 +215,14 @@ def test_c5_energy_direction(capsys):
     with verdict(capsys, 5, "hybrid cuts energy; more subnets catch more flits"):
         baseline = run_baseline(c5_config(1, "base"))
         four = run_static(c5_config(4, "k4"))
-        rows = compare([four], baseline)
+        rows = summary_rows([run_report(four)], run_report(baseline))
         assert rows[0][3] < 1.0  # normalized energy per flit
+        # golden bytes: rows built from the 6-decimal report values must
+        # print the same 4-decimal table as the live runs did
+        assert summary_table(rows) == (
+            "config,percent_in_circuit,norm_latency,norm_energy\n"
+            "k4,94.54,1.1581,0.2558\n"
+        )
         two = run_static(c5_config(2, "k2"))
         eight = run_static(c5_config(8, "k8"))
         assert (

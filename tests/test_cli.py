@@ -177,6 +177,76 @@ def test_sweep_subnet_counts(capsys):
     assert lines[2].startswith("subnets-4,")
 
 
+# golden bytes of `sweep --mesh 2x2 --subnet-counts 2,4 --cycles 1500`, as
+# printed when the sweep still normalized live results instead of reports
+SWEEP_2X2_TABLE = (
+    "config,percent_in_circuit,norm_latency,norm_energy\n"
+    "subnets-2,37.65,0.9799,0.5167\n"
+    "subnets-4,100.00,0.9391,0.2532\n"
+)
+
+
+def test_subnet_sweep_and_compare_print_the_golden_table(tmp_path, capsys):
+    argv = ["sweep", "--mesh", "2x2", "--subnet-counts", "2,4", "--cycles", "1500"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == SWEEP_2X2_TABLE
+    # the same runs from INI files: uniform_random at 0.05, seed 0, greedy e2e
+    out = tmp_path / "out"
+    labels = {"baseline": 1, "subnets-2": 2, "subnets-4": 4}
+    for label, k in labels.items():
+        ini = tmp_path / f"{label}.ini"
+        ini.write_text(
+            f"[experiment]\nmode = {'baseline_vc' if k == 1 else 'static_hybrid'}\n"
+            f"label = {label}\n[mesh]\nwidth = 2\nheight = 2\n"
+            f"[layout]\nsubnet_count = {k}\n[traffic]\ncycles = 1500\n"
+        )
+        assert main(["run", str(ini), "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["compare"] + [str(out / f"{label}.report") for label in labels]) == 0
+    assert capsys.readouterr().out == SWEEP_2X2_TABLE
+
+
+def test_compare_without_baseline_energy_is_exit_2(tmp_path, capsys):
+    # a run that ejects no flits writes no [energy] section
+    base_cfg = tmp_path / "base.ini"
+    base_cfg.write_text(
+        "[experiment]\nmode = baseline_vc\nlabel = base\n"
+        "[traffic]\ninjection_rate = 0\ncycles = 200\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(base_cfg), "--output", str(out)]) == 0
+    assert main(["run", write_static_config(tmp_path), "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(out / "base.report"), str(out / "demo.report")]) == 2
+    assert "baseline report is missing 'energy'" in capsys.readouterr().err
+
+
+def test_subnet_sweep_without_baseline_flits_is_exit_1(capsys):
+    assert main([
+        "sweep", "--mesh", "2x2", "--subnet-counts", "2", "--rate", "0.0001",
+        "--cycles", "5",
+    ]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cycles", ["0", "-5"])
+def test_rate_sweep_needs_positive_cycles(capsys, cycles):
+    assert main(["sweep", "--rates", "0.01", "--cycles", cycles]) == 1
+    assert "cycles must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--mesh", "1x1", "--rates", "0.01"],
+    ["sweep", "--mesh", "1x1", "--subnet-counts", "2"],
+    ["run", "{ini}"],
+], ids=["rate-sweep", "subnet-sweep", "ini"])
+def test_traffic_on_a_one_ni_mesh_is_exit_1(tmp_path, capsys, argv):
+    ini = tmp_path / "one.ini"
+    ini.write_text("[experiment]\nmode = baseline_vc\n[mesh]\nwidth = 1\nheight = 1\n")
+    assert main([arg.format(ini=ini) for arg in argv]) == 1
+    assert "needs at least two interfaces" in capsys.readouterr().err
+
+
 def test_sweep_needs_exactly_one_axis(capsys):
     assert main(["sweep", "--mesh", "2x2"]) == 1
     assert main([

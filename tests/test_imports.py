@@ -1,4 +1,5 @@
-"""Every name a hybridnoc module imports is used in that module.
+"""Every name a hybridnoc module imports is used in that module, and the
+engine imports nothing from the layers above it.
 
 Deleting code tends to leave imports behind; this walks each module's
 syntax tree instead of relying on a linter the project does not ship.
@@ -12,6 +13,15 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hybridnoc"
 # __init__.py imports names to re-export them, not to use them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imports_from(tree: ast.AST, module: str):
+    """Names imported by "from .module import ..." anywhere in tree."""
+    return {
+        a.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+        for a in node.names
+    }
 
 
 def unused_imports(source: str):
@@ -37,3 +47,11 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_simcore_imports_no_planning_or_generation():
+    # sweeps, which generate traffic and plan circuits, live in orchestrator
+    tree = ast.parse((PACKAGE / "simcore.py").read_text(encoding="utf-8"))
+    assert imports_from(tree, "allocator") <= {"CircuitPlan"}
+    assert not imports_from(tree, "traffic") & {"generate", "profile", "SyntheticSpec"}
+    assert not imports_from(tree, "orchestrator")

@@ -18,17 +18,17 @@ from hybridnoc import (
     SyntheticSpec,
     VcConfig,
     build_plan,
-    compare,
     designated_pairs,
     generate,
     load_config,
     read_run_report,
-    rows_from_reports,
     run_adaptive,
     run_baseline,
     run_experiment,
+    run_report,
     run_static,
     save_trace,
+    summary_rows,
     summary_table,
     write_run_report,
 )
@@ -192,8 +192,8 @@ def test_run_experiment_dispatch():
 
 
 def test_compare_self_is_unity():
-    base = run_baseline(make_config(mode="baseline_vc"))
-    rows = compare([base], base)
+    base = run_report(run_baseline(make_config(mode="baseline_vc")))
+    rows = summary_rows([base], base)
     assert len(rows) == 1
     label, pct, nlat, nen = rows[0]
     assert label == "t"
@@ -209,19 +209,19 @@ def test_compare_rejects_empty_baseline(tmp_path):
         mode="baseline_vc", traffic_spec=None, trace_path=str(trace_file),
         traffic_cycles=None,
     )
-    empty = run_baseline(cfg)
-    good = run_baseline(make_config(mode="baseline_vc"))
-    with pytest.raises(ConfigError):
-        compare([good], empty)
-    with pytest.raises(ConfigError):
-        compare([empty], good)
-    with pytest.raises(ConfigError):
-        compare([good], None)
+    # a run that ejects no flits reports no energy to normalize by
+    empty = run_report(run_baseline(cfg))
+    assert "energy" not in empty
+    good = run_report(run_baseline(make_config(mode="baseline_vc")))
+    with pytest.raises(ValueError, match="baseline report is missing 'energy'"):
+        summary_rows([good], empty)
+    with pytest.raises(ValueError, match="report is missing 'energy'"):
+        summary_rows([empty], good)
 
 
 def test_summary_table_format():
-    base = run_baseline(make_config(mode="baseline_vc"))
-    text = summary_table(compare([base], base))
+    base = run_report(run_baseline(make_config(mode="baseline_vc")))
+    text = summary_table(summary_rows([base], base))
     lines = text.splitlines()
     assert lines[0] == SUMMARY_HEADER
     assert lines[1].startswith("t,0.00,1.0000,1.0000")
@@ -241,20 +241,19 @@ def test_report_round_trip(tmp_path):
     assert float(rep["energy"]["per_flit"]) == pytest.approx(
         production.energy.energy_per_flit
     )
-
-
-def test_rows_from_reports_matches_live_compare(tmp_path):
-    base = run_baseline(make_config(mode="baseline_vc", label="base"))
-    production = run_static(make_config(label="hyb"))
-    bpath = tmp_path / "base.report"
-    rpath = tmp_path / "hyb.report"
-    write_run_report(str(bpath), base)
-    write_run_report(str(rpath), production)
-    live = compare([production], base)
-    from_files = rows_from_reports([read_run_report(str(rpath))], read_run_report(str(bpath)))
-    assert from_files[0][0] == live[0][0]
-    for got, want in zip(from_files[0][1:], live[0][1:]):
-        assert got == pytest.approx(want, rel=1e-4)
+    # the file holds the report record exactly, with and without a plan and
+    # with the plan's note
+    baseline = run_baseline(make_config(mode="baseline_vc"))
+    ga_epoch = run_experiment(stationary_adaptive_config(
+        allocator="ga", ga=GaParams(generations=5), label="ga",
+    ))[1]
+    assert ga_epoch.plan.meta["note"] == "comparison only"
+    for i, result in enumerate((baseline, production, ga_epoch)):
+        path = tmp_path / f"{i}.report"
+        write_run_report(str(path), result)
+        assert read_run_report(str(path)) == run_report(result)
+    assert "plan" not in run_report(baseline)
+    assert run_report(ga_epoch)["plan"]["note"] == "comparison only"
 
 
 def test_read_run_report_errors(tmp_path):
