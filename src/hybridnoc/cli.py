@@ -130,7 +130,11 @@ def _sweep_subnets(args: argparse.Namespace) -> int:
         seed=args.seed,
         label="baseline",
     )
-    baseline = run_report(run_baseline(base_config))
+    baseline = run_baseline(base_config)
+    if not baseline.stats.flits_ejected:
+        raise ConfigError("the baseline run ejected no flits, so it cannot "
+                          "normalize the sweep; raise --rate or --cycles")
+    baseline = run_report(baseline)
     reports = [
         run_report(run_static(dataclasses.replace(
             base_config, layout=SubnetLayout(args.width_bits, k, True),

@@ -835,58 +835,85 @@ class Simulation:
         st.crossbar_traversals[0] += grants
         st.link_traversals[0] += len(arrivals)
 
-    def _phase_eject(self, c: int, vc_flits: Sequence[_Flit], cs_flits: Sequence[_Flit]) -> None:
+    def _retire(self, flits: Sequence[_Flit], c: Optional[int] = None) -> None:
         """Retire ejected flits: per-packet order, latency and pair counts.
 
-        Flits created before the warm-up window are ejected but not
-        measured.
+        VC flits are retired by the cycle c they eject in.  Circuit flits
+        come with c None: each ejects pkt.lat cycles after it entered, so
+        one batch may span many cycles, in the order they ejected.  Flits
+        created before the warm-up window are ejected but not measured.
         """
         st = self.stats
         order = self._order_check
         pair_flits = self.pair_flits
         warmup = self.warmup
         records = st.flit_records if self.record_flits else None
+        circuit = c is None
+        kind = "cs" if circuit else "vc"
+        hist = st.latency_hist[kind]
         cs_per_subnet = st.cs_flits_per_subnet
         crossbar = st.crossbar_traversals
         links = st.link_traversals
-        unloaded = 0
-        for kind, flits in (("vc", vc_flits), ("cs", cs_flits)):
-            circuit = kind == "cs"
-            hist = st.latency_hist[kind]
-            measured = lat_sum = net_sum = 0
-            for flit in flits:
-                pkt = flit.pkt
-                pid = pkt.pid
-                idx = flit.idx
-                if idx != order.get(pid, -1) + 1:
-                    raise SimulationError(f"packet {pid} flit {idx} ejected out of order")
-                if flit.is_tail:
-                    order.pop(pid, None)
-                else:
-                    order[pid] = idx
-                if circuit:
-                    subnet = pkt.subnet
-                    cs_per_subnet[subnet] += 1
-                    crossbar[subnet] += pkt.hops + 1
-                    links[subnet] += pkt.hops
-                created = pkt.created
-                if created >= warmup:
-                    lat = c - created
-                    lat_sum += lat
-                    net_sum += c - flit.entered
-                    measured += 1
-                    hist[lat] = hist.get(lat, 0) + 1
-                    unloaded += pkt.lat
-                pair = (pkt.src, pkt.dst)
-                pair_flits[pair] = pair_flits.get(pair, 0) + 1
-                if records is not None:
-                    records.append(FlitRecord(pid, idx, flit.entered, c, pkt.route, pkt.hops))
-            st.lat_sum[kind] += lat_sum
-            st.lat_net_sum[kind] += net_sum
-            st.lat_count[kind] += measured
+        measured = lat_sum = net_sum = unloaded = 0
+        t_out = c
+        for flit in flits:
+            pkt = flit.pkt
+            pid = pkt.pid
+            idx = flit.idx
+            if idx != order.get(pid, -1) + 1:
+                raise SimulationError(f"packet {pid} flit {idx} ejected out of order")
+            if flit.is_tail:
+                order.pop(pid, None)
+            else:
+                order[pid] = idx
+            if circuit:
+                t_out = flit.entered + pkt.lat
+                subnet = pkt.subnet
+                cs_per_subnet[subnet] += 1
+                crossbar[subnet] += pkt.hops + 1
+                links[subnet] += pkt.hops
+            created = pkt.created
+            if created >= warmup:
+                lat = t_out - created
+                lat_sum += lat
+                net_sum += t_out - flit.entered
+                measured += 1
+                hist[lat] = hist.get(lat, 0) + 1
+                unloaded += pkt.lat
+            pair = (pkt.src, pkt.dst)
+            pair_flits[pair] = pair_flits.get(pair, 0) + 1
+            if records is not None:
+                records.append(FlitRecord(pid, idx, flit.entered, t_out, pkt.route, pkt.hops))
+        st.lat_sum[kind] += lat_sum
+        st.lat_net_sum[kind] += net_sum
+        st.lat_count[kind] += measured
         st.unloaded_sum += unloaded
-        st.flits_ejected += len(vc_flits) + len(cs_flits)
-        st.in_circuit_flits += len(cs_flits)
+        st.flits_ejected += len(flits)
+        if circuit:
+            st.in_circuit_flits += len(flits)
+
+    def _settle_circuits(self, start: int, end: int) -> None:
+        """Count the circuit flits entering and retire those ejecting in
+        cycles start .. end - 1, in cycle order.
+
+        Nothing else in a cycle reads these events, so they may be settled
+        after the cycle is stepped or skipped, as long as no flit ejected
+        in a later cycle is retired before them.
+        """
+        entry_ev = self.cs_entry_ev
+        eject_ev = self.cs_eject_ev
+        entered = 0
+        batch: List[_Flit] = []
+        # every entry ejects later, so no events remain once eject_ev empties
+        while start < end and eject_ev:
+            entered += entry_ev.pop(start, 0)
+            flits = eject_ev.pop(start, None)
+            if flits:
+                batch += flits
+            start += 1
+        self.stats.flits_injected += entered
+        if batch:
+            self._retire(batch)
 
     # --- driving ---------------------------------------------------------
 
@@ -896,18 +923,21 @@ class Simulation:
         Without drain, stop at limit.  With drain, stop as soon as no work
         remains, and raise SimulationError if work remains at limit.
 
-        With nothing buffered, queued or waiting, the next cycle with work
-        is the next packet, plan activation or event, so the clock jumps
-        there (or to limit) without stepping the cycles between.  Counters
-        are unchanged: cycle-integrated figures read cycles_simulated, which
-        counts skipped cycles like stepped ones.
+        Only VC work and the all-circuit fabric's queued packets keep the
+        clock stepping.  With none of them, the next cycle with work is the
+        next packet, plan activation, VC event or cycle a waiting circuit
+        is free, so the clock jumps there (or to limit) without stepping
+        the cycles between; circuit flits in flight do not stop it.  Their
+        entries and ejections are settled in cycle order before the next
+        stepped cycle's, and a drain ends one past the last of them.
+        Counters are unchanged: cycle-integrated figures read
+        cycles_simulated, which counts skipped cycles like stepped ones.
         """
         arrival_ev = self.arrival_ev
         credit_ev = self.credit_ev
         vc_eject_ev = self.vc_eject_ev
-        cs_entry_ev = self.cs_entry_ev
         cs_eject_ev = self.cs_eject_ev
-        events = (arrival_ev, credit_ev, vc_eject_ev, cs_entry_ev, cs_eject_ev)
+        vc_events = (arrival_ev, credit_ev, vc_eject_ev)
         busy_nis = self.busy_nis
         busy_routers = self.busy_routers
         waiting = self.waiting
@@ -915,18 +945,29 @@ class Simulation:
         credits = self.credits
         next_intake = self._next_intake()
         c = self.cycle
+        settled = c  # circuit events before this cycle are settled
         try:
             while True:
-                if not (self.va_pending or busy_nis or busy_routers or waiting
-                        or pending_cs_all):
+                if not (self.va_pending or busy_nis or busy_routers or pending_cs_all):
                     nxt = next_intake
-                    for queue in events:
+                    for queue in vc_events:
                         if queue:
                             nxt = min(nxt, min(queue))
+                    for q in waiting.values():
+                        if q.free_at < nxt:
+                            nxt = q.free_at
                     if drain and nxt == math.inf:
-                        break
+                        if not cs_eject_ev:
+                            break
+                        nxt = max(cs_eject_ev) + 1
+                        if nxt <= limit:
+                            c = nxt
+                            break
                     if nxt > c:
                         c = min(nxt, limit)
+                if cs_eject_ev:
+                    self._settle_circuits(settled, c)
+                settled = c
                 if c >= limit:
                     if drain:
                         raise SimulationError(f"no drain after {limit} cycles")
@@ -938,9 +979,6 @@ class Simulation:
                 if returned:
                     for r, p, v in returned:
                         credits[r][p][v] += 1
-                entered = cs_entry_ev.pop(c, 0)
-                if entered:
-                    self.stats.flits_injected += entered
                 writes = arrival_ev.pop(c, None)
                 if busy_nis:
                     if writes is None:
@@ -954,12 +992,13 @@ class Simulation:
                     self._phase_va(c)
                 if busy_routers:
                     self._phase_sa(c)
-                vc_out = vc_eject_ev.pop(c, ())
-                cs_out = cs_eject_ev.pop(c, ())
-                if vc_out or cs_out:
-                    self._phase_eject(c, vc_out, cs_out)
+                vc_out = vc_eject_ev.pop(c, None)
+                if vc_out:
+                    self._retire(vc_out, c)
                 c += 1
         finally:
+            if cs_eject_ev:
+                self._settle_circuits(settled, c)
             self.cycle = c
 
     def run_until(self, target_cycle: int) -> None:

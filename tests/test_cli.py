@@ -221,12 +221,18 @@ def test_compare_without_baseline_energy_is_exit_2(tmp_path, capsys):
     assert "baseline report is missing 'energy'" in capsys.readouterr().err
 
 
-def test_subnet_sweep_without_baseline_flits_is_exit_1(capsys):
+def test_subnet_sweep_without_baseline_flits_is_exit_1(capsys, monkeypatch):
+    # the empty baseline is caught before any static config runs
+    def run_static(config):
+        raise AssertionError("run_static called")
+
+    monkeypatch.setattr(hybridnoc.cli, "run_static", run_static)
     assert main([
         "sweep", "--mesh", "2x2", "--subnet-counts", "2", "--rate", "0.0001",
         "--cycles", "5",
     ]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: the baseline run ejected no flits" in err
 
 
 @pytest.mark.parametrize("cycles", ["0", "-5"])

@@ -281,6 +281,42 @@ def test_hard_limit_holds_across_an_idle_gap():
     assert sim.cycle == 10_000
 
 
+def r2r_train():
+    """One 10-flit data packet on an r2r circuit from router 0 to router 15,
+    injected at cycle 10.  Its flits enter the wire in cycles 10-19 and
+    eject 2 * 6 + 7 = 19 cycles later, in cycles 29-38; no VC work is ever
+    pending, so the clock steps only cycle 10."""
+    plan = CircuitPlan("r2r", ((CandidatePair(0, 15, 1, xy_route(MESH, 0, 15)),),))
+    trace = [TrafficEvent(10, 0, 15, PacketClass("data", 640), 0)]
+    return Simulation(MESH, HALF, VC, trace, plan, 0)
+
+
+@pytest.mark.parametrize("limit,entered", [(15, 5), (20, 10)])
+def test_hard_limit_cuts_a_circuit_train_in_flight(limit, entered):
+    sim = r2r_train()
+    with pytest.raises(SimulationError, match=str(limit)):
+        sim.run_to_completion(limit)
+    assert sim.cycle == limit
+    stats = sim.finalize()
+    assert (stats.flits_injected, stats.flits_ejected, stats.in_flight) == (entered, 0, entered)
+
+
+def test_circuit_train_drains_one_past_its_last_eject():
+    sim = r2r_train()
+    sim.run_to_completion(40)
+    assert sim.cycle == 39
+
+
+def test_window_cut_inside_a_circuit_train():
+    sim = r2r_train()
+    sim.run_until(25)
+    first = sim.finalize()
+    sim.run_to_completion()
+    second = sim.finalize()
+    assert [(w.flits_injected, w.flits_ejected, w.in_flight, w.cycles_simulated)
+            for w in (first, second)] == [(10, 0, 10, 25), (0, 10, 0, 14)]
+
+
 def test_packets_a_million_cycles_apart_keep_the_vc_contract():
     ctrl = PacketClass("control", 128)
     trace = [TrafficEvent(0, 0, 15, ctrl, 0), TrafficEvent(1_000_000, 0, 15, ctrl, 1)]

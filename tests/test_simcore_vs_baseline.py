@@ -10,7 +10,10 @@ fabric, hot spots make packets wait for paths that end at the same
 ejection port, so the cycle a path is free again decides when each
 packet goes.  Re-plan scenarios activate a second plan while packets
 still queue on the first plan's circuits, so those packets go again by
-the new plan, over a new circuit or over the VC subnet.
+the new plan, over a new circuit or over the VC subnet.  Train scenarios
+send back-to-back data packets over a few circuits with sparse VC traffic
+around them, and cut the run or change the plan while a train is on its
+wires, where the engine settles circuit flits of cycles it never steps.
 """
 
 import dataclasses
@@ -156,12 +159,15 @@ def _replan(scenario, activation, second):
     return hn.greedy_allocate(prof, mesh, layout.cs_subnet_count, fabric)
 
 
-def _run_replanned(pkg, scenario, plan, activation, second_plan):
+def _run_stepped(pkg, scenario, plan, activation=None, second_plan=None):
+    """Stats and pair counts of a Simulation run to the cut or to its
+    drain, with second_plan, if any, scheduled at activation."""
     _, _, _, k, _, _, cut, seed = scenario
     mesh, trace = _inputs(pkg, scenario)
     sim = pkg.Simulation(mesh, pkg.SubnetLayout(128, k), pkg.VcConfig(), trace,
                          plan, seed, warmup_cycles=20, record_flits=True)
-    sim.schedule_plan(second_plan, activation)
+    if second_plan is not None:
+        sim.schedule_plan(second_plan, activation)
     if cut is None:
         sim.run_to_completion()
     else:
@@ -175,7 +181,61 @@ def _run_replanned(pkg, scenario, plan, activation, second_plan):
 def test_replanned_run_matches_frozen_baseline(case):
     scenario, activation, second = case
     plans = (_plan(scenario), activation, _replan(scenario, activation, second))
-    assert _run_replanned(hn, scenario, *plans) == _run_replanned(base, scenario, *plans)
+    assert _run_stepped(hn, scenario, *plans) == _run_stepped(base, scenario, *plans)
+
+
+@st.composite
+def trains(draw):
+    """Trains of data packets over a few hot pairs' circuits, and a cut.
+
+    Each hot pair gets 2-5 data packets of 10 or 20 flits within two
+    cycles, so they queue at its circuit and go one after another, each
+    tail ejecting while VC control packets between random NIs come and go
+    around them.  The cut, and in most cases the activation of a second
+    plan, falls while a train is still on its wires.
+    """
+    width = draw(st.integers(3, 4))
+    height = draw(st.integers(3, 4))
+    nis = tuple(draw(st.lists(st.integers(1, 2), min_size=width * height,
+                              max_size=width * height)))
+    k = draw(st.sampled_from([2, 4]))
+    fabric = draw(st.sampled_from(["e2e", "r2r"]))
+    mesh = hn.MeshConfig(width, height, nis)
+    every_ni = range(mesh.n_nis)
+    pairs = st.tuples(st.sampled_from(every_ni), st.sampled_from(every_ni)).filter(
+        lambda p: mesh.router_of_ni(p[0]) != mesh.router_of_ni(p[1]))
+    hot = draw(st.lists(pairs, min_size=1, max_size=3, unique=True))
+    packets = []
+    starts = []
+    cycle = 0
+    for _ in range(draw(st.integers(1, 3))):
+        cycle += draw(st.integers(0, 300))
+        starts.append(cycle)
+        for src, dst in hot:
+            for _ in range(draw(st.integers(2, 5))):
+                packets.append((cycle + draw(st.integers(0, 2)), src, dst, "data", 640))
+        for _ in range(draw(st.integers(1, 6))):
+            src, dst = draw(st.permutations(every_ni))[:2]
+            packets.append((cycle + draw(st.integers(0, 150)), src, dst, "control", 64))
+    packets.sort(key=lambda pkt: pkt[0])
+    in_flight = st.sampled_from(starts).flatmap(lambda t: st.integers(t + 1, t + 80))
+    cut = draw(in_flight | st.none())
+    seed = draw(st.integers(0, 3))
+    scenario = (width, height, nis, k, fabric, packets, cut, seed)
+    second = draw(st.sampled_from([None, "empty", "later"]))
+    if second is None:
+        return scenario, None, None
+    return scenario, draw(in_flight), second
+
+
+@settings(max_examples=60)
+@given(trains())
+def test_circuit_trains_match_frozen_baseline(case):
+    scenario, activation, second = case
+    plans = (_plan(scenario),)
+    if activation is not None:
+        plans += (activation, _replan(scenario, activation, second))
+    assert _run_stepped(hn, scenario, *plans) == _run_stepped(base, scenario, *plans)
 
 
 def test_packets_stranded_by_a_replan_go_over_vc():
@@ -186,8 +246,8 @@ def test_packets_stranded_by_a_replan_go_over_vc():
     scenario = (4, 4, (1,) * 16, 2, "e2e", packets, None, 0)
     plans = (_plan(scenario), 45, hn.CircuitPlan.empty(1, "e2e"))
     assert plans[0].circuit_count() == 1
-    ours, pairs = _run_replanned(hn, scenario, *plans)
-    assert (ours, pairs) == _run_replanned(base, scenario, *plans)
+    ours, pairs = _run_stepped(hn, scenario, *plans)
+    assert (ours, pairs) == _run_stepped(base, scenario, *plans)
     classes = [r["route_class"] for r in ours["flit_records"]]
     assert set(classes) == {"cs1", "vc"}
     n_vc = classes.count("vc")
