@@ -54,7 +54,6 @@ from .orchestrator import (
     write_run_report,
 )
 from .simcore import (
-    ConfigError,
     FlitRecord,
     SimStats,
     Simulation,
@@ -65,6 +64,7 @@ from .simcore import (
     unloaded_latency,
 )
 from .topology import (
+    ConfigError,
     MeshConfig,
     Path,
     TopologyError,

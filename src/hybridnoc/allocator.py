@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import logging
 import random
+import re
 from dataclasses import dataclass, field
 from itertools import compress
 from struct import unpack_from
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .topology import MeshConfig, Path, xy_route
-from .traffic import TrafficProfile
+from .topology import ConfigError, MeshConfig, Path, xy_route
+from .traffic import TraceFormatError, TrafficProfile, read_records
 
 log = logging.getLogger(__name__)
 
@@ -27,7 +28,7 @@ PLAN_GRANULARITIES = ("e2e", "r2r")
 _PROFILE_GRAN = {"e2e": "ni", "r2r": "router"}
 
 
-class AllocationError(ValueError):
+class AllocationError(ConfigError):
     """Inconsistent plan, profile or allocator parameters."""
 
 
@@ -90,16 +91,11 @@ class CircuitPlan:
     def validate(self) -> None:
         """Recheck conflict freedom from scratch; raises on violation."""
         self.pair_index()
-        endpoint_ports = self.granularity == "r2r"
         for circuits in self.subnets:
-            for i, mask in enumerate(_conflict_masks(circuits, endpoint_ports)):
-                if mask:
-                    # i is the first circuit with a clash, so its lowest partner j > i
-                    j = (mask & -mask).bit_length() - 1
-                    raise AllocationError(
-                        f"circuits {(circuits[i].src, circuits[i].dst)} and "
-                        f"{(circuits[j].src, circuits[j].dst)} conflict in one subnet"
-                    )
+            clash = _first_clash(circuits, self.granularity == "r2r")
+            if clash:
+                a, b = ((circuits[i].src, circuits[i].dst) for i in clash)
+                raise AllocationError(f"circuits {a} and {b} conflict in one subnet")
 
 
 def _conflict_masks(candidates: Sequence[CandidatePair], endpoint_ports: bool) -> List[int]:
@@ -127,6 +123,17 @@ def _conflict_masks(candidates: Sequence[CandidatePair], endpoint_ports: bool) -
             mask |= users[r]
         masks.append(mask & ~(1 << i))
     return masks
+
+
+def _first_clash(
+    candidates: Sequence[CandidatePair], endpoint_ports: bool
+) -> Optional[Tuple[int, int]]:
+    """Indices i < j of the first two candidates that conflict, or None."""
+    for i, mask in enumerate(_conflict_masks(candidates, endpoint_ports)):
+        if mask:
+            # i is the first candidate with a clash, so its lowest partner j > i
+            return i, (mask & -mask).bit_length() - 1
+    return None
 
 
 def _first_fit_bits(order: Iterable[int], masks: Sequence[int], k: int) -> List[List[int]]:
@@ -444,39 +451,36 @@ def save_plan(plan: CircuitPlan, path: str) -> None:
 
 
 def load_plan(path: str, mesh: MeshConfig) -> CircuitPlan:
-    """Rebuild a plan from its file; weights are not stored, paths are."""
-    with open(path) as fh:
-        lines = [l.strip() for l in fh if l.strip() and not l.strip().startswith("#")]
-    if not lines:
-        raise AllocationError("plan file is empty")
-    try:
-        header = dict(part.split("=", 1) for part in lines[0].split())
-        granularity = header["granularity"]
-        k = int(header["subnets"])
-    except (KeyError, ValueError) as exc:
-        raise AllocationError(f"bad plan header: {exc}") from None
-    if granularity not in PLAN_GRANULARITIES:
-        raise AllocationError(f"unknown plan granularity {granularity!r}")
-    if k < 0:
-        raise AllocationError(f"plan header gives {k} subnets")
-    subnets: List[List[CandidatePair]] = [[] for _ in range(k)]
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise AllocationError(f"line {lineno}: expected subnet,src,dst")
-        try:
-            s, src, dst = (int(p) for p in parts)
-        except ValueError as exc:
-            raise AllocationError(f"line {lineno}: {exc}") from None
-        if not 0 <= s < k:
-            raise AllocationError(f"line {lineno}: subnet {s} out of range")
-        if granularity == "e2e":
-            ra, rb = mesh.router_of_ni(src), mesh.router_of_ni(dst)
-        else:
-            ra, rb = src, dst
-        if ra == rb:
-            raise AllocationError(f"line {lineno}: circuit endpoints share a router")
-        subnets[s].append(CandidatePair(src, dst, 0, xy_route(mesh, ra, rb)))
-    plan = CircuitPlan(granularity, tuple(tuple(s) for s in subnets), provenance="file")
-    plan.validate()
-    return plan
+    """Rebuild a plan from its file; weights are not stored, paths are.
+
+    Any fault, a circuit off the mesh or in conflict included, raises
+    TraceFormatError naming its line.
+    """
+    with open(path, "rb") as fh:
+        rows = read_records(fh, (int,) * 3, header=True)
+        lineno, (head,) = next(rows, (1, ("",)))
+        header = re.fullmatch(r"granularity=(e2e|r2r) subnets=(\d+)", head)
+        if not header:
+            raise TraceFormatError(f"line {lineno}: bad plan header {head!r}")
+        granularity, k = header[1], int(header[2])
+        e2e = granularity == "e2e"
+        n_endpoints = mesh.n_nis if e2e else mesh.n_routers
+        subnets: List[List[CandidatePair]] = [[] for _ in range(k)]
+        seen: Dict[Tuple[int, int], int] = {}  # pair -> its line
+        for lineno, (s, src, dst) in rows:
+            if not 0 <= s < k:
+                raise TraceFormatError(f"line {lineno}: subnet {s} out of range")
+            if not (0 <= src < n_endpoints and 0 <= dst < n_endpoints):
+                raise TraceFormatError(f"line {lineno}: circuit {src},{dst} leaves the mesh")
+            if seen.setdefault((src, dst), lineno) != lineno:
+                raise TraceFormatError(f"line {lineno}: pair repeats line {seen[src, dst]}")
+            ra, rb = (mesh.router_of_ni(src), mesh.router_of_ni(dst)) if e2e else (src, dst)
+            if ra == rb:
+                raise TraceFormatError(f"line {lineno}: circuit endpoints share a router")
+            subnets[s].append(CandidatePair(src, dst, 0, xy_route(mesh, ra, rb)))
+    for circuits in subnets:
+        clash = _first_clash(circuits, not e2e)
+        if clash:
+            a, b = (seen[circuits[i].src, circuits[i].dst] for i in clash)
+            raise TraceFormatError(f"line {b}: circuit conflicts with line {a} in its subnet")
+    return CircuitPlan(granularity, tuple(tuple(s) for s in subnets), provenance="file")

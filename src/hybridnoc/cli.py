@@ -3,7 +3,8 @@
 Subcommands: run (one experiment config), sweep (injection-rate or
 subnet-count sweeps), allocate (profile file to plan file), compare
 (run reports to a summary table).  Exit codes: 0 success, 1 bad
-configuration, 2 bad input data.
+configuration (ConfigError), 2 a malformed or unreadable data file
+(TraceFormatError, OSError); any other exception is a defect.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 from typing import List, Optional
 
 from .allocator import (
-    AllocationError,
     GaParams,
     enumerate_oracle,
     ga_allocate,
@@ -24,7 +24,6 @@ from .allocator import (
     profile_granularity_for,
     save_plan,
 )
-from .energy import EnergyError
 from .orchestrator import (
     ExperimentConfig,
     load_config,
@@ -38,8 +37,8 @@ from .orchestrator import (
     sweep_injection,
     write_run_report,
 )
-from .simcore import ConfigError, SubnetLayout, VcConfig
-from .topology import MeshConfig, TopologyError
+from .simcore import SubnetLayout, VcConfig
+from .topology import ConfigError, MeshConfig
 from .traffic import PATTERNS, SyntheticSpec, TraceFormatError, load_profile
 
 
@@ -49,7 +48,7 @@ def _parse_mesh(arg: str) -> MeshConfig:
     try:
         w, h = arg.lower().split("x")
         return MeshConfig.grid(int(w), int(h))
-    except (ValueError, TopologyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad mesh {arg!r}; want WxH or cmp-4x4-51ni") from exc
 
 
@@ -114,10 +113,7 @@ def _sweep_rates(args: argparse.Namespace) -> int:
 def _sweep_subnets(args: argparse.Namespace) -> int:
     mesh = _parse_mesh(args.mesh)
     counts = _parse_num_list(args.subnet_counts, int)
-    try:
-        spec = SyntheticSpec(args.pattern, args.rate, regularity=args.regularity)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = SyntheticSpec(args.pattern, args.rate, regularity=args.regularity)
     base_config = ExperimentConfig(
         mesh=mesh,
         layout=SubnetLayout(args.width_bits, 1, True),
@@ -142,11 +138,7 @@ def _sweep_subnets(args: argparse.Namespace) -> int:
         )))
         for k in counts
     ]
-    try:
-        rows = summary_rows(reports, baseline)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return _emit(summary_table(rows), args.out)
+    return _emit(summary_table(summary_rows(reports, baseline)), args.out)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -263,16 +255,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, AllocationError, TopologyError, EnergyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except TraceFormatError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"data error: missing file {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (TraceFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,11 +13,12 @@ from dataclasses import dataclass, fields
 from typing import Dict
 
 from .simcore import SimStats, SubnetLayout
+from .topology import ConfigError
 
 BREAKDOWN_KEYS = ("buffer", "allocation", "crossbar", "link", "static")
 
 
-class EnergyError(ValueError):
+class EnergyError(ConfigError):
     """Accounting asked for something undefined (e.g. zero ejected flits)."""
 
 
@@ -40,7 +41,7 @@ class EnergyCoefficients:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) < 0:
+            if not getattr(self, f.name) >= 0:
                 raise EnergyError(f"{f.name} must be >= 0")
 
 

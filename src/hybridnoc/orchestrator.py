@@ -35,10 +35,11 @@ from .allocator import (
     profile_granularity_for,
 )
 from .energy import EnergyCoefficients, EnergyReport, account
-from .simcore import ConfigError, SimStats, Simulation, SubnetLayout, VcConfig, simulate
-from .topology import MeshConfig
+from .simcore import SimStats, Simulation, SubnetLayout, VcConfig, simulate
+from .topology import ConfigError, MeshConfig
 from .traffic import (
     SyntheticSpec,
+    TraceFormatError,
     TrafficEvent,
     TrafficProfile,
     generate,
@@ -63,13 +64,14 @@ EPOCH_TO_PERIOD_RATIO = 200
 
 def _check_generator(spec: SyntheticSpec, mesh: MeshConfig) -> None:
     """Generated packets need a destination other than their source NI."""
-    if spec.injection_rate > 0 and mesh.n_nis < 2:
-        raise ConfigError(
-            f"traffic at rate {spec.injection_rate} needs at least two interfaces"
-        )
+    n = mesh.n_nis
+    if spec.injection_rate > 0 and n < 2:
+        raise ConfigError(f"traffic at rate {spec.injection_rate} needs at least two interfaces")
+    if spec.pattern == "regular_mix" and spec.designated_pair_count > n * (n - 1):
+        raise ConfigError(f"designated_pair_count exceeds the {n * (n - 1)} NI pairs of the mesh")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     mesh: MeshConfig
     layout: SubnetLayout
@@ -106,13 +108,11 @@ class ExperimentConfig:
             return 2 * self.resolved_epoch_cycles()
         return 20_000
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; pick one of {MODES}")
         if self.allocator not in ALLOCATORS:
-            raise ConfigError(
-                f"unknown allocator {self.allocator!r}; pick one of {ALLOCATORS}"
-            )
+            raise ConfigError(f"unknown allocator {self.allocator!r}; pick one of {ALLOCATORS}")
         if self.granularity not in PLAN_GRANULARITIES:
             raise ConfigError(f"unknown granularity {self.granularity!r}")
         if self.allocator == "plan-file" and not self.plan_file:
@@ -120,14 +120,15 @@ class ExperimentConfig:
         if (self.traffic_spec is None) == (self.trace_path is None):
             raise ConfigError("configure exactly one traffic source (spec or trace)")
         if self.traffic_spec is not None:
-            self.traffic_spec.validate()
             _check_generator(self.traffic_spec, self.mesh)
-        if self.resolved_config_period() >= self.resolved_epoch_cycles():
-            raise ConfigError("config period must be shorter than an epoch")
+        if not 0 <= self.resolved_config_period() < self.resolved_epoch_cycles():
+            raise ConfigError("config period must be at least 0 and shorter than an epoch")
         if self.mode != "baseline_vc" and self.layout.cs_subnet_count < 1:
             raise ConfigError(f"{self.mode} needs at least one CS subnet")
         if self.traffic_cycles is not None and self.traffic_cycles <= 0:
             raise ConfigError("traffic cycles must be positive")
+        if not self.label or "/" in self.label or "\0" in self.label:
+            raise ConfigError(f"label {self.label!r} cannot name a report file")
 
 
 @dataclass
@@ -202,7 +203,6 @@ def _energy_or_none(
 
 def run_baseline(config: ExperimentConfig) -> RunResult:
     """Pure-VC run on the undivided full-width link."""
-    config.validate()
     trace = make_trace(config)
     layout = SubnetLayout(
         config.layout.total_width_bits, 1, config.layout.gate_cs_buffers
@@ -230,7 +230,6 @@ def run_static(
     config: ExperimentConfig, trace: Optional[Sequence[TrafficEvent]] = None
 ) -> RunResult:
     """Static hybrid: plan once from the whole trace, then run under the plan."""
-    config.validate()
     if config.mode != "static_hybrid":
         raise ConfigError("run_static needs mode static_hybrid")
     if trace is None:
@@ -251,7 +250,6 @@ def run_adaptive(config: ExperimentConfig) -> List[EpochResult]:
     before that moment still ride the previous plan.  Each epoch reports
     the counter window that Simulation.finalize closes at the epoch's end.
     """
-    config.validate()
     if config.mode != "adaptive_hybrid":
         raise ConfigError("run_adaptive needs mode adaptive_hybrid")
     trace = make_trace(config)
@@ -298,7 +296,6 @@ def run_experiment(config: ExperimentConfig) -> List[RunResult]:
         return [run_baseline(config)]
     if config.mode == "static_hybrid":
         # the all-VC run at the hybrid width is reported next to the plan's run
-        config.validate()
         trace = make_trace(config)
         stats = simulate(
             config.mesh, config.layout, config.vc, trace, None, seed=config.seed
@@ -373,10 +370,7 @@ def sweep_injection(
         run_layout = layout
         profile_granularity = profile_granularity_for(granularity)
 
-    try:
-        specs = [SyntheticSpec(pattern, rate, regularity=regularity) for rate in rates]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    specs = [SyntheticSpec(pattern, rate, regularity=regularity) for rate in rates]
     for spec in specs:
         _check_generator(spec, mesh)
 
@@ -478,20 +472,34 @@ def run_report(result: RunResult) -> Report:
 
 def write_run_report(path: str, result: RunResult) -> None:
     """Write run_report(result) as one INI-style file."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(run_report(result))
     with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)
 
 
 def read_run_report(path: str) -> Report:
-    cp = configparser.ConfigParser()
-    loaded = cp.read(path)
-    if not loaded:
-        raise FileNotFoundError(path)
+    """A report file as the mapping run_report returns; TraceFormatError if malformed."""
+    cp = configparser.ConfigParser(interpolation=None)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            cp.read_file(fh)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise TraceFormatError(f"cannot parse run report {path}: {exc}") from None
     if not cp.has_section("run"):
-        raise ValueError(f"{path} is not a run report (no [run] section)")
+        raise TraceFormatError(f"{path} is not a run report (no [run] section)")
     return {section: dict(cp[section]) for section in cp.sections()}
+
+
+def _report_value(report: Mapping[str, Mapping[str, str]], name: str,
+                  section: str, key: str, cast=float):
+    """cast(report[section][key]); TraceFormatError if it is missing or malformed."""
+    try:
+        return cast(report[section][key])
+    except KeyError as exc:
+        raise TraceFormatError(f"{name} is missing {exc}") from None
+    except ValueError as exc:
+        raise TraceFormatError(f"{name} [{section}] {key}: {exc}") from None
 
 
 def summary_rows(
@@ -503,23 +511,18 @@ def summary_rows(
     A run that ejected no flits has no [energy] section, so it cannot be
     a row or the baseline.
     """
-    try:
-        base_lat = float(baseline["latency"]["mean"])
-        base_epf = float(baseline["energy"]["per_flit"])
-    except KeyError as exc:
-        raise ValueError(f"baseline report is missing {exc}") from exc
-    if base_lat <= 0 or base_epf <= 0:
-        raise ValueError("baseline latency/energy must be positive")
+    base_lat = _report_value(baseline, "baseline report", "latency", "mean")
+    base_epf = _report_value(baseline, "baseline report", "energy", "per_flit")
+    if not (base_lat > 0 and base_epf > 0):
+        raise TraceFormatError("baseline latency/energy must be positive")
     rows = []
     for rep in reports:
-        try:
-            label = rep["run"]["label"]
-            pct = float(rep["run"]["percent_in_circuit"])
-            lat = float(rep["latency"]["mean"])
-            epf = float(rep["energy"]["per_flit"])
-        except KeyError as exc:
-            raise ValueError(f"report is missing {exc}") from exc
-        rows.append((label, pct, lat / base_lat, epf / base_epf))
+        rows.append((
+            _report_value(rep, "report", "run", "label", str),
+            _report_value(rep, "report", "run", "percent_in_circuit"),
+            _report_value(rep, "report", "latency", "mean") / base_lat,
+            _report_value(rep, "report", "energy", "per_flit") / base_epf,
+        ))
     return rows
 
 
@@ -562,10 +565,7 @@ def _from_section(cls: type, section: Mapping[str, str], **defaults: object):
     for f in fields(cls):
         if f.name in section:
             values[f.name] = _parse_value(kinds[f.name], f.name, section[f.name])
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return cls(**values)
 
 
 def _get_int(section: Mapping[str, str], key: str, default: Optional[int]) -> Optional[int]:
@@ -593,10 +593,7 @@ def _mesh_from_section(section: Mapping[str, str]) -> MeshConfig:
         ni = tuple(counts * (width * height))
     else:
         ni = tuple(counts)
-    try:
-        return MeshConfig(width, height, ni)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return MeshConfig(width, height, ni)
 
 
 def _field_names(cls: type) -> Tuple[str, ...]:
@@ -624,9 +621,13 @@ _CONFIG_KEYS: Dict[str, Tuple[str, ...]] = {
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse one experiment INI file into a validated ExperimentConfig."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    loaded = cp.read(path)
+    """Parse one experiment INI file (UTF-8, no % interpolation) into an
+    ExperimentConfig; anything wrong with it, unreadable included, is a ConfigError."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+    try:
+        loaded = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if not loaded:
         raise ConfigError(f"cannot read config file {path}")
     if cp.defaults():
@@ -655,7 +656,7 @@ def load_config(path: str) -> ExperimentConfig:
         traffic_spec = _from_section(
             SyntheticSpec, tr, pattern="uniform_random", injection_rate=0.05
         )
-    config = _from_section(
+    return _from_section(
         ExperimentConfig, section("experiment"),
         mesh=mesh,
         layout=layout,
@@ -668,5 +669,3 @@ def load_config(path: str) -> ExperimentConfig:
         mode="static_hybrid",
         label=os.path.splitext(os.path.basename(path))[0],
     )
-    config.validate()
-    return config

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .allocator import CircuitPlan
-from .topology import MeshConfig, xy_route
+from .topology import ConfigError, MeshConfig, xy_route
 from .traffic import TrafficEvent, flits_for_packet
 
 log = logging.getLogger(__name__)
@@ -40,10 +40,6 @@ _RECONFIG_BARRIER_CYCLES = 1000
 # cycles a run may take to drain after its last input before the engine
 # calls it stuck
 _DRAIN_CYCLES = 10_000_000
-
-
-class ConfigError(ValueError):
-    """Mesh, layout, plan or config parameters that do not fit together."""
 
 
 class SimulationError(RuntimeError):
@@ -218,7 +214,7 @@ def unloaded_latency(route_class: str, hops: int) -> int:
         return 2 * hops + 1
     if route_class == "cs-r2r":
         return 2 * hops + 7
-    raise ValueError(f"unknown route class {route_class!r}")
+    raise ConfigError(f"unknown route class {route_class!r}")
 
 
 # --- engine internals --------------------------------------------------------
@@ -497,8 +493,6 @@ class Simulation:
 
     def _intake(self, ev: TrafficEvent) -> None:
         mesh = self.mesh
-        if not (0 <= ev.src < mesh.n_nis and 0 <= ev.dst < mesh.n_nis):
-            raise ConfigError(f"packet {ev.packet_id} names an unknown NI")
         src_r = mesh.router_of_ni(ev.src)
         dst_r = mesh.router_of_ni(ev.dst)
         n_flits = flits_for_packet(ev.klass, self.width_bits)
@@ -921,7 +915,8 @@ class Simulation:
         """Step the clock from self.cycle toward the absolute cycle limit.
 
         Without drain, stop at limit.  With drain, stop as soon as no work
-        remains, and raise SimulationError if work remains at limit.
+        remains, and raise SimulationError if work remains at limit.  A
+        limit before self.cycle is a ConfigError: the clock never runs back.
 
         Only VC work and the all-circuit fabric's queued packets keep the
         clock stepping.  With none of them, the next cycle with work is the
@@ -933,6 +928,8 @@ class Simulation:
         Counters are unchanged: cycle-integrated figures read
         cycles_simulated, which counts skipped cycles like stepped ones.
         """
+        if limit < self.cycle:
+            raise ConfigError(f"cycle {limit} lies before the current cycle {self.cycle}")
         arrival_ev = self.arrival_ev
         credit_ev = self.credit_ev
         vc_eject_ev = self.vc_eject_ev

@@ -14,7 +14,12 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 
-class TopologyError(ValueError):
+class ConfigError(ValueError):
+    """A config, option or argument value that is out of range or does not
+    fit with the others (CLI exit 1); data files raise TraceFormatError."""
+
+
+class TopologyError(ConfigError):
     """Malformed mesh parameters or out-of-range endpoints."""
 
 

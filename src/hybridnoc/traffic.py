@@ -13,9 +13,9 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .topology import MeshConfig
+from .topology import ConfigError, MeshConfig
 
 log = logging.getLogger(__name__)
 
@@ -28,7 +28,7 @@ _HOTSPOT_FRACTION = 0.5
 
 
 class TraceFormatError(ValueError):
-    """A trace record that cannot be parsed or names an unknown endpoint."""
+    """A fault in a trace, profile, plan or run report file (CLI exit 2)."""
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class PacketClass:
 
     def __post_init__(self) -> None:
         if self.payload_bits <= 0:
-            raise ValueError("payload_bits must be positive")
+            raise ConfigError("payload_bits must be positive")
 
 
 def packet_class(kind: str, control_bits: int = 128, data_bits: int = 640) -> PacketClass:
@@ -54,7 +54,7 @@ def packet_class(kind: str, control_bits: int = 128, data_bits: int = 640) -> Pa
 def flits_for_packet(klass: PacketClass, channel_width_bits: int) -> int:
     """Number of flits needed to carry one packet on a channel."""
     if channel_width_bits <= 0:
-        raise ValueError("channel width must be positive")
+        raise ConfigError("channel width must be positive")
     return math.ceil(klass.payload_bits / channel_width_bits)
 
 
@@ -68,14 +68,14 @@ class TrafficEvent:
 
     def __post_init__(self) -> None:
         if self.inject_cycle < 0:
-            raise ValueError("inject_cycle cannot be negative")
+            raise ConfigError("inject_cycle cannot be negative")
         if self.src == self.dst:
-            raise ValueError("packet source and destination NI must differ")
+            raise ConfigError("packet source and destination NI must differ")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
-    """Knobs for the synthetic packet generator."""
+    """Knobs for the synthetic packet generator; bad values raise ConfigError."""
 
     pattern: str
     injection_rate: float
@@ -86,23 +86,20 @@ class SyntheticSpec:
     data_payload_bits: int = 640
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.pattern not in PATTERNS:
-            raise ValueError(f"unknown pattern {self.pattern!r}")
-        if self.injection_rate < 0:
-            raise ValueError("injection_rate cannot be negative")
+            raise ConfigError(f"unknown pattern {self.pattern!r}")
+        if not self.injection_rate >= 0:
+            raise ConfigError(f"injection_rate must be at least 0, got {self.injection_rate}")
         if not 0.0 <= self.control_fraction <= 1.0:
-            raise ValueError("control_fraction must lie in [0, 1]")
+            raise ConfigError("control_fraction must lie in [0, 1]")
         if not 0.0 <= self.regularity <= 1.0:
-            raise ValueError("regularity must lie in [0, 1]")
+            raise ConfigError("regularity must lie in [0, 1]")
         if self.designated_pair_count < 1:
-            raise ValueError("need at least one designated pair")
+            raise ConfigError("need at least one designated pair")
         if self.control_payload_bits <= 0 or self.data_payload_bits <= 0:
-            raise ValueError("payload bits must be positive")
+            raise ConfigError("payload bits must be positive")
         if self.injection_rate / self.mean_flits_per_packet() > 1.0:
-            raise ValueError("injection_rate exceeds one packet per NI per cycle")
+            raise ConfigError("injection_rate exceeds one packet per NI per cycle")
 
     def mean_flits_per_packet(self, width_bits: int = FULL_LINK_WIDTH_BITS) -> float:
         ctrl = flits_for_packet(PacketClass("control", self.control_payload_bits), width_bits)
@@ -115,7 +112,7 @@ def designated_pairs(mesh: MeshConfig, seed: int, count: int) -> List[Tuple[int,
     n = mesh.n_nis
     all_pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     if count > len(all_pairs):
-        raise ValueError(f"mesh only offers {len(all_pairs)} distinct pairs")
+        raise ConfigError(f"mesh only offers {len(all_pairs)} distinct pairs")
     rng = random.Random(f"{seed}/designated")
     return rng.sample(all_pairs, count)
 
@@ -136,10 +133,12 @@ def generate(spec: SyntheticSpec, mesh: MeshConfig, seed: int, cycles: int) -> L
     the Bernoulli packet probability is rate / mean flits per packet.
     """
     if cycles < 0:
-        raise ValueError("cycles cannot be negative")
+        raise ConfigError("cycles cannot be negative")
     n = mesh.n_nis
-    if n < 2 and spec.injection_rate > 0:
-        raise ValueError("traffic needs at least two interfaces")
+    if n < 2:
+        if spec.injection_rate > 0:
+            raise ConfigError("traffic needs at least two interfaces")
+        return []  # no pair to draw from, and no packet to draw
     p_packet = spec.injection_rate / spec.mean_flits_per_packet()
 
     rng = random.Random(seed)
@@ -206,35 +205,52 @@ def save_trace(events: Iterable[TrafficEvent], path: str) -> None:
         fh.write(format_trace(events))
 
 
-def ingest(lines: Iterable[str], mesh: MeshConfig) -> List[TrafficEvent]:
+def read_records(
+    lines: Iterable[Union[str, bytes]], kinds: Sequence[Callable[[str], Any]],
+    *, header: bool = False,
+) -> Iterator[Tuple[int, List[Any]]]:
+    """(line number, fields) for each record of a comma-separated data file.
+
+    Blank and '#' lines are skipped but counted; bytes lines are decoded as
+    UTF-8.  Each field is stripped and converted by its entry of kinds,
+    except that with header the first record is its whole line.  Any fault
+    raises TraceFormatError naming the line.
+    """
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
+        except UnicodeDecodeError:
+            raise TraceFormatError(f"line {lineno}: not UTF-8 text") from None
+        if not line or line.startswith("#"):
+            continue
+        if header:
+            header = False
+            yield lineno, [line]
+            continue
+        parts = line.split(",")
+        if len(parts) != len(kinds):
+            raise TraceFormatError(
+                f"line {lineno}: expected {len(kinds)} fields, got {len(parts)}"
+            )
+        try:
+            fields = [kind(p.strip()) for kind, p in zip(kinds, parts)]
+        except ValueError as exc:  # TraceFormatError included
+            raise TraceFormatError(f"line {lineno}: {exc}") from None
+        yield lineno, fields
+
+
+def ingest(lines: Iterable[Union[str, bytes]], mesh: MeshConfig) -> List[TrafficEvent]:
     """Parse trace records, validating endpoints against the mesh.
 
-    Blank lines and '#' comments are skipped.  Bad records raise
-    TraceFormatError naming the offending line.  Events arriving out of
-    cycle order are re-sorted with a warning.
+    Lines are read by read_records.  Bad records raise TraceFormatError
+    naming the offending line.  Events arriving out of cycle order are
+    re-sorted with a warning.
     """
     events: List[TrafficEvent] = []
     last_cycle = 0
     out_of_order = False
     pid = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 4:
-            raise TraceFormatError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            cycle = int(parts[0])
-            src = int(parts[1])
-            dst = int(parts[2])
-        except ValueError as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from None
-        klass = None
-        try:
-            klass = packet_class(parts[3])
-        except TraceFormatError as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from None
+    for lineno, (cycle, src, dst, klass) in read_records(lines, (int, int, int, packet_class)):
         if cycle < 0:
             raise TraceFormatError(f"line {lineno}: negative inject cycle")
         if not 0 <= src < mesh.n_nis:
@@ -255,7 +271,7 @@ def ingest(lines: Iterable[str], mesh: MeshConfig) -> List[TrafficEvent]:
 
 
 def load_trace(path: str, mesh: MeshConfig) -> List[TrafficEvent]:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return ingest(fh, mesh)
 
 
@@ -285,7 +301,7 @@ class TrafficProfile:
 
     def __post_init__(self) -> None:
         if self.granularity not in ("ni", "router"):
-            raise ValueError(f"unknown granularity {self.granularity!r}")
+            raise ConfigError(f"unknown granularity {self.granularity!r}")
 
     def sorted_pairs(self) -> List[Tuple[int, int]]:
         """Pairs by descending weight, ties by ascending (src, dst)."""
@@ -350,18 +366,8 @@ def save_profile(prof: TrafficProfile, path: str) -> None:
 
 def load_profile(path: str, granularity: str) -> TrafficProfile:
     prof = TrafficProfile(granularity)
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 4:
-                raise TraceFormatError(f"line {lineno}: expected 4 fields")
-            try:
-                src, dst, flits, hops = (int(p) for p in parts)
-            except ValueError as exc:
-                raise TraceFormatError(f"line {lineno}: {exc}") from None
+    with open(path, "rb") as fh:
+        for lineno, (src, dst, flits, hops) in read_records(fh, (int,) * 4):
             if flits < 0 or hops < 0:
                 raise TraceFormatError(f"line {lineno}: negative count")
             prof.entries[(src, dst)] = PairTraffic(flit_count=flits, hop_count=hops)

@@ -13,6 +13,7 @@ from hybridnoc import (
     GaParams,
     MeshConfig,
     PairTraffic,
+    TraceFormatError,
     TrafficProfile,
     candidates_from_profile,
     enumerate_oracle,
@@ -380,7 +381,7 @@ def test_load_plan_rejects_bad_files(tmp_path):
     for name, body in cases.items():
         p = tmp_path / name
         p.write_text(body)
-        with pytest.raises(AllocationError):
+        with pytest.raises(TraceFormatError):
             load_plan(str(p), mesh)
 
 
@@ -389,7 +390,7 @@ def test_load_plan_e2e_maps_nis(tmp_path):
     p = tmp_path / "plan.txt"
     # NI 0 and NI 1 share router 0: an e2e circuit between them is local
     p.write_text("granularity=e2e subnets=1\n0,0,1\n")
-    with pytest.raises(AllocationError):
+    with pytest.raises(TraceFormatError):
         load_plan(str(p), mesh)
     p.write_text("granularity=e2e subnets=1\n0,0,6\n")
     plan = load_plan(str(p), mesh)

@@ -9,11 +9,15 @@ import pytest
 import hybridnoc
 from hybridnoc import (
     SUMMARY_HEADER,
+    ConfigError,
     MeshConfig,
+    SimulationError,
     SyntheticSpec,
+    TraceFormatError,
     generate,
     load_plan,
     profile,
+    read_run_report,
     save_profile,
     save_trace,
 )
@@ -361,3 +365,140 @@ def test_trace_reuse_through_cli(tmp_path, capsys):
     assert (out / "fromtrace.report").is_file()
     stdout = capsys.readouterr().out
     assert "fromtrace:" in stdout
+
+
+# --- exit codes: configuration exits 1, a malformed data file exits 2 ---------
+
+def test_every_exported_error_maps_to_an_exit_code():
+    errors = [obj for obj in vars(hybridnoc).values()
+              if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert errors
+    for error in errors:
+        assert issubclass(error, (ConfigError, TraceFormatError, SimulationError)), error
+
+
+def run_ini(tmp_path, body, name="t.ini"):
+    """main(["run", ...]) on an INI file holding body (text or bytes)."""
+    ini = tmp_path / name
+    if isinstance(body, str):
+        body = body.encode("utf-8")
+    ini.write_bytes(body)
+    return main(["run", str(ini), "--output", str(tmp_path / "out")])
+
+
+def test_more_designated_pairs_than_the_mesh_has_is_exit_1(tmp_path, capsys):
+    # a 4x4 mesh offers 16 * 15 = 240 distinct NI pairs
+    body = ("[experiment]\nmode = baseline_vc\n"
+            "[traffic]\npattern = regular_mix\ndesignated_pair_count = 1000\ncycles = 200\n")
+    assert run_ini(tmp_path, body) == 1
+    err = capsys.readouterr().err
+    assert "config error: designated_pair_count exceeds the 240 NI pairs" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_rate_sweep_with_more_designated_pairs_than_the_mesh_has_is_exit_1(capsys):
+    argv = ["sweep", "--rates", "0.1", "--pattern", "regular_mix", "--mesh", "2x1",
+            "--cycles", "100"]
+    assert main(argv) == 1
+    assert "config error: designated_pair_count exceeds the 2 NI pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    "mode = baseline_vc\n",
+    "[experiment]\nmode = baseline_vc\nmode = static_hybrid\n",
+    "[experiment]\nlabel = caf\xe9\n".encode("latin-1"),
+], ids=["no-section-header", "key-given-twice", "not-utf8"])
+def test_config_file_that_does_not_parse_is_exit_1(tmp_path, capsys, body):
+    assert run_ini(tmp_path, body) == 1
+    assert "config error: cannot parse config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, fragment", [
+    ("[experiment]\nlabel = a/b\n", "cannot name a report file"),
+    ("[experiment]\nlabel = a\0b\n", "cannot name a report file"),
+    ("[experiment]\nseed = 50%\n", "seed must be of type int, got '50%'"),
+    ("injection_rate = nan\n", "injection_rate must be at least 0"),
+    ("[energy]\ne_crossbar = nan\n", "e_crossbar must be >= 0"),
+    ("[experiment]\nmode = adaptive_hybrid\nepoch_cycles = 40\nconfig_period_cycles = -1\n",
+     "config period must be at least 0"),
+], ids=["label-slash", "label-nul", "percent", "nan-rate", "nan-energy", "negative-period"])
+def test_values_are_checked_as_the_config_loads(tmp_path, capsys, body, fragment):
+    # body goes on from [traffic]; the output directory is made only after
+    # the config has loaded
+    assert run_ini(tmp_path, "[traffic]\ncycles = 100\n" + body) == 1
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_percent_in_a_config_value_is_read_literally(tmp_path, capsys):
+    body = "[experiment]\nmode = baseline_vc\nlabel = 100%\n[traffic]\ncycles = 100\n"
+    assert run_ini(tmp_path, body) == 0
+    report = read_run_report(str(tmp_path / "out" / "100%.report"))
+    assert report["run"]["label"] == "100%"
+
+
+def test_permutation_on_a_one_ni_mesh_sends_nothing(tmp_path):
+    # the derangement draw for a single NI never ended; run it in a child
+    # so that a hang fails the test instead of stalling the suite
+    ini = tmp_path / "one.ini"
+    ini.write_text("[experiment]\nmode = baseline_vc\n[mesh]\nwidth = 1\nheight = 1\n"
+                   "[traffic]\npattern = permutation\ninjection_rate = 0\ncycles = 50\n")
+    src = os.path.dirname(os.path.dirname(hybridnoc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hybridnoc", "run", str(ini), "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "flits=0" in proc.stdout
+
+
+def plan_file_config(tmp_path, plan):
+    plan_path = tmp_path / "c.plan"
+    plan_path.write_bytes(plan if isinstance(plan, bytes) else plan.encode())
+    return (f"[experiment]\nmode = static_hybrid\nallocator = plan-file\nplan_file = {plan_path}\n"
+            "[traffic]\ncycles = 200\n")
+
+
+@pytest.mark.parametrize("plan, fragment", [
+    ("granularity=e2e\n0,0,5\n", "line 1: bad plan header"),
+    ("# NIs 0-15\ngranularity=e2e subnets=1\n0,0,16\n", "line 3: circuit 0,16 leaves the mesh"),
+    ("granularity=e2e subnets=1\n0,0,3\n\n0,1,2\n", "line 4: circuit conflicts with line 2"),
+], ids=["header", "off-mesh", "conflict"])
+def test_malformed_plan_file_is_exit_2(tmp_path, capsys, plan, fragment):
+    assert run_ini(tmp_path, plan_file_config(tmp_path, plan)) == 2
+    assert f"data error: {fragment}" in capsys.readouterr().err
+
+
+def test_compare_on_a_report_without_sections_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.report"
+    bad.write_text("label = x\n")
+    assert main(["compare", str(bad), str(bad)]) == 2
+    assert "data error: cannot parse run report" in capsys.readouterr().err
+
+
+def test_compare_on_a_report_value_that_is_no_number_is_exit_2(tmp_path, capsys):
+    report = ("[run]\nlabel = {}\npercent_in_circuit = 0\n"
+              "[latency]\nmean = {}\n[energy]\nper_flit = 2\n")
+    (tmp_path / "base.report").write_text(report.format("base", "10"))
+    (tmp_path / "bad.report").write_text(report.format("bad", "abc"))
+    assert main(["compare", str(tmp_path / "base.report"), str(tmp_path / "bad.report")]) == 2
+    assert "data error: report [latency] mean: could not convert" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["trace", "profile", "plan"])
+def test_data_file_that_is_not_utf8_is_exit_2(tmp_path, capsys, kind):
+    # line 2 holds the byte 0xe9, which is not UTF-8 on its own
+    first = b"granularity=e2e subnets=1\n" if kind == "plan" else b"# records\n"
+    data = first + b"# caf\xe9\n"
+    if kind == "trace":
+        (tmp_path / "t.csv").write_bytes(data)
+        rc = run_ini(tmp_path, f"[traffic]\ntrace = {tmp_path / 't.csv'}\n")
+    elif kind == "profile":
+        (tmp_path / "p.profile").write_bytes(data)
+        rc = main(["allocate", str(tmp_path / "p.profile"), "--out", str(tmp_path / "c.plan")])
+    else:
+        rc = run_ini(tmp_path, plan_file_config(tmp_path, data))
+    assert rc == 2
+    assert "data error: line 2: not UTF-8 text" in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Every name a hybridnoc module imports is used in that module, and the
-engine imports nothing from the layers above it.
+"""Every name a hybridnoc module imports is used in that module, the engine
+imports nothing from the layers above it, and cli.main catches only the
+error classes that decide its exit codes.
 
 Deleting code tends to leave imports behind; this walks each module's
 syntax tree instead of relying on a linter the project does not ship.
@@ -55,3 +56,23 @@ def test_simcore_imports_no_planning_or_generation():
     assert imports_from(tree, "allocator") <= {"CircuitPlan"}
     assert not imports_from(tree, "traffic") & {"generate", "profile", "SyntheticSpec"}
     assert not imports_from(tree, "orchestrator")
+
+
+def caught_by(function: ast.FunctionDef):
+    """Names of the exception classes the function's except clauses catch."""
+    names = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.ExceptHandler):
+            assert node.type is not None, "a bare except catches everything"
+            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names += [ast.unparse(kind) for kind in kinds]
+    return names
+
+
+def test_cli_main_maps_two_error_classes_to_exit_codes():
+    # ConfigError exits 1, a data file fault exits 2; anything else must
+    # surface as a traceback, so no wider clause may come back
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert sorted(caught_by(main)) == ["ConfigError", "OSError", "SystemExit", "TraceFormatError"]

@@ -16,6 +16,7 @@ from hybridnoc import (
     MeshConfig,
     SubnetLayout,
     SyntheticSpec,
+    TraceFormatError,
     VcConfig,
     build_plan,
     designated_pairs,
@@ -261,7 +262,7 @@ def test_read_run_report_errors(tmp_path):
         read_run_report(str(tmp_path / "missing.report"))
     bad = tmp_path / "bad.report"
     bad.write_text("[something]\nkey = 1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(TraceFormatError):
         read_run_report(str(bad))
 
 
@@ -281,12 +282,12 @@ def test_read_run_report_errors(tmp_path):
 )
 def test_config_validation_rejects(over):
     with pytest.raises(ConfigError):
-        make_config(**over).validate()
+        make_config(**over)
 
 
 def test_config_validation_accepts_plain_baseline():
     # an undivided link is fine when nothing needs circuits
-    make_config(mode="baseline_vc", layout=SubnetLayout(128, 1)).validate()
+    make_config(mode="baseline_vc", layout=SubnetLayout(128, 1))
 
 
 def test_epoch_and_period_defaults():

@@ -247,6 +247,21 @@ def test_plan_activation_rejects_past_cycles():
         sim.schedule_plan(e2e_plan(MESH, (0, 1)), 5)
 
 
+@pytest.mark.parametrize("step_back", [
+    lambda sim: sim.run_until(50),
+    lambda sim: sim.run_to_completion(hard_limit=50),
+], ids=["run_until", "run_to_completion"])
+def test_clock_never_runs_back(step_back):
+    ctrl = PacketClass("control", 64)
+    trace = [TrafficEvent(0, 0, 3, ctrl, 0), TrafficEvent(200, 0, 3, ctrl, 1)]
+    sim = Simulation(MESH, HALF, VC, trace, None, 0)
+    sim.run_until(100)
+    with pytest.raises(ConfigError, match="before the current cycle 100"):
+        step_back(sim)
+    assert sim.cycle == 100
+    assert sim.finalize().cycles_simulated == 100
+
+
 def test_plan_scheduled_in_idle_gap_activates_on_its_cycle():
     # nothing is in flight between the two packets, so the engine skips
     # cycles there; it must still stop at the activation cycle
