@@ -12,10 +12,10 @@ from __future__ import annotations
 import logging
 import random
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress
 from struct import unpack_from
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .topology import ConfigError, MeshConfig, Path, xy_route
 from .traffic import TraceFormatError, TrafficProfile, read_records
@@ -99,29 +99,24 @@ class CircuitPlan:
 
 
 def _conflict_masks(candidates: Sequence[CandidatePair], endpoint_ports: bool) -> List[int]:
-    """Bitmask of the candidates that each candidate cannot share a subnet with.
+    """One bitmask per candidate over the resources it holds, built in one pass.
 
     A candidate holds the directed links of its path; with endpoint_ports
     (r2r circuits) it also holds the injection port of its source router and
-    the ejection port of its destination router.  Two candidates conflict
-    when they hold a common resource.
+    the ejection port of its destination router.  Each resource gets a bit
+    when first met, and two candidates conflict when their masks intersect.
     """
-    held: List[List[object]] = []
-    users: Dict[object, int] = {}
-    for i, cand in enumerate(candidates):
-        resources: List[object] = list(cand.path.link_set)
-        if endpoint_ports:
-            resources += [("inject", cand.path.src_router), ("eject", cand.path.dst_router)]
-        held.append(resources)
-        bit = 1 << i
-        for r in resources:
-            users[r] = users.get(r, 0) | bit
+    bits: Dict[object, int] = {}
     masks: List[int] = []
-    for i, resources in enumerate(held):
+    for cand in candidates:
+        path = cand.path
+        held: List[object] = list(path.links)
+        if endpoint_ports:
+            held += [("inject", path.src_router), ("eject", path.dst_router)]
         mask = 0
-        for r in resources:
-            mask |= users[r]
-        masks.append(mask & ~(1 << i))
+        for r in held:
+            mask |= bits.setdefault(r, 1 << len(bits))
+        masks.append(mask)
     return masks
 
 
@@ -129,29 +124,60 @@ def _first_clash(
     candidates: Sequence[CandidatePair], endpoint_ports: bool
 ) -> Optional[Tuple[int, int]]:
     """Indices i < j of the first two candidates that conflict, or None."""
-    for i, mask in enumerate(_conflict_masks(candidates, endpoint_ports)):
-        if mask:
+    masks = _conflict_masks(candidates, endpoint_ports)
+    seen = shared = 0  # resources held by one candidate, by two or more
+    for mask in masks:
+        shared |= seen & mask
+        seen |= mask
+    for i, mask in enumerate(masks):
+        if mask & shared:
             # i is the first candidate with a clash, so its lowest partner j > i
-            return i, (mask & -mask).bit_length() - 1
+            return i, next(j for j in range(i + 1, len(masks)) if masks[j] & mask)
     return None
 
 
-def _first_fit_bits(order: Iterable[int], masks: Sequence[int], k: int) -> List[List[int]]:
-    """Place candidate indices in order into the first subnet they fit; drop the rest.
+# first-fit saves its state before every _BLOCK-th candidate it is given, so
+# a later run over an order that starts with the same t candidates can
+# resume from the state saved before candidate t // _BLOCK * _BLOCK
+_BLOCK = 16
 
-    Returns the indices placed in each of the k subnets, in placement order.
+# subnet occupancy masks followed by the weight placed so far
+_FitState = Tuple[int, ...]
+
+
+def _first_fit(
+    order: Sequence[int],
+    masks: Sequence[int],
+    weights: Sequence[int],
+    k: int,
+    saved: Sequence[_FitState] = (),
+) -> Tuple[List[List[int]], int, List[_FitState]]:
+    """Place candidate indices in order into the first of k subnets they fit; drop the rest.
+
+    saved holds the states an earlier run saved before order[0],
+    order[_BLOCK], ... order[b * _BLOCK], for an order whose first
+    b * _BLOCK entries match this one; the run resumes from the last.
+
+    Returns the indices placed in each subnet (from the resume point on),
+    the total weight placed, and the state before every _BLOCK-th entry.
     """
-    occupied = [0] * k
+    states = list(saved) or [(0,) * (k + 1)]
+    *occupied, total = states[-1]
     placed: List[List[int]] = [[] for _ in range(k)]
     subnets = range(k)
-    for idx in order:
-        mask = masks[idx]
-        for s in subnets:
-            if not occupied[s] & mask:
-                occupied[s] |= 1 << idx
-                placed[s].append(idx)
-                break
-    return placed
+    start = (len(states) - 1) * _BLOCK
+    for t in range(start, len(order), _BLOCK):
+        if t > start:
+            states.append((*occupied, total))
+        for idx in order[t : t + _BLOCK]:
+            mask = masks[idx]
+            for s in subnets:
+                if not occupied[s] & mask:
+                    occupied[s] |= mask
+                    total += weights[idx]
+                    placed[s].append(idx)
+                    break
+    return placed, total, states
 
 
 def _plan_from_indices(
@@ -207,9 +233,8 @@ def greedy_allocate(
         raise AllocationError("need at least one CS subnet to allocate into")
     cands = candidates_from_profile(profile, mesh, granularity)
     masks = _conflict_masks(cands, granularity == "r2r")
-    return _plan_from_indices(
-        granularity, cands, _first_fit_bits(range(len(cands)), masks, k), "greedy"
-    )
+    placed, _, _ = _first_fit(range(len(cands)), masks, [c.weight for c in cands], k)
+    return _plan_from_indices(granularity, cands, placed, "greedy")
 
 
 def plan_weight(plan: CircuitPlan, profile: TrafficProfile) -> int:
@@ -269,10 +294,48 @@ def _draws_below(rng: random.Random, n: int, p: float) -> bytes:
         return flags
     out = bytearray(flags)
     while j >= 0:
-        a, b = unpack_from("<II", data, 8 * j)
-        out[j] = ((a >> 5) * 67108864.0 + (b >> 6)) * 2**-53 < p
+        out[j] = _from_words(*unpack_from("<II", data, 8 * j)) < p
         j = flags.find(2, j + 1)
     return bytes(out)
+
+
+def _from_words(a: int, b: int) -> float:
+    """The random() draw made from 32-bit Mersenne Twister words a then b."""
+    return ((a >> 5) * 67108864.0 + (b >> 6)) * 2**-53
+
+
+class _Individual:
+    """A chromosome and its first-fit result.
+
+    genes holds one byte (0 or 1) per candidate as a little-endian int, and
+    selected the candidates whose byte is 1, in index order; score and
+    states are first-fit's total weight and saved states over selected.
+    """
+
+    __slots__ = ("genes", "selected", "score", "states")
+
+    def __init__(self, genes: int, selected: List[int], score: int,
+                 states: List[_FitState]) -> None:
+        self.genes = genes
+        self.selected = selected
+        self.score = score
+        self.states = states
+
+
+def _ones(flags: bytes) -> List[int]:
+    """Positions of the 1 bytes in flags."""
+    out: List[int] = []
+    j = flags.find(1)
+    while j >= 0:
+        out.append(j)
+        j = flags.find(1, j + 1)
+    return out
+
+
+def _draw(block: int, j: int) -> float:
+    """The j-th random() draw held in a getrandbits(64 * n) block (see _draws_below)."""
+    word = (block >> (64 * j)) & 0xFFFFFFFFFFFFFFFF
+    return _from_words(word & 0xFFFFFFFF, word >> 32)
 
 
 def ga_allocate(
@@ -289,8 +352,12 @@ def ga_allocate(
     the best individual, so best fitness never decreases across generations.
     The per-generation best is left in plan.meta["fitness_history"].
 
-    Children are built from blocks of draws (_draws_below) that take the
-    same values from rng, in the same order, as one random() per gene.
+    Each child takes the same values from rng, in the same order, as one
+    random() per gene: one getrandbits block for its crossover and one for
+    its mutation.  A child is its first parent with some genes flipped, so
+    crossover reads the draws only where the parents differ, mutation only
+    where a draw falls below the flip rate, and the child's first-fit
+    resumes from its first parent's state before the first flipped gene.
     """
     if k < 1:
         raise AllocationError("need at least one CS subnet to allocate into")
@@ -306,28 +373,34 @@ def ga_allocate(
     flip_rate = 1.0 / n
     rng = random.Random(params.seed)
 
-    def seed_chromosome(excluded: Optional[int]) -> bytes:
-        order = [i for i in range(n) if i != excluded]
-        bits = bytearray(n)
-        for placed in _first_fit_bits(order, masks, k):
-            for i in placed:
-                bits[i] = 1
-        return bytes(bits)
+    def individual(genes: int, selected: List[int],
+                   saved: Sequence[_FitState] = ()) -> _Individual:
+        _, score, states = _first_fit(selected, masks, weights, k, saved)
+        return _Individual(genes, selected, score, states)
 
-    population: List[bytes] = []
-    for i in range(params.population_size):
-        excluded = i - 1 if 1 <= i <= n else None
-        population.append(seed_chromosome(excluded))
+    def seed(excluded: Optional[int]) -> _Individual:
+        placed, _, _ = _first_fit([i for i in range(n) if i != excluded], masks, weights, k)
+        selected = sorted(i for s in placed for i in s)
+        return individual(sum(1 << 8 * i for i in selected), selected)
 
-    fitness_cache: Dict[bytes, int] = {}
+    def child(parent: _Individual, cross: List[int], mutate: List[int]) -> _Individual:
+        # a gene both crossed over and mutated keeps the parent's value
+        changed = sorted(set(cross).symmetric_difference(mutate))
+        if not changed:
+            return parent
+        selected = list(parent.selected)
+        for j in changed:
+            at = bisect_left(selected, j)
+            if at < len(selected) and selected[at] == j:
+                del selected[at]
+            else:
+                selected.insert(at, j)
+        # the parent's selected genes before the first change are the child's too
+        unchanged = bisect_left(parent.selected, changed[0])
+        genes = parent.genes ^ sum(1 << 8 * j for j in changed)
+        return individual(genes, selected, parent.states[: unchanged // _BLOCK + 1])
 
-    def fitness(chrom: bytes) -> int:
-        cached = fitness_cache.get(chrom)
-        if cached is None:
-            placed = _first_fit_bits(compress(range(n), chrom), masks, k)
-            cached = sum(weights[i] for s in placed for i in s)
-            fitness_cache[chrom] = cached
-        return cached
+    population = [seed(i - 1 if 1 <= i <= n else None) for i in range(params.population_size)]
 
     def tournament(scores: List[int]) -> int:
         a = rng.randrange(params.population_size)
@@ -335,40 +408,38 @@ def ga_allocate(
         return a if scores[a] >= scores[b] else b
 
     history: List[int] = []
-    best_chrom = population[0]
-    best_score = fitness(best_chrom)
+    best = population[0]
     lo, hi = _CROSSOVER_RATE_RANGE
     for _ in range(params.generations):
-        scores = [fitness(c) for c in population]
+        scores = [ind.score for ind in population]
         gen_best = max(range(len(population)), key=lambda i: scores[i])
-        if scores[gen_best] > best_score:
-            best_score = scores[gen_best]
-            best_chrom = population[gen_best]
-        history.append(best_score)
+        if scores[gen_best] > best.score:
+            best = population[gen_best]
+        history.append(best.score)
 
-        # genes as little-endian ints, one byte per gene, for bytewise crossover
-        genes = [int.from_bytes(c, "little") for c in population]
         elites = sorted(range(len(population)), key=lambda i: -scores[i])[: params.elitism_count]
-        nxt: List[bytes] = [population[i] for i in elites]
+        nxt = [population[i] for i in elites]
         while len(nxt) < params.population_size:
-            g1 = genes[tournament(scores)]
-            g2 = genes[tournament(scores)]
+            first = population[tournament(scores)]
+            second = population[tournament(scores)]
             rho = rng.uniform(lo, hi)
-            # 0xff in every byte whose gene comes from the second parent
-            take2 = int.from_bytes(_draws_below(rng, n, rho), "little") * 255
-            child = (g1 & ~take2) | (g2 & take2)
+            # the child takes its second parent's gene where the draw is below
+            # rho, which changes it only where the parents differ
+            block = rng.getrandbits(64 * n)
+            differ = _ones((first.genes ^ second.genes).to_bytes(n, "little"))
+            cross = [j for j in differ if _draw(block, j) < rho]
+            mutate: List[int] = []
             if rng.random() < params.chromosome_mutation_probability:
-                child ^= int.from_bytes(_draws_below(rng, n, flip_rate), "little")
-            nxt.append(child.to_bytes(n, "little"))
+                mutate = _ones(_draws_below(rng, n, flip_rate))
+            nxt.append(child(first, cross, mutate))
         population = nxt
 
     if params.generations == 0:
-        history.append(best_score)
-    plan = _plan_from_indices(
-        granularity, cands, _first_fit_bits(compress(range(n), best_chrom), masks, k), "ga"
-    )
+        history.append(best.score)
+    placed, _, _ = _first_fit(best.selected, masks, weights, k)
+    plan = _plan_from_indices(granularity, cands, placed, "ga")
     plan.meta["fitness_history"] = history
-    plan.meta["fitness"] = best_score
+    plan.meta["fitness"] = best.score
     return plan
 
 
@@ -393,7 +464,12 @@ def enumerate_oracle(
     if n == 0:
         return CircuitPlan.empty(k, granularity, provenance="oracle")
 
-    masks = _conflict_masks(cands, granularity == "r2r")
+    held = _conflict_masks(cands, granularity == "r2r")
+    # the candidates each candidate conflicts with, as a mask over candidates
+    masks = [
+        sum(1 << j for j, other in enumerate(held) if j != i and mine & other)
+        for i, mine in enumerate(held)
+    ]
     weights = [c.weight for c in cands]
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):

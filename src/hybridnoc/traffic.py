@@ -10,9 +10,10 @@ width it was taken at: static and epoch profiles use the subnet width
 from __future__ import annotations
 
 import logging
-import math
 import random
+import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .topology import ConfigError, MeshConfig
@@ -43,7 +44,9 @@ class PacketClass:
             raise ConfigError("payload_bits must be positive")
 
 
+@lru_cache(maxsize=None)
 def packet_class(kind: str, control_bits: int = 128, data_bits: int = 640) -> PacketClass:
+    """The payload class of a trace record's kind; one shared object per argument tuple."""
     if kind == "control":
         return PacketClass("control", control_bits)
     if kind == "data":
@@ -55,7 +58,7 @@ def flits_for_packet(klass: PacketClass, channel_width_bits: int) -> int:
     """Number of flits needed to carry one packet on a channel."""
     if channel_width_bits <= 0:
         raise ConfigError("channel width must be positive")
-    return math.ceil(klass.payload_bits / channel_width_bits)
+    return -(-klass.payload_bits // channel_width_bits)
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,13 @@ class SyntheticSpec:
             raise ConfigError("regularity must lie in [0, 1]")
         if self.designated_pair_count < 1:
             raise ConfigError("need at least one designated pair")
-        if self.control_payload_bits <= 0 or self.data_payload_bits <= 0:
-            raise ConfigError("payload bits must be positive")
+        for key in ("control_payload_bits", "data_payload_bits"):
+            bits = getattr(self, key)
+            if bits <= 0:
+                raise ConfigError(f"payload bits must be positive, got {key} = {bits}")
+            # flit counts are averaged and compared as floats
+            if bits > sys.float_info.max:
+                raise ConfigError(f"{key} is too large to size in flits")
         if self.injection_rate / self.mean_flits_per_packet() > 1.0:
             raise ConfigError("injection_rate exceeds one packet per NI per cycle")
 

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conflict_reference import links_conflict
 from hybridnoc import (
@@ -25,7 +27,7 @@ from hybridnoc import (
     save_plan,
     xy_route,
 )
-from hybridnoc.allocator import _conflict_masks, _draws_below
+from hybridnoc.allocator import _conflict_masks, _draws_below, _first_clash
 
 
 def router_profile(mesh, flit_counts):
@@ -299,31 +301,40 @@ def test_plan_validate_catches_conflicts():
         CircuitPlan.empty(-1, "e2e")
 
 
-@pytest.mark.parametrize(
-    "mesh",
-    [MeshConfig.grid(4, 3), MeshConfig.grid(3, 3, 2), MeshConfig.cmp_4x4_51ni()],
-    ids=["grid4x3", "grid3x3x2", "cmp51"],
-)
-def test_conflict_masks_match_pairwise_reference(mesh):
-    rng = random.Random(mesh.n_nis)
-    for granularity in ("e2e", "r2r"):
-        n = mesh.n_nis if granularity == "e2e" else mesh.n_routers
-        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        for trial in range(4):
-            prof = TrafficProfile(profile_granularity_for(granularity))
-            for pair in rng.sample(pairs, min(len(pairs), rng.randint(5, 40))):
-                prof.entries[pair] = PairTraffic(flit_count=rng.randint(1, 50), hop_count=1)
-            cands = candidates_from_profile(prof, mesh, granularity)
-            ports = granularity == "r2r"
-            reference = [
-                sum(
-                    1 << j
-                    for j, other in enumerate(cands)
-                    if j != i and links_conflict(cand.path, other.path, ports)
-                )
-                for i, cand in enumerate(cands)
-            ]
-            assert _conflict_masks(cands, ports) == reference
+@st.composite
+def candidate_sets(draw):
+    """Candidates from random pairs on a random mesh, at either plan granularity."""
+    width = draw(st.integers(1, 5))
+    height = draw(st.integers(1 if width > 1 else 2, 5))
+    nis = draw(st.lists(st.integers(1, 3), min_size=width * height, max_size=width * height))
+    mesh = MeshConfig(width, height, tuple(nis))
+    granularity = draw(st.sampled_from(["e2e", "r2r"]))
+    ends = st.integers(0, (mesh.n_nis if granularity == "e2e" else mesh.n_routers) - 1)
+    prof = TrafficProfile(profile_granularity_for(granularity))
+    for pair in draw(st.lists(st.tuples(ends, ends), max_size=30, unique=True)):
+        prof.entries[pair] = PairTraffic(flit_count=draw(st.integers(1, 50)), hop_count=1)
+    return candidates_from_profile(prof, mesh, granularity), granularity
+
+
+@settings(max_examples=200)
+@given(candidate_sets())
+def test_conflict_masks_intersect_exactly_where_paths_conflict(case):
+    cands, granularity = case
+    ports = granularity == "r2r"
+    masks = _conflict_masks(cands, ports)
+    for (i, a), (j, b) in itertools.permutations(enumerate(cands), 2):
+        assert bool(masks[i] & masks[j]) == links_conflict(a.path, b.path, ports)
+    # the first clashing pair in (i, j) order names the circuits validate reports
+    brute = next(
+        ((i, j) for i, j in itertools.combinations(range(len(cands)), 2)
+         if links_conflict(cands[i].path, cands[j].path, ports)),
+        None,
+    )
+    assert _first_clash(cands, ports) == brute
+    if brute:
+        a, b = ((cands[i].src, cands[i].dst) for i in brute)
+        with pytest.raises(AllocationError, match=re.escape(f"circuits {a} and {b} conflict")):
+            CircuitPlan(granularity, (tuple(cands),)).validate()
 
 
 def r2r_circuit(mesh, src, dst):

@@ -1,11 +1,15 @@
-"""Differential test: the genetic allocator against the frozen copy in bench/baseline.
+"""Differential tests: the allocators against the frozen copy in bench/baseline.
 
 The frozen copy's ga_allocate draws one rng.random() per gene.  However
 the search builds its children now, it must take the same draws from the
 same stream, so on the same profile and GaParams it must give the same
 subnets and the same plan.meta (fitness and fitness_history) as that copy.
+Greedy and the oracle must give the same plans as the copy's.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import hybridnoc as hn
@@ -38,7 +42,7 @@ def ga_params(draw, min_population=2, min_generations=0):
 
 
 @st.composite
-def traps(draw, mesh, min_rows=0):
+def traps(draw, mesh, min_rows=0, max_rows=3, max_span=None):
     """Flit counts that heaviest-first packing gets wrong in one subnet.
 
     A pair spanning L >= 2 hops of a row, with f flits, outweighs each of
@@ -50,10 +54,11 @@ def traps(draw, mesh, min_rows=0):
     """
     counts = {}
     ni = lambda x, y: mesh.nis_of_router(y * mesh.width + x)[0]
-    rows = st.lists(st.integers(0, mesh.height - 1), min_size=min_rows, max_size=3, unique=True)
+    rows = st.lists(st.integers(0, mesh.height - 1), min_size=min_rows, max_size=max_rows,
+                    unique=True)
     for y in draw(rows) if mesh.width >= 3 else ():
         x0 = draw(st.integers(0, mesh.width - 3))
-        x1 = draw(st.integers(x0 + 2, mesh.width - 1))
+        x1 = draw(st.integers(x0 + 2, min(x0 + (max_span or mesh.width), mesh.width - 1)))
         f = draw(st.integers(2, 30))
         g = draw(st.integers((x1 - x0) * f // 2 + 1, (x1 - x0) * f - 1))
         counts[(ni(x0, y), ni(x1, y))] = f
@@ -90,22 +95,107 @@ def trap_scenarios(draw):
     return width, height, nis, granularity, 1, counts, ga
 
 
-def _allocate(pkg, scenario):
+@st.composite
+def workload_scenarios(draw):
+    """Hundreds of candidates with heavy-tailed weights, as in the benchmark.
+
+    Above 256 genes the flip rate is below 1/256, so each mutation block
+    settles its draws with a high byte of 0 from their full value; a
+    chromosome selects more than one block of candidates, so children
+    resume first-fit past its first saved state; and tournaments often pick
+    one individual twice, so parents are often identical.
+    """
+    width = draw(st.integers(5, 8))
+    height = draw(st.integers(5, 8))
+    nis = tuple(draw(st.lists(st.integers(1, 2), min_size=width * height,
+                              max_size=width * height)))
+    mesh = hn.MeshConfig(width, height, nis)
+    granularity = draw(st.sampled_from(["e2e", "r2r"]))
+    if granularity == "e2e":
+        ends = [(a, b) for a in range(mesh.n_nis) for b in range(mesh.n_nis)
+                if mesh.router_of_ni(a) != mesh.router_of_ni(b)]
+    else:  # one NI pair per router pair, so that no two pairs fold into one
+        ni = lambda r: mesh.nis_of_router(r)[0]
+        ends = [(ni(a), ni(b)) for a in range(mesh.n_routers) for b in range(mesh.n_routers)
+                if a != b]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pairs = rng.sample(ends, draw(st.integers(150, 600)))
+    counts = {pair: int(10 * rng.paretovariate(1.2)) for pair in pairs}
+    # a short trap in every row, far heavier than any random pair, leads the
+    # candidate order, so in one subnet the search can beat its seeds and its
+    # result then hangs on its draws
+    heavy = draw(traps(mesh, min_rows=height, max_rows=height, max_span=2))
+    counts.update({pair: 10**5 * f for pair, f in heavy.items()})
+    population = draw(st.integers(2, 10))
+    ga = dict(
+        population_size=population,
+        generations=draw(st.integers(20, 60)),
+        chromosome_mutation_probability=draw(st.sampled_from([0.0, 1.0]) | _RATE),
+        elitism_count=draw(st.just(0) | st.integers(0, population - 1)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return width, height, nis, granularity, draw(st.integers(1, 4)), counts, ga
+
+
+def bench_shaped_scenario():
+    """A 2000-pair Pareto profile on 8x8, three e2e subnets, default search."""
+    rng = random.Random(0)
+    universe = [(s, d) for s in range(64) for d in range(64) if s != d]
+    pairs = sorted(rng.sample(universe, 2000))
+    counts = {pair: int(10 * rng.paretovariate(1.2)) for pair in pairs}
+    return 8, 8, (1,) * 64, "e2e", 3, counts, dict(generations=30, seed=0)
+
+
+def _plan(pkg, scenario, method):
     width, height, nis, granularity, k, counts, ga = scenario
     mesh = pkg.MeshConfig(width, height, nis)
     prof = pkg.profile_from_flit_counts(
         counts, mesh, pkg.profile_granularity_for(granularity))
-    plan = pkg.ga_allocate(prof, mesh, k, pkg.GaParams(**ga), granularity)
+    if method == "ga":
+        plan = pkg.ga_allocate(prof, mesh, k, pkg.GaParams(**ga), granularity)
+    elif method == "greedy":
+        plan = pkg.greedy_allocate(prof, mesh, k, granularity)
+    else:
+        plan = pkg.enumerate_oracle(prof, mesh, k, granularity, max_pairs=12)
     return [[(c.src, c.dst) for c in s] for s in plan.subnets], plan.meta
 
 
 @settings(max_examples=150)
 @given(scenarios())
 def test_ga_allocate_matches_frozen_baseline(scenario):
-    assert _allocate(hn, scenario) == _allocate(base, scenario)
+    assert _plan(hn, scenario, "ga") == _plan(base, scenario, "ga")
 
 
 @settings(max_examples=150)
 @given(trap_scenarios())
 def test_ga_search_matches_frozen_baseline_where_it_beats_its_seeds(scenario):
-    assert _allocate(hn, scenario) == _allocate(base, scenario)
+    assert _plan(hn, scenario, "ga") == _plan(base, scenario, "ga")
+
+
+@settings(max_examples=20)
+@given(workload_scenarios())
+def test_ga_matches_frozen_baseline_at_workload_scale(scenario):
+    assert _plan(hn, scenario, "ga") == _plan(base, scenario, "ga")
+
+
+def test_ga_matches_frozen_baseline_on_a_bench_shaped_profile():
+    scenario = bench_shaped_scenario()
+    assert _plan(hn, scenario, "ga") == _plan(base, scenario, "ga")
+
+
+@settings(max_examples=100)
+@given(scenarios())
+def test_greedy_allocate_matches_frozen_baseline(scenario):
+    assert _plan(hn, scenario, "greedy") == _plan(base, scenario, "greedy")
+
+
+@settings(max_examples=100)
+@given(scenarios())
+def test_enumerate_oracle_matches_frozen_baseline(scenario):
+    try:
+        expected = _plan(base, scenario, "oracle")
+    except base.AllocationError:  # above the candidate cap
+        with pytest.raises(hn.AllocationError):
+            _plan(hn, scenario, "oracle")
+        return
+    assert _plan(hn, scenario, "oracle") == expected

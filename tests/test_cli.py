@@ -286,9 +286,13 @@ def test_bad_ga_values_are_exit_1_under_any_allocator(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("extra", ["data_payload_bits = 0\n", "injection_rate = 5\n"],
-                         ids=["payload-bits-0", "rate-5"])
-def test_bad_traffic_values_are_exit_1(tmp_path, capsys, extra):
+@pytest.mark.parametrize("extra,message", [
+    ("data_payload_bits = 0\n", "payload bits must be positive"),
+    ("injection_rate = 5\n", "exceeds one packet per NI per cycle"),
+    # too large to size in flits, which are averaged as floats
+    ("data_payload_bits = 1" + "0" * 400 + "\n", "data_payload_bits is too large"),
+], ids=["payload-bits-0", "rate-5", "payload-bits-too-large"])
+def test_bad_traffic_values_are_exit_1(tmp_path, capsys, extra, message):
     ini = tmp_path / "t.ini"
     ini.write_text(
         "[experiment]\nmode = baseline_vc\n"
@@ -296,7 +300,8 @@ def test_bad_traffic_values_are_exit_1(tmp_path, capsys, extra):
         "[traffic]\npattern = uniform_random\ncycles = 200\n" + extra
     )
     assert main(["run", str(ini), "--output", str(tmp_path / "out")]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
     assert not (tmp_path / "out").exists()
 
 

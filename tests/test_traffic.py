@@ -72,6 +72,10 @@ def test_spec_validation():
         SyntheticSpec("uniform_random", 0.1, data_payload_bits=0)
     with pytest.raises(ValueError, match="payload bits"):
         SyntheticSpec("uniform_random", 0.1, control_payload_bits=-8)
+    # sized with integer division: no float overflow on a huge payload
+    assert flits_for_packet(PacketClass("data", 10**400 + 1), 128) == 10**400 // 128 + 1
+    with pytest.raises(ValueError, match="data_payload_bits is too large"):
+        SyntheticSpec("uniform_random", 0.1, data_payload_bits=10**400)
 
 
 def test_generate_deterministic():
@@ -186,6 +190,19 @@ def test_ingest_basic():
     assert events[0].klass.kind == "control"
     assert events[1].klass.payload_bits == 640
     assert [ev.packet_id for ev in events] == [0, 1]
+
+
+def test_ingest_shares_one_class_per_kind_and_equals_fresh_events():
+    m = MeshConfig.grid(4, 4)
+    lines = ["0,3,7,control", "1,2,9,data", "1,4,0,control", "3,15,1,data"]
+    events = ingest(lines, m)
+    fresh = [
+        TrafficEvent(int(c), int(s), int(d), PacketClass(k, 128 if k == "control" else 640), pid)
+        for pid, (c, s, d, k) in enumerate(line.split(",") for line in lines)
+    ]
+    assert events == fresh
+    assert events[0].klass is events[2].klass is packet_class("control")
+    assert events[1].klass is events[3].klass is packet_class("data")
 
 
 @pytest.mark.parametrize(
