@@ -337,6 +337,27 @@ def test_conflict_masks_intersect_exactly_where_paths_conflict(case):
             CircuitPlan(granularity, (tuple(cands),)).validate()
 
 
+@pytest.mark.parametrize(
+    "mesh",
+    [MeshConfig.grid(4, 3), MeshConfig.grid(3, 3, 2), MeshConfig.cmp_4x4_51ni()],
+    ids=["grid4x3", "grid3x3x2", "cmp51"],
+)
+def test_conflict_masks_match_pairwise_reference(mesh):
+    rng = random.Random(mesh.n_nis)
+    for granularity in ("e2e", "r2r"):
+        n = mesh.n_nis if granularity == "e2e" else mesh.n_routers
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for trial in range(4):
+            prof = TrafficProfile(profile_granularity_for(granularity))
+            for pair in rng.sample(pairs, min(len(pairs), rng.randint(5, 40))):
+                prof.entries[pair] = PairTraffic(flit_count=rng.randint(1, 50), hop_count=1)
+            cands = candidates_from_profile(prof, mesh, granularity)
+            ports = granularity == "r2r"
+            masks = _conflict_masks(cands, ports)
+            for (i, a), (j, b) in itertools.combinations(enumerate(cands), 2):
+                assert bool(masks[i] & masks[j]) == links_conflict(a.path, b.path, ports)
+
+
 def r2r_circuit(mesh, src, dst):
     return CandidatePair(src, dst, 1, xy_route(mesh, src, dst))
 
