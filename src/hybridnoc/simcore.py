@@ -24,6 +24,8 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .allocator import CircuitPlan
@@ -32,14 +34,13 @@ from .traffic import TrafficEvent, flits_for_packet
 
 log = logging.getLogger(__name__)
 
-# input VC states
-_IDLE, _WAIT_VA, _ACTIVE = 0, 1, 2
-
 # drain barrier the reconfiguration model allows for in-flight circuits
 _RECONFIG_BARRIER_CYCLES = 1000
 # cycles a run may take to drain after its last input before the engine
 # calls it stuck
 _DRAIN_CYCLES = 10_000_000
+# most stepped cycles between two retirements of ejected flits
+_SETTLE_CYCLES = 256
 
 
 class SimulationError(RuntimeError):
@@ -223,10 +224,11 @@ class _Flit:
     """Flit idx of packet pkt, on the VC subnet or on a circuit.
 
     entered is the cycle it entered the network; ready_sa is the first
-    cycle a buffered flit may bid for the switch.
+    cycle a buffered flit may bid for the switch; out is the cycle it
+    ejects, stamped when that is fixed.
     """
 
-    __slots__ = ("pkt", "idx", "is_tail", "entered", "ready_sa")
+    __slots__ = ("pkt", "idx", "is_tail", "entered", "ready_sa", "out")
 
     def __init__(self, pkt, idx, entered):
         self.pkt = pkt
@@ -239,25 +241,31 @@ class _Flit:
 class _InVC:
     """One input VC: its buffer and the route and VC its head flit won.
 
-    router, canon (the VC's place p * vc_count + v on its router's SA ring)
-    and upstream (the (router, port, vc) its credits return to, None at a
-    local port) are fixed; down is the downstream input VC VA reserved, None
-    while idle or when the out port ejects.
+    Fixed: router; canon, the VC's place p * vc_count + v on its router's
+    SA ring; key, its place in the mesh-wide order by router, then canon;
+    rr, its router's SA pointers, one per output port, and after, the
+    pointer once it wins; upstream, whether it sits on a mesh port, so that
+    an upstream router holds credits for it.  credit is the count of free
+    slots that upstream holds; reserved holds from VA (or the NI's pick)
+    until the tail leaves; down is the downstream input VC VA reserved,
+    None when the out port ejects.
     """
 
-    __slots__ = ("buf", "state", "out_port", "out_vc", "down", "reserved",
-                 "va_ready", "router", "canon", "upstream")
+    __slots__ = ("buf", "credit", "out_port", "down", "reserved", "va_ready",
+                 "router", "canon", "key", "rr", "after", "upstream")
 
-    def __init__(self, router, canon, upstream):
+    def __init__(self, router, canon, key, rr, ring, upstream, depth):
         self.buf: deque = deque()
-        self.state = _IDLE
+        self.credit = depth
         self.out_port = -1
-        self.out_vc = -1
         self.down: Optional[_InVC] = None
         self.reserved = False
         self.va_ready = 0
         self.router = router
         self.canon = canon
+        self.key = key
+        self.rr = rr
+        self.after = (canon + 1) % ring
         self.upstream = upstream
 
 
@@ -268,12 +276,13 @@ class _Packet:
     lat (the unloaded latency of each of its flits) and, on a circuit,
     subnet are set when it is sent, not when it is queued: a plan change
     dispatches the packets queued on its circuits again, and those with no
-    circuit in the new plan go over the VC subnet.
+    circuit in the new plan go over the VC subnet, where subnet stays None.
+    next_out is the index of the flit that must eject next.
     """
 
     __slots__ = (
-        "pid", "src", "dst", "klass", "created", "src_router", "dst_router",
-        "n_flits", "vnet", "hops", "resources", "route", "subnet", "lat",
+        "pid", "src", "dst", "pair", "klass", "created", "src_router", "dst_router",
+        "n_flits", "vnet", "hops", "resources", "route", "subnet", "lat", "next_out",
     )
 
     def __init__(self, pid, src, dst, klass, created, src_router, dst_router,
@@ -288,7 +297,10 @@ class _Packet:
         self.n_flits = n_flits
         self.vnet = vnet
         self.hops = hops
+        self.pair = (src, dst)
         self.resources: Tuple = ()
+        self.subnet: Optional[int] = None
+        self.next_out = 0
 
 
 class _Circuit:
@@ -363,9 +375,9 @@ class Simulation:
         # event queues keyed by cycle
         self.arrival_ev: Dict[int, List] = {}
         self.credit_ev: Dict[int, List] = {}
-        self.vc_eject_ev: Dict[int, List] = {}
-        self.cs_entry_ev: Dict[int, int] = {}
-        self.cs_eject_ev: Dict[int, List] = {}
+        # flits whose eject cycle t is fixed and that are not yet retired,
+        # keyed 2t on the VC subnet and 2t + 1 on a circuit
+        self.eject_ev: Dict[int, List[_Flit]] = {}
 
         # per-NI VC-side injection; busy_nis holds every NI with a queued
         # packet or one it is part way through sending
@@ -388,7 +400,6 @@ class Simulation:
         # all-circuit fabric state
         self.pending_cs_all: Dict[int, deque] = {}
 
-        self._order_check: Dict[int, int] = {}
         self.pair_flits: Dict[Tuple[int, int], int] = {}
 
     # --- construction ---------------------------------------------------
@@ -422,32 +433,28 @@ class Simulation:
             for r in range(n_routers)
         ]
 
-        n_vc = self.vcc.vc_count
+        n_vc = self.n_vc = self.vcc.vc_count
         depth = self.vcc.buffer_depth_flits
-        self.invc: List[List[List[_InVC]]] = [
-            [[_InVC(r, p * n_vc + v, None if far is None else far + (v,))
-              for v in range(n_vc)]
-             for p, far in enumerate(ports)]
-            for r, ports in enumerate(self.peer)
-        ]
-        self.credits: List[List[Optional[List[int]]]] = [
-            [[depth] * n_vc if far is not None else None for far in ports]
-            for ports in self.peer
-        ]
         rr0 = seed % max(1, n_vc)
-        self.sa_rr: List[List[int]] = [[rr0] * len(ports) for ports in self.peer]
-        # the round-robin ring of an output port covers every input VC
-        self.sa_ring: List[int] = [len(ports) * n_vc for ports in self.peer]
+        self.invc: List[List[List[_InVC]]] = []
+        base = 0
+        for r, ports in enumerate(self.peer):
+            ring = len(ports) * n_vc
+            rr = [rr0] * len(ports)
+            self.invc.append([
+                [_InVC(r, p * n_vc + v, base + p * n_vc + v, rr, ring,
+                       far is not None, depth) for v in range(n_vc)]
+                for p, far in enumerate(ports)
+            ])
+            base += ring
         self.va_pending: List[_InVC] = []
-        # per router, its VCs holding a routed packet, keyed by ring place
-        self.sa_active: List[Dict[int, _InVC]] = [{} for _ in range(n_routers)]
-        # routers with an entry in sa_active
-        self.busy_routers: set = set()
+        # the VCs that VA granted, by key
+        self.sa_active: Dict[int, _InVC] = {}
 
     def _new_stats(self) -> SimStats:
         """Zeroed counters carrying the figures fixed for the whole run."""
         k = self.layout.subnet_count
-        per_subnet = sum(len(ports) for ports in self.peer) * self.vcc.vc_count
+        per_subnet = sum(len(ports) for ports in self.peer) * self.n_vc
         gated = 0
         if self.layout.gate_cs_buffers or self.cs_all:
             # subnet 0 keeps its VC buffers unless the fabric is all-circuit
@@ -584,27 +591,21 @@ class Simulation:
         local_port = self.local_port
         route = self.route
         va_pending = self.va_pending
-        sa_active = self.sa_active
-        busy_routers = self.busy_routers
         for ivc, flit in writes:
             buf = ivc.buf
             buf.append(flit)
-            occ = len(buf)
-            if occ > depth:
-                raise SimulationError("VC buffer overflow; credit accounting broke")
-            if occ > max_occ:
-                max_occ = occ
+            if len(buf) > max_occ:
+                max_occ = len(buf)
+                if max_occ > depth:
+                    raise SimulationError("VC buffer overflow; credit accounting broke")
             flit.ready_sa = ready
             if flit.idx == 0:
                 r = ivc.router
-                ivc.state = _WAIT_VA
                 ivc.va_ready = c + 1
                 pkt = flit.pkt
                 dst_r = pkt.dst_router
                 ivc.out_port = local_port[pkt.dst] if r == dst_r else route[r][dst_r]
                 va_pending.append(ivc)
-                sa_active[r][ivc.canon] = ivc
-                busy_routers.add(r)
         st.max_vc_occupancy = max_occ
         st.buffer_writes[0] += len(writes)
 
@@ -647,12 +648,15 @@ class Simulation:
         self.stats.flits_injected += injected
 
     def _free_vc(self, r: int, p: int, vnet: int) -> int:
-        """Index of the first free VC of vnet at input port p, or -1."""
+        """Index of the first free VC of vnet at input port p, or -1.
+
+        A VC is reserved before its head flit is written and freed as its
+        tail leaves, so an unreserved VC is also empty.
+        """
         vcs = self.invc[r][p]
         base = vnet * self.vcc.vcs_per_vnet
         for v in range(base, base + self.vcc.vcs_per_vnet):
-            ivc = vcs[v]
-            if ivc.state == _IDLE and not ivc.buf and not ivc.reserved:
+            if not vcs[v].reserved:
                 return v
         return -1
 
@@ -686,19 +690,20 @@ class Simulation:
                          c: int) -> int:
         """Put pkt's flits on NI ni's wire back to back from cycle c.
 
-        Each flit ejects lat cycles after it enters.  Returns the cycle the
-        tail flit ejects.
+        Each flit ejects lat cycles after it enters.  The flits count as
+        injected now; finalize moves those entering after its window into
+        the next.  Returns the cycle the tail flit ejects.
         """
         pkt.route = f"cs{subnet}"
         pkt.subnet = subnet
         pkt.lat = lat
         n = pkt.n_flits
-        self.stats.flits_injected += 1
+        self.stats.flits_injected += n
+        eject_ev = self.eject_ev
         for i in range(n):
-            t_in = c + i
-            if i:
-                self.cs_entry_ev[t_in] = self.cs_entry_ev.get(t_in, 0) + 1
-            self.cs_eject_ev.setdefault(t_in + lat, []).append(_Flit(pkt, i, t_in))
+            flit = _Flit(pkt, i, c + i)
+            flit.out = c + i + lat
+            eject_ev.setdefault(2 * flit.out + 1, []).append(flit)
         self.wire_free[(ni, subnet)] = c + n
         return c + n - 1 + lat
 
@@ -722,6 +727,8 @@ class Simulation:
                 wire_free[key] = done
 
     def _phase_va(self, c: int) -> None:
+        """Reserve each routed head a downstream VC; a VC that wins one, or
+        whose packet ejects here, joins sa_active, the VCs SA scans."""
         still: List[_InVC] = []
         peer = self.peer
         allocated = 0
@@ -738,9 +745,8 @@ class Simulation:
                     continue
                 down = self.invc[nbr][p2][target]
                 down.reserved = True
-                ivc.out_vc = target
                 ivc.down = down
-            ivc.state = _ACTIVE
+            self.sa_active[ivc.key] = ivc
             allocated += 1
         self.va_pending = still
         self.stats.vc_allocations += allocated
@@ -752,160 +758,142 @@ class Simulation:
         on the ring of all input VCs, skipping input ports that already won
         this cycle; output ports go in ascending order.  A lone request
         wins under that rule, so only routers with two or more arbitrate.
-        A winner sends its head flit: across the link to the VC that VA
-        reserved (3 cycles) or out to its NI (2 cycles), and returns a
-        credit upstream (2 cycles).
+        Winners go router by router.  A winner sends its head flit: across
+        the link to the VC that VA reserved (3 cycles) or out to its NI (2
+        cycles, into the ejection ledger), and returns a credit upstream (2
+        cycles).  Buffer reads and crossbar passes are one per grant, so
+        finalize adds them.
         """
-        n_vc = self.vcc.vc_count
-        all_credits = self.credits
         sa_active = self.sa_active
-        busy_routers = self.busy_routers
+        requests: List[_InVC] = []
+        last = -1
+        contended = False
+        for key in sorted(sa_active):
+            ivc = sa_active[key]
+            buf = ivc.buf
+            if buf and buf[0].ready_sa <= c:
+                down = ivc.down
+                if down is None or down.credit:
+                    if ivc.router == last:
+                        contended = True
+                    last = ivc.router
+                    requests.append(ivc)
+        if contended:
+            requests = self._arbitrate(requests)
         arrivals: List[Tuple[_InVC, _Flit]] = []
         ejects: List[_Flit] = []
-        returns: List[Tuple[int, int, int]] = []
-        for r in sorted(busy_routers):
-            credits = all_credits[r]
-            active = sa_active[r]
-            requests = []
-            for ivc in active.values():
-                if ivc.state != _ACTIVE:
-                    continue
-                buf = ivc.buf
-                if not buf or buf[0].ready_sa > c:
-                    continue
-                credit = credits[ivc.out_port]
-                if credit is None or credit[ivc.out_vc] > 0:
-                    requests.append(ivc)
-            if not requests:
-                continue
-            ring = self.sa_ring[r]
-            rr = self.sa_rr[r]
-            winners = requests
-            if len(requests) > 1:
-                # by output port, then by distance after that port's pointer;
-                # the first request on each port whose input is unused wins
-                winners = []
-                used_inputs: set = set()
-                granted = -1
-                for ivc in sorted(requests, key=lambda ivc: ivc.out_port * ring
-                                  + (ivc.canon - rr[ivc.out_port]) % ring):
-                    p = ivc.canon // n_vc
-                    if ivc.out_port != granted and p not in used_inputs:
-                        used_inputs.add(p)
-                        winners.append(ivc)
-                        granted = ivc.out_port
-            for ivc in winners:
-                out_p = ivc.out_port
-                rr[out_p] = (ivc.canon + 1) % ring
-                flit: _Flit = ivc.buf.popleft()
-                down = ivc.down
-                if down is None:
-                    ejects.append(flit)
-                else:
-                    credits[out_p][ivc.out_vc] -= 1
-                    arrivals.append((down, flit))
-                if ivc.upstream is not None:
-                    returns.append(ivc.upstream)
-                if flit.is_tail:
-                    ivc.state = _IDLE
-                    ivc.reserved = False
-                    ivc.out_port = -1
-                    ivc.out_vc = -1
-                    ivc.down = None
-                    del active[ivc.canon]
-                    if not active:
-                        busy_routers.discard(r)
+        returns: List[_InVC] = []
+        out = c + 2
+        for ivc in requests:
+            ivc.rr[ivc.out_port] = ivc.after
+            flit: _Flit = ivc.buf.popleft()
+            down = ivc.down
+            if down is None:
+                flit.out = out
+                ejects.append(flit)
+            else:
+                down.credit -= 1
+                arrivals.append((down, flit))
+            if ivc.upstream:
+                returns.append(ivc)
+            if flit.is_tail:
+                ivc.reserved = False
+                ivc.down = None
+                del sa_active[ivc.key]
         # SA alone schedules these events, once per cycle, so the keys are new
         if arrivals:
             self.arrival_ev[c + 3] = arrivals
         if ejects:
-            self.vc_eject_ev[c + 2] = ejects
+            self.eject_ev[2 * out] = ejects
         if returns:
-            self.credit_ev[c + 2] = returns
-        grants = len(arrivals) + len(ejects)
+            self.credit_ev[out] = returns
         st = self.stats
-        st.buffer_reads[0] += grants
-        st.sw_allocations += grants
-        st.crossbar_traversals[0] += grants
+        st.sw_allocations += len(arrivals) + len(ejects)
         st.link_traversals[0] += len(arrivals)
 
-    def _retire(self, flits: Sequence[_Flit], c: Optional[int] = None) -> None:
-        """Retire ejected flits: per-packet order, latency and pair counts.
+    def _arbitrate(self, requests: List[_InVC]) -> List[_InVC]:
+        """The winners among requests listed router by router."""
+        n_vc = self.n_vc
+        winners: List[_InVC] = []
+        for _, group in groupby(requests, attrgetter("router")):
+            group = list(group)
+            if len(group) == 1:
+                winners += group
+                continue
+            # the round-robin ring of an output port covers every input VC;
+            # requests go by output port, then by distance after that
+            # port's pointer, and the first on each port whose input is
+            # unused wins
+            ring = len(group[0].rr) * n_vc
+            used_inputs: set = set()
+            granted = -1
+            for ivc in sorted(group, key=lambda ivc: ivc.out_port * ring
+                              + (ivc.canon - ivc.rr[ivc.out_port]) % ring):
+                p = ivc.canon // n_vc
+                if ivc.out_port != granted and p not in used_inputs:
+                    used_inputs.add(p)
+                    winners.append(ivc)
+                    granted = ivc.out_port
+        return winners
 
-        VC flits are retired by the cycle c they eject in.  Circuit flits
-        come with c None: each ejects pkt.lat cycles after it entered, so
-        one batch may span many cycles, in the order they ejected.  Flits
-        created before the warm-up window are ejected but not measured.
+    def _retire(self, flits: Sequence[_Flit]) -> None:
+        """Retire ejected flits, in the order they ejected: per-packet
+        order, latency and pair counts, and a circuit flit's subnet events.
+        Flits created before the warm-up window are ejected but not measured.
         """
         st = self.stats
-        order = self._order_check
         pair_flits = self.pair_flits
         warmup = self.warmup
         records = st.flit_records if self.record_flits else None
-        circuit = c is None
-        kind = "cs" if circuit else "vc"
-        hist = st.latency_hist[kind]
+        hists = st.latency_hist
+        net_sums = st.lat_net_sum
         cs_per_subnet = st.cs_flits_per_subnet
         crossbar = st.crossbar_traversals
         links = st.link_traversals
-        measured = lat_sum = net_sum = unloaded = 0
-        t_out = c
+        unloaded = in_circuit = 0
         for flit in flits:
             pkt = flit.pkt
-            pid = pkt.pid
             idx = flit.idx
-            if idx != order.get(pid, -1) + 1:
-                raise SimulationError(f"packet {pid} flit {idx} ejected out of order")
-            if flit.is_tail:
-                order.pop(pid, None)
+            if idx != pkt.next_out:
+                raise SimulationError(f"packet {pkt.pid} flit {idx} ejected out of order")
+            pkt.next_out = idx + 1
+            subnet = pkt.subnet
+            if subnet is None:
+                kind = "vc"
             else:
-                order[pid] = idx
-            if circuit:
-                t_out = flit.entered + pkt.lat
-                subnet = pkt.subnet
+                kind = "cs"
+                in_circuit += 1
                 cs_per_subnet[subnet] += 1
                 crossbar[subnet] += pkt.hops + 1
                 links[subnet] += pkt.hops
-            created = pkt.created
-            if created >= warmup:
-                lat = t_out - created
-                lat_sum += lat
-                net_sum += t_out - flit.entered
-                measured += 1
+            t_out = flit.out
+            if pkt.created >= warmup:
+                hist = hists[kind]
+                lat = t_out - pkt.created
                 hist[lat] = hist.get(lat, 0) + 1
+                net_sums[kind] += t_out - flit.entered
                 unloaded += pkt.lat
-            pair = (pkt.src, pkt.dst)
+            pair = pkt.pair
             pair_flits[pair] = pair_flits.get(pair, 0) + 1
             if records is not None:
-                records.append(FlitRecord(pid, idx, flit.entered, t_out, pkt.route, pkt.hops))
-        st.lat_sum[kind] += lat_sum
-        st.lat_net_sum[kind] += net_sum
-        st.lat_count[kind] += measured
+                records.append(FlitRecord(pkt.pid, idx, flit.entered, t_out,
+                                          pkt.route, pkt.hops))
         st.unloaded_sum += unloaded
         st.flits_ejected += len(flits)
-        if circuit:
-            st.in_circuit_flits += len(flits)
+        st.in_circuit_flits += in_circuit
 
-    def _settle_circuits(self, start: int, end: int) -> None:
-        """Count the circuit flits entering and retire those ejecting in
-        cycles start .. end - 1, in cycle order.
+    def _settle(self, end: int) -> None:
+        """Retire the flits of the ejection ledger that eject before cycle
+        end, in cycle order, VC flits before circuit flits within a cycle.
 
-        Nothing else in a cycle reads these events, so they may be settled
-        after the cycle is stepped or skipped, as long as no flit ejected
-        in a later cycle is retired before them.
+        Nothing in a cycle reads what retirement writes, so _drive settles
+        only at idle jumps, at least every _SETTLE_CYCLES stepped cycles and
+        when it returns; no flit ejected later is ever retired first.
         """
-        entry_ev = self.cs_entry_ev
-        eject_ev = self.cs_eject_ev
-        entered = 0
+        eject_ev = self.eject_ev
         batch: List[_Flit] = []
-        # every entry ejects later, so no events remain once eject_ev empties
-        while start < end and eject_ev:
-            entered += entry_ev.pop(start, 0)
-            flits = eject_ev.pop(start, None)
-            if flits:
-                batch += flits
-            start += 1
-        self.stats.flits_injected += entered
+        for key in sorted(k for k in eject_ev if k < 2 * end):
+            batch += eject_ev.pop(key)
         if batch:
             self._retire(batch)
 
@@ -920,51 +908,51 @@ class Simulation:
 
         Only VC work and the all-circuit fabric's queued packets keep the
         clock stepping.  With none of them, the next cycle with work is the
-        next packet, plan activation, VC event or cycle a waiting circuit
-        is free, so the clock jumps there (or to limit) without stepping
-        the cycles between; circuit flits in flight do not stop it.  Their
-        entries and ejections are settled in cycle order before the next
-        stepped cycle's, and a drain ends one past the last of them.
-        Counters are unchanged: cycle-integrated figures read
-        cycles_simulated, which counts skipped cycles like stepped ones.
+        next packet, plan activation, flit arrival, credit return or cycle a
+        waiting circuit is free, so the clock jumps there (or to limit)
+        without stepping the cycles between.  Ejections, VC and circuit
+        alike, do not stop it: they wait in the ledger and are settled in
+        cycle order, at most _SETTLE_CYCLES cycles late, and a drain ends
+        one past the last of them.  Counters are unchanged: cycle-integrated
+        figures read cycles_simulated, which counts skipped cycles like
+        stepped ones.
         """
         if limit < self.cycle:
             raise ConfigError(f"cycle {limit} lies before the current cycle {self.cycle}")
         arrival_ev = self.arrival_ev
         credit_ev = self.credit_ev
-        vc_eject_ev = self.vc_eject_ev
-        cs_eject_ev = self.cs_eject_ev
-        vc_events = (arrival_ev, credit_ev, vc_eject_ev)
+        eject_ev = self.eject_ev
         busy_nis = self.busy_nis
-        busy_routers = self.busy_routers
+        sa_active = self.sa_active
         waiting = self.waiting
         pending_cs_all = self.pending_cs_all
-        credits = self.credits
         next_intake = self._next_intake()
         c = self.cycle
-        settled = c  # circuit events before this cycle are settled
+        settle_at = c + _SETTLE_CYCLES
         try:
             while True:
-                if not (self.va_pending or busy_nis or busy_routers or pending_cs_all):
+                if not (self.va_pending or busy_nis or sa_active or pending_cs_all):
                     nxt = next_intake
-                    for queue in vc_events:
+                    for queue in (arrival_ev, credit_ev):
                         if queue:
                             nxt = min(nxt, min(queue))
                     for q in waiting.values():
                         if q.free_at < nxt:
                             nxt = q.free_at
                     if drain and nxt == math.inf:
-                        if not cs_eject_ev:
+                        if not eject_ev:
                             break
-                        nxt = max(cs_eject_ev) + 1
+                        nxt = max(eject_ev) // 2 + 1
                         if nxt <= limit:
                             c = nxt
                             break
                     if nxt > c:
                         c = min(nxt, limit)
-                if cs_eject_ev:
-                    self._settle_circuits(settled, c)
-                settled = c
+                        settle_at = c
+                if c >= settle_at:
+                    if eject_ev:
+                        self._settle(c)
+                    settle_at = c + _SETTLE_CYCLES
                 if c >= limit:
                     if drain:
                         raise SimulationError(f"no drain after {limit} cycles")
@@ -974,8 +962,8 @@ class Simulation:
                     next_intake = self._next_intake()
                 returned = credit_ev.pop(c, None)
                 if returned:
-                    for r, p, v in returned:
-                        credits[r][p][v] += 1
+                    for ivc in returned:
+                        ivc.credit += 1
                 writes = arrival_ev.pop(c, None)
                 if busy_nis:
                     if writes is None:
@@ -987,15 +975,12 @@ class Simulation:
                     self._phase_cs_service(c)
                 if self.va_pending:
                     self._phase_va(c)
-                if busy_routers:
+                if sa_active:
                     self._phase_sa(c)
-                vc_out = vc_eject_ev.pop(c, None)
-                if vc_out:
-                    self._retire(vc_out, c)
                 c += 1
         finally:
-            if cs_eject_ev:
-                self._settle_circuits(settled, c)
+            if eject_ev:
+                self._settle(c)
             self.cycle = c
 
     def run_until(self, target_cycle: int) -> None:
@@ -1026,22 +1011,34 @@ class Simulation:
 
         A window runs from the previous finalize (or cycle 0) to the current
         cycle.  Flits still in the network are its in_flight and carry over
-        into the next window, which starts from fresh counters.
+        into the next window, which starts from fresh counters; circuit
+        flits sent but not yet on their wire are injected in that window.
+        Every VC grant reads one buffer and crosses the crossbar once, and
+        the latency sums and counts follow from the histograms.
         """
         st = self.stats
-        resident = 0
+        cycle = self.cycle
+        resident = future = 0
         for r in range(self.mesh.n_routers):
             for port in self.invc[r]:
                 for ivc in port:
                     resident += len(ivc.buf)
         for evs in self.arrival_ev.values():
             resident += len(evs)
-        for evs in self.vc_eject_ev.values():
-            resident += len(evs)
-        # a circuit flit is in the network from the cycle it enters
-        for evs in self.cs_eject_ev.values():
-            resident += sum(flit.entered < self.cycle for flit in evs)
-        st.cycles_simulated = self.cycle - self.window_start
+        # a flit is in the network from the cycle it enters
+        for evs in self.eject_ev.values():
+            for flit in evs:
+                if flit.entered < cycle:
+                    resident += 1
+                else:
+                    future += 1
+        st.flits_injected -= future
+        st.buffer_reads[0] += st.sw_allocations
+        st.crossbar_traversals[0] += st.sw_allocations
+        for kind, hist in st.latency_hist.items():
+            st.lat_sum[kind] = sum(lat * n for lat, n in hist.items())
+            st.lat_count[kind] = sum(hist.values())
+        st.cycles_simulated = cycle - self.window_start
         st.in_flight = resident
         if self.carried + st.flits_injected - st.flits_ejected != resident:
             raise SimulationError(
@@ -1049,7 +1046,8 @@ class Simulation:
                 f"{st.flits_injected}, ejected {st.flits_ejected}, resident {resident}"
             )
         self.stats = self._new_stats()
-        self.window_start = self.cycle
+        self.stats.flits_injected = future
+        self.window_start = cycle
         self.carried = resident
         return st
 

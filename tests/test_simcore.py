@@ -29,6 +29,7 @@ from hybridnoc import (
     unloaded_latency,
     xy_route,
 )
+from hybridnoc.simcore import _SETTLE_CYCLES
 
 MESH = MeshConfig.grid(4, 4)
 FULL = SubnetLayout(128, 1)
@@ -330,6 +331,76 @@ def test_window_cut_inside_a_circuit_train():
     second = sim.finalize()
     assert [(w.flits_injected, w.flits_ejected, w.in_flight, w.cycles_simulated)
             for w in (first, second)] == [(10, 0, 10, 25), (0, 10, 0, 14)]
+
+
+def vc_train():
+    """One 5-flit data packet from NI 0 to NI 2, two hops on the VC subnet,
+    injected at cycle 0.  Its flits eject in cycles 14-17 and 21 (see
+    test_vc_multi_flit_packet); the tail wins the ejection port in cycle 19
+    and waits in the ejection ledger until it is retired."""
+    return Simulation(MESH, FULL, VC, one_packet(2, PacketClass("data", 640)), None, 0)
+
+
+@pytest.mark.parametrize("cut", [19, 20, 21, 22])
+def test_window_cut_inside_a_vc_tail_ejection(cut):
+    sim = vc_train()
+    sim.run_until(cut)
+    pairs = [sim.take_pair_counts()]
+    first = sim.finalize()
+    sim.run_to_completion()
+    pairs.append(sim.take_pair_counts())
+    second = sim.finalize()
+    out = 5 if cut > 21 else 4
+    assert [(w.flits_injected, w.flits_ejected, w.in_flight, w.cycles_simulated)
+            for w in (first, second)] == [(5, out, 5 - out, cut), (0, 5 - out, 0, 22 - cut)]
+    assert pairs == [{(0, 2): out}, {(0, 2): 5 - out} if out < 5 else {}]
+
+
+@pytest.mark.parametrize("limit", [20, 21])
+def test_hard_limit_cuts_a_vc_ejection_in_flight(limit):
+    sim = vc_train()
+    with pytest.raises(SimulationError, match=str(limit)):
+        sim.run_to_completion(limit)
+    assert sim.cycle == limit
+    stats = sim.finalize()
+    assert (stats.flits_injected, stats.flits_ejected, stats.in_flight) == (5, 4, 1)
+
+
+def test_vc_flit_drains_one_past_its_eject():
+    # 3 hops: the flit ejects at 5h + 4 = 19, so a drain needs cycle 20
+    sim = Simulation(MESH, FULL, VC, one_packet(3, PacketClass("control", 128)), None, 0)
+    with pytest.raises(SimulationError, match="19"):
+        sim.run_to_completion(19)
+    sim.run_to_completion(20)
+    assert sim.cycle == 5 * 3 + 4 + 1
+    assert sim.finalize().flits_ejected == 1
+
+
+def test_never_idle_run_holds_ejections_at_most_the_settle_bound():
+    # at 0.2 packets per NI per cycle the VC subnet is busy in every cycle,
+    # so between the cuts only the settle bound retires ejected flits
+    trace = generate(SyntheticSpec("uniform_random", 0.2), MESH, 3, 1500)
+    sim = Simulation(MESH, FULL, VC, trace, None, 0)
+    settles = []
+    settle = sim._settle
+
+    def spy(end):
+        held = [key // 2 for key in sim.eject_ev]
+        settles.append((end, min(held, default=end), max(held, default=end)))
+        settle(end)
+
+    sim._settle = spy
+    cuts = (700, 1500)
+    for cut in cuts:
+        sim.run_until(cut)
+        held = [key // 2 for key in sim.eject_ev]
+        assert min(held) >= cut and max(held) - min(held) < _SETTLE_CYCLES + 2
+    for end, oldest, newest in settles:
+        assert end - oldest <= _SETTLE_CYCLES
+        assert newest - oldest < _SETTLE_CYCLES + 2
+    bound = [end for end, _, _ in settles if end not in cuts]
+    assert len(bound) >= 4
+    assert sim.finalize().flits_ejected > 0
 
 
 def test_packets_a_million_cycles_apart_keep_the_vc_contract():

@@ -14,14 +14,20 @@ the new plan, over a new circuit or over the VC subnet.  Train scenarios
 send back-to-back data packets over a few circuits with sparse VC traffic
 around them, and cut the run or change the plan while a train is on its
 wires, where the engine settles circuit flits of cycles it never steps.
+Saturation scenarios keep the VC subnet busy in every cycle for at least
+twice the engine's settle bound, with VC and circuit flits ejecting in the
+same cycles, and cut the run inside that stretch, where ejections are
+retired only on that bound.
 """
 
 import dataclasses
+import random
 
 from hypothesis import given, settings, strategies as st
 
 import hybridnoc as hn
 from frozen_baseline import base
+from hybridnoc.simcore import _SETTLE_CYCLES
 
 
 @st.composite
@@ -253,3 +259,55 @@ def test_packets_stranded_by_a_replan_go_over_vc():
     n_vc = classes.count("vc")
     assert ours["unloaded_sum"] == 19 * n_vc + 7 * (len(classes) - n_vc)
     assert pairs == {(0, 3): 60}
+
+
+@st.composite
+def saturations(draw):
+    """Every NI sends for 600-800 cycles at a rate the VC subnet cannot
+    carry, and the run is cut after at least two settle bounds, while it
+    still sends.
+
+    Besides, 0.15 data packets a cycle (7-22% of all packets) go between
+    three hot pairs, whose circuits carry them as trains that eject in the
+    same cycles as VC flits.
+    """
+    width = draw(st.integers(3, 4))
+    height = draw(st.integers(3, 4))
+    nis = tuple(draw(st.lists(st.integers(1, 2), min_size=width * height,
+                              max_size=width * height)))
+    k = draw(st.sampled_from([2, 4]))
+    fabric = draw(st.sampled_from(["e2e", "r2r"]))
+    mesh = hn.MeshConfig(width, height, nis)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = mesh.n_nis
+    hot = [(src, (src + 1 + rng.randrange(n - 1)) % n) for src in rng.sample(range(n), 3)]
+    length = draw(st.integers(600, 800))
+    packets = []
+    for cycle in range(length):
+        for src in range(n):
+            if rng.random() < 0.06:
+                dst = (src + 1 + rng.randrange(n - 1)) % n
+                kind, bits = rng.choice([("control", 64), ("control", 128), ("data", 640)])
+                packets.append((cycle, src, dst, kind, bits))
+        if rng.random() < 0.15:
+            src, dst = rng.choice(hot)
+            packets.append((cycle, src, dst, "data", 640))
+    cut = draw(st.integers(2 * _SETTLE_CYCLES, length))
+    return width, height, nis, k, fabric, packets, cut, draw(st.integers(0, 3))
+
+
+@settings(max_examples=6)
+@given(saturations())
+def test_saturated_run_cut_past_the_settle_bound_matches_frozen_baseline(scenario):
+    plans = (_plan(scenario),)
+    ours, pairs = _run_stepped(hn, scenario, *plans)
+    assert (ours, pairs) == _run_stepped(base, scenario, *plans)
+    # the scenario does what it is for: VC flits eject in every stretch of
+    # 32 cycles from cycle 64 up to the cut, and in some cycles circuit
+    # flits eject beside them
+    cut = scenario[6]
+    vc_out = {r["eject_cycle"] for r in ours["flit_records"] if r["route_class"] == "vc"}
+    cs_out = {r["eject_cycle"] for r in ours["flit_records"] if r["route_class"] != "vc"}
+    assert all(vc_out & set(range(t, t + 32)) for t in range(64, cut - 32, 32))
+    assert vc_out & cs_out
+    assert ours["in_flight"] > 0
