@@ -1,0 +1,74 @@
+"""Differential test: report and plan files against the frozen copy.
+
+The same INI file goes through hybridnoc.cli.main and through the frozen
+copy's cli.main, and every file each writes must be byte-identical.  This
+pins every section of a run report, [events] and [energy] included, where
+the golden tables pin only the summary figures.
+"""
+
+import importlib
+import itertools
+import os
+
+import pytest
+
+from frozen_baseline import base
+from hybridnoc import cli
+
+cli_base = importlib.import_module(f"{base.__name__}.cli")
+
+STATIC = list(itertools.product(
+    ("baseline_vc", "static_hybrid"), ("e2e", "r2r"), ("true", "false"), (2, 4)))
+
+
+def _write_ini(path, experiment, mesh, layout, traffic):
+    sections = {"experiment": experiment, "mesh": mesh, "layout": layout,
+                "traffic": traffic}
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+    return str(path)
+
+
+def _outputs(main, config, out_dir):
+    """Every file main writes for config, by name, as bytes."""
+    assert main(["run", config, "--output", str(out_dir)]) == 0
+    return {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+
+
+def _assert_same_files(tmp_path, capsys, config):
+    ours = _outputs(cli.main, config, tmp_path / "ours")
+    theirs = _outputs(cli_base.main, config, tmp_path / "theirs")
+    capsys.readouterr()
+    assert any(name.endswith(".report") for name in ours)
+    assert ours == theirs
+
+
+@pytest.mark.parametrize("mode,granularity,gate,k", STATIC,
+                         ids=["-".join(map(str, case)) for case in STATIC])
+def test_static_reports_match_frozen_baseline(tmp_path, capsys, mode, granularity,
+                                              gate, k):
+    config = _write_ini(
+        tmp_path / "run.ini",
+        {"mode": mode, "granularity": granularity, "label": "run", "seed": 3},
+        {"width": 3, "height": 3, "ni_per_router": 2},
+        {"total_width_bits": 128, "subnet_count": k, "gate_cs_buffers": gate},
+        {"pattern": "regular_mix", "injection_rate": 0.05, "regularity": 0.8,
+         "cycles": 1500},
+    )
+    _assert_same_files(tmp_path, capsys, config)
+
+
+def test_adaptive_reports_match_frozen_baseline(tmp_path, capsys):
+    config = _write_ini(
+        tmp_path / "adaptive.ini",
+        {"mode": "adaptive_hybrid", "granularity": "r2r", "label": "adaptive",
+         "epoch_cycles": 800, "seed": 1},
+        {"preset": "cmp-4x4-51ni"},
+        {"total_width_bits": 128, "subnet_count": 4, "gate_cs_buffers": "true"},
+        {"pattern": "regular_mix", "injection_rate": 0.02, "regularity": 0.9,
+         "cycles": 2400},
+    )
+    _assert_same_files(tmp_path, capsys, config)
+    epochs = [n for n in os.listdir(tmp_path / "ours") if "epoch" in n and n.endswith(".report")]
+    assert len(epochs) >= 3
