@@ -14,7 +14,6 @@ from .allocator import (
     GaParams,
     candidates_from_profile,
     enumerate_oracle,
-    format_plan,
     ga_allocate,
     greedy_allocate,
     load_plan,
@@ -23,7 +22,6 @@ from .allocator import (
     save_plan,
 )
 from .energy import (
-    BREAKDOWN_KEYS,
     EnergyCoefficients,
     EnergyError,
     EnergyReport,

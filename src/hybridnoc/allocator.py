@@ -513,17 +513,13 @@ def enumerate_oracle(
 
 # --- plan files -------------------------------------------------------------
 
-def format_plan(plan: CircuitPlan) -> str:
+def save_plan(plan: CircuitPlan, path: str) -> None:
     lines = [f"granularity={plan.granularity} subnets={plan.subnet_count}"]
     for s, circuits in enumerate(plan.subnets):
         for c in circuits:
             lines.append(f"{s},{c.src},{c.dst}")
-    return "\n".join(lines) + "\n"
-
-
-def save_plan(plan: CircuitPlan, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(format_plan(plan))
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_plan(path: str, mesh: MeshConfig) -> CircuitPlan:

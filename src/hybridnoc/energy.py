@@ -15,8 +15,6 @@ from typing import Dict
 from .simcore import SimStats, SubnetLayout
 from .topology import ConfigError
 
-BREAKDOWN_KEYS = ("buffer", "allocation", "crossbar", "link", "static")
-
 
 class EnergyError(ConfigError):
     """Accounting asked for something undefined (e.g. zero ejected flits)."""
@@ -104,6 +102,6 @@ def account(
         total_energy=total,
         energy_per_flit=total / stats.flits_ejected,
         breakdown=breakdown,
-        gated_savings=stats.gated_buffer_cycle_count * coeffs.p_buffer_static,
+        gated_savings=stats.gated_buffer_cycles * coeffs.p_buffer_static,
         flits_ejected=stats.flits_ejected,
     )

@@ -409,6 +409,18 @@ SUMMARY_HEADER = "config,percent_in_circuit,norm_latency,norm_energy"
 # section -> key -> value, exactly as a report file holds them
 Report = Dict[str, Dict[str, str]]
 
+# the [events] section in key order, by SimStats name, stored or derived
+EVENT_KEYS = (
+    "subnet_widths", "buffer_writes", "buffer_reads", "crossbar_traversals",
+    "link_traversals", "cs_flits_per_subnet", "vc_allocations", "sw_allocations",
+    "max_vc_occupancy", "active_buffer_cycles", "gated_buffer_cycles",
+)
+
+
+def _event_value(value) -> str:
+    """A count as is, a per-subnet list as its counts joined by commas."""
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
 
 def run_report(result: RunResult) -> Report:
     """A run's report: everything summary_rows needs to rebuild its row."""
@@ -434,19 +446,7 @@ def run_report(result: RunResult) -> Report:
             "unloaded_mean": f"{st.unloaded_mean():.6f}",
             "measured_flits": str(st.measured_flits()),
         },
-        "events": {
-            "subnet_widths": ",".join(map(str, st.subnet_widths)),
-            "buffer_writes": ",".join(map(str, st.buffer_writes)),
-            "buffer_reads": ",".join(map(str, st.buffer_reads)),
-            "crossbar_traversals": ",".join(map(str, st.crossbar_traversals)),
-            "link_traversals": ",".join(map(str, st.link_traversals)),
-            "cs_flits_per_subnet": ",".join(map(str, st.cs_flits_per_subnet)),
-            "vc_allocations": str(st.vc_allocations),
-            "sw_allocations": str(st.sw_allocations),
-            "max_vc_occupancy": str(st.max_vc_occupancy),
-            "active_buffer_cycles": str(st.active_buffer_cycles),
-            "gated_buffer_cycles": str(st.gated_buffer_cycle_count),
-        },
+        "events": {key: _event_value(getattr(st, key)) for key in EVENT_KEYS},
     }
     if result.energy is not None:
         e = result.energy

@@ -110,11 +110,19 @@ class FlitRecord:
 class SimStats:
     """Counters from one window of a run (see Simulation.finalize).
 
-    Every counter, max_vc_occupancy included, covers only its own window;
-    in_flight is what the network still holds when the window closes.
-    Event counters that depend on the subnet are lists indexed by subnet;
-    index 0 is the VC subnet, so a correct run shows zero buffer activity
-    beyond index 0.
+    Fields hold what the engine counts and the figures fixed for the whole
+    run.  Every counter, max_vc_occupancy included, covers only its own
+    window; in_flight is what the network still holds when the window
+    closes.  Per-subnet counters are lists indexed by subnet; index 0 is the
+    VC subnet, so a correct run shows zero buffer activity beyond index 0.
+
+    Derived figures, read as properties: lat_sum and lat_count per route
+    class from latency_hist; buffer_reads, one per VC switch grant, is
+    sw_allocations on subnet 0; crossbar_traversals is
+    cs_crossbar_traversals (hops + 1 per circuit flit, on subnet 0 too on
+    the all-circuit fabric) plus sw_allocations on subnet 0;
+    active_buffer_cycles and gated_buffer_cycles are buffers per cycle
+    times cycles_simulated.
     """
 
     subnet_count: int = 1
@@ -123,15 +131,12 @@ class SimStats:
     in_circuit_flits: int = 0
     packets_seen: int = 0
     buffer_writes: List[int] = field(default_factory=list)
-    buffer_reads: List[int] = field(default_factory=list)
-    crossbar_traversals: List[int] = field(default_factory=list)
+    cs_crossbar_traversals: List[int] = field(default_factory=list)
     link_traversals: List[int] = field(default_factory=list)
     cs_flits_per_subnet: List[int] = field(default_factory=list)
     vc_allocations: int = 0
     sw_allocations: int = 0
-    lat_sum: Dict[str, int] = field(default_factory=lambda: {"vc": 0, "cs": 0})
     lat_net_sum: Dict[str, int] = field(default_factory=lambda: {"vc": 0, "cs": 0})
-    lat_count: Dict[str, int] = field(default_factory=lambda: {"vc": 0, "cs": 0})
     latency_hist: Dict[str, Dict[int, int]] = field(
         default_factory=lambda: {"vc": {}, "cs": {}}
     )
@@ -148,19 +153,37 @@ class SimStats:
     def __post_init__(self) -> None:
         if not self.buffer_writes:
             self.buffer_writes = [0] * self.subnet_count
-            self.buffer_reads = [0] * self.subnet_count
-            self.crossbar_traversals = [0] * self.subnet_count
+            self.cs_crossbar_traversals = [0] * self.subnet_count
             self.link_traversals = [0] * self.subnet_count
             self.cs_flits_per_subnet = [0] * self.subnet_count
 
     # --- derived metrics ---------------------------------------------------
 
     @property
+    def lat_sum(self) -> Dict[str, int]:
+        return {kind: sum(lat * n for lat, n in hist.items())
+                for kind, hist in self.latency_hist.items()}
+
+    @property
+    def lat_count(self) -> Dict[str, int]:
+        return {kind: sum(hist.values()) for kind, hist in self.latency_hist.items()}
+
+    @property
+    def buffer_reads(self) -> List[int]:
+        return [self.sw_allocations] + [0] * (self.subnet_count - 1)
+
+    @property
+    def crossbar_traversals(self) -> List[int]:
+        out = list(self.cs_crossbar_traversals)
+        out[0] += self.sw_allocations
+        return out
+
+    @property
     def active_buffer_cycles(self) -> int:
         return self.active_buffers_per_cycle * self.cycles_simulated
 
     @property
-    def gated_buffer_cycle_count(self) -> int:
+    def gated_buffer_cycles(self) -> int:
         return self.gated_buffers_per_cycle * self.cycles_simulated
 
     def measured_flits(self) -> int:
@@ -510,7 +533,7 @@ class Simulation:
         self.stats.packets_seen += 1
         if self.cs_all:
             path = xy_route(mesh, src_r, dst_r) if src_r != dst_r else None
-            links = tuple(("link",) + l for l in path.link_set) if path else ()
+            links = tuple(("link",) + l for l in path.links) if path else ()
             pkt.resources = links + (("ej", ev.dst),)
             self.pending_cs_all.setdefault(ev.src, deque()).append(pkt)
             return
@@ -762,7 +785,7 @@ class Simulation:
         the link to the VC that VA reserved (3 cycles) or out to its NI (2
         cycles, into the ejection ledger), and returns a credit upstream (2
         cycles).  Buffer reads and crossbar passes are one per grant, so
-        finalize adds them.
+        SimStats derives them from sw_allocations.
         """
         sa_active = self.sa_active
         requests: List[_InVC] = []
@@ -848,7 +871,7 @@ class Simulation:
         hists = st.latency_hist
         net_sums = st.lat_net_sum
         cs_per_subnet = st.cs_flits_per_subnet
-        crossbar = st.crossbar_traversals
+        crossbar = st.cs_crossbar_traversals
         links = st.link_traversals
         unloaded = in_circuit = 0
         for flit in flits:
@@ -1013,8 +1036,6 @@ class Simulation:
         cycle.  Flits still in the network are its in_flight and carry over
         into the next window, which starts from fresh counters; circuit
         flits sent but not yet on their wire are injected in that window.
-        Every VC grant reads one buffer and crosses the crossbar once, and
-        the latency sums and counts follow from the histograms.
         """
         st = self.stats
         cycle = self.cycle
@@ -1033,11 +1054,6 @@ class Simulation:
                 else:
                     future += 1
         st.flits_injected -= future
-        st.buffer_reads[0] += st.sw_allocations
-        st.crossbar_traversals[0] += st.sw_allocations
-        for kind, hist in st.latency_hist.items():
-            st.lat_sum[kind] = sum(lat * n for lat, n in hist.items())
-            st.lat_count[kind] = sum(hist.values())
         st.cycles_simulated = cycle - self.window_start
         st.in_flight = resident
         if self.carried + st.flits_injected - st.flits_ejected != resident:

@@ -10,7 +10,6 @@ routers are distinct resources.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Tuple
 
 
@@ -148,10 +147,6 @@ class Path:
     @property
     def hops(self) -> int:
         return len(self.links)
-
-    @cached_property
-    def link_set(self) -> frozenset:
-        return frozenset(self.links)
 
 
 def xy_route(mesh: MeshConfig, src_router: int, dst_router: int) -> Path:

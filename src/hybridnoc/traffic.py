@@ -201,16 +201,13 @@ def generate(spec: SyntheticSpec, mesh: MeshConfig, seed: int, cycles: int) -> L
 
 # --- trace files -----------------------------------------------------------
 
-def format_trace(events: Iterable[TrafficEvent]) -> str:
+def save_trace(events: Iterable[TrafficEvent], path: str) -> None:
+    """Write events as a trace file, the format load_trace reads."""
     lines = ["# inject_cycle,src_ni,dst_ni,class"]
     for ev in events:
         lines.append(f"{ev.inject_cycle},{ev.src},{ev.dst},{ev.klass.kind}")
-    return "\n".join(lines) + "\n"
-
-
-def save_trace(events: Iterable[TrafficEvent], path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(format_trace(events))
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_records(
@@ -359,17 +356,14 @@ def profile_from_flit_counts(
     return prof
 
 
-def format_profile(prof: TrafficProfile) -> str:
+def save_profile(prof: TrafficProfile, path: str) -> None:
+    """Write prof as a profile file, the format load_profile reads."""
     lines = ["# src,dst,flit_count,hop_count"]
     for pair in sorted(prof.entries):
         e = prof.entries[pair]
         lines.append(f"{pair[0]},{pair[1]},{e.flit_count},{e.hop_count}")
-    return "\n".join(lines) + "\n"
-
-
-def save_profile(prof: TrafficProfile, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(format_profile(prof))
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_profile(path: str, granularity: str) -> TrafficProfile:

@@ -3,11 +3,19 @@
 bench/baseline/hybridnoc_baseline is the package as it was when the
 benchmark was defined.  It is imported read-only (no bytecode written)
 under the name hybridnoc_baseline, once per process.
+
+Property tests against it run without hypothesis's shrink phase
+(NO_SHRINK): a failure reports its falsifying example as drawn, in
+seconds, where shrinking a simulation scenario took minutes.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+from hypothesis import Phase
+
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 _BASELINE = Path(__file__).resolve().parent.parent / "bench" / "baseline" / "hybridnoc_baseline"
 

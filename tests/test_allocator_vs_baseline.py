@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hybridnoc as hn
-from frozen_baseline import base
+from frozen_baseline import NO_SHRINK, base
 
 # probabilities spread over [0, 1] (hypothesis draws floats mostly at the
 # ends)
@@ -160,19 +160,19 @@ def _plan(pkg, scenario, method):
     return [[(c.src, c.dst) for c in s] for s in plan.subnets], plan.meta
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, phases=NO_SHRINK)
 @given(scenarios())
 def test_ga_allocate_matches_frozen_baseline(scenario):
     assert _plan(hn, scenario, "ga") == _plan(base, scenario, "ga")
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, phases=NO_SHRINK)
 @given(trap_scenarios())
 def test_ga_search_matches_frozen_baseline_where_it_beats_its_seeds(scenario):
     assert _plan(hn, scenario, "ga") == _plan(base, scenario, "ga")
 
 
-@settings(max_examples=20)
+@settings(max_examples=20, phases=NO_SHRINK)
 @given(workload_scenarios())
 def test_ga_matches_frozen_baseline_at_workload_scale(scenario):
     assert _plan(hn, scenario, "ga") == _plan(base, scenario, "ga")
@@ -183,13 +183,13 @@ def test_ga_matches_frozen_baseline_on_a_bench_shaped_profile():
     assert _plan(hn, scenario, "ga") == _plan(base, scenario, "ga")
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, phases=NO_SHRINK)
 @given(scenarios())
 def test_greedy_allocate_matches_frozen_baseline(scenario):
     assert _plan(hn, scenario, "greedy") == _plan(base, scenario, "greedy")
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, phases=NO_SHRINK)
 @given(scenarios())
 def test_enumerate_oracle_matches_frozen_baseline(scenario):
     try:

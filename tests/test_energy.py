@@ -3,7 +3,6 @@
 import pytest
 
 from hybridnoc import (
-    BREAKDOWN_KEYS,
     CandidatePair,
     CircuitPlan,
     ConfigError,
@@ -26,6 +25,7 @@ from hybridnoc import (
 MESH = MeshConfig.grid(4, 4)
 FULL = SubnetLayout(128, 1)
 VC = VcConfig()
+BREAKDOWN = ("buffer", "allocation", "crossbar", "link", "static")
 
 
 def run_one_packet():
@@ -36,7 +36,7 @@ def run_one_packet():
 
 
 def test_breakdown_keys_fixed():
-    assert BREAKDOWN_KEYS == ("buffer", "allocation", "crossbar", "link", "static")
+    assert tuple(account(run_one_packet(), FULL, EnergyCoefficients()).breakdown) == BREAKDOWN
 
 
 def test_account_exact_dynamic_terms():
@@ -126,7 +126,7 @@ def test_gating_delta_is_exact():
     gated = account(gated_stats, gated_layout, coeffs)
     opened = account(open_stats, open_layout, coeffs)
     delta = opened.breakdown["static"] - gated.breakdown["static"]
-    assert delta == pytest.approx(gated_stats.gated_buffer_cycle_count * 0.1)
+    assert delta == pytest.approx(gated_stats.gated_buffer_cycles * 0.1)
     assert gated.gated_savings == pytest.approx(delta)
     assert opened.gated_savings == 0.0
 
@@ -160,7 +160,7 @@ def test_report_rejects_breakdown_drift():
         EnergyReport(
             total_energy=10.0,
             energy_per_flit=10.0,
-            breakdown={k: 1.0 for k in BREAKDOWN_KEYS},
+            breakdown={k: 1.0 for k in BREAKDOWN},
             gated_savings=0.0,
             flits_ejected=1,
         )

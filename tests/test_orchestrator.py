@@ -33,7 +33,7 @@ from hybridnoc import (
     summary_table,
     write_run_report,
 )
-from hybridnoc.orchestrator import _CONFIG_KEYS
+from hybridnoc.orchestrator import _CONFIG_KEYS, EVENT_KEYS
 
 MESH = MeshConfig.grid(4, 4)
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -413,6 +413,11 @@ def test_readme_config_block_loads_and_names_every_key(tmp_path):
         if key:
             section.add(key.group(1))
     assert named == {name: set(keys) for name, keys in _CONFIG_KEYS.items()}
+
+
+def test_readme_lists_the_events_keys_in_report_order():
+    text = README.read_text(encoding="utf-8").split("`[events]` holds, in this order,", 1)[1]
+    assert tuple(re.findall(r"`(\w+)`", text.split(";", 1)[0])) == EVENT_KEYS
 
 
 def test_two_phase_trace_recovers(tmp_path):

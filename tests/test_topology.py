@@ -49,7 +49,6 @@ def test_xy_route_examples():
     p = xy_route(m, 14, 0)
     assert p.hops == 5
     assert p.links == ((14, 13), (13, 12), (12, 8), (8, 4), (4, 0))
-    assert p.link_set == frozenset(p.links)
 
 
 @settings(max_examples=40)
