@@ -418,7 +418,7 @@ EVENT_KEYS = (
 
 
 def _event_value(value) -> str:
-    """A count as is, a per-subnet list as its counts joined by commas."""
+    """A count in decimal; a per-subnet list as its counts joined by commas."""
     return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
