@@ -238,13 +238,13 @@ def greedy_allocate(
 
 
 def plan_weight(plan: CircuitPlan, profile: TrafficProfile) -> int:
-    """Total profile weight carried by the plan's circuits."""
+    """Total profile weight carried by the plan's circuits; a pair the
+    profile lacks carried none."""
     total = 0
     for _, circuit in plan.all_circuits():
-        key = (circuit.src, circuit.dst)
-        if key not in profile.entries:
-            raise AllocationError(f"plan pair {key} not present in the profile")
-        total += profile.entries[key].weight
+        entry = profile.entries.get((circuit.src, circuit.dst))
+        if entry is not None:
+            total += entry.weight
     return total
 
 
@@ -464,12 +464,7 @@ def enumerate_oracle(
     if n == 0:
         return CircuitPlan.empty(k, granularity, provenance="oracle")
 
-    held = _conflict_masks(cands, granularity == "r2r")
-    # the candidates each candidate conflicts with, as a mask over candidates
-    masks = [
-        sum(1 << j for j, other in enumerate(held) if j != i and mine & other)
-        for i, mine in enumerate(held)
-    ]
+    masks = _conflict_masks(cands, granularity == "r2r")
     weights = [c.weight for c in cands]
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -477,6 +472,8 @@ def enumerate_oracle(
 
     best_weight = -1
     best_assign: List[List[int]] = [[] for _ in range(k)]
+    # the resources each subnet's circuits hold; they are disjoint, so a
+    # circuit leaves its subnet by xor
     subnets = [0] * k
     assign: List[List[int]] = [[] for _ in range(k)]
 
@@ -488,7 +485,6 @@ def enumerate_oracle(
             best_weight = current
             best_assign = [list(s) for s in assign]
             return
-        bit = 1 << i
         mask = masks[i]
         tried_empty = False
         for s in range(k):
@@ -498,11 +494,11 @@ def enumerate_oracle(
                 tried_empty = True
             if subnets[s] & mask:
                 continue
-            subnets[s] |= bit
+            subnets[s] ^= mask
             assign[s].append(i)
             search(i + 1, current + weights[i])
             assign[s].pop()
-            subnets[s] &= ~bit
+            subnets[s] ^= mask
         search(i + 1, current)  # leave candidate i out
 
     search(0, 0)

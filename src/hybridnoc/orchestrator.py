@@ -115,8 +115,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown allocator {self.allocator!r}; pick one of {ALLOCATORS}")
         if self.granularity not in PLAN_GRANULARITIES:
             raise ConfigError(f"unknown granularity {self.granularity!r}")
-        if self.allocator == "plan-file" and not self.plan_file:
-            raise ConfigError("allocator plan-file needs plan_file")
+        if (self.allocator == "plan-file") != bool(self.plan_file):
+            raise ConfigError("plan_file goes with allocator plan-file and only with it")
         if (self.traffic_spec is None) == (self.trace_path is None):
             raise ConfigError("configure exactly one traffic source (spec or trace)")
         if self.traffic_spec is not None:
@@ -174,6 +174,10 @@ def build_plan(
         if plan.subnet_count > k:
             raise ConfigError(
                 f"plan file uses {plan.subnet_count} subnets, layout offers {k}"
+            )
+        if plan.granularity != config.granularity:
+            raise ConfigError(
+                f"plan file is {plan.granularity}, the config asks for {config.granularity}"
             )
         return plan
     if config.allocator == "greedy":

@@ -118,11 +118,11 @@ class SimStats:
 
     Derived figures, read as properties: lat_sum and lat_count per route
     class from latency_hist; buffer_reads, one per VC switch grant, is
-    sw_allocations on subnet 0; crossbar_traversals is
-    cs_crossbar_traversals (hops + 1 per circuit flit, on subnet 0 too on
-    the all-circuit fabric) plus sw_allocations on subnet 0;
-    active_buffer_cycles and gated_buffer_cycles are buffers per cycle
-    times cycles_simulated.
+    sw_allocations on subnet 0; crossbar_traversals is hops + 1 per circuit
+    flit, link_traversals plus cs_flits_per_subnet on each subnet that
+    carried circuit flits (a subnet carries VC or circuit flits, never
+    both), plus sw_allocations on subnet 0; active_buffer_cycles and
+    gated_buffer_cycles are buffers per cycle times cycles_simulated.
     """
 
     subnet_count: int = 1
@@ -131,7 +131,6 @@ class SimStats:
     in_circuit_flits: int = 0
     packets_seen: int = 0
     buffer_writes: List[int] = field(default_factory=list)
-    cs_crossbar_traversals: List[int] = field(default_factory=list)
     link_traversals: List[int] = field(default_factory=list)
     cs_flits_per_subnet: List[int] = field(default_factory=list)
     vc_allocations: int = 0
@@ -153,7 +152,6 @@ class SimStats:
     def __post_init__(self) -> None:
         if not self.buffer_writes:
             self.buffer_writes = [0] * self.subnet_count
-            self.cs_crossbar_traversals = [0] * self.subnet_count
             self.link_traversals = [0] * self.subnet_count
             self.cs_flits_per_subnet = [0] * self.subnet_count
 
@@ -174,7 +172,8 @@ class SimStats:
 
     @property
     def crossbar_traversals(self) -> List[int]:
-        out = list(self.cs_crossbar_traversals)
+        out = [links + flits if flits else 0
+               for links, flits in zip(self.link_traversals, self.cs_flits_per_subnet)]
         out[0] += self.sw_allocations
         return out
 
@@ -295,25 +294,24 @@ class _InVC:
 class _Packet:
     """A packet from intake to ejection.
 
-    route (the route class its flit records read: "vc" or "cs<subnet>"),
     lat (the unloaded latency of each of its flits) and, on a circuit,
-    subnet are set when it is sent, not when it is queued: a plan change
-    dispatches the packets queued on its circuits again, and those with no
-    circuit in the new plan go over the VC subnet, where subnet stays None.
-    next_out is the index of the flit that must eject next.
+    resources are set when it is queued; a plan change queues the packets
+    of its circuits again, and those with no circuit in the new plan go
+    over the VC subnet.  subnet is set when it is sent on a circuit and
+    stays None on the VC subnet.  next_out is the index of the flit that
+    must eject next.
     """
 
     __slots__ = (
-        "pid", "src", "dst", "pair", "klass", "created", "src_router", "dst_router",
-        "n_flits", "vnet", "hops", "resources", "route", "subnet", "lat", "next_out",
+        "pid", "src", "dst", "pair", "created", "src_router", "dst_router",
+        "n_flits", "vnet", "hops", "resources", "subnet", "lat", "next_out",
     )
 
-    def __init__(self, pid, src, dst, klass, created, src_router, dst_router,
+    def __init__(self, pid, src, dst, created, src_router, dst_router,
                  n_flits, vnet, hops):
         self.pid = pid
         self.src = src
         self.dst = dst
-        self.klass = klass
         self.created = created
         self.src_router = src_router
         self.dst_router = dst_router
@@ -327,22 +325,28 @@ class _Packet:
 
 
 class _Circuit:
-    """One installed circuit and the packets queued at its source NIs.
+    """One circuit and the packets queued at its source NIs.
 
     An e2e circuit has one source NI; an r2r circuit serves every NI of its
-    source router round-robin.
+    source router round-robin.  On the all-circuit fabric each NI has a
+    circuit of its own on subnet 0, and lat is None: its packets each take
+    the e2e latency of their own path.
+
+    One rule sends every circuit packet: it goes once its NI wire and each
+    of its resources (keys of Simulation.wire_free) is free, and holds them
+    until its tail flit ejects.  On an installed circuit it holds the
+    circuit, so the circuit carries one packet at a time; on the
+    all-circuit fabric it holds its path's links and its ejection port.
     """
 
-    __slots__ = ("cid", "subnet", "lat", "free_at", "ni_queues", "rr_nis", "rr_ptr")
+    __slots__ = ("cid", "subnet", "lat", "ni_queues", "rr_nis")
 
     def __init__(self, cid, subnet, lat, source_nis):
         self.cid = cid
-        self.subnet = subnet            # physical subnet index (>= 1)
+        self.subnet = subnet            # physical subnet index
         self.lat = lat                  # unloaded latency of each flit
-        self.free_at = 0
-        self.rr_nis: List[int] = list(source_nis)
+        self.rr_nis: List[int] = list(source_nis)  # in the next send's round-robin order
         self.ni_queues: Dict[int, deque] = {ni: deque() for ni in self.rr_nis}
-        self.rr_ptr = 0
 
     def has_waiting(self) -> bool:
         return any(self.ni_queues.values())
@@ -412,16 +416,15 @@ class Simulation:
         self.circuits: List[_Circuit] = []
         self.match: Dict[Tuple[int, int], _Circuit] = {}
         self.granularity = ""
-        # first cycle each wire is free: an NI's wire into a subnet, and on
-        # the all-circuit fabric each link and ejection port a packet holds
-        self.wire_free: Dict[Tuple, int] = {}
+        # first cycle each wire is free: an NI's wire into a subnet, and
+        # each resource a circuit packet holds until its tail ejects
+        self.wire_free: Dict[object, int] = {}
         self.waiting: Dict[int, _Circuit] = {}
         self.plan_schedule: List[Tuple[int, CircuitPlan]] = []
         if plan is not None:
             self._install_plan(plan)
-
-        # all-circuit fabric state
-        self.pending_cs_all: Dict[int, deque] = {}
+        if cs_all:
+            self.circuits = [_Circuit(ni, 0, None, (ni,)) for ni in range(mesh.n_nis)]
 
         self.pair_flits: Dict[Tuple[int, int], int] = {}
 
@@ -514,6 +517,8 @@ class Simulation:
             self.match[key] = c
 
     def schedule_plan(self, plan: CircuitPlan, activation_cycle: int) -> None:
+        if self.cs_all:
+            raise ConfigError("the all-circuit fabric takes no plan")
         if activation_cycle < self.cycle:
             raise ConfigError("cannot activate a plan in the past")
         self.plan_schedule.append((activation_cycle, plan))
@@ -528,14 +533,17 @@ class Simulation:
         n_flits = flits_for_packet(ev.klass, self.width_bits)
         vnet = 0 if ev.klass.kind == "control" else 1 % self.vcc.vnets
         hops = mesh.hop_distance(src_r, dst_r)
-        pkt = _Packet(ev.packet_id, ev.src, ev.dst, ev.klass, ev.inject_cycle,
+        pkt = _Packet(ev.packet_id, ev.src, ev.dst, ev.inject_cycle,
                       src_r, dst_r, n_flits, vnet, hops)
         self.stats.packets_seen += 1
         if self.cs_all:
             path = xy_route(mesh, src_r, dst_r) if src_r != dst_r else None
             links = tuple(("link",) + l for l in path.links) if path else ()
             pkt.resources = links + (("ej", ev.dst),)
-            self.pending_cs_all.setdefault(ev.src, deque()).append(pkt)
+            pkt.lat = unloaded_latency("cs-e2e", hops)
+            circuit = self.circuits[ev.src]
+            circuit.ni_queues[ev.src].append(pkt)
+            self.waiting[circuit.cid] = circuit
             return
         self._dispatch(pkt)
 
@@ -547,17 +555,19 @@ class Simulation:
             else:
                 circuit = self.match.get((pkt.src_router, pkt.dst_router))
         if circuit is None:
+            pkt.lat = unloaded_latency("vc", pkt.hops)
             self.ni_queue.setdefault(pkt.src, deque()).append(pkt)
             self.busy_nis.add(pkt.src)
         else:
+            pkt.resources = (circuit,)
+            pkt.lat = circuit.lat
             circuit.ni_queues[pkt.src].append(pkt)
             self.waiting[circuit.cid] = circuit
 
     def _activate_plan(self, plan: CircuitPlan, c: int) -> None:
         drain_end = c
         for q in self.circuits:
-            if q.free_at > drain_end:
-                drain_end = q.free_at
+            drain_end = max(drain_end, self.wire_free.pop(q, 0))
         if drain_end - c > _RECONFIG_BARRIER_CYCLES:
             log.warning(
                 "circuit drain needed %d cycles, beyond the %d-cycle barrier",
@@ -570,7 +580,7 @@ class Simulation:
         self.waiting.clear()
         self._install_plan(plan)
         for q in self.circuits:
-            q.free_at = drain_end
+            self.wire_free[q] = drain_end
         for pkt in sorted(stranded, key=lambda p: (p.created, p.pid)):
             self._dispatch(pkt)
         # keep per-NI FIFO order after moving packets back to the VC side
@@ -654,8 +664,6 @@ class Simulation:
                 ivc = self.invc[r][p][v]
                 ivc.reserved = True
                 queue.popleft()
-                pkt.route = "vc"
-                pkt.lat = unloaded_latency("vc", pkt.hops)
                 cur = [pkt, ivc, 0]
                 ni_cur[ni] = cur
             pkt, ivc, idx = cur
@@ -684,42 +692,46 @@ class Simulation:
         return -1
 
     def _phase_cs_service(self, c: int) -> None:
-        if self.cs_all:
-            self._phase_cs_all(c)
-            return
-        for cid in sorted(self.waiting):
-            q = self.waiting[cid]
-            if q.free_at > c:
-                continue
-            if not q.has_waiting():
-                del self.waiting[cid]
-                continue
-            n_nis = len(q.rr_nis)
-            chosen = None
-            for step in range(n_nis):
-                ni = q.rr_nis[(q.rr_ptr + step) % n_nis]
-                if q.ni_queues[ni] and self.wire_free.get((ni, q.subnet), 0) <= c:
-                    chosen = ni
-                    q.rr_ptr = (q.rr_ptr + step + 1) % n_nis
-                    break
-            if chosen is None:
-                continue
-            pkt = q.ni_queues[chosen].popleft()
-            q.free_at = self._send_on_circuit(pkt, chosen, q.subnet, q.lat, c)
-            if not q.has_waiting():
-                del self.waiting[cid]
+        """Send on each waiting circuit the first head packet, round-robin
+        over its source NIs, that _Circuit's rule lets go."""
+        wire_free = self.wire_free
+        held = wire_free.get
+        waiting = self.waiting
+        for cid in sorted(waiting):
+            q = waiting[cid]
+            if held(q, 0) > c:
+                continue  # every packet queued on q holds q
+            subnet = q.subnet
+            queues = q.ni_queues
+            nis = q.rr_nis
+            for step, ni in enumerate(nis):
+                queue = queues[ni]
+                if queue and held((ni, subnet), 0) <= c:
+                    pkt = queue[0]
+                    for key in pkt.resources:
+                        if held(key, 0) > c:
+                            break
+                    else:
+                        break  # every resource is free: send pkt
+            else:
+                continue  # nothing on q may go this cycle
+            q.rr_nis = nis[step + 1:] + nis[:step + 1]
+            queue.popleft()
+            done = self._send_on_circuit(pkt, ni, subnet, c)
+            for key in pkt.resources:
+                wire_free[key] = done
+            if not queue and not q.has_waiting():
+                del waiting[cid]
 
-    def _send_on_circuit(self, pkt: _Packet, ni: int, subnet: int, lat: int,
-                         c: int) -> int:
+    def _send_on_circuit(self, pkt: _Packet, ni: int, subnet: int, c: int) -> int:
         """Put pkt's flits on NI ni's wire back to back from cycle c.
 
-        Each flit ejects lat cycles after it enters.  The flits count as
+        Each flit ejects pkt.lat cycles after it enters.  The flits count as
         injected now; finalize moves those entering after its window into
         the next.  Returns the cycle the tail flit ejects.
         """
-        pkt.route = f"cs{subnet}"
         pkt.subnet = subnet
-        pkt.lat = lat
+        lat = pkt.lat
         n = pkt.n_flits
         self.stats.flits_injected += n
         eject_ev = self.eject_ev
@@ -729,25 +741,6 @@ class Simulation:
             eject_ev.setdefault(2 * flit.out + 1, []).append(flit)
         self.wire_free[(ni, subnet)] = c + n
         return c + n - 1 + lat
-
-    def _phase_cs_all(self, c: int) -> None:
-        """Send each NI's head packet once its wire and whole path are free.
-
-        The packet holds its path's links and its ejection port until its
-        tail flit ejects, and they are free again from that cycle on.
-        """
-        wire_free = self.wire_free
-        for ni in sorted(self.pending_cs_all):
-            queue = self.pending_cs_all[ni]
-            pkt = queue[0]
-            if any(wire_free.get(key, 0) > c for key in ((ni, 0),) + pkt.resources):
-                continue
-            queue.popleft()
-            if not queue:
-                del self.pending_cs_all[ni]
-            done = self._send_on_circuit(pkt, ni, 0, unloaded_latency("cs-e2e", pkt.hops), c)
-            for key in pkt.resources:
-                wire_free[key] = done
 
     def _phase_va(self, c: int) -> None:
         """Reserve each routed head a downstream VC; a VC that wins one, or
@@ -871,7 +864,6 @@ class Simulation:
         hists = st.latency_hist
         net_sums = st.lat_net_sum
         cs_per_subnet = st.cs_flits_per_subnet
-        crossbar = st.cs_crossbar_traversals
         links = st.link_traversals
         unloaded = in_circuit = 0
         for flit in flits:
@@ -887,7 +879,6 @@ class Simulation:
                 kind = "cs"
                 in_circuit += 1
                 cs_per_subnet[subnet] += 1
-                crossbar[subnet] += pkt.hops + 1
                 links[subnet] += pkt.hops
             t_out = flit.out
             if pkt.created >= warmup:
@@ -900,7 +891,8 @@ class Simulation:
             pair_flits[pair] = pair_flits.get(pair, 0) + 1
             if records is not None:
                 records.append(FlitRecord(pkt.pid, idx, flit.entered, t_out,
-                                          pkt.route, pkt.hops))
+                                          kind if subnet is None else f"cs{subnet}",
+                                          pkt.hops))
         st.unloaded_sum += unloaded
         st.flits_ejected += len(flits)
         st.in_circuit_flits += in_circuit
@@ -929,11 +921,12 @@ class Simulation:
         remains, and raise SimulationError if work remains at limit.  A
         limit before self.cycle is a ConfigError: the clock never runs back.
 
-        Only VC work and the all-circuit fabric's queued packets keep the
-        clock stepping.  With none of them, the next cycle with work is the
-        next packet, plan activation, flit arrival, credit return or cycle a
-        waiting circuit is free, so the clock jumps there (or to limit)
-        without stepping the cycles between.  Ejections, VC and circuit
+        Only VC work keeps the clock stepping.  Without it, the clock jumps
+        (no further than limit) to the next cycle with work: the next
+        packet, plan activation, flit arrival, credit return, or the first
+        cycle a waiting circuit is free, its wire_free entry.  No packet
+        holds an all-circuit NI's circuit, so that entry reads 0 and the
+        clock steps while such a circuit waits.  Ejections, VC and circuit
         alike, do not stop it: they wait in the ledger and are settled in
         cycle order, at most _SETTLE_CYCLES cycles late, and a drain ends
         one past the last of them.  Counters are unchanged: cycle-integrated
@@ -948,20 +941,23 @@ class Simulation:
         busy_nis = self.busy_nis
         sa_active = self.sa_active
         waiting = self.waiting
-        pending_cs_all = self.pending_cs_all
+        wire_free = self.wire_free
         next_intake = self._next_intake()
         c = self.cycle
         settle_at = c + _SETTLE_CYCLES
         try:
             while True:
-                if not (self.va_pending or busy_nis or sa_active or pending_cs_all):
+                if not (self.va_pending or busy_nis or sa_active):
                     nxt = next_intake
                     for queue in (arrival_ev, credit_ev):
                         if queue:
                             nxt = min(nxt, min(queue))
                     for q in waiting.values():
-                        if q.free_at < nxt:
-                            nxt = q.free_at
+                        free = wire_free.get(q, 0)
+                        if free < nxt:
+                            nxt = free
+                            if free <= c:
+                                break
                     if drain and nxt == math.inf:
                         if not eject_ev:
                             break
@@ -994,7 +990,7 @@ class Simulation:
                     self._phase_vc_injection(c, writes)
                 if writes:
                     self._buffer_write(writes, c)
-                if waiting or pending_cs_all:
+                if waiting:
                     self._phase_cs_service(c)
                 if self.va_pending:
                     self._phase_va(c)

@@ -1,10 +1,12 @@
-"""The benchmark tracer wraps hybridnoc callables by name; every name must resolve."""
+"""The benchmark calls hybridnoc by name; every name it wraps or calls must resolve."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
 
-TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+TRACER_PATH = BENCH / "tracer.py"
 
 
 def load_tracer():
@@ -26,3 +28,28 @@ def test_every_traced_name_resolves():
                 assert callable(vars(getattr(module, cls_name)).get(meth)), name
             else:
                 assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def hn_names(path):
+    """Every dotted name hn.<a>.<b>... the file reads off the package."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id == "hn":
+            names.add(".".join(reversed(chain)))
+    return names
+
+
+def test_every_package_name_the_bench_calls_resolves():
+    package = importlib.import_module("hybridnoc")
+    for script in ("run.py", "workloads.py"):
+        names = hn_names(BENCH / script)
+        assert names, script
+        for name in names:
+            obj = package
+            for part in name.split("."):
+                assert hasattr(obj, part), f"{script}: hn.{name}"
+                obj = getattr(obj, part)

@@ -476,6 +476,31 @@ def test_malformed_plan_file_is_exit_2(tmp_path, capsys, plan, fragment):
     assert f"data error: {fragment}" in capsys.readouterr().err
 
 
+def test_plan_file_with_another_allocator_is_exit_1(tmp_path, capsys):
+    # the file is never opened, so that it is missing is not the error
+    body = ("[experiment]\nmode = static_hybrid\nallocator = greedy\n"
+            "plan_file = missing.plan\n[traffic]\ncycles = 200\n")
+    assert run_ini(tmp_path, body) == 1
+    assert "config error: plan_file goes with allocator plan-file" in capsys.readouterr().err
+
+
+def test_plan_file_of_another_granularity_is_exit_1(tmp_path, capsys):
+    # an r2r plan under the default granularity, e2e
+    body = plan_file_config(tmp_path, "granularity=r2r subnets=1\n0,0,3\n")
+    assert run_ini(tmp_path, body) == 1
+    assert "config error: plan file is r2r, the config asks for e2e" in capsys.readouterr().err
+
+
+def test_plan_circuit_whose_pair_sent_nothing_weighs_0(tmp_path):
+    (tmp_path / "t.csv").write_text("0,1,2,data\n5,1,2,control\n")
+    body = plan_file_config(tmp_path, "granularity=e2e subnets=1\n0,0,3\n").replace(
+        "cycles = 200", f"trace = {tmp_path / 't.csv'}")
+    assert run_ini(tmp_path, body) == 0
+    report = read_run_report(str(tmp_path / "out" / "t.report"))
+    assert report["meta"]["plan_weight"] == "0"
+    assert report["plan"]["circuits"] == "1"
+
+
 def test_compare_on_a_report_without_sections_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.report"
     bad.write_text("label = x\n")

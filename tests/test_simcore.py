@@ -478,6 +478,10 @@ def test_validation_errors(tmp_path):
     with pytest.raises(ConfigError):
         Simulation(MESH, FULL, VC, [], e2e_plan(MESH, (0, 1)), 0, cs_all=True)
     with pytest.raises(ConfigError):
+        # its NIs queue on circuits that a plan activation would replace
+        Simulation(MESH, FULL, VC, [], None, 0, cs_all=True).schedule_plan(
+            CircuitPlan.empty(0, "e2e"), 10)
+    with pytest.raises(ConfigError):
         # plan asks for a CS subnet the layout does not have
         Simulation(MESH, FULL, VC, [], e2e_plan(MESH, (0, 1)), 0)
     bad_ni = [TrafficEvent(0, 0, 99, PacketClass("control", 64), 0)]
