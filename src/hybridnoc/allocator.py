@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from struct import unpack_from
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .topology import ConfigError, MeshConfig, Path, xy_route
+from .topology import MAX_CS_SUBNETS, ConfigError, MeshConfig, Path, xy_route
 from .traffic import TraceFormatError, TrafficProfile, read_records
 
 log = logging.getLogger(__name__)
@@ -530,7 +530,10 @@ def load_plan(path: str, mesh: MeshConfig) -> CircuitPlan:
         header = re.fullmatch(r"granularity=(e2e|r2r) subnets=(\d+)", head)
         if not header:
             raise TraceFormatError(f"line {lineno}: bad plan header {head!r}")
-        granularity, k = header[1], int(header[2])
+        granularity, digits = header[1], header[2]
+        if len(digits.lstrip("0")) > 4 or int(digits) > MAX_CS_SUBNETS:
+            raise TraceFormatError(f"line {lineno}: a plan has at most {MAX_CS_SUBNETS} subnets")
+        k = int(digits)
         e2e = granularity == "e2e"
         n_endpoints = mesh.n_nis if e2e else mesh.n_routers
         subnets: List[List[CandidatePair]] = [[] for _ in range(k)]

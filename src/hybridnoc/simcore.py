@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -29,7 +30,7 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .allocator import CircuitPlan
-from .topology import ConfigError, MeshConfig, xy_route
+from .topology import MAX_CS_SUBNETS, ConfigError, MeshConfig, xy_route
 from .traffic import TrafficEvent, flits_for_packet
 
 log = logging.getLogger(__name__)
@@ -41,6 +42,13 @@ _RECONFIG_BARRIER_CYCLES = 1000
 _DRAIN_CYCLES = 10_000_000
 # most stepped cycles between two retirements of ejected flits
 _SETTLE_CYCLES = 256
+# the order of sa_active
+_BY_KEY = attrgetter("key")
+# largest [vc] values VcConfig accepts; the engine builds vnets *
+# vcs_per_vnet input VCs per router port
+MAX_VNETS = 16
+MAX_VCS_PER_VNET = 16
+MAX_BUFFER_DEPTH_FLITS = 256
 
 
 class SimulationError(RuntimeError):
@@ -52,8 +60,8 @@ class SubnetLayout:
     """How one physical link splits into subnets.
 
     Exactly one subnet (index 0) is the VC subnet; the other
-    subnet_count - 1 are circuit switched.  All subnets share the width
-    total_width_bits / subnet_count.
+    subnet_count - 1, at most as many as a plan file may name, are circuit
+    switched.  All subnets share the width total_width_bits / subnet_count.
     """
 
     total_width_bits: int = 128
@@ -65,6 +73,8 @@ class SubnetLayout:
             raise ConfigError("link width must be positive")
         if self.subnet_count < 1:
             raise ConfigError("need at least one subnet")
+        if self.subnet_count > MAX_CS_SUBNETS + 1:
+            raise ConfigError(f"subnet_count must be at most {MAX_CS_SUBNETS + 1}")
         if self.total_width_bits % self.subnet_count != 0:
             raise ConfigError("subnet count must divide the link width")
 
@@ -90,6 +100,10 @@ class VcConfig:
             raise ConfigError("need at least one vnet and one VC per vnet")
         if self.buffer_depth_flits < 1:
             raise ConfigError("buffers must hold at least one flit")
+        for name, most in (("vnets", MAX_VNETS), ("vcs_per_vnet", MAX_VCS_PER_VNET),
+                           ("buffer_depth_flits", MAX_BUFFER_DEPTH_FLITS)):
+            if getattr(self, name) > most:
+                raise ConfigError(f"{name} must be at most {most}")
 
     @property
     def vc_count(self) -> int:
@@ -270,7 +284,8 @@ class _InVC:
     an upstream router holds credits for it.  credit is the count of free
     slots that upstream holds; reserved holds from VA (or the NI's pick)
     until the tail leaves; down is the downstream input VC VA reserved,
-    None when the out port ejects.
+    None when the out port ejects.  From its VA grant until its tail
+    leaves, the VC is in Simulation.sa_active, which is kept in key order.
     """
 
     __slots__ = ("buf", "credit", "out_port", "down", "reserved", "va_ready",
@@ -406,11 +421,11 @@ class Simulation:
         # keyed 2t on the VC subnet and 2t + 1 on a circuit
         self.eject_ev: Dict[int, List[_Flit]] = {}
 
-        # per-NI VC-side injection; busy_nis holds every NI with a queued
-        # packet or one it is part way through sending
+        # per-NI VC-side injection; busy_nis holds, in ascending order, every
+        # NI with a queued packet or one it is part way through sending
         self.ni_queue: Dict[int, deque] = {}
         self.ni_cur: Dict[int, List] = {}
-        self.busy_nis: set = set()
+        self.busy_nis: List[int] = []
 
         # circuit-switched side
         self.circuits: List[_Circuit] = []
@@ -474,8 +489,8 @@ class Simulation:
             ])
             base += ring
         self.va_pending: List[_InVC] = []
-        # the VCs that VA granted, by key
-        self.sa_active: Dict[int, _InVC] = {}
+        # the VCs that VA granted, in key order
+        self.sa_active: List[_InVC] = []
 
     def _new_stats(self) -> SimStats:
         """Zeroed counters carrying the figures fixed for the whole run."""
@@ -548,6 +563,12 @@ class Simulation:
         self._dispatch(pkt)
 
     def _dispatch(self, pkt: _Packet) -> None:
+        """Queue pkt at its circuit or, with none, at its NI's VC side.
+
+        An NI joins busy_nis, at its place in ascending order, when its VC
+        queue goes from empty to one packet while it sends none; this covers
+        the packets a plan change moves back to the VC subnet.
+        """
         circuit = None
         if self.match:
             if self.granularity == "e2e":
@@ -556,8 +577,10 @@ class Simulation:
                 circuit = self.match.get((pkt.src_router, pkt.dst_router))
         if circuit is None:
             pkt.lat = unloaded_latency("vc", pkt.hops)
-            self.ni_queue.setdefault(pkt.src, deque()).append(pkt)
-            self.busy_nis.add(pkt.src)
+            queue = self.ni_queue.setdefault(pkt.src, deque())
+            queue.append(pkt)
+            if len(queue) == 1 and pkt.src not in self.ni_cur:
+                insort(self.busy_nis, pkt.src)
         else:
             pkt.resources = (circuit,)
             pkt.lat = circuit.lat
@@ -645,13 +668,18 @@ class Simulation:
     def _phase_vc_injection(self, c: int, writes: List[Tuple[_InVC, _Flit]]) -> None:
         """Each busy NI puts at most one flit into its VC; adds it to writes.
 
-        The write can wait for _buffer_write because an NI's VCs sit at its
-        own local port, which no arrival and no other NI writes.
+        NIs go in the ascending order busy_nis keeps.  An NI leaves it once
+        its queue is empty and its last flit is written; the list is pruned
+        after the walk, in a call where some NI drained.  The write can wait
+        for _buffer_write because an NI's VCs sit at its own local port,
+        which no arrival and no other NI writes.
         """
         depth = self.vcc.buffer_depth_flits
         ni_cur = self.ni_cur
+        busy_nis = self.busy_nis
+        drained = False
         injected = 0
-        for ni in sorted(self.busy_nis):
+        for ni in busy_nis:
             cur = ni_cur.get(ni)
             queue = self.ni_queue[ni]
             if cur is None:
@@ -674,8 +702,9 @@ class Simulation:
             cur[2] = idx + 1
             if cur[2] == pkt.n_flits:
                 del ni_cur[ni]
-                if not queue:
-                    self.busy_nis.discard(ni)
+                drained |= not queue
+        if drained:
+            busy_nis[:] = [ni for ni in busy_nis if ni in ni_cur or self.ni_queue[ni]]
         self.stats.flits_injected += injected
 
     def _free_vc(self, r: int, p: int, vnet: int) -> int:
@@ -744,7 +773,8 @@ class Simulation:
 
     def _phase_va(self, c: int) -> None:
         """Reserve each routed head a downstream VC; a VC that wins one, or
-        whose packet ejects here, joins sa_active, the VCs SA scans."""
+        whose packet ejects here, joins sa_active, the VCs SA scans, at its
+        place in key order."""
         still: List[_InVC] = []
         peer = self.peer
         allocated = 0
@@ -762,7 +792,7 @@ class Simulation:
                 down = self.invc[nbr][p2][target]
                 down.reserved = True
                 ivc.down = down
-            self.sa_active[ivc.key] = ivc
+            insort(self.sa_active, ivc, key=_BY_KEY)
             allocated += 1
         self.va_pending = still
         self.stats.vc_allocations += allocated
@@ -770,7 +800,9 @@ class Simulation:
     def _phase_sa(self, c: int) -> None:
         """Separable, output-first switch allocation with round-robin.
 
-        Each output port grants the requesting VC nearest after its pointer
+        Requests come from a walk of sa_active, which is in key order and so
+        router by router; a VC leaves it here, as its tail flit goes.  Each
+        output port grants the requesting VC nearest after its pointer
         on the ring of all input VCs, skipping input ports that already won
         this cycle; output ports go in ascending order.  A lone request
         wins under that rule, so only routers with two or more arbitrate.
@@ -784,8 +816,7 @@ class Simulation:
         requests: List[_InVC] = []
         last = -1
         contended = False
-        for key in sorted(sa_active):
-            ivc = sa_active[key]
+        for ivc in sa_active:
             buf = ivc.buf
             if buf and buf[0].ready_sa <= c:
                 down = ivc.down
@@ -815,7 +846,7 @@ class Simulation:
             if flit.is_tail:
                 ivc.reserved = False
                 ivc.down = None
-                del sa_active[ivc.key]
+                del sa_active[bisect_left(sa_active, ivc.key, key=_BY_KEY)]
         # SA alone schedules these events, once per cycle, so the keys are new
         if arrivals:
             self.arrival_ev[c + 3] = arrivals

@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+# most circuit subnets a link layout offers and a plan file names
+MAX_CS_SUBNETS = 1024
+
 
 class ConfigError(ValueError):
     """A config, option or argument value that is out of range or does not

@@ -28,6 +28,7 @@ from hybridnoc import (
     xy_route,
 )
 from hybridnoc.allocator import _conflict_masks, _draws_below, _first_clash
+from hybridnoc.topology import MAX_CS_SUBNETS
 
 
 def router_profile(mesh, flit_counts):
@@ -413,6 +414,19 @@ def test_load_plan_rejects_bad_files(tmp_path):
         p = tmp_path / name
         p.write_text(body)
         with pytest.raises(TraceFormatError):
+            load_plan(str(p), mesh)
+
+
+def test_load_plan_bounds_the_subnet_count_before_building_subnets(tmp_path):
+    mesh = MeshConfig.grid(3, 1)
+    p = tmp_path / "plan.txt"
+    p.write_text(f"granularity=r2r subnets={MAX_CS_SUBNETS}\n")
+    assert load_plan(str(p), mesh).subnet_count == MAX_CS_SUBNETS
+    # one more, and a count of more digits than int() reads from text
+    for k in (str(MAX_CS_SUBNETS + 1), "9" * 5000):
+        p.write_text(f"granularity=r2r subnets={k}\n0,0,1\n")
+        with pytest.raises(TraceFormatError,
+                           match=f"line 1: a plan has at most {MAX_CS_SUBNETS} subnets"):
             load_plan(str(p), mesh)
 
 

@@ -22,6 +22,8 @@ from hybridnoc import (
     save_trace,
 )
 from hybridnoc.cli import main
+from hybridnoc.simcore import MAX_BUFFER_DEPTH_FLITS, MAX_VCS_PER_VNET, MAX_VNETS
+from hybridnoc.topology import MAX_CS_SUBNETS
 
 MESH = MeshConfig.grid(4, 4)
 
@@ -305,6 +307,21 @@ def test_bad_traffic_values_are_exit_1(tmp_path, capsys, extra, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, most", [
+    ("vnets", MAX_VNETS),
+    ("vcs_per_vnet", MAX_VCS_PER_VNET),
+    ("buffer_depth_flits", MAX_BUFFER_DEPTH_FLITS),
+])
+def test_vc_value_above_its_bound_is_exit_1(tmp_path, capsys, key, most):
+    # VcConfig takes the bound itself and rejects one more as the config
+    # loads, before an engine is built
+    assert getattr(hybridnoc.VcConfig(**{key: most}), key) == most
+    ini = write_static_config(tmp_path, extra=f"[vc]\n{key} = {most + 1}\n")
+    assert main(["run", ini, "--output", str(tmp_path / "out")]) == 1
+    assert f"config error: {key} must be at most {most}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--rates", "5"],
     ["--rates", "-1"],
@@ -470,7 +487,9 @@ def plan_file_config(tmp_path, plan):
     ("granularity=e2e\n0,0,5\n", "line 1: bad plan header"),
     ("# NIs 0-15\ngranularity=e2e subnets=1\n0,0,16\n", "line 3: circuit 0,16 leaves the mesh"),
     ("granularity=e2e subnets=1\n0,0,3\n\n0,1,2\n", "line 4: circuit conflicts with line 2"),
-], ids=["header", "off-mesh", "conflict"])
+    (f"granularity=e2e subnets={MAX_CS_SUBNETS + 1}\n0,0,3\n",
+     f"line 1: a plan has at most {MAX_CS_SUBNETS} subnets"),
+], ids=["header", "off-mesh", "conflict", "subnets"])
 def test_malformed_plan_file_is_exit_2(tmp_path, capsys, plan, fragment):
     assert run_ini(tmp_path, plan_file_config(tmp_path, plan)) == 2
     assert f"data error: {fragment}" in capsys.readouterr().err

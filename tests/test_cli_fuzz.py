@@ -39,9 +39,9 @@ VALUES = {
     "total_width_bits": (("128", "64", "96"), ("0", "-128")),
     "subnet_count": (("1", "2", "4", "8"), ("0", "3", "-1")),
     "gate_cs_buffers": (("true", "off", "0"), ("maybe",)),
-    "vnets": (("1", "3"), ("0",)),
-    "vcs_per_vnet": (("1", "4"), ("0", "-1")),
-    "buffer_depth_flits": (("1", "4"), ("0",)),
+    "vnets": (("1", "3", "16"), ("0", "17")),
+    "vcs_per_vnet": (("1", "4", "16"), ("0", "-1", "17")),
+    "buffer_depth_flits": (("1", "4", "256"), ("0", "257")),
     "cycles": (("1", "50", "200"), ("0", "-5")),
     "pattern": (("uniform_random", "permutation", "hotspot", "regular_mix"), ("zigzag",)),
     "injection_rate": (("0", "0.01", "0.05", "0.3"), ("-0.1", "5", "nan", "inf")),

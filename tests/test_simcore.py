@@ -457,6 +457,10 @@ def test_validation_errors(tmp_path):
         SubnetLayout(128, 3)  # does not divide
     with pytest.raises(ConfigError):
         SubnetLayout(128, 0)
+    # a layout offers at most as many circuit subnets as a plan file names
+    assert SubnetLayout(1025, 1025).cs_subnet_count == 1024
+    with pytest.raises(ConfigError, match="subnet_count must be at most 1025"):
+        SubnetLayout(1026, 1026)
     # the engine has a fixed 4-stage pipeline and single-cycle links, so the
     # config loader knows no key for either; a typo is rejected the same way
     for section, line in (("vc", "pipeline_stages = 5"), ("vc", "link_cycles = 2"),

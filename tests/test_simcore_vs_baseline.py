@@ -18,6 +18,11 @@ Saturation scenarios keep the VC subnet busy in every cycle for at least
 twice the engine's settle bound, with VC and circuit flits ejecting in the
 same cycles, and cut the run inside that stretch, where ejections are
 retired only on that bound.
+
+Burst, hot-spot and saturation scenarios draw 1-4 NIs per router, as on
+the 51-NI CMP, and the VC organization (vnets, VCs per vnet, buffer
+depth), down to one VC of one slot, so NIs and heads often wait for a
+free VC or a free buffer slot.
 """
 
 import dataclasses
@@ -32,6 +37,15 @@ from hybridnoc.simcore import _SETTLE_CYCLES
 # every figure the frozen copy's SimStats stores; the engine derives some
 FIGURES = tuple(f.name for f in dataclasses.fields(base.SimStats))
 
+# VcConfig(vnets, vcs_per_vnet, buffer_depth_flits): the default, and drawn
+DEFAULT_VC = (3, 4, 4)
+vc_configs = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6))
+
+
+def ni_counts(width, height, most=4):
+    """The NI count of each router of a width x height mesh."""
+    return st.lists(st.integers(1, most), min_size=width * height, max_size=width * height)
+
 
 def figures(stats):
     """stats as a dict of FIGURES: its fields as asdict gives them, and
@@ -45,8 +59,7 @@ def figures(stats):
 def scenarios(draw):
     width = draw(st.integers(2, 4))
     height = draw(st.integers(2, 4))
-    nis = tuple(draw(st.lists(st.integers(1, 2), min_size=width * height,
-                              max_size=width * height)))
+    nis = tuple(draw(ni_counts(width, height)))
     k = draw(st.sampled_from([1, 2, 4]))
     fabric = draw(st.sampled_from(["vc", "cs_all"] if k == 1 else ["e2e", "r2r"]))
     mesh = hn.MeshConfig(width, height, nis)
@@ -69,15 +82,14 @@ def scenarios(draw):
             packets.append((cycle, src, dst, kind, bits))
     cut = draw(st.none() | st.integers(1, cycle + 1))
     seed = draw(st.integers(0, 3))
-    return width, height, nis, k, fabric, packets, cut, seed
+    return width, height, nis, k, fabric, packets, cut, seed, draw(vc_configs)
 
 
 @st.composite
 def hot_spots(draw):
     width = draw(st.integers(3, 4))
     height = draw(st.integers(3, 4))
-    nis = tuple(draw(st.lists(st.integers(1, 2), min_size=width * height,
-                              max_size=width * height)))
+    nis = tuple(draw(ni_counts(width, height)))
     k = draw(st.sampled_from([1, 2, 4]))
     fabric = draw(st.sampled_from(["vc", "cs_all"] if k == 1 else ["e2e", "r2r"]))
     mesh = hn.MeshConfig(width, height, nis)
@@ -106,12 +118,12 @@ def hot_spots(draw):
     # a cut lands while the last burst still drains
     cut = draw(st.none() | st.integers(cycle + 1, cycle + 60))
     seed = draw(st.integers(0, 3))
-    return width, height, nis, k, fabric, packets, cut, seed
+    return width, height, nis, k, fabric, packets, cut, seed, draw(vc_configs)
 
 
 def _inputs(pkg, scenario):
     """The scenario's mesh and trace, built from pkg's own classes."""
-    width, height, nis, _, _, packets, _, _ = scenario
+    width, height, nis, _, _, packets = scenario[:6]
     mesh = pkg.MeshConfig(width, height, nis)
     trace = [
         pkg.TrafficEvent(cycle, src, dst, pkg.PacketClass(kind, bits), pid)
@@ -121,10 +133,10 @@ def _inputs(pkg, scenario):
 
 
 def _run(pkg, scenario, plan):
-    _, _, _, k, fabric, _, cut, seed = scenario
+    _, _, _, k, fabric, _, cut, seed, vc = scenario
     mesh, trace = _inputs(pkg, scenario)
     return pkg.simulate(
-        mesh, pkg.SubnetLayout(128, k), pkg.VcConfig(), trace, plan,
+        mesh, pkg.SubnetLayout(128, k), pkg.VcConfig(*vc), trace, plan,
         cycles_limit=cut, seed=seed, warmup_cycles=20, record_flits=True,
         cs_all=(fabric == "cs_all"),
     )
@@ -181,9 +193,9 @@ def _replan(scenario, activation, second):
 def _run_stepped(pkg, scenario, plan, activation=None, second_plan=None):
     """Stats and pair counts of a Simulation run to the cut or to its
     drain, with second_plan, if any, scheduled at activation."""
-    _, _, _, k, _, _, cut, seed = scenario
+    _, _, _, k, _, _, cut, seed, vc = scenario
     mesh, trace = _inputs(pkg, scenario)
-    sim = pkg.Simulation(mesh, pkg.SubnetLayout(128, k), pkg.VcConfig(), trace,
+    sim = pkg.Simulation(mesh, pkg.SubnetLayout(128, k), pkg.VcConfig(*vc), trace,
                          plan, seed, warmup_cycles=20, record_flits=True)
     if second_plan is not None:
         sim.schedule_plan(second_plan, activation)
@@ -215,8 +227,7 @@ def trains(draw):
     """
     width = draw(st.integers(3, 4))
     height = draw(st.integers(3, 4))
-    nis = tuple(draw(st.lists(st.integers(1, 2), min_size=width * height,
-                              max_size=width * height)))
+    nis = tuple(draw(ni_counts(width, height, 2)))
     k = draw(st.sampled_from([2, 4]))
     fabric = draw(st.sampled_from(["e2e", "r2r"]))
     mesh = hn.MeshConfig(width, height, nis)
@@ -240,7 +251,7 @@ def trains(draw):
     in_flight = st.sampled_from(starts).flatmap(lambda t: st.integers(t + 1, t + 80))
     cut = draw(in_flight | st.none())
     seed = draw(st.integers(0, 3))
-    scenario = (width, height, nis, k, fabric, packets, cut, seed)
+    scenario = (width, height, nis, k, fabric, packets, cut, seed, DEFAULT_VC)
     second = draw(st.sampled_from([None, "empty", "later"]))
     if second is None:
         return scenario, None, None
@@ -262,7 +273,7 @@ def test_packets_stranded_by_a_replan_go_over_vc():
     # the empty plan 15 cycles on sends those not yet on the wire over the
     # VC subnet, and their flits read "vc" and 5h + 4 = 19 cycles unloaded
     packets = [(30, 0, 3, "data", 640)] * 6
-    scenario = (4, 4, (1,) * 16, 2, "e2e", packets, None, 0)
+    scenario = (4, 4, (1,) * 16, 2, "e2e", packets, None, 0, DEFAULT_VC)
     plans = (_plan(scenario), 45, hn.CircuitPlan.empty(1, "e2e"))
     assert plans[0].circuit_count() == 1
     ours, pairs = _run_stepped(hn, scenario, *plans)
@@ -272,6 +283,33 @@ def test_packets_stranded_by_a_replan_go_over_vc():
     n_vc = classes.count("vc")
     assert ours["unloaded_sum"] == 19 * n_vc + 7 * (len(classes) - n_vc)
     assert pairs == {(0, 3): 60}
+
+    # on the 51-NI CMP, the empty plan strands the packets of three e2e
+    # circuits at once: NI 0 sends nothing over VC, NI 14 is part way
+    # through a VC packet, and NI 26 is part way through one with two more
+    # queued, behind which its stranded packets, created earlier, do not wait
+    cmp = hn.MeshConfig.cmp_4x4_51ni()
+    circuits = ((0, 4), (14, 17), (26, 29))
+    packets = sorted([(30, src, dst, "data", 640) for src, dst in circuits] * 6
+                     + [(cycle, 26, 33, "data", 640) for cycle in (38, 39, 40)]
+                     + [(40, 14, 20, "data", 640)])
+    scenario = (4, 4, cmp.ni_per_router, 2, "e2e", packets, None, 0, DEFAULT_VC)
+    plan = hn.CircuitPlan("e2e", (tuple(
+        hn.CandidatePair(src, dst, 1, hn.xy_route(cmp, cmp.router_of_ni(src),
+                                                  cmp.router_of_ni(dst)))
+        for src, dst in circuits),))
+    mesh, trace = _inputs(hn, scenario)
+    sim = hn.Simulation(mesh, hn.SubnetLayout(128, 2), hn.VcConfig(), trace, plan, 0)
+    sim.run_until(45)
+    assert sim.busy_nis == [14, 26] and set(sim.ni_cur) == {14, 26}
+    assert not sim.ni_queue.get(14) and len(sim.ni_queue[26]) == 2
+    plans = (plan, 45, hn.CircuitPlan.empty(1, "e2e"))
+    ours, pairs = _run_stepped(hn, scenario, *plans)
+    assert (ours, pairs) == _run_stepped(base, scenario, *plans)
+    pair_of = {pid: (src, dst) for pid, (_, src, dst, _, _) in enumerate(packets)}
+    for pair in circuits:
+        assert {r["route_class"] for r in ours["flit_records"]
+                if pair_of[r["packet_id"]] == pair} == {"cs1", "vc"}
 
 
 @st.composite
@@ -286,8 +324,7 @@ def saturations(draw):
     """
     width = draw(st.integers(3, 4))
     height = draw(st.integers(3, 4))
-    nis = tuple(draw(st.lists(st.integers(1, 2), min_size=width * height,
-                              max_size=width * height)))
+    nis = tuple(draw(ni_counts(width, height)))
     k = draw(st.sampled_from([2, 4]))
     fabric = draw(st.sampled_from(["e2e", "r2r"]))
     mesh = hn.MeshConfig(width, height, nis)
@@ -306,7 +343,8 @@ def saturations(draw):
             src, dst = rng.choice(hot)
             packets.append((cycle, src, dst, "data", 640))
     cut = draw(st.integers(2 * _SETTLE_CYCLES, length))
-    return width, height, nis, k, fabric, packets, cut, draw(st.integers(0, 3))
+    return (width, height, nis, k, fabric, packets, cut, draw(st.integers(0, 3)),
+            draw(vc_configs))
 
 
 @settings(max_examples=6, phases=NO_SHRINK)
