@@ -15,7 +15,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from struct import unpack_from
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .topology import MAX_CS_SUBNETS, ConfigError, MeshConfig, Path, xy_route
 from .traffic import TraceFormatError, TrafficProfile, read_records
@@ -136,13 +136,12 @@ def _first_clash(
     return None
 
 
-# first-fit saves its state before every _BLOCK-th candidate it is given, so
-# a later run over an order that starts with the same t candidates can
-# resume from the state saved before candidate t // _BLOCK * _BLOCK
+# first-fit saves its state before each block of _BLOCK candidate indices:
+# states[b] holds the subnet occupancy masks and the weight placed before
+# the first candidate at or above b * _BLOCK that the run is given
 _BLOCK = 16
 
-# subnet occupancy masks followed by the weight placed so far
-_FitState = Tuple[int, ...]
+_FitState = Tuple[Tuple[int, ...], int]
 
 
 def _first_fit(
@@ -150,34 +149,56 @@ def _first_fit(
     masks: Sequence[int],
     weights: Sequence[int],
     k: int,
-    saved: Sequence[_FitState] = (),
-) -> Tuple[List[List[int]], int, List[_FitState]]:
-    """Place candidate indices in order into the first of k subnets they fit; drop the rest.
+    parent: Optional[_Individual] = None,
+    changed: Sequence[int] = (),
+) -> Tuple[List[List[int]], int, List[_FitState], int]:
+    """Place candidate indices, ascending, into the first of k subnets they fit; drop the rest.
 
-    saved holds the states an earlier run saved before order[0],
-    order[_BLOCK], ... order[b * _BLOCK], for an order whose first
-    b * _BLOCK entries match this one; the run resumes from the last.
+    parent, if given, holds the states and score of a run over an order
+    that agrees with this one outside the indices in changed.  Before a
+    block with no change, where the masks equal the parent's, the run takes
+    the parent's states up to the next changed block, totals shifted by
+    the weight difference; past the last change it stops there.
 
-    Returns the indices placed in each subnet (from the resume point on),
-    the total weight placed, and the state before every _BLOCK-th entry.
+    Returns the indices placed in each subnet by the blocks it ran, the
+    total weight placed, the state before every block, and the index at
+    which it stopped (len(masks) if it ran to the end).
     """
-    states = list(saved) or [(0,) * (k + 1)]
-    *occupied, total = states[-1]
+    n_blocks = -(-len(masks) // _BLOCK)
+    todo = sorted({j // _BLOCK for j in changed}, reverse=True)  # changed blocks, last first
+    state: Optional[_FitState] = ((0,) * k, 0)  # None once a block placed a candidate
+    occupied, total, states = [0] * k, 0, []
     placed: List[List[int]] = [[] for _ in range(k)]
     subnets = range(k)
-    start = (len(states) - 1) * _BLOCK
-    for t in range(start, len(order), _BLOCK):
-        if t > start:
-            states.append((*occupied, total))
-        for idx in order[t : t + _BLOCK]:
+    b = at = 0
+    while b < n_blocks:
+        state = state or (tuple(occupied), total)
+        if todo and todo[-1] == b:
+            todo.pop()
+        elif parent and parent.states[b][0] == state[0]:
+            ref, delta = parent.states, total - parent.states[b][1]
+            nxt = todo.pop() if todo else n_blocks
+            states += [(m, t + delta) for m, t in ref[b:nxt]] if delta else ref[b:nxt]
+            if nxt == n_blocks:
+                return placed, parent.score + delta, states, b * _BLOCK
+            b = nxt
+            state = (ref[b][0], ref[b][1] + delta) if delta else ref[b]
+            occupied, total = list(state[0]), state[1]
+            at = bisect_left(order, b * _BLOCK, at)
+        states.append(state)
+        b += 1
+        end = bisect_left(order, b * _BLOCK, at)
+        for idx in order[at:end]:
             mask = masks[idx]
             for s in subnets:
                 if not occupied[s] & mask:
                     occupied[s] |= mask
                     total += weights[idx]
                     placed[s].append(idx)
+                    state = None
                     break
-    return placed, total, states
+        at = end
+    return placed, total, states, len(masks)
 
 
 def _plan_from_indices(
@@ -233,7 +254,7 @@ def greedy_allocate(
         raise AllocationError("need at least one CS subnet to allocate into")
     cands = candidates_from_profile(profile, mesh, granularity)
     masks = _conflict_masks(cands, granularity == "r2r")
-    placed, _, _ = _first_fit(range(len(cands)), masks, [c.weight for c in cands], k)
+    placed = _first_fit(range(len(cands)), masks, [c.weight for c in cands], k)[0]
     return _plan_from_indices(granularity, cands, placed, "greedy")
 
 
@@ -294,32 +315,25 @@ def _draws_below(rng: random.Random, n: int, p: float) -> bytes:
         return flags
     out = bytearray(flags)
     while j >= 0:
-        out[j] = _from_words(*unpack_from("<II", data, 8 * j)) < p
+        out[j] = _from_words(unpack_from("<Q", data, 8 * j)[0]) < p
         j = flags.find(2, j + 1)
     return bytes(out)
 
 
-def _from_words(a: int, b: int) -> float:
-    """The random() draw made from 32-bit Mersenne Twister words a then b."""
-    return ((a >> 5) * 67108864.0 + (b >> 6)) * 2**-53
+def _from_words(word: int) -> float:
+    """The random() draw made from 64 bits of a getrandbits block, low 32 first."""
+    return (((word & 0xFFFFFFFF) >> 5) * 67108864.0 + (word >> 38)) * 2**-53
 
 
-class _Individual:
-    """A chromosome and its first-fit result.
+class _Individual(NamedTuple):
+    """A chromosome, one byte (0 or 1) per candidate in a little-endian int;
+    the candidates it selects, ascending; and first-fit's score and states
+    over them."""
 
-    genes holds one byte (0 or 1) per candidate as a little-endian int, and
-    selected the candidates whose byte is 1, in index order; score and
-    states are first-fit's total weight and saved states over selected.
-    """
-
-    __slots__ = ("genes", "selected", "score", "states")
-
-    def __init__(self, genes: int, selected: List[int], score: int,
-                 states: List[_FitState]) -> None:
-        self.genes = genes
-        self.selected = selected
-        self.score = score
-        self.states = states
+    genes: int
+    selected: List[int]
+    score: int
+    states: List[_FitState]
 
 
 def _ones(flags: bytes) -> List[int]:
@@ -330,12 +344,6 @@ def _ones(flags: bytes) -> List[int]:
         out.append(j)
         j = flags.find(1, j + 1)
     return out
-
-
-def _draw(block: int, j: int) -> float:
-    """The j-th random() draw held in a getrandbits(64 * n) block (see _draws_below)."""
-    word = (block >> (64 * j)) & 0xFFFFFFFFFFFFFFFF
-    return _from_words(word & 0xFFFFFFFF, word >> 32)
 
 
 def ga_allocate(
@@ -353,11 +361,11 @@ def ga_allocate(
     The per-generation best is left in plan.meta["fitness_history"].
 
     Each child takes the same values from rng, in the same order, as one
-    random() per gene: one getrandbits block for its crossover and one for
-    its mutation.  A child is its first parent with some genes flipped, so
-    crossover reads the draws only where the parents differ, mutation only
-    where a draw falls below the flip rate, and the child's first-fit
-    resumes from its first parent's state before the first flipped gene.
+    random() per gene: the words of one getrandbits block for its crossover
+    and one block for its mutation.  A child is its first parent with some
+    genes flipped, so crossover reads the draws only where the parents
+    differ, mutation only where a draw falls below the flip rate, and the
+    child's first-fit runs only from a flipped gene to where it rejoins.
     """
     if k < 1:
         raise AllocationError("need at least one CS subnet to allocate into")
@@ -373,15 +381,21 @@ def ga_allocate(
     flip_rate = 1.0 / n
     rng = random.Random(params.seed)
 
-    def individual(genes: int, selected: List[int],
-                   saved: Sequence[_FitState] = ()) -> _Individual:
-        _, score, states = _first_fit(selected, masks, weights, k, saved)
-        return _Individual(genes, selected, score, states)
+    def individual(placed: List[List[int]], score: int, states: List[_FitState],
+                   kept: Sequence[int] = ()) -> _Individual:
+        selected = sorted([i for s in placed for i in s] + list(kept))
+        return _Individual(sum(1 << 8 * i for i in selected), selected, score, states)
 
-    def seed(excluded: Optional[int]) -> _Individual:
-        placed, _, _ = _first_fit([i for i in range(n) if i != excluded], masks, weights, k)
-        selected = sorted(i for s in placed for i in s)
-        return individual(sum(1 << 8 * i for i in selected), selected)
+    # first-fit over the candidates greedy placed saves greedy's states, and
+    # greedy without one candidate places what greedy did outside the blocks it runs
+    greedy = individual(*_first_fit(range(n), masks, weights, k)[:3])
+
+    def seed(excluded: int) -> _Individual:
+        order = [i for i in range(n) if i != excluded]
+        placed, score, states, stop = _first_fit(order, masks, weights, k, greedy, [excluded])
+        start = excluded // _BLOCK * _BLOCK
+        return individual(placed, score, states,
+                          [i for i in greedy.selected if not start <= i < stop])
 
     def child(parent: _Individual, cross: List[int], mutate: List[int]) -> _Individual:
         # a gene both crossed over and mutated keeps the parent's value
@@ -395,12 +409,11 @@ def ga_allocate(
                 del selected[at]
             else:
                 selected.insert(at, j)
-        # the parent's selected genes before the first change are the child's too
-        unchanged = bisect_left(parent.selected, changed[0])
         genes = parent.genes ^ sum(1 << 8 * j for j in changed)
-        return individual(genes, selected, parent.states[: unchanged // _BLOCK + 1])
+        _, score, states, _ = _first_fit(selected, masks, weights, k, parent, changed)
+        return _Individual(genes, selected, score, states)
 
-    population = [seed(i - 1 if 1 <= i <= n else None) for i in range(params.population_size)]
+    population = [seed(i - 1) if 1 <= i <= n else greedy for i in range(params.population_size)]
 
     def tournament(scores: List[int]) -> int:
         a = rng.randrange(params.population_size)
@@ -424,10 +437,14 @@ def ga_allocate(
             second = population[tournament(scores)]
             rho = rng.uniform(lo, hi)
             # the child takes its second parent's gene where the draw is below
-            # rho, which changes it only where the parents differ
-            block = rng.getrandbits(64 * n)
-            differ = _ones((first.genes ^ second.genes).to_bytes(n, "little"))
-            cross = [j for j in differ if _draw(block, j) < rho]
+            # rho, which changes it only where they differ; other draws go unread
+            cross, end = [], 0
+            for j in _ones((first.genes ^ second.genes).to_bytes(n, "little")):
+                rng.getrandbits(64 * (j - end))
+                if _from_words(rng.getrandbits(64)) < rho:
+                    cross.append(j)
+                end = j + 1
+            rng.getrandbits(64 * (n - end))
             mutate: List[int] = []
             if rng.random() < params.chromosome_mutation_probability:
                 mutate = _ones(_draws_below(rng, n, flip_rate))
@@ -436,7 +453,7 @@ def ga_allocate(
 
     if params.generations == 0:
         history.append(best.score)
-    placed, _, _ = _first_fit(best.selected, masks, weights, k)
+    placed = _first_fit(best.selected, masks, weights, k)[0]
     plan = _plan_from_indices(granularity, cands, placed, "ga")
     plan.meta["fitness_history"] = history
     plan.meta["fitness"] = best.score
@@ -466,9 +483,6 @@ def enumerate_oracle(
 
     masks = _conflict_masks(cands, granularity == "r2r")
     weights = [c.weight for c in cands]
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[i]
 
     best_weight = -1
     best_assign: List[List[int]] = [[] for _ in range(k)]
@@ -479,7 +493,16 @@ def enumerate_oracle(
 
     def search(i: int, current: int) -> None:
         nonlocal best_weight, best_assign
-        if current + suffix[i] <= best_weight:
+        # a remaining candidate can add weight only if it fits some subnet
+        # now: subnets only fill along a branch
+        bound = current
+        for j in range(i, n):
+            mask = masks[j]
+            for s in subnets:
+                if not s & mask:
+                    bound += weights[j]
+                    break
+        if bound <= best_weight:
             return
         if i == n:
             best_weight = current

@@ -46,10 +46,10 @@ def _parse_mesh(arg: str) -> MeshConfig:
     if arg == "cmp-4x4-51ni":
         return MeshConfig.cmp_4x4_51ni()
     try:
-        w, h = arg.lower().split("x")
-        return MeshConfig.grid(int(w), int(h))
+        w, h = (int(side) for side in arg.lower().split("x"))
     except ValueError as exc:
         raise ConfigError(f"bad mesh {arg!r}; want WxH or cmp-4x4-51ni") from exc
+    return MeshConfig.grid(w, h)
 
 
 def _parse_num_list(arg: str, cast) -> List:

@@ -593,11 +593,7 @@ def _mesh_from_section(section: Mapping[str, str]) -> MeshConfig:
         counts = [int(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"ni_per_router must be integers, got {raw!r}") from exc
-    if len(counts) == 1:
-        ni = tuple(counts * (width * height))
-    else:
-        ni = tuple(counts)
-    return MeshConfig(width, height, ni)
+    return MeshConfig(width, height, counts[0] if len(counts) == 1 else tuple(counts))
 
 
 def _field_names(cls: type) -> Tuple[str, ...]:

@@ -10,7 +10,7 @@ routers are distinct resources.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple, Union
 
 # most circuit subnets a link layout offers and a plan file names
 MAX_CS_SUBNETS = 1024
@@ -25,33 +25,36 @@ class TopologyError(ConfigError):
     """Malformed mesh parameters or out-of-range endpoints."""
 
 
+# most routers along a mesh side and NIs on a mesh, which size its tables
+MAX_MESH_SIDE = 32
+MAX_NIS = 1024
+
+
 @dataclass(frozen=True)
 class MeshConfig:
     """A W x H mesh plus the NI count attached to each router.
 
-    ni_per_router is one entry per router, row-major.  Passing None gives
-    every router a single interface.
+    ni_per_router is one entry per router, row-major, or one count for
+    every router.  Passing None gives every router a single interface.
     """
 
     width: int
     height: int
-    ni_per_router: Optional[Tuple[int, ...]] = None
+    ni_per_router: Union[None, int, Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise TopologyError("mesh dimensions must be at least 1x1")
-        if self.ni_per_router is None:
-            object.__setattr__(
-                self, "ni_per_router", tuple([1] * (self.width * self.height))
-            )
-        else:
-            object.__setattr__(self, "ni_per_router", tuple(self.ni_per_router))
+        if not (1 <= self.width <= MAX_MESH_SIDE and 1 <= self.height <= MAX_MESH_SIDE):
+            raise TopologyError(f"mesh sides must be 1 to {MAX_MESH_SIDE} routers")
+        nis = 1 if self.ni_per_router is None else self.ni_per_router
+        if isinstance(nis, int):
+            nis = (nis,) * (self.width * self.height)
+        object.__setattr__(self, "ni_per_router", tuple(nis))
         if len(self.ni_per_router) != self.width * self.height:
             raise TopologyError("ni_per_router needs one entry per router")
         if any(n < 0 for n in self.ni_per_router):
             raise TopologyError("NI counts cannot be negative")
-        if sum(self.ni_per_router) == 0:
-            raise TopologyError("mesh has no network interfaces")
+        if not 0 < sum(self.ni_per_router) <= MAX_NIS:
+            raise TopologyError(f"a mesh needs 1 to {MAX_NIS} network interfaces")
         # first NI id hosted by each router, one extra sentinel at the end
         starts = [0]
         for n in self.ni_per_router:
@@ -64,7 +67,7 @@ class MeshConfig:
 
     @classmethod
     def grid(cls, width: int, height: int, ni_per_router: int = 1) -> "MeshConfig":
-        return cls(width, height, tuple([ni_per_router] * (width * height)))
+        return cls(width, height, ni_per_router)
 
     @classmethod
     def cmp_4x4_51ni(cls) -> "MeshConfig":
@@ -125,12 +128,14 @@ class MeshConfig:
 
     def xy_next(self, router: int, dst_router: int) -> int:
         """Next router on the X-Y route to dst_router: X first, then Y."""
-        x, y = self.coords(router)
-        dx, dy = self.coords(dst_router)
-        if dx != x:
-            return router + 1 if dx > x else router - 1
-        if dy != y:
-            return router + self.width if dy > y else router - self.width
+        w, n = self.width, self.width * self.height
+        if not (0 <= router < n and 0 <= dst_router < n):
+            raise TopologyError(f"route {router} -> {dst_router} leaves the mesh")
+        dx = dst_router % w - router % w
+        if dx:
+            return router + 1 if dx > 0 else router - 1
+        if dst_router != router:  # same column: north when dst_router is above
+            return router + w if dst_router > router else router - w
         raise TopologyError(f"router {router} is the destination itself")
 
     def hop_distance(self, router_a: int, router_b: int) -> int:

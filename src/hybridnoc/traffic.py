@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import random
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -21,6 +20,9 @@ from .topology import ConfigError, MeshConfig
 log = logging.getLogger(__name__)
 
 FULL_LINK_WIDTH_BITS = 128
+
+# largest packet payload, in bits, that the generator accepts
+MAX_PAYLOAD_BITS = 65536
 
 PATTERNS = ("uniform_random", "permutation", "hotspot", "regular_mix")
 
@@ -103,9 +105,8 @@ class SyntheticSpec:
             bits = getattr(self, key)
             if bits <= 0:
                 raise ConfigError(f"payload bits must be positive, got {key} = {bits}")
-            # flit counts are averaged and compared as floats
-            if bits > sys.float_info.max:
-                raise ConfigError(f"{key} is too large to size in flits")
+            if bits > MAX_PAYLOAD_BITS:
+                raise ConfigError(f"{key} is too large: at most {MAX_PAYLOAD_BITS}")
         if self.injection_rate / self.mean_flits_per_packet() > 1.0:
             raise ConfigError("injection_rate exceeds one packet per NI per cycle")
 

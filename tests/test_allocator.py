@@ -27,7 +27,14 @@ from hybridnoc import (
     save_plan,
     xy_route,
 )
-from hybridnoc.allocator import _conflict_masks, _draws_below, _first_clash
+from hybridnoc.allocator import (
+    _BLOCK,
+    _Individual,
+    _conflict_masks,
+    _draws_below,
+    _first_clash,
+    _first_fit,
+)
 from hybridnoc.topology import MAX_CS_SUBNETS
 
 
@@ -335,6 +342,86 @@ def test_conflict_masks_intersect_exactly_where_paths_conflict(case):
         a, b = ((cands[i].src, cands[i].dst) for i in brute)
         with pytest.raises(AllocationError, match=re.escape(f"circuits {a} and {b} conflict")):
             CircuitPlan(granularity, (tuple(cands),)).validate()
+
+
+def resume_matches_scratch(masks, weights, k, parent_order, changed):
+    """Run first-fit over a child order from its parent's states and from
+    scratch, check that they agree, and return the resumed run's result."""
+    child_order = sorted(set(parent_order).symmetric_difference(changed))
+    p_placed, p_score, p_states, _ = _first_fit(parent_order, masks, weights, k)
+    parent = _Individual(0, parent_order, p_score, p_states)
+    placed, score, states, stop = _first_fit(child_order, masks, weights, k, parent, changed)
+    s_placed, s_score, s_states, _ = _first_fit(child_order, masks, weights, k)
+    assert (score, states) == (s_score, s_states)
+    assert len(states) == -(-len(masks) // _BLOCK)
+    assert max(changed) < stop and (stop % _BLOCK == 0 or stop == len(masks))
+    # block by block, the resumed run placed what the run from scratch
+    # places, or took a block with no change from its parent, as it does
+    # for every block past where it stopped
+    changed_blocks = {j // _BLOCK for j in changed}
+    for b in range(len(states)):
+        ran, scratch, took = ([[i for i in s if i // _BLOCK == b] for s in pl]
+                              for pl in (placed, s_placed, p_placed))
+        if ran != scratch or b * _BLOCK >= stop:
+            assert b not in changed_blocks and ran == [[]] * k and took == scratch
+    return score - p_score, stop
+
+
+@st.composite
+def first_fit_cases(draw):
+    """Real candidate masks, a parent order over them and the genes a child flips.
+
+    Flips may fall in the first and the last block.  A child rejoins its
+    parent's masks with another weight only where its flips trade one
+    circuit for others on the same links, which the fixed cases below do.
+    """
+    mesh = MeshConfig.grid(draw(st.integers(3, 6)), draw(st.integers(3, 6)))
+    granularity = draw(st.sampled_from(["e2e", "r2r"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    routers = range(mesh.n_routers)
+    pairs = [(a, b) for a in routers for b in routers if a != b]
+    prof = TrafficProfile(profile_granularity_for(granularity))
+    for pair in rng.sample(pairs, min(len(pairs), rng.randint(1, 250))):
+        prof.entries[pair] = PairTraffic(flit_count=rng.randint(1, 4), hop_count=1)
+    cands = candidates_from_profile(prof, mesh, granularity)
+    n = len(cands)
+    share = draw(st.sampled_from([0.3, 1.0]))
+    parent_order = [i for i in range(n) if rng.random() < share]
+    # one or two flips often leave the subnets as the parent's a block later
+    changed = set(rng.sample(range(n), min(n, draw(st.sampled_from([1, 2, 6])))))
+    if rng.random() < 0.25:
+        changed.add(rng.randrange(min(n, _BLOCK)))
+    if rng.random() < 0.25:
+        changed.add(rng.randrange((n - 1) // _BLOCK * _BLOCK, n))
+    return (_conflict_masks(cands, granularity == "r2r"), [c.weight for c in cands],
+            draw(st.integers(1, 4)), parent_order, sorted(changed))
+
+
+@settings(max_examples=300)
+@given(first_fit_cases())
+def test_first_fit_resumed_from_a_parent_matches_a_run_from_scratch(case):
+    resume_matches_scratch(*case)
+
+
+def test_first_fit_rejoins_with_another_weight_or_runs_to_the_end():
+    rng = random.Random(5)
+    n = 40  # two and a half blocks
+    # candidate 0 holds links 0 and 1, candidate 1 link 1, candidate 2
+    # link 0, and each of the rest three of links 0-11
+    masks = [0b11, 0b10, 0b01] + [sum(1 << b for b in rng.sample(range(12), 3))
+                                  for _ in range(n - 3)]
+    weights = [10, 6, 5] + sorted((rng.randint(1, 4) for _ in range(n - 3)), reverse=True)
+    for k in (1, 2, 3, 4):
+        # the child swaps 0 for 1 and 2: after the first block its subnets
+        # hold the same links with one more unit of weight
+        assert resume_matches_scratch(masks, weights, k, [0] + list(range(3, n)),
+                                      [0, 1, 2]) == (1, _BLOCK)
+        # changes in the first, a middle and the last block
+        resume_matches_scratch(masks, weights, k, list(range(n)), [5, 20, n - 1])
+    # every later candidate shares link 0 with candidate 0, so a child without it
+    # holds another link from then on and never rejoins
+    masks = [1] + [1 | 2 << i for i in range(n - 1)]
+    assert resume_matches_scratch(masks, [1] * n, 1, list(range(n)), [0]) == (0, n)
 
 
 @pytest.mark.parametrize(

@@ -199,3 +199,29 @@ def test_enumerate_oracle_matches_frozen_baseline(scenario):
             _plan(hn, scenario, "oracle")
         return
     assert _plan(hn, scenario, "oracle") == expected
+
+
+def test_oracle_matches_frozen_baseline_on_a_tied_bench_shaped_profile():
+    """The 20 heaviest router pairs of a bench-shaped 8x8 profile, in two subnets.
+
+    Weights are the rounded square roots of Pareto draws (shape 1.2, as in
+    the benchmark), so many of the top 20 tie, and the first optimum the
+    search finds rests on the tie break.
+    """
+    rng = random.Random(0)
+    universe = [(s, d) for s in range(64) for d in range(64) if s != d]
+    pairs = sorted(rng.sample(universe, 2000))
+    scale = 720720  # divisible by every hop count up to 14
+    weights = {pair: scale * round(rng.paretovariate(1.2) ** 0.5) for pair in pairs}
+
+    def plan(pkg):
+        mesh = pkg.MeshConfig.grid(8, 8)
+        counts = {(s, d): w // mesh.hop_distance(s, d) for (s, d), w in weights.items()}
+        prof = pkg.profile_from_flit_counts(counts, mesh, "router")
+        top = prof.sorted_pairs()[:20]
+        assert len({prof.entries[p].weight for p in top}) < 10
+        prof.entries = {p: prof.entries[p] for p in top}
+        result = pkg.enumerate_oracle(prof, mesh, 2, "r2r")
+        return [[(c.src, c.dst) for c in s] for s in result.subnets], result.meta
+
+    assert plan(hn) == plan(base)

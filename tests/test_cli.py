@@ -23,7 +23,8 @@ from hybridnoc import (
 )
 from hybridnoc.cli import main
 from hybridnoc.simcore import MAX_BUFFER_DEPTH_FLITS, MAX_VCS_PER_VNET, MAX_VNETS
-from hybridnoc.topology import MAX_CS_SUBNETS
+from hybridnoc.topology import MAX_CS_SUBNETS, MAX_MESH_SIDE, MAX_NIS
+from hybridnoc.traffic import MAX_PAYLOAD_BITS
 
 MESH = MeshConfig.grid(4, 4)
 
@@ -335,6 +336,47 @@ def test_bad_sweep_rates_are_exit_1(capsys, args):
 
 def test_bad_mesh_is_exit_1(capsys):
     assert main(["sweep", "--mesh", "donut", "--rates", "0.1"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--mesh", f"{MAX_MESH_SIDE + 1}x2", "--rates", "0.1"],
+    ["sweep", "--mesh", f"2x{MAX_MESH_SIDE + 1}", "--subnet-counts", "2"],
+    ["allocate", "p.profile", "--mesh", f"{MAX_MESH_SIDE + 1}x1", "--out", "p.plan"],
+], ids=["sweep-width", "sweep-height", "allocate-width"])
+def test_mesh_option_above_its_bound_is_exit_1(tmp_path, capsys, argv):
+    # --mesh WxH is bounded as it is parsed, before the profile is read
+    assert main(argv) == 1
+    assert f"config error: mesh sides must be 1 to {MAX_MESH_SIDE}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mesh, message", [
+    (f"width = {MAX_MESH_SIDE + 1}\nheight = 2\n", f"mesh sides must be 1 to {MAX_MESH_SIDE}"),
+    (f"width = 2\nheight = {MAX_MESH_SIDE + 1}\n", f"mesh sides must be 1 to {MAX_MESH_SIDE}"),
+    (f"width = 2\nheight = 1\nni_per_router = {MAX_NIS // 2 + 1}\n",
+     f"a mesh needs 1 to {MAX_NIS} network interfaces"),
+], ids=["width", "height", "one-value-ni-per-router"])
+def test_mesh_section_above_its_bound_is_exit_1(tmp_path, capsys, mesh, message):
+    ini = tmp_path / "t.ini"
+    ini.write_text("[experiment]\nmode = baseline_vc\n[mesh]\n" + mesh
+                   + "[traffic]\ncycles = 200\n")
+    assert main(["run", str(ini), "--output", str(tmp_path / "out")]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the bound itself loads
+    ini.write_text(f"[mesh]\nwidth = {MAX_MESH_SIDE}\nheight = 2\nni_per_router = "
+                   f"{MAX_NIS // (2 * MAX_MESH_SIDE)}\n")
+    assert hybridnoc.load_config(str(ini)).mesh.n_nis == MAX_NIS
+
+
+def test_payload_bits_above_the_bound_are_exit_1(tmp_path, capsys):
+    for key in ("control_payload_bits", "data_payload_bits"):
+        assert getattr(SyntheticSpec("uniform_random", 0.01, **{key: MAX_PAYLOAD_BITS}),
+                       key) == MAX_PAYLOAD_BITS
+        ini = write_static_config(tmp_path, extra=f"{key} = {MAX_PAYLOAD_BITS + 1}\n")
+        assert main(["run", ini, "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {key} is too large: at most {MAX_PAYLOAD_BITS}" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_corrupt_trace_is_exit_2(tmp_path, capsys):

@@ -33,9 +33,9 @@ VALUES = {
     "seed": (("0", "7", "-3"), ()),
     "output_dir": (("results",), ()),
     "preset": (("cmp-4x4-51ni",), ("torus",)),
-    "width": (("1", "2", "4"), ("0", "-1")),
-    "height": (("1", "2", "4"), ("0", "-2")),
-    "ni_per_router": (("1", "2"), ("0", "-1", "1,2")),
+    "width": (("1", "2", "4"), ("0", "-1", "33")),
+    "height": (("1", "2", "4"), ("0", "-2", "33")),
+    "ni_per_router": (("1", "2"), ("0", "-1", "1,2", "1025")),
     "total_width_bits": (("128", "64", "96"), ("0", "-128")),
     "subnet_count": (("1", "2", "4", "8"), ("0", "3", "-1")),
     "gate_cs_buffers": (("true", "off", "0"), ("maybe",)),
@@ -48,8 +48,8 @@ VALUES = {
     "control_fraction": (("0", "0.5", "1"), ("1.5", "-0.5")),
     "regularity": (("0", "0.9", "1"), ("-0.1", "2")),
     "designated_pair_count": (("1", "8", "50"), ("0", "1000")),
-    "control_payload_bits": (("64", "128"), ("0", "-8")),
-    "data_payload_bits": (("640", "100"), ("0",)),
+    "control_payload_bits": (("64", "128"), ("0", "-8", "65537")),
+    "data_payload_bits": (("640", "100"), ("0", "65537")),
     "population_size": (("2", "10"), ("1", "0")),
     "generations": (("0", "5", "20"), ("-1",)),
     "chromosome_mutation_probability": (("0", "0.5", "1"), ("1.5", "-0.1")),
@@ -154,7 +154,8 @@ def argv_with_faults(draw, options, always):
 
 SWEEP = {
     "--cycles": (("1", "100", "200"), ("0", "-5", "x")),
-    "--mesh": (("2x2", "3x1", "4x4", "cmp-4x4-51ni"), ("1x1", "2x1", "0x3", "donut", "4x")),
+    "--mesh": (("2x2", "3x1", "4x4", "cmp-4x4-51ni"),
+               ("1x1", "2x1", "0x3", "33x1", "donut", "4x")),
     "--pattern": (("uniform_random", "permutation", "hotspot", "regular_mix"), ("zigzag",)),
     "--regularity": (("0", "0.5", "1"), ("-0.5", "nan", "x")),
     "--seed": (("0", "3"), ("x",)),
@@ -185,7 +186,7 @@ PROFILE = "# src,dst,flit_count,hop_count\n0,3,40,2\n1,2,30,2\n3,0,20,2\n2,1,10,
 ALLOCATE = {
     "--generations": (("0", "5", "20"), ("-1", "x")),
     "--out": (("{tmp}/c.plan",), ()),
-    "--mesh": (("2x2", "3x2", "4x4", "cmp-4x4-51ni"), ("0x2", "x")),
+    "--mesh": (("2x2", "3x2", "4x4", "cmp-4x4-51ni"), ("0x2", "2x33", "x")),
     "--granularity": (("e2e", "r2r"), ("x",)),
     "--subnets": (("1", "2", "3"), ("0", "-1", "x")),
     "--method": (("greedy", "ga", "oracle"), ("lp",)),

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conflict_reference import links_conflict
 from hybridnoc import MeshConfig, TopologyError, xy_route
+from hybridnoc.topology import MAX_MESH_SIDE, MAX_NIS
 
 # unit steps in E, W, N, S order; y grows northward
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -72,6 +73,49 @@ def test_xy_route_is_x_then_y_everywhere(m):
             # links chain up: each hop starts where the previous ended
             for prev, nxt in zip(p.links, p.links[1:]):
                 assert prev[1] == nxt[0]
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_xy_route_is_the_xy_next_walk(width, height, data):
+    # xy_next alone decides X before Y: stepping it from a to b visits the
+    # routers of the coordinate walk, and xy_route holds those steps
+    m = MeshConfig.grid(width, height)
+    a, b = (data.draw(st.integers(0, m.n_routers - 1)) for _ in range(2))
+    if a == b:
+        with pytest.raises(TopologyError):
+            m.xy_next(a, b)
+        return
+    seq = [a]
+    while seq[-1] != b:
+        seq.append(m.xy_next(seq[-1], b))
+    assert seq == walk(m, a, b)
+    assert xy_route(m, a, b).links == tuple(zip(seq, seq[1:]))
+
+
+def test_xy_next_rejects_routers_off_the_mesh():
+    m = MeshConfig.grid(3, 2)
+    for a, b in ((-1, 2), (6, 2), (2, -1), (2, 6), (0, 7)):
+        with pytest.raises(TopologyError, match="leaves the mesh"):
+            m.xy_next(a, b)
+        with pytest.raises(TopologyError, match="leaves the mesh"):
+            xy_route(m, a, b)
+
+
+def test_mesh_sizes_are_bounded_before_any_table_is_built():
+    # the largest mesh and NI count are accepted; one more is rejected
+    assert MeshConfig.grid(MAX_MESH_SIDE, 1).n_routers == MAX_MESH_SIDE
+    assert MeshConfig.grid(1, MAX_MESH_SIDE).n_routers == MAX_MESH_SIDE
+    assert MeshConfig(2, 1, (MAX_NIS, 0)).n_nis == MAX_NIS
+    for w, h in ((MAX_MESH_SIDE + 1, 1), (1, MAX_MESH_SIDE + 1), (0, 1)):
+        with pytest.raises(TopologyError, match=f"mesh sides must be 1 to {MAX_MESH_SIDE}"):
+            MeshConfig.grid(w, h)
+    with pytest.raises(TopologyError, match=f"1 to {MAX_NIS} network interfaces"):
+        MeshConfig.grid(1, 1, MAX_NIS + 1)
+    with pytest.raises(TopologyError, match=f"1 to {MAX_NIS} network interfaces"):
+        MeshConfig(2, 1, (MAX_NIS, 1))
+    # one count for every router is the same mesh as the full tuple
+    assert MeshConfig(3, 2, 2) == MeshConfig(3, 2, (2,) * 6) == MeshConfig.grid(3, 2, 2)
 
 
 def test_xy_route_determinism_and_errors():
