@@ -33,7 +33,6 @@ from .orchestrator import (
     EPOCH_TO_PERIOD_RATIO,
     MODES,
     SUMMARY_HEADER,
-    EpochResult,
     ExperimentConfig,
     RunResult,
     SweepPoint,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict
 
-from .simcore import SimStats, SubnetLayout
+from .simcore import SimStats
 from .topology import ConfigError
 
 
@@ -49,7 +49,6 @@ class EnergyReport:
     energy_per_flit: float
     breakdown: Dict[str, float]
     gated_savings: float
-    flits_ejected: int
 
     def __post_init__(self) -> None:
         drift = abs(sum(self.breakdown.values()) - self.total_energy)
@@ -57,9 +56,7 @@ class EnergyReport:
             raise EnergyError("breakdown does not sum to total")
 
 
-def account(
-    stats: SimStats, layout: SubnetLayout, coeffs: EnergyCoefficients
-) -> EnergyReport:
+def account(stats: SimStats, coeffs: EnergyCoefficients) -> EnergyReport:
     """Convert one run's counters into an energy report.
 
     Dynamic energy is event count times coefficient; the link term scales
@@ -68,11 +65,6 @@ def account(
     """
     if stats.flits_ejected == 0:
         raise EnergyError("no ejected flits; energy per flit is undefined")
-    if layout.subnet_count != stats.subnet_count:
-        raise EnergyError(
-            f"layout has {layout.subnet_count} subnets, stats have "
-            f"{stats.subnet_count}"
-        )
 
     buffer_dyn = (
         sum(stats.buffer_writes) * coeffs.e_buffer_write
@@ -103,5 +95,4 @@ def account(
         energy_per_flit=total / stats.flits_ejected,
         breakdown=breakdown,
         gated_savings=stats.gated_buffer_cycles * coeffs.p_buffer_static,
-        flits_ejected=stats.flits_ejected,
     )

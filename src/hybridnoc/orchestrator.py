@@ -133,21 +133,14 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
+    """One run's stats and energy, with the plan it ran under and that plan's profile."""
     label: str
     mode: str
     stats: SimStats
     energy: Optional[EnergyReport]
     plan: Optional[CircuitPlan] = None
+    profile: Optional[TrafficProfile] = None
     meta: Dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class EpochResult:
-    epoch_index: int
-    plan: CircuitPlan
-    profile: Optional[TrafficProfile]
-    stats: SimStats
-    energy: Optional[EnergyReport]
 
 
 def make_trace(config: ExperimentConfig) -> List[TrafficEvent]:
@@ -197,24 +190,24 @@ def build_plan(
     return plan
 
 
-def _energy_or_none(
-    stats: SimStats, layout: SubnetLayout, coeffs: EnergyCoefficients
-) -> Optional[EnergyReport]:
-    if stats.flits_ejected == 0:
-        return None
-    return account(stats, layout, coeffs)
+def _result(config: ExperimentConfig, label: str, stats: SimStats,
+            plan: Optional[CircuitPlan] = None, profile: Optional[TrafficProfile] = None,
+            **meta: str) -> RunResult:
+    """The record of one run of config; a run that ejected no flits has no energy."""
+    energy = account(stats, config.coeffs) if stats.flits_ejected else None
+    return RunResult(label, config.mode, stats, energy, plan, profile, meta)
 
 
 def run_baseline(config: ExperimentConfig) -> RunResult:
     """Pure-VC run on the undivided full-width link."""
+    if config.mode != "baseline_vc":
+        raise ConfigError("run_baseline needs mode baseline_vc")
     trace = make_trace(config)
     layout = SubnetLayout(
         config.layout.total_width_bits, 1, config.layout.gate_cs_buffers
     )
     stats = simulate(config.mesh, layout, config.vc, trace, None, seed=config.seed)
-    energy = _energy_or_none(stats, layout, config.coeffs)
-    return RunResult(config.label, "baseline_vc", stats, energy,
-                     meta={"width_bits": str(layout.subnet_width_bits)})
+    return _result(config, config.label, stats, width_bits=str(layout.subnet_width_bits))
 
 
 def _planned_run(
@@ -239,20 +232,18 @@ def run_static(
     if trace is None:
         trace = make_trace(config)
     prof, plan, stats = _planned_run(config, trace)
-    return RunResult(
-        config.label, "static_hybrid", stats,
-        _energy_or_none(stats, config.layout, config.coeffs), plan=plan,
-        meta={"plan_weight": str(plan_weight(plan, prof))},
-    )
+    return _result(config, config.label, stats, plan, prof,
+                   plan_weight=str(plan_weight(plan, prof)))
 
 
-def run_adaptive(config: ExperimentConfig) -> List[EpochResult]:
+def run_adaptive(config: ExperimentConfig) -> List[RunResult]:
     """Epoch loop: plan epoch i from epoch i-1's ejected flit counts.
 
     Epoch 0 runs all-VC under the empty plan.  Each later plan is scheduled
     at its epoch start plus the configuration period, so flits injected
     before that moment still ride the previous plan.  Each epoch reports
-    the counter window that Simulation.finalize closes at the epoch's end.
+    the counter window that Simulation.finalize closes at the epoch's end,
+    labelled <label>-epoch<i>.
     """
     if config.mode != "adaptive_hybrid":
         raise ConfigError("run_adaptive needs mode adaptive_hybrid")
@@ -260,21 +251,24 @@ def run_adaptive(config: ExperimentConfig) -> List[EpochResult]:
     epoch = config.resolved_epoch_cycles()
     period = config.resolved_config_period()
     span = trace[-1].inject_cycle + 1 if trace else 0
-    k = config.layout.cs_subnet_count
+
+    def record(i: int, prof: Optional[TrafficProfile], plan: CircuitPlan,
+               stats: SimStats) -> RunResult:
+        note = {"note": str(plan.meta["note"])} if "note" in plan.meta else {}
+        return _result(config, f"{config.label}-epoch{i}", stats, plan, prof,
+                       epoch=str(i), circuits=str(plan.circuit_count()), **note)
 
     if span <= epoch:
         log.warning(
             "trace covers %d cycles, not more than one %d-cycle epoch; "
             "running a single static-style pass instead", span, epoch,
         )
-        prof, plan, stats = _planned_run(config, trace)
-        energy = _energy_or_none(stats, config.layout, config.coeffs)
-        return [EpochResult(0, plan, prof, stats, energy)]
+        return [record(0, *_planned_run(config, trace))]
 
     n_epochs = math.ceil(span / epoch)
     sim = Simulation(config.mesh, config.layout, config.vc, trace, None, config.seed)
-    results: List[EpochResult] = []
-    current_plan = CircuitPlan.empty(k, config.granularity)
+    results: List[RunResult] = []
+    current_plan = CircuitPlan.empty(config.layout.cs_subnet_count, config.granularity)
     prev_counts: Dict[Tuple[int, int], int] = {}
     gran = profile_granularity_for(config.granularity)
     for i in range(n_epochs):
@@ -288,38 +282,20 @@ def run_adaptive(config: ExperimentConfig) -> List[EpochResult]:
         else:
             sim.run_until((i + 1) * epoch)
         prev_counts = sim.take_pair_counts()
-        window = sim.finalize()
-        energy_i = _energy_or_none(window, config.layout, config.coeffs)
-        results.append(EpochResult(i, current_plan, profile_i, window, energy_i))
+        results.append(record(i, profile_i, current_plan, sim.finalize()))
     return results
 
 
 def run_experiment(config: ExperimentConfig) -> List[RunResult]:
-    """Dispatch one config to its mode's driver; epochs become one row each."""
+    """Dispatch one config to its mode's driver."""
     if config.mode == "baseline_vc":
         return [run_baseline(config)]
-    if config.mode == "static_hybrid":
-        # the all-VC run at the hybrid width is reported next to the plan's run
-        trace = make_trace(config)
-        stats = simulate(
-            config.mesh, config.layout, config.vc, trace, None, seed=config.seed
-        )
-        profile_run = RunResult(
-            f"{config.label}-profile", "static_hybrid", stats,
-            _energy_or_none(stats, config.layout, config.coeffs),
-        )
-        return [profile_run, run_static(config, trace)]
-    epochs = run_adaptive(config)
-    out = []
-    for er in epochs:
-        meta = {"epoch": str(er.epoch_index), "circuits": str(er.plan.circuit_count())}
-        if "note" in er.plan.meta:
-            meta["note"] = str(er.plan.meta["note"])
-        out.append(
-            RunResult(f"{config.label}-epoch{er.epoch_index}", "adaptive_hybrid",
-                      er.stats, er.energy, plan=er.plan, meta=meta)
-        )
-    return out
+    if config.mode == "adaptive_hybrid":
+        return run_adaptive(config)
+    # the all-VC run at the hybrid width is reported next to the plan's run
+    trace = make_trace(config)
+    stats = simulate(config.mesh, config.layout, config.vc, trace, None, seed=config.seed)
+    return [_result(config, f"{config.label}-profile", stats), run_static(config, trace)]
 
 
 # --- injection sweeps ----------------------------------------------------------

@@ -47,12 +47,12 @@ class PacketClass:
 
 
 @lru_cache(maxsize=None)
-def packet_class(kind: str, control_bits: int = 128, data_bits: int = 640) -> PacketClass:
-    """The payload class of a trace record's kind; one shared object per argument tuple."""
+def packet_class(kind: str) -> PacketClass:
+    """The payload class of a trace record's kind; one shared object per kind."""
     if kind == "control":
-        return PacketClass("control", control_bits)
+        return PacketClass("control", 128)
     if kind == "data":
-        return PacketClass("data", data_bits)
+        return PacketClass("data", 640)
     raise TraceFormatError(f"unknown packet class {kind!r}")
 
 
@@ -119,11 +119,12 @@ class SyntheticSpec:
 def designated_pairs(mesh: MeshConfig, seed: int, count: int) -> List[Tuple[int, int]]:
     """The fixed NI pair set used by the regular_mix pattern for this seed."""
     n = mesh.n_nis
-    all_pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    if count > len(all_pairs):
-        raise ConfigError(f"mesh only offers {len(all_pairs)} distinct pairs")
+    if count > n * (n - 1):
+        raise ConfigError(f"mesh only offers {n * (n - 1)} distinct pairs")
     rng = random.Random(f"{seed}/designated")
-    return rng.sample(all_pairs, count)
+    # index i of the source-major pair list, drawn without building the list
+    return [(a, b + (b >= a)) for a, b in
+            (divmod(i, n - 1) for i in rng.sample(range(n * (n - 1)), count))]
 
 
 def _derangement(rng: random.Random, n: int) -> List[int]:

@@ -36,12 +36,12 @@ def run_one_packet():
 
 
 def test_breakdown_keys_fixed():
-    assert tuple(account(run_one_packet(), FULL, EnergyCoefficients()).breakdown) == BREAKDOWN
+    assert tuple(account(run_one_packet(), EnergyCoefficients()).breakdown) == BREAKDOWN
 
 
 def test_account_exact_dynamic_terms():
     stats = run_one_packet()
-    report = account(stats, FULL, EnergyCoefficients())
+    report = account(stats, EnergyCoefficients())
     assert report.breakdown["buffer"] == 8.0  # 4 writes + 4 reads at 1.0
     assert report.breakdown["allocation"] == 4.0  # (4 + 4) at 0.5
     assert report.breakdown["crossbar"] == 4.0
@@ -52,14 +52,14 @@ def test_account_exact_dynamic_terms():
     assert report.breakdown["static"] == pytest.approx(expect_static)
     assert report.total_energy == pytest.approx(sum(report.breakdown.values()))
     assert report.energy_per_flit == pytest.approx(report.total_energy)
-    assert report.flits_ejected == 1
+    assert stats.flits_ejected == 1
     assert report.gated_savings == 0.0  # single full-width subnet, no gating
 
 
 def test_account_zero_coefficients():
     stats = run_one_packet()
     zero = EnergyCoefficients(0, 0, 0, 0, 0, 0, 0, 0)
-    report = account(stats, FULL, zero)
+    report = account(stats, zero)
     assert report.total_energy == 0.0
     assert all(v == 0.0 for v in report.breakdown.values())
 
@@ -67,13 +67,7 @@ def test_account_zero_coefficients():
 def test_account_refuses_empty_runs():
     stats = simulate(MESH, FULL, VC, [])
     with pytest.raises(EnergyError):
-        account(stats, FULL, EnergyCoefficients())
-
-
-def test_account_checks_layout_shape():
-    stats = run_one_packet()
-    with pytest.raises(EnergyError):
-        account(stats, SubnetLayout(128, 2), EnergyCoefficients())
+        account(stats, EnergyCoefficients())
 
 
 def test_all_circuit_traffic_has_no_buffer_energy():
@@ -84,7 +78,7 @@ def test_all_circuit_traffic_has_no_buffer_energy():
     trace = [TrafficEvent(c, 0, 3, PacketClass("control", 64), c) for c in range(0, 40, 8)]
     stats = simulate(MESH, layout, VC, trace, plan)
     assert stats.in_circuit_flits == stats.flits_ejected > 0
-    report = account(stats, layout, EnergyCoefficients())
+    report = account(stats, EnergyCoefficients())
     assert report.breakdown["buffer"] == 0.0
     assert report.breakdown["allocation"] == 0.0
     assert report.breakdown["crossbar"] > 0.0
@@ -107,8 +101,8 @@ def test_circuits_strictly_cut_dynamic_energy():
     buffered = simulate(MESH, layout, VC, trace)
     circuit = simulate(MESH, layout, VC, trace, plan)
     assert buffered.flits_ejected == circuit.flits_ejected
-    rb = account(buffered, layout, EnergyCoefficients())
-    rc = account(circuit, layout, EnergyCoefficients())
+    rb = account(buffered, EnergyCoefficients())
+    rc = account(circuit, EnergyCoefficients())
     assert rc.breakdown["buffer"] == 0.0 < rb.breakdown["buffer"]
     assert rc.breakdown["allocation"] == 0.0 < rb.breakdown["allocation"]
     assert rc.breakdown["crossbar"] == rb.breakdown["crossbar"]
@@ -123,8 +117,8 @@ def test_gating_delta_is_exact():
     gated_stats = simulate(MESH, gated_layout, VC, trace)
     open_stats = simulate(MESH, open_layout, VC, trace)
     assert gated_stats.cycles_simulated == open_stats.cycles_simulated
-    gated = account(gated_stats, gated_layout, coeffs)
-    opened = account(open_stats, open_layout, coeffs)
+    gated = account(gated_stats, coeffs)
+    opened = account(open_stats, coeffs)
     delta = opened.breakdown["static"] - gated.breakdown["static"]
     assert delta == pytest.approx(gated_stats.gated_buffer_cycles * 0.1)
     assert gated.gated_savings == pytest.approx(delta)
@@ -133,8 +127,8 @@ def test_gating_delta_is_exact():
 
 def test_link_energy_scales_with_subnet_width():
     stats = run_one_packet()
-    half = account(stats, FULL, EnergyCoefficients(e_link_per_bit=0.005))
-    full = account(stats, FULL, EnergyCoefficients())
+    half = account(stats, EnergyCoefficients(e_link_per_bit=0.005))
+    full = account(stats, EnergyCoefficients())
     assert half.breakdown["link"] == pytest.approx(full.breakdown["link"] / 2)
 
 
@@ -162,5 +156,4 @@ def test_report_rejects_breakdown_drift():
             energy_per_flit=10.0,
             breakdown={k: 1.0 for k in BREAKDOWN},
             gated_savings=0.0,
-            flits_ejected=1,
         )

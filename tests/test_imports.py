@@ -1,6 +1,7 @@
 """Every name a hybridnoc module imports is used in that module, the engine
-imports nothing from the layers above it, and cli.main catches only the
-error classes that decide its exit codes.
+imports nothing from the layers above it, cli.main catches only the error
+classes that decide its exit codes, and one orchestrator helper builds
+every run record.
 
 Deleting code tends to leave imports behind; this walks each module's
 syntax tree instead of relying on a linter the project does not ship.
@@ -76,3 +77,18 @@ def test_cli_main_maps_two_error_classes_to_exit_codes():
     main = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "main")
     assert sorted(caught_by(main)) == ["ConfigError", "OSError", "SystemExit", "TraceFormatError"]
+
+
+def calls_to(tree: ast.AST, name: str) -> int:
+    """How many name(...) calls tree holds."""
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == name for node in ast.walk(tree))
+
+
+def test_one_helper_builds_every_run_record():
+    # a record's energy comes from its stats alone, in one place
+    tree = ast.parse((PACKAGE / "orchestrator.py").read_text(encoding="utf-8"))
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_result")
+    for name in ("RunResult", "account"):
+        assert calls_to(tree, name) == calls_to(helper, name) == 1

@@ -107,6 +107,14 @@ def test_run_static_wrong_mode():
         run_static(make_config(mode="baseline_vc"))
 
 
+def test_baseline_and_adaptive_wrong_mode():
+    # a record's mode is its config's, so each driver runs only its own
+    with pytest.raises(ConfigError, match="run_baseline needs"):
+        run_baseline(make_config())
+    with pytest.raises(ConfigError, match="run_adaptive needs"):
+        run_adaptive(make_config())
+
+
 def stationary_adaptive_config(**over):
     base = dict(
         mode="adaptive_hybrid",
@@ -122,7 +130,8 @@ def stationary_adaptive_config(**over):
 def test_run_adaptive_epoch_structure():
     cfg = stationary_adaptive_config()
     epochs = run_adaptive(cfg)
-    assert [er.epoch_index for er in epochs] == [0, 1, 2]
+    assert [er.meta["epoch"] for er in epochs] == ["0", "1", "2"]
+    assert [er.label for er in epochs] == ["t-epoch0", "t-epoch1", "t-epoch2"]
     # nothing is known before the first profile, so epoch 0 runs all-VC
     assert epochs[0].plan.circuit_count() == 0
     assert epochs[0].profile is None
@@ -160,8 +169,10 @@ def test_run_adaptive_short_trace_falls_back(caplog):
     with caplog.at_level(logging.WARNING):
         epochs = run_adaptive(cfg)
     assert len(epochs) == 1
-    assert epochs[0].epoch_index == 0
+    assert epochs[0].label == "t-epoch0"
+    assert epochs[0].meta == {"epoch": "0", "circuits": str(epochs[0].plan.circuit_count())}
     assert epochs[0].stats.in_circuit_flits > 0  # static-style, planned pass
+    assert epochs[0].profile is not None
     assert any("single static-style pass" in rec.message for rec in caplog.records)
 
 
@@ -173,6 +184,8 @@ def test_run_adaptive_ga_is_flagged(caplog):
         epochs = run_adaptive(cfg)
     assert any("comparison only" in rec.message for rec in caplog.records)
     assert epochs[1].plan.meta["note"] == "comparison only"
+    assert list(epochs[1].meta) == ["epoch", "circuits", "note"]
+    assert epochs[1].meta["note"] == "comparison only"
 
 
 def test_run_experiment_dispatch():

