@@ -550,7 +550,7 @@ def load_plan(path: str, mesh: MeshConfig) -> CircuitPlan:
     with open(path, "rb") as fh:
         rows = read_records(fh, (int,) * 3, header=True)
         lineno, (head,) = next(rows, (1, ("",)))
-        header = re.fullmatch(r"granularity=(e2e|r2r) subnets=(\d+)", head)
+        header = re.fullmatch(r"granularity=(e2e|r2r) subnets=([0-9]+)", head)
         if not header:
             raise TraceFormatError(f"line {lineno}: bad plan header {head!r}")
         granularity, digits = header[1], header[2]

@@ -25,13 +25,13 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+from itertools import count, groupby
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .allocator import CircuitPlan
 from .topology import MAX_CS_SUBNETS, ConfigError, MeshConfig, xy_route
-from .traffic import TrafficEvent, flits_for_packet
+from .traffic import PacketClass, TrafficEvent, flits_for_packet
 
 log = logging.getLogger(__name__)
 
@@ -257,11 +257,12 @@ def unloaded_latency(route_class: str, hops: int) -> int:
 # --- engine internals --------------------------------------------------------
 
 class _Flit:
-    """Flit idx of packet pkt, on the VC subnet or on a circuit.
+    """Flit idx of packet pkt on the VC subnet.
 
     entered is the cycle it entered the network; ready_sa is the first
-    cycle a buffered flit may bid for the switch; out is the cycle it
-    ejects, stamped when that is fixed.
+    cycle it may bid for the switch; out is the cycle it ejects, stamped
+    when SA sends it out to its NI.  Circuit flits have no _Flit: the
+    ejection ledger holds one record per circuit packet.
     """
 
     __slots__ = ("pkt", "idx", "is_tail", "entered", "ready_sa", "out")
@@ -309,10 +310,12 @@ class _InVC:
 class _Packet:
     """A packet from intake to ejection.
 
-    lat (the unloaded latency of each of its flits) and, on a circuit,
-    resources are set when it is queued; a plan change queues the packets
-    of its circuits again, and those with no circuit in the new plan go
-    over the VC subnet.  subnet is set when it is sent on a circuit and
+    Its figures come from Simulation.pair_table and class_table; lat is the
+    unloaded latency of each of its flits.  On an installed circuit, lat
+    and resources are the circuit's; a plan change queues the packets of
+    its circuits again, and those with no circuit in the new plan go over
+    the VC subnet.  subnet, sent (its head's cycle onto the wire) and seq
+    (its place in send order) are set when it is sent on a circuit; subnet
     stays None on the VC subnet.  next_out is the index of the flit that
     must eject next.
     """
@@ -320,21 +323,15 @@ class _Packet:
     __slots__ = (
         "pid", "src", "dst", "pair", "created", "src_router", "dst_router",
         "n_flits", "vnet", "hops", "resources", "subnet", "lat", "next_out",
+        "sent", "seq",
     )
 
-    def __init__(self, pid, src, dst, created, src_router, dst_router,
-                 n_flits, vnet, hops):
-        self.pid = pid
-        self.src = src
-        self.dst = dst
-        self.created = created
-        self.src_router = src_router
-        self.dst_router = dst_router
-        self.n_flits = n_flits
-        self.vnet = vnet
-        self.hops = hops
-        self.pair = (src, dst)
-        self.resources: Tuple = ()
+    def __init__(self, ev, pair, geometry, shape):
+        self.pid = ev.packet_id
+        self.src, self.dst = self.pair = pair
+        self.created = ev.inject_cycle
+        self.src_router, self.dst_router, self.hops, self.lat, self.resources = geometry
+        self.n_flits, self.vnet = shape
         self.subnet: Optional[int] = None
         self.next_out = 0
 
@@ -352,6 +349,8 @@ class _Circuit:
     until its tail flit ejects.  On an installed circuit it holds the
     circuit, so the circuit carries one packet at a time; on the
     all-circuit fabric it holds its path's links and its ejection port.
+    Either way a waiting circuit cannot send before the busy entry its
+    head meets frees, which is how the clock jumps while circuits wait.
     """
 
     __slots__ = ("cid", "subnet", "lat", "ni_queues", "rr_nis")
@@ -362,12 +361,6 @@ class _Circuit:
         self.lat = lat                  # unloaded latency of each flit
         self.rr_nis: List[int] = list(source_nis)  # in the next send's round-robin order
         self.ni_queues: Dict[int, deque] = {ni: deque() for ni in self.rr_nis}
-
-    def has_waiting(self) -> bool:
-        return any(self.ni_queues.values())
-
-
-PlanSchedule = Sequence[Tuple[int, CircuitPlan]]
 
 
 class Simulation:
@@ -414,12 +407,19 @@ class Simulation:
         self.window_start = 0
         self.carried = 0
 
+        # filled on first use: an NI pair's routers, hops, and lat and
+        # resources off installed circuits; a packet class's (n_flits, vnet)
+        self.pair_table: Dict[Tuple[int, int], Tuple] = {}
+        self.class_table: Dict[PacketClass, Tuple[int, int]] = {}
+
         # event queues keyed by cycle
         self.arrival_ev: Dict[int, List] = {}
         self.credit_ev: Dict[int, List] = {}
-        # flits whose eject cycle t is fixed and that are not yet retired,
-        # keyed 2t on the VC subnet and 2t + 1 on a circuit
-        self.eject_ev: Dict[int, List[_Flit]] = {}
+        # the ejection ledger of what is not yet retired: VC flits ejecting
+        # at t under 2t; under 2t + 1, records (pkt, i) of circuit packets
+        # whose flits i, i + 1, ... eject at t, t + 1, ...
+        self.eject_ev: Dict[int, List] = {}
+        self.send_order = count()  # numbers the circuit packets sent
 
         # per-NI VC-side injection; busy_nis holds, in ascending order, every
         # NI with a queued packet or one it is part way through sending
@@ -435,6 +435,8 @@ class Simulation:
         # each resource a circuit packet holds until its tail ejects
         self.wire_free: Dict[object, int] = {}
         self.waiting: Dict[int, _Circuit] = {}
+        # no waiting circuit sends before this cycle (see _phase_cs_service)
+        self.next_send: float = math.inf
         self.plan_schedule: List[Tuple[int, CircuitPlan]] = []
         if plan is not None:
             self._install_plan(plan)
@@ -542,25 +544,31 @@ class Simulation:
     # --- intake and classification ----------------------------------------
 
     def _intake(self, ev: TrafficEvent) -> None:
-        mesh = self.mesh
-        src_r = mesh.router_of_ni(ev.src)
-        dst_r = mesh.router_of_ni(ev.dst)
-        n_flits = flits_for_packet(ev.klass, self.width_bits)
-        vnet = 0 if ev.klass.kind == "control" else 1 % self.vcc.vnets
-        hops = mesh.hop_distance(src_r, dst_r)
-        pkt = _Packet(ev.packet_id, ev.src, ev.dst, ev.inject_cycle,
-                      src_r, dst_r, n_flits, vnet, hops)
+        pair = (ev.src, ev.dst)
+        geometry = self.pair_table.get(pair)
+        if geometry is None:  # router_of_ni range-checks a pair not seen yet
+            mesh = self.mesh
+            src_r, dst_r = (mesh.router_of_ni(ni) for ni in pair)
+            hops = mesh.hop_distance(src_r, dst_r)
+            geometry = (src_r, dst_r, hops, unloaded_latency("vc", hops), ())
+            if self.cs_all:  # a packet holds its path's links and ejection port
+                path = xy_route(mesh, src_r, dst_r).links if hops else ()
+                geometry = (src_r, dst_r, hops, unloaded_latency("cs-e2e", hops),
+                            tuple(("link",) + l for l in path) + (("ej", ev.dst),))
+            self.pair_table[pair] = geometry
+        shape = self.class_table.get(ev.klass)
+        if shape is None:
+            shape = self.class_table[ev.klass] = (
+                flits_for_packet(ev.klass, self.width_bits),
+                0 if ev.klass.kind == "control" else 1 % self.vcc.vnets)
+        pkt = _Packet(ev, pair, geometry, shape)
         self.stats.packets_seen += 1
         if self.cs_all:
-            path = xy_route(mesh, src_r, dst_r) if src_r != dst_r else None
-            links = tuple(("link",) + l for l in path.links) if path else ()
-            pkt.resources = links + (("ej", ev.dst),)
-            pkt.lat = unloaded_latency("cs-e2e", hops)
             circuit = self.circuits[ev.src]
             circuit.ni_queues[ev.src].append(pkt)
             self.waiting[circuit.cid] = circuit
-            return
-        self._dispatch(pkt)
+        else:
+            self._dispatch(pkt)
 
     def _dispatch(self, pkt: _Packet) -> None:
         """Queue pkt at its circuit or, with none, at its NI's VC side.
@@ -576,7 +584,6 @@ class Simulation:
             else:
                 circuit = self.match.get((pkt.src_router, pkt.dst_router))
         if circuit is None:
-            pkt.lat = unloaded_latency("vc", pkt.hops)
             queue = self.ni_queue.setdefault(pkt.src, deque())
             queue.append(pkt)
             if len(queue) == 1 and pkt.src not in self.ni_cur:
@@ -605,6 +612,7 @@ class Simulation:
         for q in self.circuits:
             self.wire_free[q] = drain_end
         for pkt in sorted(stranded, key=lambda p: (p.created, p.pid)):
+            pkt.lat, pkt.resources = self.pair_table[pkt.pair][3:]
             self._dispatch(pkt)
         # keep per-NI FIFO order after moving packets back to the VC side
         for ni, dq in self.ni_queue.items():
@@ -722,26 +730,37 @@ class Simulation:
 
     def _phase_cs_service(self, c: int) -> None:
         """Send on each waiting circuit the first head packet, round-robin
-        over its source NIs, that _Circuit's rule lets go."""
+        over its source NIs, that _Circuit's rule lets go.  Set next_send to
+        the least of the busy wire_free entries met on circuits left waiting,
+        before which none of their heads may go."""
         wire_free = self.wire_free
         held = wire_free.get
         waiting = self.waiting
+        next_send = math.inf
         for cid in sorted(waiting):
             q = waiting[cid]
-            if held(q, 0) > c:
+            free = held(q, 0)
+            if free > c:
+                if free < next_send:
+                    next_send = free
                 continue  # every packet queued on q holds q
             subnet = q.subnet
             queues = q.ni_queues
             nis = q.rr_nis
             for step, ni in enumerate(nis):
                 queue = queues[ni]
-                if queue and held((ni, subnet), 0) <= c:
-                    pkt = queue[0]
-                    for key in pkt.resources:
-                        if held(key, 0) > c:
-                            break
-                    else:
-                        break  # every resource is free: send pkt
+                if queue:
+                    free = held((ni, subnet), 0)
+                    if free <= c:
+                        pkt = queue[0]
+                        for key in pkt.resources:
+                            free = held(key, 0)
+                            if free > c:
+                                break
+                        else:
+                            break  # every resource is free: send pkt
+                    if free < next_send:
+                        next_send = free
             else:
                 continue  # nothing on q may go this cycle
             q.rr_nis = nis[step + 1:] + nis[:step + 1]
@@ -749,27 +768,28 @@ class Simulation:
             done = self._send_on_circuit(pkt, ni, subnet, c)
             for key in pkt.resources:
                 wire_free[key] = done
-            if not queue and not q.has_waiting():
+            if not any(queues.values()):
                 del waiting[cid]
+            else:
+                next_send = min(next_send, max(held(q, 0), held((ni, subnet))))
+        self.next_send = next_send
 
     def _send_on_circuit(self, pkt: _Packet, ni: int, subnet: int, c: int) -> int:
         """Put pkt's flits on NI ni's wire back to back from cycle c.
 
-        Each flit ejects pkt.lat cycles after it enters.  The flits count as
-        injected now; finalize moves those entering after its window into
-        the next.  Returns the cycle the tail flit ejects.
+        Flit i enters at c + i and ejects pkt.lat cycles later, so one
+        ledger record (pkt, 0) stands for them all.  They count as injected
+        now; finalize moves those entering after its window into the next.
+        Returns the cycle the tail flit ejects.
         """
         pkt.subnet = subnet
-        lat = pkt.lat
+        pkt.sent = c
+        pkt.seq = next(self.send_order)
         n = pkt.n_flits
         self.stats.flits_injected += n
-        eject_ev = self.eject_ev
-        for i in range(n):
-            flit = _Flit(pkt, i, c + i)
-            flit.out = c + i + lat
-            eject_ev.setdefault(2 * flit.out + 1, []).append(flit)
+        self.eject_ev.setdefault(2 * (c + pkt.lat) + 1, []).append((pkt, 0))
         self.wire_free[(ni, subnet)] = c + n
-        return c + n - 1 + lat
+        return c + n - 1 + pkt.lat
 
     def _phase_va(self, c: int) -> None:
         """Reserve each routed head a downstream VC; a VC that wins one, or
@@ -883,65 +903,78 @@ class Simulation:
                     granted = ivc.out_port
         return winners
 
-    def _retire(self, flits: Sequence[_Flit]) -> None:
-        """Retire ejected flits, in the order they ejected: per-packet
-        order, latency and pair counts, and a circuit flit's subnet events.
-        Flits created before the warm-up window are ejected but not measured.
-        """
-        st = self.stats
-        pair_flits = self.pair_flits
-        warmup = self.warmup
-        records = st.flit_records if self.record_flits else None
-        hists = st.latency_hist
-        net_sums = st.lat_net_sum
-        cs_per_subnet = st.cs_flits_per_subnet
-        links = st.link_traversals
-        unloaded = in_circuit = 0
-        for flit in flits:
-            pkt = flit.pkt
-            idx = flit.idx
-            if idx != pkt.next_out:
-                raise SimulationError(f"packet {pkt.pid} flit {idx} ejected out of order")
-            pkt.next_out = idx + 1
-            subnet = pkt.subnet
-            if subnet is None:
-                kind = "vc"
-            else:
-                kind = "cs"
-                in_circuit += 1
-                cs_per_subnet[subnet] += 1
-                links[subnet] += pkt.hops
-            t_out = flit.out
-            if pkt.created >= warmup:
-                hist = hists[kind]
-                lat = t_out - pkt.created
-                hist[lat] = hist.get(lat, 0) + 1
-                net_sums[kind] += t_out - flit.entered
-                unloaded += pkt.lat
-            pair = pkt.pair
-            pair_flits[pair] = pair_flits.get(pair, 0) + 1
-            if records is not None:
-                records.append(FlitRecord(pkt.pid, idx, flit.entered, t_out,
-                                          kind if subnet is None else f"cs{subnet}",
-                                          pkt.hops))
-        st.unloaded_sum += unloaded
-        st.flits_ejected += len(flits)
-        st.in_circuit_flits += in_circuit
-
     def _settle(self, end: int) -> None:
-        """Retire the flits of the ejection ledger that eject before cycle
-        end, in cycle order, VC flits before circuit flits within a cycle.
+        """Retire the ledger's VC flits and circuit flits that eject before
+        cycle end; a circuit record with flits left is filed again, under
+        2 * end + 1.  A flit counts for per-packet order, latency and pair
+        counts, a circuit flit for its subnet's events; flits created before
+        the warm-up window are ejected but not measured.  Flit records go by
+        cycle, VC flits first, then circuit flits in send order.
 
         Nothing in a cycle reads what retirement writes, so _drive settles
         only at idle jumps, at least every _SETTLE_CYCLES stepped cycles and
         when it returns; no flit ejected later is ever retired first.
         """
         eject_ev = self.eject_ev
-        batch: List[_Flit] = []
+        flits: List[_Flit] = []
+        sends: List[Tuple[_Packet, int]] = []
         for key in sorted(k for k in eject_ev if k < 2 * end):
-            batch += eject_ev.pop(key)
-        if batch:
-            self._retire(batch)
+            (sends if key & 1 else flits).extend(eject_ev.pop(key))
+        st = self.stats
+        pair_flits = self.pair_flits
+        warmup = self.warmup
+        records: Optional[List] = [] if self.record_flits else None
+        hist = st.latency_hist["vc"]
+        unloaded = net = 0
+        for flit in flits:
+            pkt = flit.pkt
+            idx = flit.idx
+            if idx != pkt.next_out:
+                raise SimulationError(f"packet {pkt.pid} flit {idx} ejected out of order")
+            pkt.next_out = idx + 1
+            if pkt.created >= warmup:
+                lat = flit.out - pkt.created
+                hist[lat] = hist.get(lat, 0) + 1
+                net += flit.out - flit.entered
+                unloaded += pkt.lat
+            pair = pkt.pair
+            pair_flits[pair] = pair_flits.get(pair, 0) + 1
+            if records is not None:
+                records.append((flit.out, 0, 0, FlitRecord(
+                    pkt.pid, idx, flit.entered, flit.out, "vc", pkt.hops)))
+        st.lat_net_sum["vc"] += net
+        # a circuit flit's network latency is its unloaded latency, pkt.lat
+        hist = st.latency_hist["cs"]
+        refile: List[Tuple[_Packet, int]] = []
+        in_circuit = net = 0
+        for pkt, i in sends:
+            if i != pkt.next_out:
+                raise SimulationError(f"packet {pkt.pid} flit {i} ejected out of order")
+            head_out = pkt.sent + pkt.lat  # the cycle flit 0 ejects
+            j = pkt.next_out = min(pkt.n_flits, end - head_out)
+            if j < pkt.n_flits:
+                refile.append((pkt, j))
+            if pkt.created >= warmup:
+                for lat in range(head_out + i - pkt.created, head_out + j - pkt.created):
+                    hist[lat] = hist.get(lat, 0) + 1
+                net += pkt.lat * (j - i)
+            in_circuit += j - i
+            st.cs_flits_per_subnet[pkt.subnet] += j - i
+            st.link_traversals[pkt.subnet] += pkt.hops * (j - i)
+            pair_flits[pkt.pair] = pair_flits.get(pkt.pair, 0) + j - i
+            if records is not None:
+                records += [(head_out + k, 1, pkt.seq, FlitRecord(
+                    pkt.pid, k, pkt.sent + k, head_out + k, f"cs{pkt.subnet}", pkt.hops))
+                    for k in range(i, j)]
+        if refile:
+            eject_ev.setdefault(2 * end + 1, []).extend(refile)
+        st.lat_net_sum["cs"] += net
+        st.unloaded_sum += unloaded + net
+        st.flits_ejected += len(flits) + in_circuit
+        st.in_circuit_flits += in_circuit
+        if records:
+            records.sort(key=itemgetter(0, 1, 2))
+            st.flit_records += [rec for *_, rec in records]
 
     # --- driving ---------------------------------------------------------
 
@@ -954,15 +987,16 @@ class Simulation:
 
         Only VC work keeps the clock stepping.  Without it, the clock jumps
         (no further than limit) to the next cycle with work: the next
-        packet, plan activation, flit arrival, credit return, or the first
-        cycle a waiting circuit is free, its wire_free entry.  No packet
-        holds an all-circuit NI's circuit, so that entry reads 0 and the
-        clock steps while such a circuit waits.  Ejections, VC and circuit
-        alike, do not stop it: they wait in the ledger and are settled in
-        cycle order, at most _SETTLE_CYCLES cycles late, and a drain ends
-        one past the last of them.  Counters are unchanged: cycle-integrated
-        figures read cycles_simulated, which counts skipped cycles like
-        stepped ones.
+        packet, plan activation, flit arrival, credit return, or next_send,
+        before which no waiting circuit, all-circuit NIs included, may send.
+        Skipping to it changes nothing: wire_free entries only move later,
+        and only in a stepped cycle (a send, or a plan activation), in which
+        _phase_cs_service runs after them and sets next_send again.
+        Ejections, VC and circuit alike, do not stop the clock: they wait in
+        the ledger and are settled in cycle order, at most _SETTLE_CYCLES
+        cycles late, and a drain ends one past the last of them.  Counters
+        are unchanged: cycle-integrated figures read cycles_simulated, which
+        counts skipped cycles like stepped ones.
         """
         if limit < self.cycle:
             raise ConfigError(f"cycle {limit} lies before the current cycle {self.cycle}")
@@ -972,7 +1006,6 @@ class Simulation:
         busy_nis = self.busy_nis
         sa_active = self.sa_active
         waiting = self.waiting
-        wire_free = self.wire_free
         next_intake = self._next_intake()
         c = self.cycle
         settle_at = c + _SETTLE_CYCLES
@@ -983,16 +1016,15 @@ class Simulation:
                     for queue in (arrival_ev, credit_ev):
                         if queue:
                             nxt = min(nxt, min(queue))
-                    for q in waiting.values():
-                        free = wire_free.get(q, 0)
-                        if free < nxt:
-                            nxt = free
-                            if free <= c:
-                                break
+                    if waiting:
+                        nxt = min(nxt, self.next_send)
                     if drain and nxt == math.inf:
                         if not eject_ev:
                             break
-                        nxt = max(eject_ev) // 2 + 1
+                        # one past the last ejection: a VC key's, or a record's tail
+                        nxt = 1 + max(
+                            max(p.sent + p.lat + p.n_flits - 1 for p, _ in evs)
+                            if key & 1 else key // 2 for key, evs in eject_ev.items())
                         if nxt <= limit:
                             c = nxt
                             break
@@ -1073,13 +1105,16 @@ class Simulation:
                     resident += len(ivc.buf)
         for evs in self.arrival_ev.values():
             resident += len(evs)
-        # a flit is in the network from the cycle it enters
-        for evs in self.eject_ev.values():
-            for flit in evs:
-                if flit.entered < cycle:
-                    resident += 1
-                else:
-                    future += 1
+        # a flit is in the network from the cycle it enters: a VC flit in a
+        # stepped cycle, flit k of a circuit record (pkt, i) at pkt.sent + k
+        for key, evs in self.eject_ev.items():
+            if not key & 1:
+                resident += len(evs)
+                continue
+            for pkt, i in evs:
+                entered = min(pkt.n_flits, max(i, cycle - pkt.sent)) - i
+                resident += entered
+                future += pkt.n_flits - i - entered
         st.flits_injected -= future
         st.cycles_simulated = cycle - self.window_start
         st.in_flight = resident

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import logging
 import random
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import call
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .topology import ConfigError, MeshConfig
@@ -212,6 +214,19 @@ def save_trace(events: Iterable[TrafficEvent], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# an int field of a data file is ASCII decimal: the digits 0-9 after an
+# optional minus sign.  int() also reads 1_0, +5, other scripts' digits and
+# spaces, so it reads a field alone only in printable ASCII with no space,
+# _ or +, where no field has anything to strip either
+_DECIMAL = re.compile("-?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not an ASCII decimal integer")
+    return int(text)
+
+
 def read_records(
     lines: Iterable[Union[str, bytes]], kinds: Sequence[Callable[[str], Any]],
     *, header: bool = False,
@@ -219,10 +234,12 @@ def read_records(
     """(line number, fields) for each record of a comma-separated data file.
 
     Blank and '#' lines are skipped but counted; bytes lines are decoded as
-    UTF-8.  Each field is stripped and converted by its entry of kinds,
-    except that with header the first record is its whole line.  Any fault
-    raises TraceFormatError naming the line.
+    UTF-8.  Each field is stripped and converted by its entry of kinds, an
+    int field only from ASCII decimal, except that with header the first
+    record is its whole line.  Any fault raises TraceFormatError naming the
+    line.
     """
+    strict = [_decimal if kind is int else kind for kind in kinds]
     for lineno, raw in enumerate(lines, start=1):
         try:
             line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
@@ -239,8 +256,11 @@ def read_records(
             raise TraceFormatError(
                 f"line {lineno}: expected {len(kinds)} fields, got {len(parts)}"
             )
+        plain = (line.isascii() and line.isprintable()
+                 and " " not in line and "_" not in line and "+" not in line)
         try:
-            fields = [kind(p.strip()) for kind, p in zip(kinds, parts)]
+            fields = (list(map(call, kinds, parts)) if plain
+                      else list(map(call, strict, map(str.strip, parts))))
         except ValueError as exc:  # TraceFormatError included
             raise TraceFormatError(f"line {lineno}: {exc}") from None
         yield lineno, fields
@@ -254,23 +274,23 @@ def ingest(lines: Iterable[Union[str, bytes]], mesh: MeshConfig) -> List[Traffic
     re-sorted with a warning.
     """
     events: List[TrafficEvent] = []
+    n_nis = mesh.n_nis
     last_cycle = 0
     out_of_order = False
-    pid = 0
     for lineno, (cycle, src, dst, klass) in read_records(lines, (int, int, int, packet_class)):
         if cycle < 0:
             raise TraceFormatError(f"line {lineno}: negative inject cycle")
-        if not 0 <= src < mesh.n_nis:
+        if not 0 <= src < n_nis:
             raise TraceFormatError(f"line {lineno}: unknown source NI {src}")
-        if not 0 <= dst < mesh.n_nis:
+        if not 0 <= dst < n_nis:
             raise TraceFormatError(f"line {lineno}: unknown destination NI {dst}")
         if src == dst:
             raise TraceFormatError(f"line {lineno}: source and destination are both NI {src}")
         if cycle < last_cycle:
             out_of_order = True
-        last_cycle = max(last_cycle, cycle)
-        events.append(TrafficEvent(cycle, src, dst, klass, pid))
-        pid += 1
+        else:
+            last_cycle = cycle
+        events.append(TrafficEvent(cycle, src, dst, klass, len(events)))
     if out_of_order:
         log.warning("trace cycles were not monotone; records re-sorted")
         events.sort(key=lambda ev: (ev.inject_cycle, ev.packet_id))

@@ -504,6 +504,21 @@ def test_load_plan_rejects_bad_files(tmp_path):
             load_plan(str(p), mesh)
 
 
+@pytest.mark.parametrize("body, fragment", [
+    # int() reads these fields as 1, 0 and 1, and a regex \d takes the
+    # header's digit; a plan takes ASCII decimal only
+    ("granularity=r2r subnets=1\n0,0,0_1\n", "line 2: '0_1' is not an ASCII decimal"),
+    ("granularity=r2r subnets=1\n0,+0,1\n", "line 2: '+0' is not an ASCII decimal"),
+    ("granularity=r2r subnets=1\n0,0,\u0661\n", "line 2: '\u0661' is not an ASCII decimal"),
+    ("granularity=r2r subnets=\u0661\n0,0,1\n", "line 1: bad plan header"),
+], ids=["underscore", "plus", "digit", "header-digit"])
+def test_load_plan_reads_ascii_decimal_only(tmp_path, body, fragment):
+    p = tmp_path / "plan.txt"
+    p.write_text(body, encoding="utf-8")
+    with pytest.raises(TraceFormatError, match=re.escape(fragment)):
+        load_plan(str(p), MeshConfig.grid(3, 1))
+
+
 def test_load_plan_bounds_the_subnet_count_before_building_subnets(tmp_path):
     mesh = MeshConfig.grid(3, 1)
     p = tmp_path / "plan.txt"

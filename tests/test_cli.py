@@ -537,6 +537,34 @@ def test_malformed_plan_file_is_exit_2(tmp_path, capsys, plan, fragment):
     assert f"data error: {fragment}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1_0", "+5", "\u0663"], ids=["underscore", "plus", "digit"])
+@pytest.mark.parametrize("kind", ["trace", "profile", "plan"])
+def test_data_file_integer_that_is_not_ascii_decimal_is_exit_2(tmp_path, capsys, kind, value):
+    # int() reads the value as 10, 5 or 3, each of which the file could hold
+    if kind == "trace":
+        (tmp_path / "t.csv").write_text(f"# records\n0,1,2,data\n{value},1,2,data\n",
+                                        encoding="utf-8")
+        rc = run_ini(tmp_path, f"[traffic]\ntrace = {tmp_path / 't.csv'}\n")
+        line = 3
+    elif kind == "profile":
+        (tmp_path / "p.profile").write_text(f"0,5,10,3\n1,6,{value},2\n", encoding="utf-8")
+        rc = main(["allocate", str(tmp_path / "p.profile"), "--out", str(tmp_path / "c.plan")])
+        line = 2
+    else:
+        rc = run_ini(tmp_path, plan_file_config(
+            tmp_path, f"granularity=e2e subnets=1\n0,0,{value}\n".encode()))
+        line = 2
+    assert rc == 2
+    assert (f"data error: line {line}: {value!r} is not an ASCII decimal integer"
+            in capsys.readouterr().err)
+
+
+def test_plan_header_subnet_count_in_another_script_is_exit_2(tmp_path, capsys):
+    body = plan_file_config(tmp_path, "granularity=e2e subnets=\u0662\n0,0,3\n".encode())
+    assert run_ini(tmp_path, body) == 2
+    assert "data error: line 1: bad plan header" in capsys.readouterr().err
+
+
 def test_plan_file_with_another_allocator_is_exit_1(tmp_path, capsys):
     # the file is never opened, so that it is missing is not the error
     body = ("[experiment]\nmode = static_hybrid\nallocator = greedy\n"

@@ -3,7 +3,8 @@
 The same INI file goes through hybridnoc.cli.main and through the frozen
 copy's cli.main, and every file each writes must be byte-identical.  This
 pins every section of a run report, [events] and [energy] included, where
-the golden tables pin only the summary figures.
+the golden tables pin only the summary figures.  A sweep's table must
+match the frozen copy's on the columns both print.
 """
 
 import importlib
@@ -103,3 +104,16 @@ def test_short_adaptive_trace_reports_match_frozen_baseline(tmp_path, capsys):
     )
     _assert_same_files(tmp_path, capsys, config)
     assert sorted(os.listdir(tmp_path / "ours")) == ["short-epoch0.plan", "short-epoch0.report"]
+
+
+@pytest.mark.parametrize("fabric", ["vc", "cs"])
+def test_sweep_rows_match_frozen_baseline(capsys, fabric):
+    # the frozen copy prints the first six of the columns this one prints
+    argv = ["sweep", "--mesh", "4x4", "--rates", "0.02,0.1,0.3,0.6", "--cycles", "2000",
+            "--seed", "3", "--subnets", "4", "--fabric", fabric]
+    assert cli.main(argv) == 0
+    ours = capsys.readouterr().out.splitlines()
+    assert cli_base.main(argv) == 0
+    theirs = capsys.readouterr().out.splitlines()
+    assert len(ours) == 5
+    assert [",".join(row.split(",")[:6]) for row in ours] == theirs

@@ -1,5 +1,6 @@
 """Flit-level engine: timing contracts, event counts, circuit service."""
 
+import collections
 import dataclasses
 import math
 
@@ -17,6 +18,7 @@ from hybridnoc import (
     SimulationError,
     SubnetLayout,
     SyntheticSpec,
+    TopologyError,
     TrafficEvent,
     VcConfig,
     generate,
@@ -29,6 +31,7 @@ from hybridnoc import (
     unloaded_latency,
     xy_route,
 )
+from hybridnoc import simcore
 from hybridnoc.simcore import _SETTLE_CYCLES
 
 MESH = MeshConfig.grid(4, 4)
@@ -374,6 +377,52 @@ def test_vc_flit_drains_one_past_its_eject():
     sim.run_to_completion(20)
     assert sim.cycle == 5 * 3 + 4 + 1
     assert sim.finalize().flits_ejected == 1
+
+
+@pytest.mark.parametrize("fabric", ["vc", "planned", "cs_all"])
+@pytest.mark.parametrize("ni", [-1, MESH.n_nis])
+@pytest.mark.parametrize("end", ["src", "dst"])
+def test_events_naming_nis_off_the_mesh_raise_topology_error(fabric, ni, end):
+    # library callers hand simulate events that ingest never checked; the
+    # packets before the bad one fill the per-pair table, so the bad NI
+    # meets it as a miss, which must not index a tuple from its end
+    ctrl = PacketClass("control", 128)
+    src, dst = (ni, 3) if end == "src" else (3, ni)
+    trace = [TrafficEvent(0, 0, 5, ctrl, 0), TrafficEvent(0, 15, 3, ctrl, 1),
+             TrafficEvent(2, src, dst, ctrl, 2)]
+    layout, plan = FULL, None
+    if fabric == "planned":
+        layout = HALF
+        plan = CircuitPlan("e2e", ((CandidatePair(0, 5, 1, xy_route(MESH, 0, 5)),),))
+    with pytest.raises(TopologyError, match=f"NI {ni} out of range"):
+        simulate(MESH, layout, VC, trace, plan, cs_all=(fabric == "cs_all"))
+
+
+@pytest.mark.parametrize("cs_all", [False, True])
+def test_per_packet_figures_are_worked_out_once_per_pair_and_class(monkeypatch, cs_all):
+    # a packet's routers, hops, latency, path and flit count come from
+    # tables filled on first use, and circuit packets make no _Flit
+    trace = generate(SyntheticSpec("uniform_random", 0.3), MESH, 1, 1500)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("xy_route", "flits_for_packet", "unloaded_latency"):
+        monkeypatch.setattr(simcore, name, counted(name, getattr(simcore, name)))
+    monkeypatch.setattr(MeshConfig, "hop_distance", counted("hops", MeshConfig.hop_distance))
+    if cs_all:
+        monkeypatch.setattr(simcore, "_Flit", None)
+    stats = simulate(MESH, FULL, VC, trace, cs_all=cs_all)
+    pairs = {(ev.src, ev.dst) for ev in trace}
+    assert stats.packets_seen == len(trace) > 3 * len(pairs)
+    assert calls["hops"] == len(pairs)
+    assert calls["xy_route"] == (len(pairs) if cs_all else 0)
+    assert calls["flits_for_packet"] == len({ev.klass for ev in trace}) == 2
+    assert calls["unloaded_latency"] <= 2 * len(pairs)
 
 
 def test_never_idle_run_holds_ejections_at_most_the_settle_bound():

@@ -17,7 +17,9 @@ wires, where the engine settles circuit flits of cycles it never steps.
 Saturation scenarios keep the VC subnet busy in every cycle for at least
 twice the engine's settle bound, with VC and circuit flits ejecting in the
 same cycles, and cut the run inside that stretch, where ejections are
-retired only on that bound.
+retired only on that bound.  On the all-circuit fabric, saturation keeps
+packets queued at their NIs for many cycles, where the clock jumps between
+the cycles a path frees, and the cut falls while they queue.
 
 Burst, hot-spot and saturation scenarios draw 1-4 NIs per router, as on
 the 51-NI CMP, and the VC organization (vnets, VCs per vnet, buffer
@@ -193,10 +195,11 @@ def _replan(scenario, activation, second):
 def _run_stepped(pkg, scenario, plan, activation=None, second_plan=None):
     """Stats and pair counts of a Simulation run to the cut or to its
     drain, with second_plan, if any, scheduled at activation."""
-    _, _, _, k, _, _, cut, seed, vc = scenario
+    _, _, _, k, fabric, _, cut, seed, vc = scenario
     mesh, trace = _inputs(pkg, scenario)
     sim = pkg.Simulation(mesh, pkg.SubnetLayout(128, k), pkg.VcConfig(*vc), trace,
-                         plan, seed, warmup_cycles=20, record_flits=True)
+                         plan, seed, warmup_cycles=20, record_flits=True,
+                         cs_all=(fabric == "cs_all"))
     if second_plan is not None:
         sim.schedule_plan(second_plan, activation)
     if cut is None:
@@ -362,3 +365,44 @@ def test_saturated_run_cut_past_the_settle_bound_matches_frozen_baseline(scenari
     assert all(vc_out & set(range(t, t + 32)) for t in range(64, cut - 32, 32))
     assert vc_out & cs_out
     assert ours["in_flight"] > 0
+
+
+@st.composite
+def saturated_all_circuit(draw):
+    """On the all-circuit fabric, every NI sends for 300-500 cycles at a
+    rate its paths cannot carry, so packets queue at their NIs for many
+    cycles, waiting for links and ejection ports that packets sent before
+    them hold; the run is cut while they still queue."""
+    width = draw(st.integers(3, 4))
+    height = draw(st.integers(3, 4))
+    nis = tuple(draw(ni_counts(width, height)))
+    mesh = hn.MeshConfig(width, height, nis)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = mesh.n_nis
+    length = draw(st.integers(300, 500))
+    packets = []
+    for cycle in range(length):
+        for src in range(n):
+            if rng.random() < 0.08:
+                dst = (src + 1 + rng.randrange(n - 1)) % n
+                kind, bits = rng.choice([("control", 64), ("control", 128), ("data", 640)])
+                packets.append((cycle, src, dst, kind, bits))
+    cut = draw(st.integers(length // 2, length))
+    return (width, height, nis, 1, "cs_all", packets, cut, draw(st.integers(0, 3)),
+            draw(vc_configs))
+
+
+@settings(max_examples=6, phases=NO_SHRINK)
+@given(saturated_all_circuit())
+def test_saturated_all_circuit_run_cut_mid_queue_matches_frozen_baseline(scenario):
+    ours, pairs = _run_stepped(hn, scenario, None)
+    assert (ours, pairs) == _run_stepped(base, scenario, None)
+    # the scenario does what it is for: some head packet waited 50 cycles or
+    # more for its path, and packets still queue at the cut
+    created = [pkt[0] for pkt in scenario[5]]
+    assert max(r["inject_cycle"] - created[r["packet_id"]]
+               for r in ours["flit_records"] if r["flit_index"] == 0) >= 50
+    mesh, trace = _inputs(hn, scenario)
+    sim = hn.Simulation(mesh, hn.SubnetLayout(128, 1), hn.VcConfig(), trace, cs_all=True)
+    sim.run_until(scenario[6])
+    assert any(queue for q in sim.waiting.values() for queue in q.ni_queues.values())

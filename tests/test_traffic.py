@@ -2,9 +2,11 @@
 
 import logging
 import random
+import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridnoc import (
     MeshConfig,
@@ -29,6 +31,7 @@ from hybridnoc import (
     save_profile,
     save_trace,
 )
+from hybridnoc.traffic import read_records
 
 
 def test_flits_for_packet():
@@ -251,6 +254,11 @@ def test_ingest_shares_one_class_per_kind_and_equals_fresh_events():
         ("-1,0,1,data", "negative inject cycle"),
         ("x,0,1,data", "line 1"),
         ("0,0,1,jumbo", "unknown packet class"),
+        # int() reads these as 10, 5 and 3; a data file takes ASCII decimal only
+        ("1_0,0,1,data", "line 1: '1_0' is not an ASCII decimal integer"),
+        ("0,+5,1,data", "line 1: '+5' is not an ASCII decimal integer"),
+        ("0,0,\u0663,data", "line 1: '\u0663' is not an ASCII decimal integer"),
+        ("0, 0 ,1_0, data", "line 1: '1_0' is not an ASCII decimal integer"),
     ],
 )
 def test_ingest_rejects_bad_records(line, fragment):
@@ -258,6 +266,49 @@ def test_ingest_rejects_bad_records(line, fragment):
     with pytest.raises(TraceFormatError) as err:
         ingest([line], m)
     assert fragment in str(err.value)
+
+
+# fields that split, strip or int() treat specially, next to plain ones
+_INTS = ["0", "-3", "007", "-0", "12", " 4", "4\t", "\x1c4", "4\u00a0",
+         "1_0", "+5", "\u0663", "--1", "1-", "", "-"]
+_NAMES = ["ad", " ad", "ad ", "\tad", "\x1cad", "\u00a0ad", "a d", "ad_", ""]
+_RECORDS = st.tuples(*[st.sampled_from(_INTS)] * 2, st.sampled_from(_NAMES)).map(",".join)
+_LINES = _RECORDS | st.lists(st.sampled_from(_INTS + _NAMES), max_size=5).map(",".join)
+
+
+def _ad(text):
+    if text != "ad":
+        raise ValueError(f"not ad: {text!r}")
+    return text
+
+
+@settings(max_examples=300)
+@given(st.lists(_LINES, min_size=1, max_size=8))
+def test_read_records_matches_split_strip_and_ascii_decimal(lines):
+    # the reference reads a record by split and strip, and an int field only
+    # from an optional minus sign and the digits 0-9; each line on its own
+    for line in lines:
+        text = line.strip()
+        parts = [p.strip() for p in text.split(",")]
+        if not text or text.startswith("#"):
+            expected = []
+        elif (len(parts) == 3 and parts[2] == "ad"
+              and all(re.fullmatch("-?[0-9]+", p) for p in parts[:2])):
+            expected = [[int(parts[0]), int(parts[1]), "ad"]]
+        else:
+            expected = None
+        try:
+            got = [fields for _, fields in read_records([line], (int, int, _ad))]
+        except TraceFormatError as exc:
+            assert str(exc).startswith("line 1: ")
+            assert expected is None
+        else:
+            assert got == expected
+
+
+def test_read_records_keeps_spaces_leading_zeros_and_minus_signs():
+    lines = ["# c", " 007 , -3,\tad ", "0,-0,ad"]
+    assert list(read_records(lines, (int, int, str))) == [(2, [7, -3, "ad"]), (3, [0, 0, "ad"])]
 
 
 def test_ingest_line_numbers_skip_comments():
