@@ -310,9 +310,8 @@ class _InVC:
 class _Packet:
     """A packet from intake to ejection.
 
-    Its figures come from Simulation.pair_table and class_table; lat is the
-    unloaded latency of each of its flits.  On an installed circuit, lat
-    and resources are the circuit's; a plan change queues the packets of
+    lat (the unloaded latency of each of its flits) and resources are the
+    circuit's on an installed circuit; a plan change queues the packets of
     its circuits again, and those with no circuit in the new plan go over
     the VC subnet.  subnet, sent (its head's cycle onto the wire) and seq
     (its place in send order) are set when it is sent on a circuit; subnet
@@ -904,12 +903,11 @@ class Simulation:
         return winners
 
     def _settle(self, end: int) -> None:
-        """Retire the ledger's VC flits and circuit flits that eject before
-        cycle end; a circuit record with flits left is filed again, under
-        2 * end + 1.  A flit counts for per-packet order, latency and pair
-        counts, a circuit flit for its subnet's events; flits created before
-        the warm-up window are ejected but not measured.  Flit records go by
-        cycle, VC flits first, then circuit flits in send order.
+        """Retire the ledger's flits that eject before cycle end, filing a
+        circuit record with flits left again under 2 * end + 1.  A flit
+        counts for per-packet order, latency and pair counts, a circuit flit
+        for its subnet's events; flits created before the warm-up window are
+        not measured.  Flit records go by cycle, VC first, then send order.
 
         Nothing in a cycle reads what retirement writes, so _drive settles
         only at idle jumps, at least every _SETTLE_CYCLES stepped cycles and
@@ -945,7 +943,6 @@ class Simulation:
         st.lat_net_sum["vc"] += net
         # a circuit flit's network latency is its unloaded latency, pkt.lat
         hist = st.latency_hist["cs"]
-        refile: List[Tuple[_Packet, int]] = []
         in_circuit = net = 0
         for pkt, i in sends:
             if i != pkt.next_out:
@@ -953,7 +950,7 @@ class Simulation:
             head_out = pkt.sent + pkt.lat  # the cycle flit 0 ejects
             j = pkt.next_out = min(pkt.n_flits, end - head_out)
             if j < pkt.n_flits:
-                refile.append((pkt, j))
+                eject_ev.setdefault(2 * end + 1, []).append((pkt, j))
             if pkt.created >= warmup:
                 for lat in range(head_out + i - pkt.created, head_out + j - pkt.created):
                     hist[lat] = hist.get(lat, 0) + 1
@@ -966,15 +963,12 @@ class Simulation:
                 records += [(head_out + k, 1, pkt.seq, FlitRecord(
                     pkt.pid, k, pkt.sent + k, head_out + k, f"cs{pkt.subnet}", pkt.hops))
                     for k in range(i, j)]
-        if refile:
-            eject_ev.setdefault(2 * end + 1, []).extend(refile)
         st.lat_net_sum["cs"] += net
         st.unloaded_sum += unloaded + net
         st.flits_ejected += len(flits) + in_circuit
         st.in_circuit_flits += in_circuit
         if records:
-            records.sort(key=itemgetter(0, 1, 2))
-            st.flit_records += [rec for *_, rec in records]
+            st.flit_records += [rec for *_, rec in sorted(records, key=itemgetter(0, 1, 2))]
 
     # --- driving ---------------------------------------------------------
 
@@ -1021,8 +1015,7 @@ class Simulation:
                     if drain and nxt == math.inf:
                         if not eject_ev:
                             break
-                        # one past the last ejection: a VC key's, or a record's tail
-                        nxt = 1 + max(
+                        nxt = 1 + max(  # one past a VC key's cycle or a record's tail
                             max(p.sent + p.lat + p.n_flits - 1 for p, _ in evs)
                             if key & 1 else key // 2 for key, evs in eject_ev.items())
                         if nxt <= limit:

@@ -14,7 +14,6 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import call
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .topology import ConfigError, MeshConfig
@@ -214,15 +213,9 @@ def save_trace(events: Iterable[TrafficEvent], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-# an int field of a data file is ASCII decimal: the digits 0-9 after an
-# optional minus sign.  int() also reads 1_0, +5, other scripts' digits and
-# spaces, so it reads a field alone only in printable ASCII with no space,
-# _ or +, where no field has anything to strip either
-_DECIMAL = re.compile("-?[0-9]+")
-
-
 def _decimal(text: str) -> int:
-    if _DECIMAL.fullmatch(text) is None:
+    """int(text) from ASCII decimal only: int() also reads 1_0, +5 and other digits."""
+    if re.fullmatch("-?[0-9]+", text) is None:
         raise ValueError(f"{text!r} is not an ASCII decimal integer")
     return int(text)
 
@@ -245,7 +238,7 @@ def read_records(
             line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
         except UnicodeDecodeError:
             raise TraceFormatError(f"line {lineno}: not UTF-8 text") from None
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if header:
             header = False
@@ -256,11 +249,10 @@ def read_records(
             raise TraceFormatError(
                 f"line {lineno}: expected {len(kinds)} fields, got {len(parts)}"
             )
-        plain = (line.isascii() and line.isprintable()
-                 and " " not in line and "_" not in line and "+" not in line)
+        # int() reads an ASCII field free of _ and + as ASCII decimal
+        plain = line.isascii() and "_" not in line and "+" not in line
         try:
-            fields = (list(map(call, kinds, parts)) if plain
-                      else list(map(call, strict, map(str.strip, parts))))
+            fields = [kind(p.strip()) for kind, p in zip(kinds if plain else strict, parts)]
         except ValueError as exc:  # TraceFormatError included
             raise TraceFormatError(f"line {lineno}: {exc}") from None
         yield lineno, fields
@@ -394,5 +386,5 @@ def load_profile(path: str, granularity: str) -> TrafficProfile:
         for lineno, (src, dst, flits, hops) in read_records(fh, (int,) * 4):
             if flits < 0 or hops < 0:
                 raise TraceFormatError(f"line {lineno}: negative count")
-            prof.entries[(src, dst)] = PairTraffic(flit_count=flits, hop_count=hops)
+            prof.entries[(src, dst)] = PairTraffic(flits, hops)
     return prof
