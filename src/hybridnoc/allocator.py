@@ -10,11 +10,11 @@ chase the largest buffer-bypass payoff first.
 from __future__ import annotations
 
 import logging
+import math
 import random
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from struct import unpack_from
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .topology import MAX_CS_SUBNETS, ConfigError, MeshConfig, Path, xy_route
@@ -272,6 +272,7 @@ def plan_weight(plan: CircuitPlan, profile: TrafficProfile) -> int:
 # each GA child takes its genes from its second parent at a rate drawn
 # uniformly from this range
 _CROSSOVER_RATE_RANGE = (0.3, 0.7)
+MAX_POPULATION = 1024  # ga_allocate builds the whole population up front
 
 
 @dataclass(frozen=True)
@@ -283,8 +284,9 @@ class GaParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population_size < 2:
-            raise AllocationError("population must hold at least two individuals")
+        if not 2 <= self.population_size <= MAX_POPULATION:
+            raise AllocationError(
+                f"population must hold at least two individuals and at most {MAX_POPULATION}")
         if self.generations < 0:
             raise AllocationError("generations cannot be negative")
         if not 0.0 <= self.chromosome_mutation_probability <= 1.0:
@@ -293,31 +295,37 @@ class GaParams:
             raise AllocationError("elitism_count must be below the population size")
 
 
-def _draws_below(rng: random.Random, n: int, p: float) -> bytes:
-    """Flags, one byte per draw: is the j-th of the next n rng.random() draws below p?
+def _lanes(n: int, p: float) -> Tuple[int, int, int]:
+    """Lane masks for _draws_below(n, p): each lane's low word, 2**32 - T and bit 32."""
+    ones = int.from_bytes(b"\x01\0\0\0\0\0\0\0" * n, "little")
+    threshold = min(32 * math.ceil(p * 2**27), 2**32)
+    return ones * 0xFFFFFFFF, ones * (2**32 - threshold), ones << 32
+
+
+def _draws_below(rng: random.Random, n: int, p: float, lanes: Tuple[int, int, int]) -> List[int]:
+    """The ascending indices j of the next n rng.random() draws that fall below p.
 
     random() builds each draw from two 32-bit Mersenne Twister words a and
     b as ((a >> 5) * 2**26 + (b >> 6)) * 2**-53, so getrandbits(64 * n)
-    holds the same 2n words in the same order (least significant first)
-    and leaves rng in the state that n random() calls would.  A draw whose
-    a has high byte h lies in [h/256, (h+1)/256), which decides it unless
-    p falls strictly inside that interval; those ties (about n/256) are
-    settled from the full draw.
+    holds the same 2n words in the same order (least significant first),
+    draw j in lane j, and leaves rng in the state that n random() calls
+    would.  A draw is at least (a >> 5) * 2**-27, so it can be below p only
+    if a < T = 32 * ceil(p * 2**27).  Adding 2**32 - T to every lane's a at
+    once (lanes, from _lanes(n, p)) sets bit 32 exactly in the lanes where
+    a >= T; each other lane (about n * p, each read in O(n) time, so the
+    test suits small p such as the GA's 1/n) is settled from its full draw.
     """
-    data = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
-    # high byte -> 1 (below p), 0 (not below) or 2 (tie: p * 256 not whole)
-    scaled = p * 256.0
-    below = min(int(scaled), 256)
-    table = (b"\x01" * below + (b"\x02" if below < scaled else b"") + bytes(256))[:256]
-    flags = data[3::8].translate(table)
-    j = flags.find(2)
-    if j < 0:
-        return flags
-    out = bytearray(flags)
-    while j >= 0:
-        out[j] = _from_words(unpack_from("<Q", data, 8 * j)[0]) < p
-        j = flags.find(2, j + 1)
-    return bytes(out)
+    low, bias, bit32 = lanes
+    block = rng.getrandbits(64 * n)
+    maybe = (((block & low) + bias) & bit32) ^ bit32
+    out: List[int] = []
+    while maybe:
+        bit = maybe & -maybe
+        j = bit.bit_length() >> 6  # bit 64 * j + 32 marks lane j
+        if _from_words(block >> 64 * j & 0xFFFFFFFFFFFFFFFF) < p:
+            out.append(j)
+        maybe ^= bit
+    return out
 
 
 def _from_words(word: int) -> float:
@@ -325,25 +333,23 @@ def _from_words(word: int) -> float:
     return (((word & 0xFFFFFFFF) >> 5) * 67108864.0 + (word >> 38)) * 2**-53
 
 
+def _randbelow(rng: random.Random, size: int) -> int:
+    """rng.randrange(size), drawn as CPython 3.10-3.13 draw it: size.bit_length()
+    bits at a time until they read below size."""
+    r = size
+    while r >= size:
+        r = rng.getrandbits(size.bit_length())
+    return r
+
+
 class _Individual(NamedTuple):
-    """A chromosome, one byte (0 or 1) per candidate in a little-endian int;
-    the candidates it selects, ascending; and first-fit's score and states
-    over them."""
+    """A chromosome, bit i set if it selects candidate i; the candidates it
+    selects, ascending; and first-fit's score and states over them."""
 
     genes: int
     selected: List[int]
     score: int
     states: List[_FitState]
-
-
-def _ones(flags: bytes) -> List[int]:
-    """Positions of the 1 bytes in flags."""
-    out: List[int] = []
-    j = flags.find(1)
-    while j >= 0:
-        out.append(j)
-        j = flags.find(1, j + 1)
-    return out
 
 
 def ga_allocate(
@@ -355,16 +361,18 @@ def ga_allocate(
 ) -> CircuitPlan:
     """Genetic search seeded with greedy variants.
 
-    One byte (0 or 1) per candidate pair; first-fit repairs infeasible
-    selections by dropping conflicting pairs in weight order.  Elitism keeps
-    the best individual, so best fitness never decreases across generations.
-    The per-generation best is left in plan.meta["fitness_history"].
+    One bit per candidate pair; first-fit repairs infeasible selections by
+    dropping conflicting pairs in weight order.  Elitism keeps the best
+    individual, so best fitness never decreases across generations.  The
+    per-generation best is left in plan.meta["fitness_history"].
 
-    Each child takes the same values from rng, in the same order, as one
-    random() per gene: the words of one getrandbits block for its crossover
-    and one block for its mutation.  A child is its first parent with some
-    genes flipped, so crossover reads the draws only where the parents
-    differ, mutation only where a draw falls below the flip rate, and the
+    Each child takes the same values from rng, in the same order, as four
+    randrange(population_size) calls for its tournaments, uniform() for its
+    crossover rate and one random() per gene: the words of one getrandbits
+    block for its crossover and, if random() picks it for mutation, one
+    block for that.  A child is its first parent with some genes flipped,
+    so crossover reads the draws only at the set bits of its parents' xor,
+    mutation only in the lanes _draws_below cannot rule out, and the
     child's first-fit runs only from a flipped gene to where it rejoins.
     """
     if k < 1:
@@ -379,12 +387,13 @@ def ga_allocate(
     masks = _conflict_masks(cands, granularity == "r2r")
     weights = [c.weight for c in cands]
     flip_rate = 1.0 / n
+    lanes = _lanes(n, flip_rate)
     rng = random.Random(params.seed)
 
     def individual(placed: List[List[int]], score: int, states: List[_FitState],
                    kept: Sequence[int] = ()) -> _Individual:
         selected = sorted([i for s in placed for i in s] + list(kept))
-        return _Individual(sum(1 << 8 * i for i in selected), selected, score, states)
+        return _Individual(sum(1 << i for i in selected), selected, score, states)
 
     # first-fit over the candidates greedy placed saves greedy's states, and
     # greedy without one candidate places what greedy did outside the blocks it runs
@@ -409,15 +418,14 @@ def ga_allocate(
                 del selected[at]
             else:
                 selected.insert(at, j)
-        genes = parent.genes ^ sum(1 << 8 * j for j in changed)
+        genes = parent.genes ^ sum(1 << j for j in changed)
         _, score, states, _ = _first_fit(selected, masks, weights, k, parent, changed)
         return _Individual(genes, selected, score, states)
 
     population = [seed(i - 1) if 1 <= i <= n else greedy for i in range(params.population_size)]
 
     def tournament(scores: List[int]) -> int:
-        a = rng.randrange(params.population_size)
-        b = rng.randrange(params.population_size)
+        a, b = _randbelow(rng, params.population_size), _randbelow(rng, params.population_size)
         return a if scores[a] >= scores[b] else b
 
     history: List[int] = []
@@ -438,16 +446,18 @@ def ga_allocate(
             rho = rng.uniform(lo, hi)
             # the child takes its second parent's gene where the draw is below
             # rho, which changes it only where they differ; other draws go unread
-            cross, end = [], 0
-            for j in _ones((first.genes ^ second.genes).to_bytes(n, "little")):
+            cross, end, diff = [], 0, first.genes ^ second.genes
+            while diff:
+                bit = diff & -diff
+                j = bit.bit_length() - 1
                 rng.getrandbits(64 * (j - end))
                 if _from_words(rng.getrandbits(64)) < rho:
                     cross.append(j)
-                end = j + 1
+                end, diff = j + 1, diff ^ bit
             rng.getrandbits(64 * (n - end))
             mutate: List[int] = []
             if rng.random() < params.chromosome_mutation_probability:
-                mutate = _ones(_draws_below(rng, n, flip_rate))
+                mutate = _draws_below(rng, n, flip_rate, lanes)
             nxt.append(child(first, cross, mutate))
         population = nxt
 

@@ -1,6 +1,7 @@
 """Circuit allocation: greedy first-fit, genetic search, exact enumeration."""
 
 import itertools
+import math
 import random
 import re
 
@@ -29,11 +30,14 @@ from hybridnoc import (
 )
 from hybridnoc.allocator import (
     _BLOCK,
+    MAX_POPULATION,
     _Individual,
     _conflict_masks,
     _draws_below,
     _first_clash,
     _first_fit,
+    _lanes,
+    _randbelow,
 )
 from hybridnoc.topology import MAX_CS_SUBNETS
 
@@ -263,21 +267,90 @@ def test_ga_fitness_history_monotone():
     assert hist[-1] == plan.meta["fitness"]
 
 
+def _untemper(word):
+    """The Mersenne Twister state word that tempers to word."""
+
+    def unshift(y, shift, mask=0xFFFFFFFF):
+        x = y
+        for _ in range(32 // abs(shift) + 1):
+            x = y ^ ((x << -shift if shift < 0 else x >> shift) & mask & 0xFFFFFFFF)
+        return x
+
+    word = unshift(word, 18)
+    word = unshift(word, -15, 0xEFC60000)
+    word = unshift(word, -7, 0x9D2C5680)
+    return unshift(word, 11)
+
+
+def _stream_of(words):
+    """A Random whose next 32-bit outputs are words (at most 624 of them)."""
+    rng = random.Random()
+    state = list(rng.getstate()[1])
+    state[: len(words)] = [_untemper(w) for w in words]
+    state[-1] = 0  # the next output tempers state word 0
+    rng.setstate((3, tuple(state), None))
+    return rng
+
+
+def _words_near(p, n, rng):
+    """2n words whose draws sit at or around where _draws_below's lane test
+    cuts for p: a >> 5 one below, at or one above ceil(p * 2**27), and b at
+    its extremes or random; every fourth draw is random throughout."""
+    cut = math.ceil(p * 2**27)
+    words = []
+    for j in range(n):
+        if j % 4 == 3:
+            words += [rng.getrandbits(32), rng.getrandbits(32)]
+            continue
+        high = min(max(cut + rng.choice((-1, 0, 1)), 0), 2**27 - 1)
+        words += [high << 5 | rng.getrandbits(5),
+                  rng.choice((0, 2**32 - 1, rng.getrandbits(32)))]
+    return words
+
+
+def test_untempered_words_come_back_out():
+    source = random.Random(4)
+    words = [0, 1, 2**31, 2**32 - 1] + [source.getrandbits(32) for _ in range(620)]
+    rng = _stream_of(words)
+    assert [rng.getrandbits(32) for _ in words] == words
+
+
 def test_draws_below_matches_single_random_calls():
+    """At lane counts around 256 and random ones, at p on the lane test's
+    2**-27 grid and the floats either side of it, against one random() < p
+    per draw."""
     rng = random.Random(12)
-    for _ in range(100):
-        n = rng.randint(1, 3000)
-        seed = rng.getrandbits(32)
-        for p in (0.0, 1.0, 1 / n, 1 / 256, 255 / 256, 0.5, rng.random()):
+    grid = [k * 2**-27 for k in (1, 2, 3, 67109, 2**20 + 1, 2**26, 2**27 - 1)]
+    ps = [0.0, 1.0, 0.5, 1 / 256, 255 / 256, 1 / 3000, *grid]
+    ps += [math.nextafter(p, 0.0) for p in grid] + [math.nextafter(p, 1.0) for p in grid]
+    cases = [(n, p) for n in (0, 1, 2, 255, 256, 257, 3000)
+             for p in ps + [1 / max(n, 1), rng.random()]]
+    cases += [(n, p) for n in rng.sample(range(3, 3000), 8) for p in (1 / n, 1 / 256, 0.5)]
+    for n, p in cases:
+        if n <= 312:  # drawn from words placed around the cut
+            block, single = _stream_of(_words_near(p, n, rng)), random.Random()
+            single.setstate(block.getstate())
+        else:
+            seed = rng.getrandbits(32)
             block, single = random.Random(seed), random.Random(seed)
-            assert _draws_below(block, n, p) == bytes(single.random() < p for _ in range(n))
-            assert block.random() == single.random()
-    assert _draws_below(random.Random(3), 0, 0.5) == b""
+        expected = [j for j in range(n) if single.random() < p]
+        assert _draws_below(block, n, p, _lanes(n, p)) == expected, (n, p)
+        assert block.getstate() == single.getstate()
+
+
+def test_randbelow_draws_as_randrange():
+    for size in range(2, 65):
+        for seed in range(50):
+            direct, reference = random.Random(seed), random.Random(seed)
+            assert ([_randbelow(direct, size) for _ in range(12)]
+                    == [reference.randrange(size) for _ in range(12)])
+            assert direct.getstate() == reference.getstate()
 
 
 def test_ga_params_validation():
     for bad in (
         dict(population_size=1),
+        dict(population_size=MAX_POPULATION + 1),
         dict(generations=-1),
         dict(chromosome_mutation_probability=1.5),
         dict(chromosome_mutation_probability=-0.1),
@@ -286,6 +359,7 @@ def test_ga_params_validation():
     ):
         with pytest.raises(AllocationError):
             GaParams(**bad)
+    assert GaParams(population_size=MAX_POPULATION).population_size == MAX_POPULATION
     prof = router_profile(CHAIN_MESH, CHAIN_COUNTS)
     with pytest.raises(AllocationError):
         ga_allocate(prof, CHAIN_MESH, 0, GaParams(), "r2r")

@@ -7,7 +7,11 @@ subnets and the same plan.meta (fitness and fitness_history) as that copy.
 Greedy and the oracle must give the same plans as the copy's.
 """
 
+import os
 import random
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,11 +103,11 @@ def trap_scenarios(draw):
 def workload_scenarios(draw):
     """Hundreds of candidates with heavy-tailed weights, as in the benchmark.
 
-    Above 256 genes the flip rate is below 1/256, so each mutation block
-    settles its draws with a high byte of 0 from their full value; a
-    chromosome selects more than one block of candidates, so children
-    resume first-fit past its first saved state; and tournaments often pick
-    one individual twice, so parents are often identical.
+    Mutation blocks span hundreds of 64-bit lanes, most ruled out by the
+    lane test and the rest settled from their full draws; a chromosome
+    selects more than one block of candidates, so children resume
+    first-fit past its first saved state; and tournaments often pick one
+    individual twice, so parents are often identical.
     """
     width = draw(st.integers(5, 8))
     height = draw(st.integers(5, 8))
@@ -225,3 +229,48 @@ def test_oracle_matches_frozen_baseline_on_a_tied_bench_shaped_profile():
         return [[(c.src, c.dst) for c in s] for s in result.subnets], result.meta
 
     assert plan(hn) == plan(base)
+
+
+# Run in a python3.10 subprocess: ga_allocate of the package and of the
+# frozen copy on trap profiles of a 5x3 mesh in one subnet (traps in rows 0
+# and 2, alone and among 150 one-flit pairs, so that mutation flags span
+# three 64-bit lanes), where the search beats its seeds and its result
+# hangs on its draws.  It prints OK if every pair of plans and metas is equal.
+_PY310_CHECK = """
+import random, sys
+import hybridnoc as hn, hybridnoc_baseline as base
+assert sys.version_info[:2] == (3, 10), sys.version
+trap = {(0, 3): 10, (0, 1): 20, (1, 2): 20, (2, 3): 20,
+        (11, 14): 8, (11, 12): 14, (12, 13): 14, (13, 14): 14}
+ends = [(s, d) for s in range(15) for d in range(15) if s != d]
+padded = {**dict.fromkeys(random.Random(0).sample(ends, 150), 1), **trap}
+cases = [(trap, "e2e", dict(population_size=6, generations=60, seed=7)),
+         (trap, "r2r", dict(population_size=4, generations=40, seed=1)),
+         (padded, "e2e", dict(population_size=4, generations=60, seed=1))]
+for counts, gran, ga in cases:
+    plans = []
+    for pkg in (hn, base):
+        mesh = pkg.MeshConfig.grid(5, 3)
+        prof = pkg.profile_from_flit_counts(counts, mesh, pkg.profile_granularity_for(gran))
+        plan = pkg.ga_allocate(prof, mesh, 1, pkg.GaParams(**ga), gran)
+        plans.append(([[(c.src, c.dst) for c in s] for s in plan.subnets], plan.meta))
+    history = plans[0][1]["fitness_history"]
+    assert plans[0] == plans[1] and history[-1] > history[0], (len(counts), gran, ga)
+print("OK")
+"""
+
+
+def test_ga_allocate_matches_frozen_baseline_under_python_3_10():
+    """Python 3.10 is the oldest version the package supports."""
+    exe = shutil.which("python3.10")
+    if exe is None:
+        pytest.skip("python3.10 is not on PATH")
+    probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"],
+                           capture_output=True, text=True, timeout=30)
+    if probe.stdout.strip() != "(3, 10)":
+        pytest.skip(f"python3.10 on PATH does not run: {probe.stderr.strip()[:80]!r}")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root / 'bench' / 'baseline'}")
+    done = subprocess.run([exe, "-B", "-c", _PY310_CHECK], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0 and done.stdout.strip() == "OK", done.stderr

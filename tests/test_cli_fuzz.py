@@ -50,7 +50,7 @@ VALUES = {
     "designated_pair_count": (("1", "8", "50"), ("0", "1000")),
     "control_payload_bits": (("64", "128"), ("0", "-8", "65537")),
     "data_payload_bits": (("640", "100"), ("0", "65537")),
-    "population_size": (("2", "10"), ("1", "0")),
+    "population_size": (("2", "10"), ("1", "0", "1025")),
     "generations": (("0", "5", "20"), ("-1",)),
     "chromosome_mutation_probability": (("0", "0.5", "1"), ("1.5", "-0.1")),
     "elitism_count": (("0", "1"), ("10", "-1")),
