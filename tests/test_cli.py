@@ -172,6 +172,41 @@ def test_sweep_rates_hybrid_reports_circuit_traffic(capsys):
     assert float(row[6]) > 0
 
 
+RATE_SWEEP_HEADER = ("fabric,rate,mean_latency,p99_latency,unloaded_mean,saturated,"
+                     "in_circuit_fraction,flits_ejected\n")
+
+# golden bytes of the hybrid rate sweep below; the frozen copy's hybrid sweep
+# installs no circuits, so these rows are pinned here instead
+HYBRID_SWEEP_TABLES = {
+    "e2e": RATE_SWEEP_HEADER + (
+        "hybrid,0.0200,18.90,56,7.70,0,0.9967,2435\n"
+        "hybrid,0.1000,175.10,780,7.80,1,0.9569,10232\n"
+        "hybrid,0.3000,609.92,1478,9.37,1,0.8319,13399\n"
+    ),
+    "r2r": RATE_SWEEP_HEADER + (
+        "hybrid,0.0200,26.12,73,13.68,0,0.9868,2427\n"
+        "hybrid,0.1000,301.53,873,13.66,1,0.9338,8722\n"
+        "hybrid,0.3000,621.25,1535,14.51,1,0.7706,11301\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("granularity", ["e2e", "r2r"])
+def test_hybrid_rate_sweep_prints_the_golden_table(capsys, granularity):
+    assert main([
+        "sweep", "--mesh", "4x4", "--rates", "0.02,0.1,0.3", "--cycles", "2000",
+        "--seed", "3", "--subnets", "4", "--fabric", "hybrid", "--pattern", "regular_mix",
+        "--regularity", "0.9", "--granularity", granularity,
+    ]) == 0
+    assert capsys.readouterr().out == HYBRID_SWEEP_TABLES[granularity]
+
+
+def test_rate_sweep_at_rate_zero_on_a_one_ni_mesh_prints_its_row(capsys):
+    # only a nonzero rate needs a second interface, whatever --rate says
+    assert main(["sweep", "--mesh", "1x1", "--rates", "0"]) == 0
+    assert capsys.readouterr().out == RATE_SWEEP_HEADER + "vc,0.0000,0.00,0,0.00,0,0.0000,0\n"
+
+
 def test_sweep_subnet_counts(capsys):
     rc = main([
         "sweep", "--mesh", "2x2", "--subnet-counts", "2,4", "--cycles", "1500",
