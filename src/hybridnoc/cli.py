@@ -90,15 +90,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_rates(args: argparse.Namespace) -> int:
-    mesh = _parse_mesh(args.mesh)
-    rates = _parse_num_list(args.rates, float)
-    layout = SubnetLayout(args.width_bits, args.subnets, True)
-    points = sweep_injection(
-        mesh, layout, VcConfig(), args.pattern, rates, args.seed,
-        fabric=args.fabric, granularity=args.granularity, cycles=args.cycles,
-        regularity=args.regularity,
+def _sweep_config(args: argparse.Namespace, subnets: int, rate: float) -> ExperimentConfig:
+    """The baseline run of a sweep: --pattern traffic at rate on subnets subnets."""
+    return ExperimentConfig(
+        mesh=_parse_mesh(args.mesh),
+        layout=SubnetLayout(args.width_bits, subnets, True),
+        vc=VcConfig(),
+        mode="baseline_vc",
+        allocator=args.allocator,
+        granularity=args.granularity,
+        traffic_spec=SyntheticSpec(args.pattern, rate, regularity=args.regularity),
+        traffic_cycles=args.cycles,
+        seed=args.seed,
+        label="baseline",
     )
+
+
+def _sweep_rates(args: argparse.Namespace) -> int:
+    # the base rate is 0, not --rate: only the swept rates need two interfaces
+    config = _sweep_config(args, args.subnets, 0.0)
+    points = sweep_injection(config, _parse_num_list(args.rates, float), args.fabric)
     lines = ["fabric,rate,mean_latency,p99_latency,unloaded_mean,saturated,"
              "in_circuit_fraction,flits_ejected"]
     for p in points:
@@ -111,21 +122,8 @@ def _sweep_rates(args: argparse.Namespace) -> int:
 
 
 def _sweep_subnets(args: argparse.Namespace) -> int:
-    mesh = _parse_mesh(args.mesh)
+    base_config = _sweep_config(args, 1, args.rate)
     counts = _parse_num_list(args.subnet_counts, int)
-    spec = SyntheticSpec(args.pattern, args.rate, regularity=args.regularity)
-    base_config = ExperimentConfig(
-        mesh=mesh,
-        layout=SubnetLayout(args.width_bits, 1, True),
-        vc=VcConfig(),
-        mode="baseline_vc",
-        allocator=args.allocator,
-        granularity=args.granularity,
-        traffic_spec=spec,
-        traffic_cycles=args.cycles,
-        seed=args.seed,
-        label="baseline",
-    )
     baseline = run_baseline(base_config)
     if not baseline.stats.flits_ejected:
         raise ConfigError("the baseline run ejected no flits, so it cannot "

@@ -17,7 +17,7 @@ import configparser
 import logging
 import math
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import (
     Dict, List, Mapping, Optional, Sequence, Tuple, Union, get_args, get_origin,
     get_type_hints,
@@ -60,15 +60,6 @@ _SATURATION_FACTOR = 10.0
 # 200:1 epoch-to-period ratio)
 DESK_EPOCH_CYCLES = 100_000
 EPOCH_TO_PERIOD_RATIO = 200
-
-
-def _check_generator(spec: SyntheticSpec, mesh: MeshConfig) -> None:
-    """Generated packets need a destination other than their source NI."""
-    n = mesh.n_nis
-    if spec.injection_rate > 0 and n < 2:
-        raise ConfigError(f"traffic at rate {spec.injection_rate} needs at least two interfaces")
-    if spec.pattern == "regular_mix" and spec.designated_pair_count > n * (n - 1):
-        raise ConfigError(f"designated_pair_count exceeds the {n * (n - 1)} NI pairs of the mesh")
 
 
 @dataclass(frozen=True)
@@ -119,8 +110,13 @@ class ExperimentConfig:
             raise ConfigError("plan_file goes with allocator plan-file and only with it")
         if (self.traffic_spec is None) == (self.trace_path is None):
             raise ConfigError("configure exactly one traffic source (spec or trace)")
-        if self.traffic_spec is not None:
-            _check_generator(self.traffic_spec, self.mesh)
+        # generated packets need a destination other than their source NI
+        spec, n = self.traffic_spec, self.mesh.n_nis
+        rate, pairs = (spec.injection_rate if spec else 0), n * (n - 1)
+        if rate > 0 and n < 2:
+            raise ConfigError(f"traffic at rate {rate} needs at least two interfaces")
+        if spec and spec.pattern == "regular_mix" and spec.designated_pair_count > pairs:
+            raise ConfigError(f"designated_pair_count exceeds the {pairs} NI pairs of the mesh")
         if not 0 <= self.resolved_config_period() < self.resolved_epoch_cycles():
             raise ConfigError("config period must be at least 0 and shorter than an epoch")
         if self.mode != "baseline_vc" and self.layout.cs_subnet_count < 1:
@@ -198,27 +194,31 @@ def _result(config: ExperimentConfig, label: str, stats: SimStats,
     return RunResult(label, config.mode, stats, energy, plan, profile, meta)
 
 
+def _full_width(layout: SubnetLayout) -> SubnetLayout:
+    """The undivided link of layout's total width."""
+    return SubnetLayout(layout.total_width_bits, 1, layout.gate_cs_buffers)
+
+
 def run_baseline(config: ExperimentConfig) -> RunResult:
     """Pure-VC run on the undivided full-width link."""
     if config.mode != "baseline_vc":
         raise ConfigError("run_baseline needs mode baseline_vc")
     trace = make_trace(config)
-    layout = SubnetLayout(
-        config.layout.total_width_bits, 1, config.layout.gate_cs_buffers
-    )
+    layout = _full_width(config.layout)
     stats = simulate(config.mesh, layout, config.vc, trace, None, seed=config.seed)
     return _result(config, config.label, stats, width_bits=str(layout.subnet_width_bits))
 
 
 def _planned_run(
-    config: ExperimentConfig, trace: Sequence[TrafficEvent]
+    config: ExperimentConfig, trace: Sequence[TrafficEvent], **window: int
 ) -> Tuple[TrafficProfile, CircuitPlan, SimStats]:
-    """Fold the trace at the subnet width, plan from it, and run the plan."""
+    """Fold the trace at the subnet width, plan from it, and run the plan,
+    cut and measured by window (simulate's cycles_limit and warmup_cycles) if given."""
     gran = profile_granularity_for(config.granularity)
     prof = profile(trace, config.mesh, gran, config.layout.subnet_width_bits)
     plan = build_plan(prof, config, adaptive=False)
     stats = simulate(
-        config.mesh, config.layout, config.vc, trace, plan, seed=config.seed
+        config.mesh, config.layout, config.vc, trace, plan, seed=config.seed, **window
     )
     return prof, plan, stats
 
@@ -312,61 +312,43 @@ class SweepPoint:
 
 
 def sweep_injection(
-    mesh: MeshConfig,
-    layout: SubnetLayout,
-    vc_config: VcConfig,
-    pattern: str,
-    rates: Sequence[float],
-    seed: int = 0,
-    *,
-    fabric: str = "hybrid",
-    granularity: str = "e2e",
-    cycles: int = 20000,
-    regularity: float = 0.0,
+    config: ExperimentConfig, rates: Sequence[float], fabric: str = "hybrid"
 ) -> List[SweepPoint]:
-    """Latency-vs-rate curve for one fabric.
+    """Latency-vs-rate curve for one fabric: a run of config at each rate.
 
     fabric selects what carries the traffic: "vc" forces a full-width
     buffered fabric, "cs" a full-width fabric where every packet reserves
-    its whole path (no set-up delay modelled), "hybrid" uses the given
-    layout, planning each rate greedily at this granularity from the fold
-    of that rate's trace at the subnet width.  A point is saturated when
-    its mean latency exceeds _SATURATION_FACTOR times the unloaded mean of
-    its own traffic, or when flits go in and no flit created after the
-    warm-up comes out.
+    its whole path (no set-up delay modelled), "hybrid" runs config's
+    layout as a static run does, under config's allocator.  Every point's
+    config is built, and so checked, before any point runs.  A run is cut
+    at config.resolved_traffic_cycles() and measures the packets created
+    after its first tenth.  A point is saturated when its mean latency
+    exceeds _SATURATION_FACTOR times the unloaded mean of its own traffic,
+    or when flits go in and no flit created after the warm-up comes out.
     """
     if list(rates) != sorted(rates):
         raise ConfigError("rates must be ascending")
     if fabric not in ("vc", "cs", "hybrid"):
         raise ConfigError(f"unknown fabric {fabric!r}")
-    if cycles <= 0:
-        raise ConfigError(f"sweep cycles must be positive, got {cycles}")
-
-    if fabric in ("vc", "cs"):
-        run_layout = SubnetLayout(layout.total_width_bits, 1, layout.gate_cs_buffers)
-    else:
-        if layout.cs_subnet_count < 1:
-            raise ConfigError("a hybrid sweep needs at least one CS subnet")
-        run_layout = layout
-        profile_granularity = profile_granularity_for(granularity)
-
-    specs = [SyntheticSpec(pattern, rate, regularity=regularity) for rate in rates]
-    for spec in specs:
-        _check_generator(spec, mesh)
+    if config.trace_path is not None:
+        raise ConfigError("a sweep generates its traffic, so it takes no trace")
+    hybrid = fabric == "hybrid"
+    runs = [
+        replace(config, mode="static_hybrid" if hybrid else "baseline_vc",
+                traffic_spec=replace(config.traffic_spec, injection_rate=rate))
+        for rate in rates
+    ]
 
     points: List[SweepPoint] = []
-    warmup = cycles // 10
-    for rate, spec in zip(rates, specs):
-        trace = generate(spec, mesh, seed, cycles)
-        plan = None
-        if fabric == "hybrid":
-            prof = profile(trace, mesh, profile_granularity, layout.subnet_width_bits)
-            plan = greedy_allocate(prof, mesh, layout.cs_subnet_count, granularity)
-        stats = simulate(
-            mesh, run_layout, vc_config, trace, plan,
-            cycles_limit=cycles, seed=seed, warmup_cycles=warmup,
-            cs_all=(fabric == "cs"),
-        )
+    for rate, run in zip(rates, runs):
+        cycles = run.resolved_traffic_cycles()
+        window = {"cycles_limit": cycles, "warmup_cycles": cycles // 10}
+        trace = make_trace(run)
+        if hybrid:
+            stats = _planned_run(run, trace, **window)[2]
+        else:
+            stats = simulate(run.mesh, _full_width(run.layout), run.vc, trace, None,
+                             seed=run.seed, cs_all=(fabric == "cs"), **window)
         mean = stats.mean_latency()
         unloaded = stats.unloaded_mean()
         if stats.measured_flits() == 0:

@@ -25,7 +25,7 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count, groupby
+from itertools import count, groupby, product
 from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -428,8 +428,9 @@ class Simulation:
 
         # circuit-switched side
         self.circuits: List[_Circuit] = []
+        # the installed circuit of each (source NI, destination NI) pair; an
+        # r2r circuit is filed under every NI pair of its two routers
         self.match: Dict[Tuple[int, int], _Circuit] = {}
-        self.granularity = ""
         # first cycle each wire is free: an NI's wire into a subnet, and
         # each resource a circuit packet holds until its tail ejects
         self.wire_free: Dict[object, int] = {}
@@ -516,7 +517,6 @@ class Simulation:
                 f"{self.layout.cs_subnet_count}"
             )
         plan.validate()
-        self.granularity = plan.granularity
         self.circuits = []
         self.match = {}
         mesh = self.mesh
@@ -526,11 +526,11 @@ class Simulation:
             key = (circ.src, circ.dst)
             if not (0 <= circ.src < n and 0 <= circ.dst < n):
                 raise ConfigError(f"plan {unit} pair {key} out of range")
+            srcs, dsts = ((end,) if e2e else mesh.nis_of_router(end) for end in key)
             c = _Circuit(len(self.circuits), 1 + s,
-                         unloaded_latency("cs-" + plan.granularity, circ.path.hops),
-                         (circ.src,) if e2e else mesh.nis_of_router(circ.src))
+                         unloaded_latency("cs-" + plan.granularity, circ.path.hops), srcs)
             self.circuits.append(c)
-            self.match[key] = c
+            self.match.update(dict.fromkeys(product(srcs, dsts), c))
 
     def schedule_plan(self, plan: CircuitPlan, activation_cycle: int) -> None:
         if self.cs_all:
@@ -576,12 +576,7 @@ class Simulation:
         queue goes from empty to one packet while it sends none; this covers
         the packets a plan change moves back to the VC subnet.
         """
-        circuit = None
-        if self.match:
-            if self.granularity == "e2e":
-                circuit = self.match.get((pkt.src, pkt.dst))
-            else:
-                circuit = self.match.get((pkt.src_router, pkt.dst_router))
+        circuit = self.match.get(pkt.pair)
         if circuit is None:
             queue = self.ni_queue.setdefault(pkt.src, deque())
             queue.append(pkt)

@@ -180,15 +180,12 @@ def test_c4_sweep_shape(capsys):
     with verdict(capsys, 4, "circuit fabric saturates first but starts lower"):
         start = time.monotonic()
         rates = [0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.8]
-        full = SubnetLayout(128, 1)
-        cs = sweep_injection(
-            MESH4, full, VC, "uniform_random", rates, 1,
-            fabric="cs", cycles=6000,
+        config = ExperimentConfig(
+            MESH4, SubnetLayout(128, 1), VC, "baseline_vc",
+            traffic_spec=SyntheticSpec("uniform_random", 0.0), traffic_cycles=6000, seed=1,
         )
-        vc = sweep_injection(
-            MESH4, full, VC, "uniform_random", rates, 1,
-            fabric="vc", cycles=6000,
-        )
+        cs = sweep_injection(config, rates, fabric="cs")
+        vc = sweep_injection(config, rates, fabric="vc")
         cs_sat = min((p.rate for p in cs if p.saturated), default=math.inf)
         vc_sat = min((p.rate for p in vc if p.saturated), default=math.inf)
         assert cs_sat < vc_sat

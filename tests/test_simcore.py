@@ -11,6 +11,7 @@ from hybridnoc import (
     CandidatePair,
     CircuitPlan,
     ConfigError,
+    ExperimentConfig,
     MeshConfig,
     PacketClass,
     SimStats,
@@ -740,14 +741,22 @@ def test_flit_records_are_causal():
         assert r.hops >= 0
 
 
+def sweep_config(layout, pattern, seed=0, cycles=None, granularity="e2e", regularity=0.0):
+    """A sweep's base config: pattern traffic on MESH, at a rate each point replaces."""
+    return ExperimentConfig(
+        MESH, layout, VC, "baseline_vc", granularity=granularity,
+        traffic_spec=SyntheticSpec(pattern, 0.0, regularity=regularity),
+        traffic_cycles=cycles, seed=seed,
+    )
+
+
 def test_sweep_validation_and_low_rate_behavior():
     with pytest.raises(ConfigError):
-        sweep_injection(MESH, FULL, VC, "uniform_random", [0.2, 0.1])
+        sweep_injection(sweep_config(FULL, "uniform_random"), [0.2, 0.1])
     with pytest.raises(ConfigError):
-        sweep_injection(MESH, FULL, VC, "uniform_random", [0.1], fabric="optical")
+        sweep_injection(sweep_config(FULL, "uniform_random"), [0.1], fabric="optical")
     points = sweep_injection(
-        MESH, FULL, VC, "uniform_random", [0.02, 0.05], fabric="vc",
-        cycles=3000, seed=1,
+        sweep_config(FULL, "uniform_random", seed=1, cycles=3000), [0.02, 0.05], fabric="vc",
     )
     assert [p.rate for p in points] == [0.02, 0.05]
     low = points[0]
@@ -758,7 +767,7 @@ def test_sweep_validation_and_low_rate_behavior():
 
 def test_sweep_cs_fabric_runs_full_width_circuits():
     points = sweep_injection(
-        MESH, HALF, VC, "uniform_random", [0.02], fabric="cs", cycles=2000, seed=1
+        sweep_config(HALF, "uniform_random", seed=1, cycles=2000), [0.02], fabric="cs"
     )
     assert points[0].in_circuit_fraction == 1.0
     assert points[0].flits_ejected > 0
@@ -767,9 +776,8 @@ def test_sweep_cs_fabric_runs_full_width_circuits():
 @pytest.mark.parametrize("granularity", ["e2e", "r2r"])
 def test_sweep_hybrid_fabric_plans_circuits(granularity):
     with pytest.raises(ConfigError):
-        sweep_injection(MESH, FULL, VC, "regular_mix", [0.02], fabric="hybrid")
-    points = sweep_injection(
-        MESH, SubnetLayout(128, 4), VC, "regular_mix", [0.02, 0.05], 1,
-        fabric="hybrid", granularity=granularity, regularity=0.9, cycles=2000,
-    )
+        sweep_injection(sweep_config(FULL, "regular_mix"), [0.02], fabric="hybrid")
+    config = sweep_config(SubnetLayout(128, 4), "regular_mix", seed=1, cycles=2000,
+                          granularity=granularity, regularity=0.9)
+    points = sweep_injection(config, [0.02, 0.05], fabric="hybrid")
     assert all(p.in_circuit_fraction > 0 for p in points)
