@@ -201,6 +201,13 @@ def test_hybrid_rate_sweep_prints_the_golden_table(capsys, granularity):
     assert capsys.readouterr().out == HYBRID_SWEEP_TABLES[granularity]
 
 
+def test_hybrid_rate_sweep_plans_with_the_allocator_option(capsys):
+    # the oracle refuses the 4x4 fold at 0.3, so the sweep must have asked it
+    assert main(["sweep", "--mesh", "4x4", "--rates", "0.3", "--cycles", "200",
+                 "--fabric", "hybrid", "--subnets", "4", "--allocator", "oracle"]) == 1
+    assert "exceed the oracle cap" in capsys.readouterr().err
+
+
 def test_rate_sweep_at_rate_zero_on_a_one_ni_mesh_prints_its_row(capsys):
     # only a nonzero rate needs a second interface, whatever --rate says
     assert main(["sweep", "--mesh", "1x1", "--rates", "0"]) == 0

@@ -755,6 +755,10 @@ def test_sweep_validation_and_low_rate_behavior():
         sweep_injection(sweep_config(FULL, "uniform_random"), [0.2, 0.1])
     with pytest.raises(ConfigError):
         sweep_injection(sweep_config(FULL, "uniform_random"), [0.1], fabric="optical")
+    with pytest.raises(ConfigError, match="takes no trace"):
+        traced = dataclasses.replace(sweep_config(FULL, "uniform_random"),
+                                     traffic_spec=None, trace_path="never-read.trace")
+        sweep_injection(traced, [0.1], fabric="vc")
     points = sweep_injection(
         sweep_config(FULL, "uniform_random", seed=1, cycles=3000), [0.02, 0.05], fabric="vc",
     )
