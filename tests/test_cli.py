@@ -622,6 +622,18 @@ def test_plan_file_of_another_granularity_is_exit_1(tmp_path, capsys):
     assert "config error: plan file is r2r, the config asks for e2e" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["static_hybrid", "adaptive_hybrid"])
+def test_plan_file_with_more_subnets_than_the_layout_is_exit_1(tmp_path, capsys, mode):
+    # the default layout has one circuit subnet; an adaptive run of two
+    # epochs meets the plan at its first re-plan
+    body = plan_file_config(tmp_path, "granularity=e2e subnets=2\n1,0,3\n").replace(
+        "mode = static_hybrid", f"mode = {mode}\nepoch_cycles = 100")
+    assert run_ini(tmp_path, body) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "subnets, layout offers 1" in err
+    assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+
+
 def test_plan_circuit_whose_pair_sent_nothing_weighs_0(tmp_path):
     (tmp_path / "t.csv").write_text("0,1,2,data\n5,1,2,control\n")
     body = plan_file_config(tmp_path, "granularity=e2e subnets=1\n0,0,3\n").replace(

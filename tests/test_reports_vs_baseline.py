@@ -60,6 +60,20 @@ def test_static_reports_match_frozen_baseline(tmp_path, capsys, mode, granularit
     _assert_same_files(tmp_path, capsys, config)
 
 
+def test_rate_zero_static_reports_match_frozen_baseline(tmp_path, capsys):
+    # no packet at all: the run installs its empty plan and steps no cycle
+    config = _write_ini(
+        tmp_path / "idle.ini",
+        {"mode": "static_hybrid", "label": "idle"},
+        {"width": 3, "height": 3},
+        {"total_width_bits": 128, "subnet_count": 4},
+        {"pattern": "uniform_random", "injection_rate": 0, "cycles": 500},
+    )
+    _assert_same_files(tmp_path, capsys, config)
+    report = (tmp_path / "ours" / "idle.report").read_text(encoding="utf-8")
+    assert "cycles_simulated = 0" in report
+
+
 def test_adaptive_reports_match_frozen_baseline(tmp_path, capsys):
     config = _write_ini(
         tmp_path / "adaptive.ini",

@@ -252,6 +252,12 @@ def test_plan_activation_rejects_past_cycles():
         sim.schedule_plan(e2e_plan(MESH, (0, 1)), 5)
 
 
+def test_plan_on_an_empty_trace_steps_no_cycle():
+    stats = simulate(MESH, HALF, VC, [], e2e_plan(MESH, (0, 3)))
+    assert stats.cycles_simulated == 0
+    assert stats.flits_injected == 0
+
+
 @pytest.mark.parametrize("step_back", [
     lambda sim: sim.run_until(50),
     lambda sim: sim.run_to_completion(hard_limit=50),
