@@ -22,6 +22,7 @@ from .traffic import TraceFormatError, TrafficProfile, read_records
 
 log = logging.getLogger(__name__)
 
+METHODS = ("greedy", "ga", "oracle")
 PLAN_GRANULARITIES = ("e2e", "r2r")
 
 # profile granularity feeding each plan granularity
@@ -246,15 +247,21 @@ def candidates_from_profile(
     return out
 
 
+def _problem(profile: TrafficProfile, mesh: MeshConfig, k: int,
+             granularity: str) -> Tuple[List[CandidatePair], List[int], List[int]]:
+    """Candidates for k subnets, heaviest first, with their conflict masks and weights."""
+    if k < 1:
+        raise AllocationError("need at least one CS subnet to allocate into")
+    cands = candidates_from_profile(profile, mesh, granularity)
+    return cands, _conflict_masks(cands, granularity == "r2r"), [c.weight for c in cands]
+
+
 def greedy_allocate(
     profile: TrafficProfile, mesh: MeshConfig, k: int, granularity: str
 ) -> CircuitPlan:
     """Sweep candidates by descending weight, first-fit into k subnets."""
-    if k < 1:
-        raise AllocationError("need at least one CS subnet to allocate into")
-    cands = candidates_from_profile(profile, mesh, granularity)
-    masks = _conflict_masks(cands, granularity == "r2r")
-    placed = _first_fit(range(len(cands)), masks, [c.weight for c in cands], k)[0]
+    cands, masks, weights = _problem(profile, mesh, k, granularity)
+    placed = _first_fit(range(len(cands)), masks, weights, k)[0]
     return _plan_from_indices(granularity, cands, placed, "greedy")
 
 
@@ -375,17 +382,13 @@ def ga_allocate(
     mutation only in the lanes _draws_below cannot rule out, and the
     child's first-fit runs only from a flipped gene to where it rejoins.
     """
-    if k < 1:
-        raise AllocationError("need at least one CS subnet to allocate into")
-    cands = candidates_from_profile(profile, mesh, granularity)
+    cands, masks, weights = _problem(profile, mesh, k, granularity)
     n = len(cands)
     if n == 0:
         plan = CircuitPlan.empty(k, granularity, provenance="ga")
         plan.meta["fitness_history"] = [0] * max(params.generations, 1)
         return plan
 
-    masks = _conflict_masks(cands, granularity == "r2r")
-    weights = [c.weight for c in cands]
     flip_rate = 1.0 / n
     lanes = _lanes(n, flip_rate)
     rng = random.Random(params.seed)
@@ -482,17 +485,12 @@ def enumerate_oracle(
     Refuses instances above max_pairs candidates; intended as a reference
     for small cases, not a production allocator.
     """
-    if k < 1:
-        raise AllocationError("need at least one CS subnet to allocate into")
-    cands = candidates_from_profile(profile, mesh, granularity)
+    cands, masks, weights = _problem(profile, mesh, k, granularity)
     n = len(cands)
     if n > max_pairs:
         raise AllocationError(f"{n} candidates exceed the oracle cap of {max_pairs}")
     if n == 0:
         return CircuitPlan.empty(k, granularity, provenance="oracle")
-
-    masks = _conflict_masks(cands, granularity == "r2r")
-    weights = [c.weight for c in cands]
 
     best_weight = -1
     best_assign: List[List[int]] = [[] for _ in range(k)]

@@ -17,6 +17,8 @@ import sys
 from typing import List, Optional
 
 from .allocator import (
+    METHODS,
+    PLAN_GRANULARITIES,
     GaParams,
     enumerate_oracle,
     ga_allocate,
@@ -54,9 +56,12 @@ def _parse_mesh(arg: str) -> MeshConfig:
 
 def _parse_num_list(arg: str, cast) -> List:
     try:
-        return [cast(p) for p in arg.split(",") if p.strip()]
+        values = [cast(p) for p in arg.split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad list {arg!r}") from exc
+    if not values:
+        raise ConfigError(f"list {arg!r} holds no value")
+    return values
 
 
 def _emit(table: str, out: Optional[str]) -> int:
@@ -94,7 +99,7 @@ def _sweep_config(args: argparse.Namespace, subnets: int, rate: float) -> Experi
     """The baseline run of a sweep: --pattern traffic at rate on subnets subnets."""
     return ExperimentConfig(
         mesh=_parse_mesh(args.mesh),
-        layout=SubnetLayout(args.width_bits, subnets, True),
+        layout=SubnetLayout(subnet_count=subnets),
         vc=VcConfig(),
         mode="baseline_vc",
         allocator=args.allocator,
@@ -131,7 +136,7 @@ def _sweep_subnets(args: argparse.Namespace) -> int:
     baseline = run_report(baseline)
     reports = [
         run_report(run_static(dataclasses.replace(
-            base_config, layout=SubnetLayout(args.width_bits, k, True),
+            base_config, layout=SubnetLayout(subnet_count=k),
             mode="static_hybrid", label=f"subnets-{k}",
         )))
         for k in counts
@@ -140,9 +145,9 @@ def _sweep_subnets(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if bool(args.rates) == bool(args.subnet_counts):
+    if (args.rates is None) == (args.subnet_counts is None):
         raise ConfigError("pick exactly one of --rates or --subnet-counts")
-    if args.rates:
+    if args.rates is not None:
         return _sweep_rates(args)
     return _sweep_subnets(args)
 
@@ -201,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--regularity", type=float, default=0.0)
     p_sweep.add_argument("--cycles", type=int, default=20000)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--width-bits", type=int, default=128)
     p_sweep.add_argument("--out", help="also write the table to this file")
     p_sweep.add_argument("--rates", help="comma list of injection rates")
     p_sweep.add_argument(
@@ -213,19 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--subnet-counts", help="comma list, e.g. 2,4,8")
     p_sweep.add_argument("--rate", type=float, default=0.05,
                          help="injection rate for a subnet-count sweep")
-    p_sweep.add_argument("--allocator", default="greedy",
-                         choices=("greedy", "ga", "oracle"))
-    p_sweep.add_argument("--granularity", default="e2e", choices=("e2e", "r2r"))
+    p_sweep.add_argument("--allocator", default="greedy", choices=METHODS)
+    p_sweep.add_argument("--granularity", default="e2e", choices=PLAN_GRANULARITIES)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_alloc = sub.add_parser("allocate", help="profile file -> plan file")
     p_alloc.add_argument("profile")
     p_alloc.add_argument("--mesh", default="4x4")
-    p_alloc.add_argument("--granularity", default="e2e", choices=("e2e", "r2r"))
+    p_alloc.add_argument("--granularity", default="e2e", choices=PLAN_GRANULARITIES)
     p_alloc.add_argument("--subnets", type=int, default=1,
                          help="number of CS subnets to fill")
-    p_alloc.add_argument("--method", default="greedy",
-                         choices=("greedy", "ga", "oracle"))
+    p_alloc.add_argument("--method", default="greedy", choices=METHODS)
     p_alloc.add_argument("--generations", type=int, default=5000)
     p_alloc.add_argument("--seed", type=int, default=0)
     p_alloc.add_argument("--limit", type=int,

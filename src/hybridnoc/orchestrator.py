@@ -26,6 +26,7 @@ from typing import (
 from .allocator import (
     CircuitPlan,
     GaParams,
+    METHODS,
     PLAN_GRANULARITIES,
     enumerate_oracle,
     ga_allocate,
@@ -51,7 +52,7 @@ from .traffic import (
 log = logging.getLogger(__name__)
 
 MODES = ("baseline_vc", "static_hybrid", "adaptive_hybrid")
-ALLOCATORS = ("greedy", "ga", "oracle", "plan-file")
+ALLOCATORS = METHODS + ("plan-file",)
 
 # sweep_injection's saturation threshold, as a multiple of the unloaded mean
 _SATURATION_FACTOR = 10.0
@@ -155,15 +156,11 @@ def build_plan(
     *,
     adaptive: bool,
 ) -> CircuitPlan:
-    """Run the configured allocator over one profile."""
+    """Run the configured allocator over one profile; the engine checks a plan's fit."""
     k = config.layout.cs_subnet_count
     if config.allocator == "plan-file":
         assert config.plan_file is not None
         plan = load_plan(config.plan_file, config.mesh)
-        if plan.subnet_count > k:
-            raise ConfigError(
-                f"plan file uses {plan.subnet_count} subnets, layout offers {k}"
-            )
         if plan.granularity != config.granularity:
             raise ConfigError(
                 f"plan file is {plan.granularity}, the config asks for {config.granularity}"
@@ -371,6 +368,10 @@ SUMMARY_HEADER = "config,percent_in_circuit,norm_latency,norm_energy"
 # section -> key -> value, exactly as a report file holds them
 Report = Dict[str, Dict[str, str]]
 
+# the [run] counts in key order, by SimStats name
+RUN_KEYS = ("cycles_simulated", "packets_seen", "flits_injected", "flits_ejected",
+            "in_flight", "in_circuit_flits")
+
 # the [events] section in key order, by SimStats name, stored or derived
 EVENT_KEYS = (
     "subnet_widths", "buffer_writes", "buffer_reads", "crossbar_traversals",
@@ -391,12 +392,7 @@ def run_report(result: RunResult) -> Report:
         "run": {
             "label": result.label,
             "mode": result.mode,
-            "cycles_simulated": str(st.cycles_simulated),
-            "packets_seen": str(st.packets_seen),
-            "flits_injected": str(st.flits_injected),
-            "flits_ejected": str(st.flits_ejected),
-            "in_flight": str(st.in_flight),
-            "in_circuit_flits": str(st.in_circuit_flits),
+            **{key: str(getattr(st, key)) for key in RUN_KEYS},
             "percent_in_circuit": f"{st.percent_in_circuit():.6f}",
         },
         "latency": {

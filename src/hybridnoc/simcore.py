@@ -389,8 +389,8 @@ class Simulation:
         self.cs_all = cs_all
         if cs_all and layout.subnet_count != 1:
             raise ConfigError("the all-circuit fabric uses a single full-width subnet")
-        if cs_all and plan is not None:
-            raise ConfigError("the all-circuit fabric takes no plan")
+        if plan is not None:
+            self._check_plan(plan)
 
         self.width_bits = layout.subnet_width_bits
         self.cycle = 0
@@ -439,7 +439,7 @@ class Simulation:
         self.next_send: float = math.inf
         self.plan_schedule: List[Tuple[int, CircuitPlan]] = []
         if plan is not None:
-            self._install_plan(plan)
+            self._activate_plan(plan, 0)
         if cs_all:
             self.circuits = [_Circuit(ni, 0, None, (ni,)) for ni in range(mesh.n_nis)]
 
@@ -510,31 +510,35 @@ class Simulation:
             gated_buffers_per_cycle=gated * per_subnet,
         )
 
-    def _install_plan(self, plan: CircuitPlan) -> None:
-        if plan.subnet_count > self.layout.cs_subnet_count:
-            raise ConfigError(
-                f"plan wants {plan.subnet_count} CS subnets, layout offers "
-                f"{self.layout.cs_subnet_count}"
-            )
+    def _check_plan(self, plan: CircuitPlan) -> None:
+        """Refuse a plan this run cannot install, before anything changes."""
+        if self.cs_all:
+            raise ConfigError("the all-circuit fabric takes no plan")
+        k = self.layout.cs_subnet_count
+        if plan.subnet_count > k:
+            raise ConfigError(f"plan wants {plan.subnet_count} CS subnets, layout offers {k}")
         plan.validate()
+        e2e = plan.granularity == "e2e"
+        unit, n = ("NI", self.mesh.n_nis) if e2e else ("router", self.mesh.n_routers)
+        for _, circ in plan.all_circuits():
+            if not (0 <= circ.src < n and 0 <= circ.dst < n):
+                raise ConfigError(f"plan {unit} pair {(circ.src, circ.dst)} out of range")
+
+    def _install_plan(self, plan: CircuitPlan) -> None:
         self.circuits = []
         self.match = {}
         mesh = self.mesh
         e2e = plan.granularity == "e2e"
-        unit, n = ("NI", mesh.n_nis) if e2e else ("router", mesh.n_routers)
         for s, circ in plan.all_circuits():
-            key = (circ.src, circ.dst)
-            if not (0 <= circ.src < n and 0 <= circ.dst < n):
-                raise ConfigError(f"plan {unit} pair {key} out of range")
-            srcs, dsts = ((end,) if e2e else mesh.nis_of_router(end) for end in key)
+            srcs, dsts = ((e,) if e2e else mesh.nis_of_router(e) for e in (circ.src, circ.dst))
             c = _Circuit(len(self.circuits), 1 + s,
                          unloaded_latency("cs-" + plan.granularity, circ.path.hops), srcs)
             self.circuits.append(c)
             self.match.update(dict.fromkeys(product(srcs, dsts), c))
 
     def schedule_plan(self, plan: CircuitPlan, activation_cycle: int) -> None:
-        if self.cs_all:
-            raise ConfigError("the all-circuit fabric takes no plan")
+        """Install plan at activation_cycle; a plan refused here changes nothing."""
+        self._check_plan(plan)
         if activation_cycle < self.cycle:
             raise ConfigError("cannot activate a plan in the past")
         self.plan_schedule.append((activation_cycle, plan))

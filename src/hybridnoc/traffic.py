@@ -166,39 +166,30 @@ def generate(spec: SyntheticSpec, mesh: MeshConfig, seed: int, cycles: int) -> L
     elif spec.pattern == "regular_mix":
         regular = designated_pairs(mesh, seed, spec.designated_pair_count)
 
+    def other_than(src: int) -> int:  # each NI but src equally likely
+        dst = rng.randrange(n - 1)
+        return dst + 1 if dst >= src else dst
+
     events: List[TrafficEvent] = []
-    pid = 0
     for cycle in range(cycles):
         for ni in range(n):
             if rng.random() >= p_packet:
                 continue
             klass = ctrl if rng.random() < spec.control_fraction else data
+            src = ni
             if spec.pattern == "uniform_random":
-                src = ni
-                dst = rng.randrange(n - 1)
-                if dst >= src:
-                    dst += 1
+                dst = other_than(src)
             elif spec.pattern == "permutation":
-                src = ni
                 dst = perm[ni]  # type: ignore[index]
             elif spec.pattern == "hotspot":
-                src = ni
-                if src != hot and rng.random() < _HOTSPOT_FRACTION:
-                    dst = hot  # type: ignore[assignment]
-                else:
-                    dst = rng.randrange(n - 1)
-                    if dst >= src:
-                        dst += 1
-            else:  # regular_mix draws the whole pair, the ni slot only sets rate
-                if rng.random() < spec.regularity:
-                    src, dst = regular[rng.randrange(len(regular))]  # type: ignore[index]
-                else:
-                    src = rng.randrange(n)
-                    dst = rng.randrange(n - 1)
-                    if dst >= src:
-                        dst += 1
-            events.append(TrafficEvent(cycle, src, dst, klass, pid))
-            pid += 1
+                dst = hot if src != hot and rng.random() < _HOTSPOT_FRACTION else other_than(src)
+            # regular_mix draws the whole pair; the ni slot only sets the rate
+            elif rng.random() < spec.regularity:
+                src, dst = regular[rng.randrange(len(regular))]  # type: ignore[index]
+            else:
+                src = rng.randrange(n)
+                dst = other_than(src)
+            events.append(TrafficEvent(cycle, src, dst, klass, len(events)))
     return events
 
 

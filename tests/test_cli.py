@@ -310,6 +310,21 @@ def test_sweep_needs_exactly_one_axis(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("listed", [",", ""], ids=["comma", "empty"])
+@pytest.mark.parametrize("axis", ["--rates", "--subnet-counts"])
+def test_sweep_axis_with_no_value_is_exit_1(capsys, monkeypatch, axis, listed):
+    # the empty axis is refused before any run, the subnet sweep's baseline included
+    def run(config):
+        raise AssertionError("a sweep run started")
+
+    monkeypatch.setattr(hybridnoc.cli, "run_baseline", run)
+    monkeypatch.setattr(hybridnoc.cli, "sweep_injection", run)
+    assert main(["sweep", "--mesh", "2x2", "--cycles", "200", axis, listed]) == 1
+    captured = capsys.readouterr()
+    assert f"config error: list {listed!r} holds no value" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_config_is_exit_1(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.ini")]) == 1
     assert "config error" in capsys.readouterr().err

@@ -159,7 +159,6 @@ SWEEP = {
     "--pattern": (("uniform_random", "permutation", "hotspot", "regular_mix"), ("zigzag",)),
     "--regularity": (("0", "0.5", "1"), ("-0.5", "nan", "x")),
     "--seed": (("0", "3"), ("x",)),
-    "--width-bits": (("128", "64"), ("0", "100", "x")),
     "--fabric": (("vc", "cs", "hybrid"), ("bus",)),
     "--subnets": (("2", "4"), ("1", "3", "0")),
     "--rate": (("0.05", "0.01"), ("0", "0.0001", "5", "nan")),

@@ -258,6 +258,27 @@ def test_plan_on_an_empty_trace_steps_no_cycle():
     assert stats.flits_injected == 0
 
 
+def test_refused_plan_leaves_the_run_as_it_was():
+    # packets queue on a busy circuit when a plan that does not fit the
+    # layout is offered: the refusal comes at once and changes nothing
+    data = PacketClass("data", 640)
+    trace = [TrafficEvent(c, 0, 3, data, c) for c in range(0, 60, 2)]
+    trace += [TrafficEvent(c, 5, 9, data, 100 + c) for c in range(0, 60, 7)]
+    trace.sort(key=lambda ev: ev.inject_cycle)
+    too_wide = CircuitPlan("e2e", e2e_plan(MESH, (0, 3)).subnets * 2)
+
+    def run(offer):
+        sim = Simulation(MESH, HALF, VC, trace, e2e_plan(MESH, (0, 3)), 0, record_flits=True)
+        sim.run_until(20)
+        if offer:
+            with pytest.raises(ConfigError, match="plan wants 2 CS subnets, layout offers 1"):
+                sim.schedule_plan(too_wide, 30)
+        sim.run_to_completion()
+        return dataclasses.asdict(sim.finalize())
+
+    assert run(True) == run(False)
+
+
 @pytest.mark.parametrize("step_back", [
     lambda sim: sim.run_until(50),
     lambda sim: sim.run_to_completion(hard_limit=50),
