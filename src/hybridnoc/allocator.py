@@ -24,6 +24,8 @@ log = logging.getLogger(__name__)
 
 METHODS = ("greedy", "ga", "oracle")
 PLAN_GRANULARITIES = ("e2e", "r2r")
+_PLAN_HEADER = re.compile(
+    rf"granularity=({'|'.join(map(re.escape, PLAN_GRANULARITIES))}) subnets=([0-9]+)")
 
 # profile granularity feeding each plan granularity
 _PROFILE_GRAN = {"e2e": "ni", "r2r": "router"}
@@ -538,6 +540,18 @@ def enumerate_oracle(
     return plan
 
 
+def allocate(method: str, profile: TrafficProfile, mesh: MeshConfig, k: int,
+             granularity: str, ga: Optional[GaParams] = None) -> CircuitPlan:
+    """The plan of method, one of METHODS; only the GA reads ga (default GaParams())."""
+    if method == "greedy":
+        return greedy_allocate(profile, mesh, k, granularity)
+    if method == "oracle":
+        return enumerate_oracle(profile, mesh, k, granularity)
+    if method == "ga":
+        return ga_allocate(profile, mesh, k, ga or GaParams(), granularity)
+    raise ConfigError(f"unknown allocation method {method!r}")
+
+
 # --- plan files -------------------------------------------------------------
 
 def save_plan(plan: CircuitPlan, path: str) -> None:
@@ -558,7 +572,7 @@ def load_plan(path: str, mesh: MeshConfig) -> CircuitPlan:
     with open(path, "rb") as fh:
         rows = read_records(fh, (int,) * 3, header=True)
         lineno, (head,) = next(rows, (1, ("",)))
-        header = re.fullmatch(r"granularity=(e2e|r2r) subnets=([0-9]+)", head)
+        header = _PLAN_HEADER.fullmatch(head)
         if not header:
             raise TraceFormatError(f"line {lineno}: bad plan header {head!r}")
         granularity, digits = header[1], header[2]

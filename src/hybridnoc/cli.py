@@ -20,9 +20,7 @@ from .allocator import (
     METHODS,
     PLAN_GRANULARITIES,
     GaParams,
-    enumerate_oracle,
-    ga_allocate,
-    greedy_allocate,
+    allocate,
     profile_granularity_for,
     save_plan,
 )
@@ -166,16 +164,9 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     if args.limit is not None:
         keep = profile.sorted_pairs()[: args.limit]
         profile.entries = {pair: profile.entries[pair] for pair in keep}
-    if args.method == "greedy":
-        plan = greedy_allocate(profile, mesh, args.subnets, args.granularity)
-    elif args.method == "oracle":
-        plan = enumerate_oracle(profile, mesh, args.subnets, args.granularity)
-    else:
-        plan = ga_allocate(
-            profile, mesh, args.subnets,
-            GaParams(generations=args.generations, seed=args.seed),
-            args.granularity,
-        )
+    # the other methods ignore --generations and --seed, bad values included
+    ga = GaParams(generations=args.generations, seed=args.seed) if args.method == "ga" else None
+    plan = allocate(args.method, profile, mesh, args.subnets, args.granularity, ga)
     save_plan(plan, args.out)
     print(f"{plan.circuit_count()} circuits over {plan.subnet_count} subnets "
           f"-> {args.out}")

@@ -28,9 +28,7 @@ from .allocator import (
     GaParams,
     METHODS,
     PLAN_GRANULARITIES,
-    enumerate_oracle,
-    ga_allocate,
-    greedy_allocate,
+    allocate,
     load_plan,
     plan_weight,
     profile_granularity_for,
@@ -166,19 +164,16 @@ def build_plan(
                 f"plan file is {plan.granularity}, the config asks for {config.granularity}"
             )
         return plan
-    if config.allocator == "greedy":
-        return greedy_allocate(profile, config.mesh, k, config.granularity)
-    if config.allocator == "oracle":
-        return enumerate_oracle(profile, config.mesh, k, config.granularity)
+    ga = config.allocator == "ga"
     # GA is an offline-budget search; fine for static runs, out of budget for
     # per-epoch reconfiguration, so adaptive runs carry an annotation.
-    if adaptive:
+    if ga and adaptive:
         log.warning("GA allocation per epoch is beyond the online budget; "
                     "results are for comparison only")
-    else:
+    elif ga:
         log.warning("GA allocation runs an offline-sized search budget")
-    plan = ga_allocate(profile, config.mesh, k, config.ga, config.granularity)
-    if adaptive:
+    plan = allocate(config.allocator, profile, config.mesh, k, config.granularity, config.ga)
+    if ga and adaptive:
         plan.meta["note"] = "comparison only"
     return plan
 

@@ -619,7 +619,9 @@ class Simulation:
 
     # --- per-cycle phases --------------------------------------------------
     #
-    # _drive calls each phase only in a cycle where it has work.
+    # _drive calls each phase only in a cycle where it has work.  The events
+    # of a cycle, credit returns and VC buffer writes, it does itself, and it
+    # settles the ejection ledger on its own cadence (see _settle).
 
     def _phase_intake(self, c: int) -> None:
         while self.plan_schedule and self.plan_schedule[0][0] == c:
@@ -640,45 +642,14 @@ class Simulation:
             nxt = self.plan_schedule[0][0]
         return nxt
 
-    def _buffer_write(self, writes: List[Tuple[_InVC, _Flit]], c: int) -> None:
-        """Write flits into input VCs: this cycle's arrivals, then injections.
-
-        A head flit routes and queues for VA; every flit may bid for the
-        switch two cycles on.
-        """
-        st = self.stats
-        depth = self.vcc.buffer_depth_flits
-        max_occ = st.max_vc_occupancy
-        ready = c + 2
-        local_port = self.local_port
-        route = self.route
-        va_pending = self.va_pending
-        for ivc, flit in writes:
-            buf = ivc.buf
-            buf.append(flit)
-            if len(buf) > max_occ:
-                max_occ = len(buf)
-                if max_occ > depth:
-                    raise SimulationError("VC buffer overflow; credit accounting broke")
-            flit.ready_sa = ready
-            if flit.idx == 0:
-                r = ivc.router
-                ivc.va_ready = c + 1
-                pkt = flit.pkt
-                dst_r = pkt.dst_router
-                ivc.out_port = local_port[pkt.dst] if r == dst_r else route[r][dst_r]
-                va_pending.append(ivc)
-        st.max_vc_occupancy = max_occ
-        st.buffer_writes[0] += len(writes)
-
     def _phase_vc_injection(self, c: int, writes: List[Tuple[_InVC, _Flit]]) -> None:
         """Each busy NI puts at most one flit into its VC; adds it to writes.
 
         NIs go in the ascending order busy_nis keeps.  An NI leaves it once
         its queue is empty and its last flit is written; the list is pruned
-        after the walk, in a call where some NI drained.  The write can wait
-        for _buffer_write because an NI's VCs sit at its own local port,
-        which no arrival and no other NI writes.
+        after the walk, in a call where some NI drained.  _drive writes the
+        flits after this cycle's arrivals, which is safe because an NI's VCs
+        sit at its own local port, which no arrival and no other NI writes.
         """
         depth = self.vcc.buffer_depth_flits
         ni_cur = self.ni_cur
@@ -908,9 +879,10 @@ class Simulation:
         for its subnet's events; flits created before the warm-up window are
         not measured.  Flit records go by cycle, VC first, then send order.
 
-        Nothing in a cycle reads what retirement writes, so _drive settles
-        only at idle jumps, at least every _SETTLE_CYCLES stepped cycles and
-        when it returns; no flit ejected later is ever retired first.
+        Nothing _drive runs reads what retirement writes, so it settles only
+        at the first cycle it reaches, stepped or jumped to, at least
+        _SETTLE_CYCLES after the last settle, and when it returns; no flit
+        ejected later is ever retired first.
         """
         eject_ev = self.eject_ev
         flits: List[_Flit] = []
@@ -986,10 +958,15 @@ class Simulation:
         and only in a stepped cycle (a send, or a plan activation), in which
         _phase_cs_service runs after them and sets next_send again.
         Ejections, VC and circuit alike, do not stop the clock: they wait in
-        the ledger and are settled in cycle order, at most _SETTLE_CYCLES
-        cycles late, and a drain ends one past the last of them.  Counters
-        are unchanged: cycle-integrated figures read cycles_simulated, which
-        counts skipped cycles like stepped ones.
+        the ledger, which is settled on the cadence _settle states, and a
+        drain ends one past the last of them, or where the clock stands if
+        that is later.  Counters are unchanged: cycle-integrated figures
+        read cycles_simulated, which counts skipped cycles like stepped ones.
+
+        A stepped cycle's events, credit returns and then buffer writes
+        (this cycle's arrivals, then its injections), are applied here: a
+        head flit routes and queues for VA, and every flit may bid for the
+        switch two cycles on.
         """
         if limit < self.cycle:
             raise ConfigError(f"cycle {limit} lies before the current cycle {self.cycle}")
@@ -999,6 +976,11 @@ class Simulation:
         busy_nis = self.busy_nis
         sa_active = self.sa_active
         waiting = self.waiting
+        local_port = self.local_port
+        route = self.route
+        depth = self.vcc.buffer_depth_flits
+        st = self.stats
+        max_occ = st.max_vc_occupancy
         next_intake = self._next_intake()
         c = self.cycle
         settle_at = c + _SETTLE_CYCLES
@@ -1014,15 +996,14 @@ class Simulation:
                     if drain and nxt == math.inf:
                         if not eject_ev:
                             break
-                        nxt = 1 + max(  # one past a VC key's cycle or a record's tail
+                        nxt = max(c, 1 + max(  # one past a VC key's cycle or a record's tail
                             max(p.sent + p.lat + p.n_flits - 1 for p, _ in evs)
-                            if key & 1 else key // 2 for key, evs in eject_ev.items())
+                            if key & 1 else key // 2 for key, evs in eject_ev.items()))
                         if nxt <= limit:
                             c = nxt
                             break
                     if nxt > c:
                         c = min(nxt, limit)
-                        settle_at = c
                 if c >= settle_at:
                     if eject_ev:
                         self._settle(c)
@@ -1044,7 +1025,25 @@ class Simulation:
                         writes = []
                     self._phase_vc_injection(c, writes)
                 if writes:
-                    self._buffer_write(writes, c)
+                    ready = c + 2
+                    va_pending = self.va_pending
+                    for ivc, flit in writes:
+                        buf = ivc.buf
+                        buf.append(flit)
+                        if len(buf) > max_occ:
+                            max_occ = len(buf)
+                            if max_occ > depth:
+                                raise SimulationError(
+                                    "VC buffer overflow; credit accounting broke")
+                        flit.ready_sa = ready
+                        if flit.idx == 0:
+                            r = ivc.router
+                            ivc.va_ready = c + 1
+                            pkt = flit.pkt
+                            dst_r = pkt.dst_router
+                            ivc.out_port = local_port[pkt.dst] if r == dst_r else route[r][dst_r]
+                            va_pending.append(ivc)
+                    st.buffer_writes[0] += len(writes)
                 if waiting:
                     self._phase_cs_service(c)
                 if self.va_pending:
@@ -1053,6 +1052,7 @@ class Simulation:
                     self._phase_sa(c)
                 c += 1
         finally:
+            st.max_vc_occupancy = max_occ
             if eject_ev:
                 self._settle(c)
             self.cycle = c

@@ -13,6 +13,7 @@ from hybridnoc import (
     AllocationError,
     CandidatePair,
     CircuitPlan,
+    ConfigError,
     GaParams,
     MeshConfig,
     PairTraffic,
@@ -31,6 +32,7 @@ from hybridnoc import (
 from hybridnoc.allocator import (
     _BLOCK,
     MAX_POPULATION,
+    METHODS,
     _Individual,
     _conflict_masks,
     _draws_below,
@@ -38,6 +40,7 @@ from hybridnoc.allocator import (
     _first_fit,
     _lanes,
     _randbelow,
+    allocate,
 )
 from hybridnoc.topology import MAX_CS_SUBNETS
 
@@ -81,6 +84,19 @@ def test_chain_instance_oracle_matches():
     prof = router_profile(CHAIN_MESH, CHAIN_COUNTS)
     assert plan_weight(enumerate_oracle(prof, CHAIN_MESH, 1, "r2r"), prof) == 40
     assert plan_weight(enumerate_oracle(prof, CHAIN_MESH, 2, "r2r"), prof) == 60
+
+
+def test_allocate_dispatches_each_method_by_name():
+    prof = router_profile(CHAIN_MESH, CHAIN_COUNTS)
+    ga = GaParams(generations=20, seed=3)
+    direct = {"greedy": greedy_allocate(prof, CHAIN_MESH, 2, "r2r"),
+              "ga": ga_allocate(prof, CHAIN_MESH, 2, ga, "r2r"),
+              "oracle": enumerate_oracle(prof, CHAIN_MESH, 2, "r2r")}
+    assert set(direct) == set(METHODS)
+    for method, plan in direct.items():
+        assert allocate(method, prof, CHAIN_MESH, 2, "r2r", ga) == plan
+    with pytest.raises(ConfigError, match="unknown allocation method 'lp'"):
+        allocate("lp", prof, CHAIN_MESH, 2, "r2r")
 
 
 def test_plan_weight_examples():

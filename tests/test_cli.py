@@ -120,6 +120,24 @@ def test_allocate_rejects_negative_limit(tmp_path, capsys):
     assert not plan_path.exists()
 
 
+def test_only_the_ga_reads_generations_and_seed(tmp_path, capsys):
+    # greedy and oracle ignore --generations and --seed, bad values included
+    prof_path = tmp_path / "p.profile"
+    prof_path.write_text("0,5,10,2\n1,6,4,2\n3,12,7,3\n")
+    for method in ("greedy", "oracle", "ga"):
+        plans = []
+        for generations, seed in (("3", "0"), ("-1", "7")):
+            plan_path = tmp_path / f"{method}{len(plans)}.plan"
+            rc = main(["allocate", str(prof_path), "--method", method, "--subnets", "2",
+                       "--generations", generations, "--seed", seed, "--out", str(plan_path)])
+            plans.append(plan_path.read_text() if rc == 0 else rc)
+        if method == "ga":
+            assert isinstance(plans[0], str) and plans[1] == 1
+            assert "generations cannot be negative" in capsys.readouterr().err
+        else:
+            assert isinstance(plans[0], str) and plans[0] == plans[1]
+
+
 def test_allocate_requires_out(tmp_path, capsys):
     prof_path = tmp_path / "p.profile"
     prof_path.write_text("# pair profile\n")

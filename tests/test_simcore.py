@@ -310,6 +310,18 @@ def test_plan_scheduled_in_idle_gap_activates_on_its_cycle():
     assert classes == {0: "vc", 1: "cs1"}
 
 
+def test_drain_after_a_late_plan_activation_ends_past_it():
+    # the flit ejects at cycle 19 and waits in the ledger, which is not
+    # settled when the clock jumps to the activation at 100; the drain must
+    # end one past the activation, not one past the eject
+    sim = Simulation(MESH, HALF, VC, one_packet(3, PacketClass("control", 64)), None, 0)
+    sim.schedule_plan(e2e_plan(MESH, (0, 3)), 100)
+    sim.run_to_completion()
+    assert sim.cycle == 101
+    stats = sim.finalize()
+    assert (stats.cycles_simulated, stats.flits_ejected) == (101, 1)
+
+
 def test_run_until_with_nothing_to_do_stops_on_target():
     for trace in ([], [TrafficEvent(20000, 0, 3, PacketClass("control", 64), 0)]):
         sim = Simulation(MESH, HALF, VC, trace, None, 0)
@@ -480,6 +492,35 @@ def test_never_idle_run_holds_ejections_at_most_the_settle_bound():
     assert sim.finalize().flits_ejected > 0
 
 
+def test_short_jumps_settle_once_per_settle_bound():
+    # one control packet every 40 cycles crosses the mesh in at most 34, so
+    # the clock jumps before almost every packet, far more often than once
+    # per settle bound; retirement waits for the bound or a _drive return
+    ctrl = PacketClass("control", 64)
+    trace = [TrafficEvent(40 * i, i % 16, (7 * i + 3) % 16, ctrl, i) for i in range(200)]
+    sim = Simulation(MESH, FULL, VC, trace, None, 0)
+    ends = []
+    settle = sim._settle
+
+    def spy(end):
+        ends.append(end)
+        settle(end)
+
+    sim._settle = spy
+    returns = set()  # the settle, if any, of each _drive return
+    for run in (lambda: sim.run_until(3001), lambda: sim.run_until(5000),
+                sim.run_to_completion):
+        run()
+        if ends and ends[-1] == sim.cycle:
+            returns.add(len(ends) - 1)
+    assert len(ends) <= sim.cycle // _SETTLE_CYCLES + 3
+    for i, end in enumerate(ends):
+        if i not in returns:
+            assert end - (ends[i - 1] if i else 0) >= _SETTLE_CYCLES
+    assert len(trace) > 5 * len(ends)
+    assert sim.finalize().flits_ejected == len(trace)
+
+
 def test_packets_a_million_cycles_apart_keep_the_vc_contract():
     ctrl = PacketClass("control", 128)
     trace = [TrafficEvent(0, 0, 15, ctrl, 0), TrafficEvent(1_000_000, 0, 15, ctrl, 1)]
@@ -582,6 +623,31 @@ def test_occupancy_stays_within_depth():
     trace = generate(SyntheticSpec("uniform_random", 0.2), MESH, 3, 1500)
     stats = simulate(MESH, FULL, VC, trace, cycles_limit=1500)
     assert 0 < stats.max_vc_occupancy <= VC.buffer_depth_flits
+
+
+def blocked_vc_train(extra_credits):
+    """vc_train's packet 0 -> 2, which router 2 never takes from router 1,
+    so it piles up in a 4-flit VC of router 1, whose upstream router 0
+    holds extra_credits more credits for it than it has slots."""
+    sim = vc_train()
+
+    def facing(r, toward):
+        return next(p for p, far in enumerate(sim.peer[r]) if far and far[0] == toward)
+
+    for ivc in sim.invc[1][facing(1, 0)]:
+        ivc.credit += extra_credits
+    for ivc in sim.invc[2][facing(2, 1)]:
+        ivc.credit = 0
+    return sim
+
+
+def test_credits_beyond_the_buffer_depth_overflow_it():
+    sim = blocked_vc_train(0)
+    sim.run_until(200)
+    assert sim.finalize().max_vc_occupancy == VC.buffer_depth_flits
+    # the fifth flit finds the VC full
+    with pytest.raises(SimulationError, match="VC buffer overflow; credit accounting broke"):
+        blocked_vc_train(1).run_until(200)
 
 
 def test_cycles_limit_reports_in_flight():

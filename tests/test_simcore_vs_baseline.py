@@ -19,7 +19,10 @@ twice the engine's settle bound, with VC and circuit flits ejecting in the
 same cycles, and cut the run inside that stretch, where ejections are
 retired only on that bound.  On the all-circuit fabric, saturation keeps
 packets queued at their NIs for many cycles, where the clock jumps between
-the cycles a path frees, and the cut falls while they queue.
+the cycles a path frees, and the cut falls while they queue.  Gapped
+scenarios put idle gaps shorter and longer than the settle bound between
+bursts, so ejections wait in the ledger across jumps of both kinds, and
+cut the run inside a gap and inside a burst.
 
 Burst, hot-spot and saturation scenarios draw 1-4 NIs per router, as on
 the 51-NI CMP, and the VC organization (vnets, VCs per vnet, buffer
@@ -192,16 +195,24 @@ def _replan(scenario, activation, second):
     return hn.greedy_allocate(prof, mesh, layout.cs_subnet_count, fabric)
 
 
-def _run_stepped(pkg, scenario, plan, activation=None, second_plan=None):
-    """Stats and pair counts of a Simulation run to the cut or to its
-    drain, with second_plan, if any, scheduled at activation."""
-    _, _, _, k, fabric, _, cut, seed, vc = scenario
+def _simulation(pkg, scenario, plan, activation=None, second_plan=None):
+    """pkg's Simulation of scenario with plan, and with second_plan, if any,
+    scheduled at activation."""
+    _, _, _, k, fabric, _, _, seed, vc = scenario
     mesh, trace = _inputs(pkg, scenario)
     sim = pkg.Simulation(mesh, pkg.SubnetLayout(128, k), pkg.VcConfig(*vc), trace,
                          plan, seed, warmup_cycles=20, record_flits=True,
                          cs_all=(fabric == "cs_all"))
     if second_plan is not None:
         sim.schedule_plan(second_plan, activation)
+    return sim
+
+
+def _run_stepped(pkg, scenario, plan, activation=None, second_plan=None):
+    """Stats and pair counts of a Simulation run to the cut or to its
+    drain, with second_plan, if any, scheduled at activation."""
+    sim = _simulation(pkg, scenario, plan, activation, second_plan)
+    cut = scenario[6]
     if cut is None:
         sim.run_to_completion()
     else:
@@ -406,3 +417,81 @@ def test_saturated_all_circuit_run_cut_mid_queue_matches_frozen_baseline(scenari
     sim = hn.Simulation(mesh, hn.SubnetLayout(128, 1), hn.VcConfig(), trace, cs_all=True)
     sim.run_until(scenario[6])
     assert any(queue for q in sim.waiting.values() for queue in q.ni_queues.values())
+
+
+@st.composite
+def gapped(draw):
+    """Bursts apart by idle gaps both shorter and longer than the settle
+    bound, two cuts, one inside a gap and one inside a burst, and on a
+    planned fabric a second plan that activates inside a gap or after the
+    last burst.
+
+    The engine settles the ejection ledger only on its bound and when a
+    run call returns, so ejections wait in it across short jumps and
+    long ones.
+    """
+    width = draw(st.integers(2, 4))
+    height = draw(st.integers(2, 3))
+    nis = tuple(draw(ni_counts(width, height, 3)))
+    k = draw(st.sampled_from([1, 2, 4]))
+    fabric = draw(st.sampled_from(["vc", "cs_all"] if k == 1 else ["e2e", "r2r"]))
+    mesh = hn.MeshConfig(width, height, nis)
+    short = st.integers(1, _SETTLE_CYCLES - 1)
+    long = st.integers(_SETTLE_CYCLES + 100, 5 * _SETTLE_CYCLES)
+    gaps = draw(st.permutations([draw(short), draw(long)] + draw(st.lists(short | long,
+                                                                           max_size=3))))
+    packets = []
+    bursts = []  # (first cycle, last cycle) of each burst's packets
+    cycle = draw(st.integers(0, 50))
+    for gap in gaps + [None]:
+        first = cycle
+        for _ in range(draw(st.integers(1, 15))):
+            cycle += draw(st.sampled_from([0, 0, 1, 2]))
+            src, dst = draw(st.permutations(range(mesh.n_nis)))[:2]
+            kind, bits = draw(st.sampled_from([("control", 64), ("data", 640)]))
+            packets.append((cycle, src, dst, kind, bits))
+        bursts.append((first, cycle))
+        if gap is not None:
+            cycle += gap
+    # a gap runs from one burst's last packet to the next burst's first;
+    # the last one, from the last packet on, holds the drain
+    quiet = [(a[1] + 1, b[0] - 1) for a, b in zip(bursts, bursts[1:]) if b[0] - a[1] > 1]
+    quiet.append((cycle + 1, cycle + 5 * _SETTLE_CYCLES))
+    lo, hi = draw(st.sampled_from(quiet[:-1] or quiet))
+    in_gap = draw(st.integers(lo, hi))
+    lo, hi = draw(st.sampled_from(bursts))
+    in_burst = draw(st.integers(lo + 1, hi + 30))
+    cuts = tuple(sorted({in_gap, in_burst}))
+    scenario = (width, height, nis, k, fabric, packets, None, draw(st.integers(0, 3)),
+                draw(vc_configs))
+    if fabric not in ("e2e", "r2r"):
+        return scenario, cuts, None, None
+    lo, hi = draw(st.sampled_from(quiet))
+    return scenario, cuts, draw(st.integers(lo, hi)), draw(st.sampled_from(["empty", "later"]))
+
+
+def _retired(sim):
+    """sim's clock, the pair counts it took since the last call, and what
+    it has retired so far; with no window closed, its counters run from
+    cycle 0 on either copy."""
+    stats = sim.stats
+    return (sim.cycle, sim.take_pair_counts(), stats.flits_ejected, stats.in_circuit_flits,
+            stats.latency_hist, [dataclasses.asdict(r) for r in stats.flit_records])
+
+
+@settings(max_examples=40, phases=NO_SHRINK)
+@given(gapped())
+def test_gapped_run_cut_in_a_gap_and_a_burst_matches_frozen_baseline(case):
+    scenario, cuts, activation, second = case
+    plans = (_plan(scenario),)
+    if activation is not None:
+        plans += (activation, _replan(scenario, activation, second))
+    sims = [_simulation(pkg, scenario, *plans) for pkg in (hn, base)]
+    for cut in cuts:
+        for sim in sims:
+            sim.run_until(cut)
+        assert _retired(sims[0]) == _retired(sims[1])
+    for sim in sims:
+        sim.run_to_completion()
+    assert _retired(sims[0]) == _retired(sims[1])
+    assert figures(sims[0].finalize()) == figures(sims[1].finalize())
