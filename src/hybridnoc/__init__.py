@@ -28,14 +28,10 @@ from .energy import (
     account,
 )
 from .orchestrator import (
-    ALLOCATORS,
     DESK_EPOCH_CYCLES,
-    EPOCH_TO_PERIOD_RATIO,
-    MODES,
     SUMMARY_HEADER,
     ExperimentConfig,
     RunResult,
-    SweepPoint,
     build_plan,
     load_config,
     make_trace,
@@ -51,7 +47,6 @@ from .orchestrator import (
     write_run_report,
 )
 from .simcore import (
-    FlitRecord,
     SimStats,
     Simulation,
     SimulationError,
@@ -68,8 +63,6 @@ from .topology import (
     xy_route,
 )
 from .traffic import (
-    FULL_LINK_WIDTH_BITS,
-    PATTERNS,
     PacketClass,
     PairTraffic,
     SyntheticSpec,

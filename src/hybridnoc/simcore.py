@@ -25,12 +25,13 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import count, groupby, product
 from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .allocator import CircuitPlan
-from .topology import MAX_CS_SUBNETS, ConfigError, MeshConfig, xy_route
+from .topology import MAX_CS_SUBNETS, MAX_MESH_SIDE, ConfigError, MeshConfig, xy_route
 from .traffic import PacketClass, TrafficEvent, flits_for_packet
 
 log = logging.getLogger(__name__)
@@ -272,7 +273,6 @@ class _Flit:
         self.idx = idx
         self.is_tail = idx == pkt.n_flits - 1
         self.entered = entered
-        self.ready_sa = 0
 
 
 class _InVC:
@@ -547,6 +547,16 @@ class Simulation:
     # --- intake and classification ----------------------------------------
 
     def _intake(self, ev: TrafficEvent) -> None:
+        """Make ev's packet and queue it, or replay a VC packet that is alone.
+
+        A packet is alone from intake to last ejection if the VC subnet holds
+        no flit (no VC queued, routed or granted, no flit on a link), each
+        input VC on its path has full credit, none due, and before the cycle
+        of that ejection no plan activates and every packet takes a circuit.
+        It then takes its vnet's first VC at every hop and wins every switch
+        request, so _replay files its life at once.  What comes in on that
+        last cycle starts after its credits return, as if it had stepped.
+        """
         pair = (ev.src, ev.dst)
         geometry = self.pair_table.get(pair)
         if geometry is None:  # router_of_ni range-checks a pair not seen yet
@@ -570,8 +580,44 @@ class Simulation:
             circuit = self.circuits[ev.src]
             circuit.ni_queues[ev.src].append(pkt)
             self.waiting[circuit.cid] = circuit
-        else:
+        elif pair in self.match or not self._replay(pkt):
             self._dispatch(pkt)
+
+    def _replay(self, pkt: _Packet) -> bool:
+        """File pkt's life from its intake cycle as _lone_life measured it, and
+        move its path's SA pointers, if it is alone and limit does not cut it."""
+        if self.va_pending or self.busy_nis or self.sa_active or self.arrival_ev:
+            return False
+        flits, life = _lone_life(pkt.hops, pkt.n_flits, self.vcc)
+        last = pkt.created + flits[-1][1]
+        if last >= self.limit or self.plan_schedule and self.plan_schedule[0][0] < last:
+            return False
+        trace, i = self.trace, self.trace_ptr + 1
+        while i < len(trace) and trace[i].inject_cycle < last:
+            if (trace[i].src, trace[i].dst) not in self.match:
+                return False
+            i += 1
+        v = pkt.vnet * self.vcc.vcs_per_vnet
+        r, p, dst_r, path = pkt.src_router, self.local_port[pkt.src], pkt.dst_router, []
+        while r != dst_r:
+            path.append((self.invc[r][p][v], self.route[r][dst_r]))
+            r, p = self.peer[r][path[-1][1]]
+        path.append((self.invc[r][p][v], self.local_port[pkt.dst]))
+        if any(ivc.credit != self.vcc.buffer_depth_flits for ivc, _ in path):
+            return False
+        for ivc, out in path:
+            ivc.rr[out] = ivc.after
+        for idx, (entered, out) in enumerate(flits):
+            flit = _Flit(pkt, idx, pkt.created + entered)
+            flit.out = pkt.created + out
+            self.eject_ev.setdefault(2 * flit.out, []).append(flit)
+        st = self.stats
+        for name in ("flits_injected", "sw_allocations", "vc_allocations"):
+            setattr(st, name, getattr(st, name) + getattr(life, name))
+        st.buffer_writes[0] += life.buffer_writes[0]
+        st.link_traversals[0] += life.link_traversals[0]
+        st.max_vc_occupancy = max(st.max_vc_occupancy, life.max_vc_occupancy)
+        return True
 
     def _dispatch(self, pkt: _Packet) -> None:
         """Queue pkt at its circuit or, with none, at its NI's VC side.
@@ -836,7 +882,7 @@ class Simulation:
                 ivc.reserved = False
                 ivc.down = None
                 del sa_active[bisect_left(sa_active, ivc.key, key=_BY_KEY)]
-        # SA alone schedules these events, once per cycle, so the keys are new
+        # SA schedules these once a cycle, after a replay's keys, so the keys are new
         if arrivals:
             self.arrival_ev[c + 3] = arrivals
         if ejects:
@@ -950,10 +996,12 @@ class Simulation:
         remains, and raise SimulationError if work remains at limit.  A
         limit before self.cycle is a ConfigError: the clock never runs back.
 
-        Only VC work keeps the clock stepping.  Without it, the clock jumps
-        (no further than limit) to the next cycle with work: the next
-        packet, plan activation, flit arrival, credit return, or next_send,
-        before which no waiting circuit, all-circuit NIs included, may send.
+        Only VC work keeps the clock stepping, and a lone VC packet makes
+        none: _intake replays its life whole if it ends before limit.  Without
+        VC work the clock jumps (no further than limit) to the next cycle with
+        work: the next packet, plan activation, flit arrival, credit return,
+        or next_send, before which no waiting circuit, all-circuit NIs
+        included, may send.
         Skipping to it changes nothing: wire_free entries only move later,
         and only in a stepped cycle (a send, or a plan activation), in which
         _phase_cs_service runs after them and sets next_send again.
@@ -983,6 +1031,7 @@ class Simulation:
         max_occ = st.max_vc_occupancy
         next_intake = self._next_intake()
         c = self.cycle
+        self.limit = limit
         settle_at = c + _SETTLE_CYCLES
         try:
             while True:
@@ -1052,7 +1101,7 @@ class Simulation:
                     self._phase_sa(c)
                 c += 1
         finally:
-            st.max_vc_occupancy = max_occ
+            st.max_vc_occupancy = max(st.max_vc_occupancy, max_occ)  # a replay's peak
             if eject_ev:
                 self._settle(c)
             self.cycle = c
@@ -1120,6 +1169,23 @@ class Simulation:
         self.window_start = cycle
         self.carried = resident
         return st
+
+
+@lru_cache(maxsize=None)
+def _lone_life(hops: int, n_flits: int, vcc: VcConfig) -> Tuple[tuple, SimStats]:
+    """Each flit's (entered, out) cycle and the counters of one n_flits packet
+    stepped alone from cycle 0 over hops hops, all that a lone packet's life
+    depends on, on a line of routers that turns north at the mesh side limit;
+    _dispatch queues it, so the measuring run never replays."""
+    width = min(hops, MAX_MESH_SIDE - 1) + 1
+    mesh = MeshConfig(width, hops - width + 2, 1 if hops else 2)
+    dst = mesh.n_nis - 1
+    sim = Simulation(mesh, SubnetLayout(), vcc, (), record_flits=True)
+    sim._dispatch(_Packet(TrafficEvent(0, 0, dst, None, 0), (0, dst),
+                          (0, mesh.n_routers - 1, hops, 0, ()), (n_flits, 0)))
+    sim.run_to_completion()
+    stats = sim.finalize()
+    return tuple((r.inject_cycle, r.eject_cycle) for r in stats.flit_records), stats
 
 
 def simulate(

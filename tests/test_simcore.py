@@ -878,3 +878,142 @@ def test_sweep_hybrid_fabric_plans_circuits(granularity):
                           granularity=granularity, regularity=0.9)
     points = sweep_injection(config, [0.02, 0.05], fabric="hybrid")
     assert all(p.in_circuit_fraction > 0 for p in points)
+
+
+# --- lone VC packets, replayed at intake --------------------------------------
+
+CTRL = PacketClass("control", 64)
+DATA = PacketClass("data", 640)
+# the cycle, from its intake, that the tail of a lone DATA packet over 6 hops
+# ejects on a subnet of HALF: 10 flits of 64 bits
+LAST = simcore._lone_life(6, 10, VC)[0][-1][1]
+
+
+def stepping(sim):
+    """sim with the replay turned off, so that every VC packet steps."""
+    sim._replay = lambda pkt: False
+    return sim
+
+
+def decisions(sim):
+    """The list that a spy on sim's replay fills, one entry per call."""
+    made = []
+    replay = sim._replay
+
+    def spy(pkt):
+        made.append(replay(pkt))
+        return made[-1]
+
+    sim._replay = spy
+    return made
+
+
+def run_windows(sim, cuts):
+    """Run sim to each cut, then drain it, closing a window each time; per
+    window, its stats, pair counts, clock and every router's SA pointers."""
+    out = []
+    for cut in list(cuts) + [None]:
+        sim.run_to_completion() if cut is None else sim.run_until(cut)
+        pairs = sim.take_pair_counts()
+        out.append((dataclasses.asdict(sim.finalize()), pairs, sim.cycle,
+                    [list(router[0][0].rr) for router in sim.invc]))
+    return out
+
+
+def test_lone_packets_are_replayed_without_switch_allocation():
+    # 24 packets 60 cycles apart, longer than any life on the 4x4 mesh
+    trace = [TrafficEvent(60 * i, 5 * i % 16, (5 * i + 3 + i % 7) % 16, (CTRL, DATA)[i % 2], i)
+             for i in range(24)]
+    sim = Simulation(MESH, FULL, VC, trace, None, 3, record_flits=True)
+    made = decisions(sim)
+
+    def phase_sa(c):
+        raise AssertionError(f"a lone packet bid for the switch in cycle {c}")
+
+    sim._phase_sa = phase_sa
+    stepped = stepping(Simulation(MESH, FULL, VC, trace, None, 3, record_flits=True))
+    assert run_windows(sim, [700]) == run_windows(stepped, [700])
+    assert made == [True] * len(trace)
+
+
+@pytest.mark.parametrize("later, activation, cuts, tamper, made", [
+    ([TrafficEvent(20, 5, 6, CTRL, 1)], None, [], False, [False, False]),
+    ([TrafficEvent(LAST, 5, 6, CTRL, 1)], None, [], False, [True, True]),
+    ([TrafficEvent(20, 1, 2, CTRL, 1)], None, [], False, [True]),
+    ([TrafficEvent(LAST - 3, 11, 15, CTRL, 1)], None, [], False, [False, False]),
+    ([TrafficEvent(LAST - 1, 11, 15, CTRL, 1)], None, [], False, [False, True]),
+    ([TrafficEvent(LAST - 1, 11, 15, DATA, 1)], None, [], False, [False, False]),
+    ([], 10, [], False, [False]),
+    ([], LAST, [], False, [True]),
+    ([], None, [LAST], False, [False]),
+    ([], None, [LAST + 1], False, [True]),
+    ([], None, [], True, [False]),
+], ids=["vc-intake-inside", "vc-intake-at-last", "circuit-intake-inside", "tail-in-a-router",
+        "credit-due-off-path", "credit-due-on-path", "plan-inside", "plan-at-last",
+        "cut-at-last", "cut-past-last", "credits"])
+def test_replay_declines_what_may_meet_the_packet(later, activation, cuts, tamper, made):
+    # a DATA packet NI 0 -> 15 at cycle 0, with a circuit NI 1 -> 2 installed;
+    # whatever comes in, activates or cuts before its last cycle makes it step,
+    # and each run matches one where every packet steps.  Stepped, its tail
+    # waits alone in router 15 in cycle LAST - 3, and in LAST - 1 it has left
+    # but router 11 still waits for credits of its VC of vnet 1, the vnet of
+    # DATA (CTRL takes vnet 0)
+    trace = [TrafficEvent(0, 0, 15, DATA, 0)] + later
+
+    def run(sim):
+        if activation is not None:
+            sim.schedule_plan(e2e_plan(MESH, (1, 2), (5, 6)), activation)
+        if tamper:  # upstream router 0 holds one credit less for router 1's VCs
+            port = next(p for p, far in enumerate(sim.peer[1]) if far and far[0] == 0)
+            for ivc in sim.invc[1][port]:
+                ivc.credit -= 1
+        return run_windows(sim, cuts)
+
+    sim = Simulation(MESH, HALF, VC, trace, e2e_plan(MESH, (1, 2)), 2, record_flits=True)
+    seen = decisions(sim)
+    assert run(sim) == run(stepping(Simulation(MESH, HALF, VC, trace, e2e_plan(MESH, (1, 2)),
+                                               2, record_flits=True)))
+    assert seen == made
+
+
+def assert_lives_as_on_a_line(mesh, layout, vcc, event, seed):
+    """event's packet, stepped alone on mesh, has the schedule and counts
+    _lone_life measures on a line of the same length."""
+    sim = stepping(Simulation(mesh, layout, vcc, [event], None, seed, record_flits=True))
+    sim.run_to_completion()
+    stats = sim.finalize()
+    hops = mesh.hop_distance(mesh.router_of_ni(event.src), mesh.router_of_ni(event.dst))
+    flits, life = simcore._lone_life(hops, len(stats.flit_records), vcc)
+    start = event.inject_cycle
+    assert [(r.inject_cycle - start, r.eject_cycle - start) for r in stats.flit_records] == \
+        list(flits)
+
+    def counts(s):
+        return (s.flits_injected, s.sw_allocations, s.vc_allocations, s.buffer_writes[0],
+                s.link_traversals[0], s.max_vc_occupancy)
+
+    assert counts(stats) == counts(life)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_a_lone_packet_lives_as_on_a_line(width, height, data):
+    nis = data.draw(st.lists(st.integers(1, 3), min_size=width * height,
+                             max_size=width * height))
+    mesh = MeshConfig(width, height, tuple(nis))
+    assume(mesh.n_nis > 1)
+    src, dst = data.draw(st.permutations(range(mesh.n_nis)))[:2]
+    klass = PacketClass(*data.draw(st.sampled_from(
+        [("control", 64), ("control", 128), ("data", 640), ("data", 1280)])))
+    vcc = VcConfig(*data.draw(st.tuples(st.integers(1, 3), st.integers(1, 4),
+                                        st.integers(1, 8))))
+    layout = data.draw(st.sampled_from([FULL, HALF, SubnetLayout(128, 4)]))
+    event = TrafficEvent(data.draw(st.integers(0, 500)), src, dst, klass, 0)
+    assert_lives_as_on_a_line(mesh, layout, vcc, event, data.draw(st.integers(0, 7)))
+
+
+def test_a_lone_packet_past_the_mesh_side_lives_as_on_a_turning_line():
+    # 33 hops: the measuring line is 32 routers long, then turns north
+    mesh = MeshConfig.grid(20, 15)
+    event = TrafficEvent(7, 0, mesh.n_nis - 1, DATA, 0)
+    assert_lives_as_on_a_line(mesh, HALF, VcConfig(2, 2, 2), event, 1)

@@ -24,6 +24,14 @@ scenarios put idle gaps shorter and longer than the settle bound between
 bursts, so ejections wait in the ledger across jumps of both kinds, and
 cut the run inside a gap and inside a burst.
 
+Lone-packet scenarios send VC packets far enough apart that most are
+alone in the network, which the engine replays at intake instead of
+stepping them, with circuit packets coming in inside their lives, then a
+contended burst through the same routers, where the switch allocator's
+pointers that the replays moved decide who goes first; runs are cut inside
+a replayed life, in the warm-up and at an epoch boundary, where a new plan
+activates.
+
 Burst, hot-spot and saturation scenarios draw 1-4 NIs per router, as on
 the 51-NI CMP, and the VC organization (vnets, VCs per vnet, buffer
 depth), down to one VC of one slot, so NIs and heads often wait for a
@@ -33,7 +41,7 @@ free VC or a free buffer slot.
 import dataclasses
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hybridnoc as hn
 from frozen_baseline import NO_SHRINK, base
@@ -495,3 +503,96 @@ def test_gapped_run_cut_in_a_gap_and_a_burst_matches_frozen_baseline(case):
         sim.run_to_completion()
     assert _retired(sims[0]) == _retired(sims[1])
     assert figures(sims[0].finalize()) == figures(sims[1].finalize())
+
+
+@st.composite
+def lone_lives(draw):
+    """VC packets 0-150 cycles apart, mostly alone in the network, some in
+    the 20-cycle warm-up; on a planned fabric, data packets of 1-2 hot
+    pairs, which the first plan puts on circuits, come in 1-12 cycles after
+    VC packets; then a burst from NIs on the lone packets' routers to their
+    destinations.  Up to three cuts fall in the warm-up, inside a lone
+    packet's life, or at an epoch boundary where a second plan activates.
+    """
+    width = draw(st.integers(2, 4))
+    height = draw(st.integers(1, 4))
+    nis = tuple(draw(ni_counts(width, height, 3)))
+    mesh = hn.MeshConfig(width, height, nis)
+    n = mesh.n_nis
+    assume(n > 2)
+    k = draw(st.sampled_from([1, 2, 4]))
+    fabric = "vc" if k == 1 else draw(st.sampled_from(["e2e", "r2r"]))
+    ni_pairs = st.permutations(range(n)).map(lambda p: tuple(p[:2]))
+    hot = draw(st.lists(ni_pairs, min_size=1, max_size=2, unique=True))
+    classes = st.sampled_from([("control", 64), ("control", 128), ("data", 640)])
+    packets = []
+    lives = []  # intake cycles of the VC packets
+    cycle = draw(st.integers(0, 15))
+    for _ in range(draw(st.integers(2, 14))):
+        src, dst = draw(ni_pairs)
+        packets.append((cycle, src, dst) + draw(classes))
+        lives.append(cycle)
+        for _ in range(draw(st.integers(0, 3) if k > 1 else st.just(0))):
+            packets.append((cycle + draw(st.integers(1, 12)),) + draw(st.sampled_from(hot))
+                           + ("data", 640))
+        cycle += draw(st.sampled_from([0, 10, 60, 80, 100, 150]))
+    cycle += draw(st.integers(0, 40))
+    lone = packets[:]
+    near = sorted({ni for _, src, dst, _, _ in lone
+                   for r in (mesh.router_of_ni(src), mesh.router_of_ni(dst))
+                   for ni in mesh.nis_of_router(r)})
+    targets = sorted({dst for _, _, dst, _, _ in lone})
+    for _ in range(draw(st.integers(2, 16))):
+        src = draw(st.sampled_from(near))
+        dst = draw(st.sampled_from(targets))
+        if src != dst:
+            packets.append((cycle + draw(st.integers(0, 2)), src, dst) + draw(classes))
+    packets.sort(key=lambda pkt: pkt[0])
+    cuts = {draw(st.integers(1, 19)), draw(st.sampled_from(lives)) + draw(st.integers(1, 40))}
+    boundary = draw(st.integers(1, cycle + 10))
+    cuts = sorted(draw(st.sets(st.sampled_from(sorted(cuts | {boundary})), min_size=1)))
+    scenario = (width, height, nis, k, fabric, packets, None, draw(st.integers(0, 3)),
+                (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 8))))
+    second = draw(st.sampled_from([None, "empty", "later"])) if k > 1 else None
+    return scenario, hot, cuts, boundary, second
+
+
+def _hot_plan(scenario, hot):
+    """The plan of scenario's planned fabric from its hot pairs' packets."""
+    k, fabric = scenario[3:5]
+    if fabric not in ("e2e", "r2r"):
+        return None
+    mesh, trace = _inputs(hn, scenario)
+    layout = hn.SubnetLayout(128, k)
+    prof = hn.profile([ev for ev in trace if (ev.src, ev.dst) in hot], mesh,
+                      hn.profile_granularity_for(fabric), layout.subnet_width_bits)
+    return hn.greedy_allocate(prof, mesh, layout.cs_subnet_count, fabric)
+
+
+@settings(max_examples=80, phases=NO_SHRINK)
+@given(lone_lives())
+def test_lone_packets_then_a_burst_match_frozen_baseline(case):
+    scenario, hot, cuts, boundary, second = case
+    plans = (_hot_plan(scenario, hot),)
+    if second is not None:
+        plans += (boundary, _replan(scenario, boundary, second))
+    sims = [_simulation(pkg, scenario, *plans) for pkg in (hn, base)]
+    for cut in cuts:
+        for sim in sims:
+            sim.run_until(cut)
+        assert _retired(sims[0]) == _retired(sims[1])
+    for sim in sims:
+        sim.run_to_completion()
+    assert _retired(sims[0]) == _retired(sims[1])
+    assert figures(sims[0].finalize()) == figures(sims[1].finalize())
+    # the frozen copy's counters do not close per window, so the windows
+    # closed at the cuts are held to a run of the engine that never replays
+    sims = [_simulation(hn, scenario, *plans) for _ in range(2)]
+    sims[1]._replay = lambda pkt: False
+    windows = [[], []]
+    for cut in cuts + [None]:
+        for sim, out in zip(sims, windows):
+            sim.run_to_completion() if cut is None else sim.run_until(cut)
+            out.append((sim.cycle, sim.take_pair_counts(), figures(sim.finalize()),
+                        [list(router[0][0].rr) for router in sim.invc]))
+    assert windows[0] == windows[1]
