@@ -260,10 +260,10 @@ def unloaded_latency(route_class: str, hops: int) -> int:
 class _Flit:
     """Flit idx of packet pkt on the VC subnet.
 
-    entered is the cycle it entered the network; ready_sa is the first
-    cycle it may bid for the switch; out is the cycle it ejects, stamped
-    when SA sends it out to its NI.  Circuit flits have no _Flit: the
-    ejection ledger holds one record per circuit packet.
+    entered is the cycle it entered the network; ready_sa, set when it is
+    written, is the first cycle it may bid for the switch; out is the cycle
+    it ejects, stamped by SA or by _replay.  Circuit flits have no _Flit:
+    the ejection ledger holds one record per circuit packet.
     """
 
     __slots__ = ("pkt", "idx", "is_tail", "entered", "ready_sa", "out")
@@ -555,7 +555,8 @@ class Simulation:
         of that ejection no plan activates and every packet takes a circuit.
         It then takes its vnet's first VC at every hop and wins every switch
         request, so _replay files its life at once.  What comes in on that
-        last cycle starts after its credits return, as if it had stepped.
+        last cycle starts after its credits return, as if it had stepped.  A
+        packet of MAX_MESH_SIDE hops or more steps: no mesh is a line so long.
         """
         pair = (ev.src, ev.dst)
         geometry = self.pair_table.get(pair)
@@ -586,7 +587,8 @@ class Simulation:
     def _replay(self, pkt: _Packet) -> bool:
         """File pkt's life from its intake cycle as _lone_life measured it, and
         move its path's SA pointers, if it is alone and limit does not cut it."""
-        if self.va_pending or self.busy_nis or self.sa_active or self.arrival_ev:
+        if self.va_pending or self.busy_nis or self.sa_active or self.arrival_ev \
+                or pkt.hops >= MAX_MESH_SIDE:
             return False
         flits, life = _lone_life(pkt.hops, pkt.n_flits, self.vcc)
         last = pkt.created + flits[-1][1]
@@ -1175,10 +1177,9 @@ class Simulation:
 def _lone_life(hops: int, n_flits: int, vcc: VcConfig) -> Tuple[tuple, SimStats]:
     """Each flit's (entered, out) cycle and the counters of one n_flits packet
     stepped alone from cycle 0 over hops hops, all that a lone packet's life
-    depends on, on a line of routers that turns north at the mesh side limit;
-    _dispatch queues it, so the measuring run never replays."""
-    width = min(hops, MAX_MESH_SIDE - 1) + 1
-    mesh = MeshConfig(width, hops - width + 2, 1 if hops else 2)
+    depends on, on a line of hops + 1 routers; _dispatch queues it, so the
+    measuring run never replays."""
+    mesh = MeshConfig(hops + 1, 1, 1 if hops else 2)
     dst = mesh.n_nis - 1
     sim = Simulation(mesh, SubnetLayout(), vcc, (), record_flits=True)
     sim._dispatch(_Packet(TrafficEvent(0, 0, dst, None, 0), (0, dst),

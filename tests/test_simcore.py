@@ -1012,8 +1012,13 @@ def test_a_lone_packet_lives_as_on_a_line(width, height, data):
     assert_lives_as_on_a_line(mesh, layout, vcc, event, data.draw(st.integers(0, 7)))
 
 
-def test_a_lone_packet_past_the_mesh_side_lives_as_on_a_turning_line():
-    # 33 hops: the measuring line is 32 routers long, then turns north
+def test_a_lone_packet_as_long_as_a_mesh_side_steps():
+    # 33 hops: no mesh is a line of 34 routers to measure its life on
     mesh = MeshConfig.grid(20, 15)
-    event = TrafficEvent(7, 0, mesh.n_nis - 1, DATA, 0)
-    assert_lives_as_on_a_line(mesh, HALF, VcConfig(2, 2, 2), event, 1)
+    trace = [TrafficEvent(7, 0, mesh.n_nis - 1, DATA, 0)]
+    sim = Simulation(mesh, HALF, VcConfig(2, 2, 2), trace, None, 1, record_flits=True)
+    made = decisions(sim)
+    stepped = stepping(Simulation(mesh, HALF, VcConfig(2, 2, 2), trace, None, 1,
+                                  record_flits=True))
+    assert run_windows(sim, []) == run_windows(stepped, [])
+    assert made == [False]
