@@ -884,7 +884,7 @@ class Simulation:
                 ivc.reserved = False
                 ivc.down = None
                 del sa_active[bisect_left(sa_active, ivc.key, key=_BY_KEY)]
-        # SA schedules these once a cycle, after a replay's keys, so the keys are new
+        # new keys: SA schedules these once a cycle, and a replay's lie before later SA's
         if arrivals:
             self.arrival_ev[c + 3] = arrivals
         if ejects:

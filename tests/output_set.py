@@ -5,9 +5,10 @@ Runs 20 ``hybridnoc sweep`` calls in one process: the 18 rate sweeps
 4x4 at rates 0.02, 0.1 and 0.3 (1500 cycles, seed 3, 4 subnets), and two
 subnet-count sweeps.  It prints the SHA-256 of each call's exit code and
 stdout, then one SHA-256 over all of them.  It needs only the standard
-library and the package, so it runs under every supported interpreter:
+library and the package in src/, so it runs under every supported
+interpreter, from the root of a checkout:
 
-    PYTHONPATH=src python3 tests/output_set.py
+    python3 tests/output_set.py
 
 tests/test_output_set.py holds these digests to committed values; a
 change that means to alter a table updates them and says why.

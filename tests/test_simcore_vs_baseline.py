@@ -155,11 +155,15 @@ def _run(pkg, scenario, plan):
     )
 
 
-def _plan(scenario):
+def _plan(scenario, hot=None):
+    """The greedy plan of scenario's planned fabric from its trace, or from
+    the packets of the hot pairs only, if given."""
     k, fabric = scenario[3:5]
     if fabric not in ("e2e", "r2r"):
         return None
     mesh, trace = _inputs(hn, scenario)
+    if hot is not None:
+        trace = [ev for ev in trace if (ev.src, ev.dst) in hot]
     layout = hn.SubnetLayout(128, k)
     prof = hn.profile(trace, mesh, hn.profile_granularity_for(fabric),
                       layout.subnet_width_bits)
@@ -557,23 +561,11 @@ def lone_lives(draw):
     return scenario, hot, cuts, boundary, second
 
 
-def _hot_plan(scenario, hot):
-    """The plan of scenario's planned fabric from its hot pairs' packets."""
-    k, fabric = scenario[3:5]
-    if fabric not in ("e2e", "r2r"):
-        return None
-    mesh, trace = _inputs(hn, scenario)
-    layout = hn.SubnetLayout(128, k)
-    prof = hn.profile([ev for ev in trace if (ev.src, ev.dst) in hot], mesh,
-                      hn.profile_granularity_for(fabric), layout.subnet_width_bits)
-    return hn.greedy_allocate(prof, mesh, layout.cs_subnet_count, fabric)
-
-
 @settings(max_examples=80, phases=NO_SHRINK)
 @given(lone_lives())
 def test_lone_packets_then_a_burst_match_frozen_baseline(case):
     scenario, hot, cuts, boundary, second = case
-    plans = (_hot_plan(scenario, hot),)
+    plans = (_plan(scenario, hot),)
     if second is not None:
         plans += (boundary, _replan(scenario, boundary, second))
     sims = [_simulation(pkg, scenario, *plans) for pkg in (hn, base)]
