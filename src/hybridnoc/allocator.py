@@ -475,22 +475,25 @@ def ga_allocate(
     return plan
 
 
+# most candidates enumerate_oracle searches; its search grows exponentially
+MAX_ORACLE_PAIRS = 20
+
+
 def enumerate_oracle(
     profile: TrafficProfile,
     mesh: MeshConfig,
     k: int,
     granularity: str,
-    max_pairs: int = 20,
 ) -> CircuitPlan:
     """Exact optimum by exhaustive subnet packing with pruning.
 
-    Refuses instances above max_pairs candidates; intended as a reference
-    for small cases, not a production allocator.
+    Refuses instances above MAX_ORACLE_PAIRS candidates; intended as a
+    reference for small cases, not a production allocator.
     """
     cands, masks, weights = _problem(profile, mesh, k, granularity)
     n = len(cands)
-    if n > max_pairs:
-        raise AllocationError(f"{n} candidates exceed the oracle cap of {max_pairs}")
+    if n > MAX_ORACLE_PAIRS:
+        raise AllocationError(f"{n} candidates exceed the oracle cap of {MAX_ORACLE_PAIRS}")
     if n == 0:
         return CircuitPlan.empty(k, granularity, provenance="oracle")
 

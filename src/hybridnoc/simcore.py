@@ -215,8 +215,8 @@ class SimStats:
     def mean_latency(self, route_class: Optional[str] = None) -> float:
         return self._mean(self.lat_sum, route_class)
 
-    def mean_network_latency(self, route_class: Optional[str] = None) -> float:
-        return self._mean(self.lat_net_sum, route_class)
+    def mean_network_latency(self) -> float:
+        return self._mean(self.lat_net_sum, None)
 
     def unloaded_mean(self) -> float:
         n = self.measured_flits()
@@ -232,11 +232,10 @@ class SimStats:
             for lat, cnt in hist.items():
                 merged[lat] = merged.get(lat, 0) + cnt
         seen = 0
-        for lat in sorted(merged):
+        for lat in sorted(merged):  # seen reaches total at the last latency
             seen += merged[lat]
             if seen >= threshold:
                 return lat
-        return max(merged)
 
     def percent_in_circuit(self) -> float:
         if self.flits_ejected == 0:
@@ -320,7 +319,7 @@ class _Packet:
     """
 
     __slots__ = (
-        "pid", "src", "dst", "pair", "created", "src_router", "dst_router",
+        "pid", "src", "dst", "pair", "created", "src_router",
         "n_flits", "vnet", "hops", "resources", "subnet", "lat", "next_out",
         "sent", "seq",
     )
@@ -329,7 +328,7 @@ class _Packet:
         self.pid = ev.packet_id
         self.src, self.dst = self.pair = pair
         self.created = ev.inject_cycle
-        self.src_router, self.dst_router, self.hops, self.lat, self.resources = geometry
+        self.src_router, self.hops, self.lat, self.resources = geometry
         self.n_flits, self.vnet = shape
         self.subnet: Optional[int] = None
         self.next_out = 0
@@ -406,10 +405,12 @@ class Simulation:
         self.window_start = 0
         self.carried = 0
 
-        # filled on first use: an NI pair's routers, hops, and lat and
-        # resources off installed circuits; a packet class's (n_flits, vnet)
+        # filled on first use: an NI pair's source router, hops, and lat and
+        # resources off installed circuits; a packet class's (n_flits, vnet);
+        # a destination NI's X-Y route, its output port at each router
         self.pair_table: Dict[Tuple[int, int], Tuple] = {}
         self.class_table: Dict[PacketClass, Tuple[int, int]] = {}
+        self.route: Dict[int, List[int]] = {}
 
         # event queues keyed by cycle
         self.arrival_ev: Dict[int, List] = {}
@@ -454,11 +455,13 @@ class Simulation:
         local NIs; input and output ports share one numbering.  So the
         router and port at the far end of mesh port p of router r,
         peer[r][p], is both where an output port's flits arrive and which
-        output port an input port returns credits to.
+        output port an input port returns credits to.  No route is built
+        here: _route_to fills one row per destination NI, when a packet
+        first heads there.
         """
         mesh = self.mesh
         n_routers = mesh.n_routers
-        nbrs = [mesh.neighbors(r) for r in range(n_routers)]
+        self.nbrs = nbrs = [mesh.neighbors(r) for r in range(n_routers)]
         self.local_port: List[int] = [0] * mesh.n_nis
         self.peer: List[List[Optional[Tuple[int, int]]]] = []
         for r in range(n_routers):
@@ -469,12 +472,6 @@ class Simulation:
                 self.local_port[ni] = len(ports)
                 ports.append(None)
             self.peer.append(ports)
-        # X-Y routing: the mesh port toward each other router
-        self.route: List[List[int]] = [
-            [nbrs[r].index(mesh.xy_next(r, d)) if d != r else -1
-             for d in range(n_routers)]
-            for r in range(n_routers)
-        ]
 
         n_vc = self.n_vc = self.vcc.vc_count
         depth = self.vcc.buffer_depth_flits
@@ -509,6 +506,14 @@ class Simulation:
             active_buffers_per_cycle=(k - gated) * per_subnet,
             gated_buffers_per_cycle=gated * per_subnet,
         )
+
+    def _route_to(self, ni: int) -> None:
+        """Fill route[ni]: at each router, the port of the X-Y route toward NI
+        ni; at ni's own router, ni's local port."""
+        d = self.mesh.router_of_ni(ni)
+        xy_next, nbrs = self.mesh.xy_next, self.nbrs
+        self.route[ni] = [nbrs[r].index(xy_next(r, d)) if r != d else self.local_port[ni]
+                          for r in range(self.mesh.n_routers)]
 
     def _check_plan(self, plan: CircuitPlan) -> None:
         """Refuse a plan this run cannot install, before anything changes."""
@@ -555,8 +560,13 @@ class Simulation:
         of that ejection no plan activates and every packet takes a circuit.
         It then takes its vnet's first VC at every hop and wins every switch
         request, so _replay files its life at once.  What comes in on that
-        last cycle starts after its credits return, as if it had stepped.  A
-        packet of MAX_MESH_SIDE hops or more steps: no mesh is a line so long.
+        last cycle starts after its credits return, as if it had stepped.
+
+        A pair not seen yet has its routers range-checked and its figures
+        worked out into pair_table; off the all-circuit fabric, its
+        destination NI gets its route row then if it has none, so every
+        packet that may take the VC subnet, a circuit packet that a plan
+        change moves there included, finds its row.
         """
         pair = (ev.src, ev.dst)
         geometry = self.pair_table.get(pair)
@@ -564,11 +574,13 @@ class Simulation:
             mesh = self.mesh
             src_r, dst_r = (mesh.router_of_ni(ni) for ni in pair)
             hops = mesh.hop_distance(src_r, dst_r)
-            geometry = (src_r, dst_r, hops, unloaded_latency("vc", hops), ())
+            geometry = (src_r, hops, unloaded_latency("vc", hops), ())
             if self.cs_all:  # a packet holds its path's links and ejection port
                 path = xy_route(mesh, src_r, dst_r).links if hops else ()
-                geometry = (src_r, dst_r, hops, unloaded_latency("cs-e2e", hops),
+                geometry = (src_r, hops, unloaded_latency("cs-e2e", hops),
                             tuple(("link",) + l for l in path) + (("ej", ev.dst),))
+            elif ev.dst not in self.route:
+                self._route_to(ev.dst)
             self.pair_table[pair] = geometry
         shape = self.class_table.get(ev.klass)
         if shape is None:
@@ -586,9 +598,12 @@ class Simulation:
 
     def _replay(self, pkt: _Packet) -> bool:
         """File pkt's life from its intake cycle as _lone_life measured it, and
-        move its path's SA pointers, if it is alone and limit does not cut it."""
-        if self.va_pending or self.busy_nis or self.sa_active or self.arrival_ev \
-                or pkt.hops >= MAX_MESH_SIDE:
+        move its path's SA pointers, if it is alone and limit does not cut it.
+
+        Its path is the walk of its destination's route row from its NI's
+        input port, which ends at the destination's local port, the one port
+        with no router at its far end."""
+        if self.va_pending or self.busy_nis or self.sa_active or self.arrival_ev:
             return False
         flits, life = _lone_life(pkt.hops, pkt.n_flits, self.vcc)
         last = pkt.created + flits[-1][1]
@@ -600,15 +615,15 @@ class Simulation:
                 return False
             i += 1
         v = pkt.vnet * self.vcc.vcs_per_vnet
-        r, p, dst_r, path = pkt.src_router, self.local_port[pkt.src], pkt.dst_router, []
-        while r != dst_r:
-            path.append((self.invc[r][p][v], self.route[r][dst_r]))
-            r, p = self.peer[r][path[-1][1]]
-        path.append((self.invc[r][p][v], self.local_port[pkt.dst]))
-        if any(ivc.credit != self.vcc.buffer_depth_flits for ivc, _ in path):
+        row, far, path = self.route[pkt.dst], (pkt.src_router, self.local_port[pkt.src]), []
+        while far:
+            r, p = far
+            path.append(self.invc[r][p][v])
+            far = self.peer[r][row[r]]
+        if any(ivc.credit != self.vcc.buffer_depth_flits for ivc in path):
             return False
-        for ivc, out in path:
-            ivc.rr[out] = ivc.after
+        for ivc in path:
+            ivc.rr[row[ivc.router]] = ivc.after
         for idx, (entered, out) in enumerate(flits):
             flit = _Flit(pkt, idx, pkt.created + entered)
             flit.out = pkt.created + out
@@ -658,7 +673,7 @@ class Simulation:
         for q in self.circuits:
             self.wire_free[q] = drain_end
         for pkt in sorted(stranded, key=lambda p: (p.created, p.pid)):
-            pkt.lat, pkt.resources = self.pair_table[pkt.pair][3:]
+            pkt.lat, pkt.resources = self.pair_table[pkt.pair][2:]
             self._dispatch(pkt)
         # keep per-NI FIFO order after moving packets back to the VC side
         for ni, dq in self.ni_queue.items():
@@ -1026,7 +1041,6 @@ class Simulation:
         busy_nis = self.busy_nis
         sa_active = self.sa_active
         waiting = self.waiting
-        local_port = self.local_port
         route = self.route
         depth = self.vcc.buffer_depth_flits
         st = self.stats
@@ -1088,11 +1102,8 @@ class Simulation:
                                     "VC buffer overflow; credit accounting broke")
                         flit.ready_sa = ready
                         if flit.idx == 0:
-                            r = ivc.router
                             ivc.va_ready = c + 1
-                            pkt = flit.pkt
-                            dst_r = pkt.dst_router
-                            ivc.out_port = local_port[pkt.dst] if r == dst_r else route[r][dst_r]
+                            ivc.out_port = route[flit.pkt.dst][ivc.router]
                             va_pending.append(ivc)
                     st.buffer_writes[0] += len(writes)
                 if waiting:
@@ -1111,20 +1122,18 @@ class Simulation:
     def run_until(self, target_cycle: int) -> None:
         self._drive(target_cycle, drain=False)
 
-    def run_to_completion(self, hard_limit: Optional[int] = None) -> None:
-        """Step until no work remains; SimulationError past hard_limit.
+    def run_to_completion(self) -> None:
+        """Step until no work remains.
 
-        hard_limit is an absolute cycle.  By default it lies _DRAIN_CYCLES
-        after the last packet injection or scheduled plan activation, as
-        they stand when the call starts, so a valid trace drains however
-        late its packets come.
+        Raises SimulationError if work remains _DRAIN_CYCLES after the last
+        packet injection or scheduled plan activation, as they stand when
+        the call starts, so a valid trace drains however late its packets
+        come.
         """
-        if hard_limit is None:
-            last = self.trace[-1].inject_cycle if self.trace else 0
-            for activation, _ in self.plan_schedule:
-                last = max(last, activation)
-            hard_limit = last + _DRAIN_CYCLES
-        self._drive(hard_limit, drain=True)
+        last = self.trace[-1].inject_cycle if self.trace else 0
+        for activation, _ in self.plan_schedule:
+            last = max(last, activation)
+        self._drive(last + _DRAIN_CYCLES, drain=True)
 
     def take_pair_counts(self) -> Dict[Tuple[int, int], int]:
         counts = self.pair_flits
@@ -1177,13 +1186,17 @@ class Simulation:
 def _lone_life(hops: int, n_flits: int, vcc: VcConfig) -> Tuple[tuple, SimStats]:
     """Each flit's (entered, out) cycle and the counters of one n_flits packet
     stepped alone from cycle 0 over hops hops, all that a lone packet's life
-    depends on, on a line of hops + 1 routers; _dispatch queues it, so the
-    measuring run never replays."""
-    mesh = MeshConfig(hops + 1, 1, 1 if hops else 2)
+    depends on.  It runs corner to corner on the smallest mesh whose corners
+    lie hops apart: a line of hops + 1 routers below MAX_MESH_SIDE hops, and
+    MAX_MESH_SIDE routers wide from there on, 32x32 for the 62 hops of the
+    largest mesh.  _dispatch queues it, so the measuring run never replays."""
+    width = min(hops, MAX_MESH_SIDE - 1) + 1
+    mesh = MeshConfig(width, hops + 2 - width, 1 if hops else 2)
     dst = mesh.n_nis - 1
     sim = Simulation(mesh, SubnetLayout(), vcc, (), record_flits=True)
+    sim._route_to(dst)
     sim._dispatch(_Packet(TrafficEvent(0, 0, dst, None, 0), (0, dst),
-                          (0, mesh.n_routers - 1, hops, 0, ()), (n_flits, 0)))
+                          (0, hops, 0, ()), (n_flits, 0)))
     sim.run_to_completion()
     stats = sim.finalize()
     return tuple((r.inject_cycle, r.eject_cycle) for r in stats.flit_records), stats

@@ -111,9 +111,11 @@ class SyntheticSpec:
         if self.injection_rate / self.mean_flits_per_packet() > 1.0:
             raise ConfigError("injection_rate exceeds one packet per NI per cycle")
 
-    def mean_flits_per_packet(self, width_bits: int = FULL_LINK_WIDTH_BITS) -> float:
-        ctrl = flits_for_packet(PacketClass("control", self.control_payload_bits), width_bits)
-        data = flits_for_packet(PacketClass("data", self.data_payload_bits), width_bits)
+    def mean_flits_per_packet(self) -> float:
+        """Flits per packet at the full link width, the unit of injection_rate."""
+        width = FULL_LINK_WIDTH_BITS
+        ctrl = flits_for_packet(PacketClass("control", self.control_payload_bits), width)
+        data = flits_for_packet(PacketClass("data", self.data_payload_bits), width)
         return self.control_fraction * ctrl + (1.0 - self.control_fraction) * data
 
 
@@ -196,9 +198,17 @@ def generate(spec: SyntheticSpec, mesh: MeshConfig, seed: int, cycles: int) -> L
 # --- trace files -----------------------------------------------------------
 
 def save_trace(events: Iterable[TrafficEvent], path: str) -> None:
-    """Write events as a trace file, the format load_trace reads."""
+    """Write events as a trace file, the format load_trace reads.
+
+    A record names only its class, so only the two classes a trace file
+    reads back, packet_class("control") and packet_class("data"), can be
+    saved; an event of any other class raises ConfigError naming its packet.
+    """
     lines = ["# inject_cycle,src_ni,dst_ni,class"]
     for ev in events:
+        if ev.klass not in (packet_class("control"), packet_class("data")):
+            raise ConfigError(f"packet {ev.packet_id}: a trace file cannot hold class "
+                              f"{ev.klass.kind!r} of {ev.klass.payload_bits} bits")
         lines.append(f"{ev.inject_cycle},{ev.src},{ev.dst},{ev.klass.kind}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -29,6 +29,7 @@ from hybridnoc import (
     save_plan,
     xy_route,
 )
+from hybridnoc import allocator
 from hybridnoc.allocator import (
     _BLOCK,
     MAX_POPULATION,
@@ -211,15 +212,16 @@ def test_oracle_against_brute_force(k):
         oracle.validate()
 
 
-def test_oracle_refuses_large_instances():
+def test_oracle_refuses_large_instances(monkeypatch):
     mesh = MeshConfig.grid(4, 4)
     pairs = [(a, b) for a in range(8) for b in range(8, 11)]
     prof = router_profile(mesh, {p: 5 for p in pairs})
     assert len(candidates_from_profile(prof, mesh, "r2r")) > 20
-    with pytest.raises(AllocationError):
+    with pytest.raises(AllocationError, match="oracle cap of 20"):
         enumerate_oracle(prof, mesh, 2, "r2r")
-    # explicit cap override is honored
-    assert enumerate_oracle(prof, mesh, 2, "r2r", max_pairs=30).circuit_count() > 0
+    # the cap is read when the oracle runs
+    monkeypatch.setattr(allocator, "MAX_ORACLE_PAIRS", 30)
+    assert enumerate_oracle(prof, mesh, 2, "r2r").circuit_count() > 0
 
 
 def test_oracle_empty_profile():

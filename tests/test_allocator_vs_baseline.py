@@ -12,11 +12,13 @@ import random
 import shutil
 import subprocess
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hybridnoc as hn
+from hybridnoc import allocator
 from frozen_baseline import NO_SHRINK, base
 
 # probabilities spread over [0, 1] (hypothesis draws floats mostly at the
@@ -159,8 +161,11 @@ def _plan(pkg, scenario, method):
         plan = pkg.ga_allocate(prof, mesh, k, pkg.GaParams(**ga), granularity)
     elif method == "greedy":
         plan = pkg.greedy_allocate(prof, mesh, k, granularity)
-    else:
-        plan = pkg.enumerate_oracle(prof, mesh, k, granularity, max_pairs=12)
+    elif pkg is base:
+        plan = base.enumerate_oracle(prof, mesh, k, granularity, max_pairs=12)
+    else:  # the same cap of 12 candidates as the frozen copy's call
+        with mock.patch.object(allocator, "MAX_ORACLE_PAIRS", 12):
+            plan = hn.enumerate_oracle(prof, mesh, k, granularity)
     return [[(c.src, c.dst) for c in s] for s in plan.subnets], plan.meta
 
 

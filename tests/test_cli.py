@@ -560,7 +560,9 @@ def test_config_file_that_does_not_parse_is_exit_1(tmp_path, capsys, body):
     ("[energy]\ne_crossbar = nan\n", "e_crossbar must be >= 0"),
     ("[experiment]\nmode = adaptive_hybrid\nepoch_cycles = 40\nconfig_period_cycles = -1\n",
      "config period must be at least 0"),
-], ids=["label-slash", "label-nul", "percent", "nan-rate", "nan-energy", "negative-period"])
+    ("[mesh]\nni_per_router = 1,x\n", "ni_per_router must be integers, got '1,x'"),
+], ids=["label-slash", "label-nul", "percent", "nan-rate", "nan-energy", "negative-period",
+        "ni-per-router"])
 def test_values_are_checked_as_the_config_loads(tmp_path, capsys, body, fragment):
     # body goes on from [traffic]; the output directory is made only after
     # the config has loaded
@@ -606,7 +608,8 @@ def plan_file_config(tmp_path, plan):
     ("granularity=e2e subnets=1\n0,0,3\n\n0,1,2\n", "line 4: circuit conflicts with line 2"),
     (f"granularity=e2e subnets={MAX_CS_SUBNETS + 1}\n0,0,3\n",
      f"line 1: a plan has at most {MAX_CS_SUBNETS} subnets"),
-], ids=["header", "off-mesh", "conflict", "subnets"])
+    ("granularity=e2e subnets=2\n0,0,3\n# again\n1,0,3\n", "line 4: pair repeats line 2"),
+], ids=["header", "off-mesh", "conflict", "subnets", "repeat"])
 def test_malformed_plan_file_is_exit_2(tmp_path, capsys, plan, fragment):
     assert run_ini(tmp_path, plan_file_config(tmp_path, plan)) == 2
     assert f"data error: {fragment}" in capsys.readouterr().err
@@ -682,6 +685,23 @@ def test_compare_on_a_report_without_sections_is_exit_2(tmp_path, capsys):
     bad.write_text("label = x\n")
     assert main(["compare", str(bad), str(bad)]) == 2
     assert "data error: cannot parse run report" in capsys.readouterr().err
+
+
+def test_profile_with_a_negative_count_is_exit_2(tmp_path, capsys):
+    prof_path = tmp_path / "p.profile"
+    prof_path.write_text("0,5,10,3\n0,6,-10,3\n")
+    assert main(["allocate", str(prof_path), "--out", str(tmp_path / "p.plan")]) == 2
+    assert "data error: line 2: negative count" in capsys.readouterr().err
+    assert not (tmp_path / "p.plan").exists()
+
+
+def test_compare_against_a_baseline_of_zero_latency_is_exit_2(tmp_path, capsys):
+    report = ("[run]\nlabel = {}\npercent_in_circuit = 0\n"
+              "[latency]\nmean = {}\n[energy]\nper_flit = 2\n")
+    (tmp_path / "base.report").write_text(report.format("base", "0"))
+    (tmp_path / "run.report").write_text(report.format("run", "10"))
+    assert main(["compare", str(tmp_path / "base.report"), str(tmp_path / "run.report")]) == 2
+    assert "data error: baseline latency/energy must be positive" in capsys.readouterr().err
 
 
 def test_compare_on_a_report_value_that_is_no_number_is_exit_2(tmp_path, capsys):

@@ -314,6 +314,7 @@ def test_epoch_and_period_defaults():
     assert pinned.resolved_epoch_cycles() == 4000
     assert pinned.resolved_config_period() == 7
     assert make_config().resolved_traffic_cycles() == 2000
+    assert make_config(traffic_cycles=None).resolved_traffic_cycles() == 20_000
 
 
 def test_load_config_round_trip(tmp_path):

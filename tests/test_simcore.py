@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import logging
 import math
 
 import pytest
@@ -266,6 +267,10 @@ def test_refused_plan_leaves_the_run_as_it_was():
     trace += [TrafficEvent(c, 5, 9, data, 100 + c) for c in range(0, 60, 7)]
     trace.sort(key=lambda ev: ev.inject_cycle)
     too_wide = CircuitPlan("e2e", e2e_plan(MESH, (0, 3)).subnets * 2)
+    # NI 16 is one past the mesh's last; its path is a valid one
+    off_mesh = CircuitPlan("e2e", ((CandidatePair(0, 16, 1, xy_route(MESH, 0, 15)),),))
+    with pytest.raises(ConfigError, match=r"plan NI pair \(0, 16\) out of range"):
+        Simulation(MESH, HALF, VC, trace, off_mesh, 0)
 
     def run(offer):
         sim = Simulation(MESH, HALF, VC, trace, e2e_plan(MESH, (0, 3)), 0, record_flits=True)
@@ -273,21 +278,38 @@ def test_refused_plan_leaves_the_run_as_it_was():
         if offer:
             with pytest.raises(ConfigError, match="plan wants 2 CS subnets, layout offers 1"):
                 sim.schedule_plan(too_wide, 30)
+            with pytest.raises(ConfigError, match=r"plan NI pair \(0, 16\) out of range"):
+                sim.schedule_plan(off_mesh, 30)
         sim.run_to_completion()
         return dataclasses.asdict(sim.finalize())
 
     assert run(True) == run(False)
 
 
+def test_plan_change_past_the_drain_barrier_logs_a_warning(caplog):
+    # a 2000-flit packet holds its circuit from cycle 0 until its tail
+    # ejects near cycle 2000, so a plan activated at 10 waits past the
+    # 1000-cycle barrier for the old circuit to drain
+    trace = [TrafficEvent(0, 0, 3, PacketClass("data", 128_000), 0)]
+    sim = Simulation(MESH, HALF, VC, trace, e2e_plan(MESH, (0, 3)), 0)
+    sim.schedule_plan(e2e_plan(MESH, (5, 6)), 10)
+    with caplog.at_level(logging.WARNING, logger="hybridnoc.simcore"):
+        sim.run_to_completion()
+    assert any("beyond the 1000-cycle barrier" in rec.getMessage() for rec in caplog.records)
+    assert sim.finalize().flits_ejected == 2000
+
+
 @pytest.mark.parametrize("step_back", [
     lambda sim: sim.run_until(50),
-    lambda sim: sim.run_to_completion(hard_limit=50),
+    lambda sim: sim.run_to_completion(),
 ], ids=["run_until", "run_to_completion"])
-def test_clock_never_runs_back(step_back):
+def test_clock_never_runs_back(step_back, monkeypatch):
     ctrl = PacketClass("control", 64)
     trace = [TrafficEvent(0, 0, 3, ctrl, 0), TrafficEvent(200, 0, 3, ctrl, 1)]
     sim = Simulation(MESH, HALF, VC, trace, None, 0)
     sim.run_until(100)
+    # a drain may then run to 200 + _DRAIN_CYCLES: patched, cycle 50
+    monkeypatch.setattr(simcore, "_DRAIN_CYCLES", -150)
     with pytest.raises(ConfigError, match="before the current cycle 100"):
         step_back(sim)
     assert sim.cycle == 100
@@ -336,7 +358,7 @@ def test_hard_limit_holds_across_an_idle_gap():
     trace = [TrafficEvent(50_000, 0, 3, PacketClass("control", 64), 0)]
     sim = Simulation(MESH, HALF, VC, trace, None, 0)
     with pytest.raises(SimulationError, match="10000"):
-        sim.run_to_completion(hard_limit=10_000)
+        sim._drive(10_000, drain=True)
     assert sim.cycle == 10_000
 
 
@@ -354,7 +376,7 @@ def r2r_train():
 def test_hard_limit_cuts_a_circuit_train_in_flight(limit, entered):
     sim = r2r_train()
     with pytest.raises(SimulationError, match=str(limit)):
-        sim.run_to_completion(limit)
+        sim._drive(limit, drain=True)
     assert sim.cycle == limit
     stats = sim.finalize()
     assert (stats.flits_injected, stats.flits_ejected, stats.in_flight) == (entered, 0, entered)
@@ -362,7 +384,7 @@ def test_hard_limit_cuts_a_circuit_train_in_flight(limit, entered):
 
 def test_circuit_train_drains_one_past_its_last_eject():
     sim = r2r_train()
-    sim.run_to_completion(40)
+    sim._drive(40, drain=True)
     assert sim.cycle == 39
 
 
@@ -403,7 +425,7 @@ def test_window_cut_inside_a_vc_tail_ejection(cut):
 def test_hard_limit_cuts_a_vc_ejection_in_flight(limit):
     sim = vc_train()
     with pytest.raises(SimulationError, match=str(limit)):
-        sim.run_to_completion(limit)
+        sim._drive(limit, drain=True)
     assert sim.cycle == limit
     stats = sim.finalize()
     assert (stats.flits_injected, stats.flits_ejected, stats.in_flight) == (5, 4, 1)
@@ -413,8 +435,8 @@ def test_vc_flit_drains_one_past_its_eject():
     # 3 hops: the flit ejects at 5h + 4 = 19, so a drain needs cycle 20
     sim = Simulation(MESH, FULL, VC, one_packet(3, PacketClass("control", 128)), None, 0)
     with pytest.raises(SimulationError, match="19"):
-        sim.run_to_completion(19)
-    sim.run_to_completion(20)
+        sim._drive(19, drain=True)
+    sim._drive(20, drain=True)
     assert sim.cycle == 5 * 3 + 4 + 1
     assert sim.finalize().flits_ejected == 1
 
@@ -1012,13 +1034,40 @@ def test_a_lone_packet_lives_as_on_a_line(width, height, data):
     assert_lives_as_on_a_line(mesh, layout, vcc, event, data.draw(st.integers(0, 7)))
 
 
-def test_a_lone_packet_as_long_as_a_mesh_side_steps():
-    # 33 hops: no mesh is a line of 34 routers to measure its life on
-    mesh = MeshConfig.grid(20, 15)
+@pytest.mark.parametrize("mesh, vcc, cuts", [
+    (MeshConfig.grid(20, 15), VcConfig(2, 2, 2), []),
+    (MeshConfig.grid(32, 32), VC, [1000]),
+], ids=["33-hops", "62-hops"])
+def test_a_lone_packet_as_long_as_a_mesh_side_replays(mesh, vcc, cuts):
+    # corner to corner: no mesh is a line of 34 or 63 routers, so _lone_life
+    # measures these lives on the smallest mesh whose corners lie that far
+    # apart; the 62-hop packet is the longest any mesh has
     trace = [TrafficEvent(7, 0, mesh.n_nis - 1, DATA, 0)]
-    sim = Simulation(mesh, HALF, VcConfig(2, 2, 2), trace, None, 1, record_flits=True)
+    sim = Simulation(mesh, HALF, vcc, trace, None, 1, record_flits=True)
     made = decisions(sim)
-    stepped = stepping(Simulation(mesh, HALF, VcConfig(2, 2, 2), trace, None, 1,
-                                  record_flits=True))
-    assert run_windows(sim, []) == run_windows(stepped, [])
-    assert made == [False]
+    stepped = stepping(Simulation(mesh, HALF, vcc, trace, None, 1, record_flits=True))
+    assert run_windows(sim, cuts) == run_windows(stepped, cuts)
+    assert made == [True]
+
+
+def test_routes_are_built_per_destination_on_first_use(monkeypatch):
+    # building a Simulation routes nothing; a run routes toward each NI its
+    # traffic heads for, once, from every other router
+    plan = e2e_plan(MESH, (0, 5))
+    calls = collections.Counter()
+    xy_next = MeshConfig.xy_next
+
+    def counted(mesh, router, dst_router):
+        calls[mesh] += 1
+        return xy_next(mesh, router, dst_router)
+
+    monkeypatch.setattr(MeshConfig, "xy_next", counted)
+    Simulation(MeshConfig.grid(32, 32), HALF, VC, [], None, 0)
+    assert not calls
+    trace = generate(SyntheticSpec("uniform_random", 0.05), MESH, 2, 400)
+    sim = Simulation(MESH, HALF, VC, trace, plan, 0)
+    assert not calls
+    sim.run_to_completion()
+    dsts = {ev.dst for ev in trace}
+    assert len(dsts) > 1
+    assert calls[MESH] == (MESH.n_routers - 1) * len(dsts)

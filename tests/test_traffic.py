@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import hybridnoc as hn
 from frozen_baseline import base
 from hybridnoc import (
+    ConfigError,
     MeshConfig,
     PacketClass,
     PairTraffic,
@@ -343,6 +344,22 @@ def test_trace_round_trip(tmp_path):
             b.dst,
             b.klass.kind,
         )
+
+
+def test_save_trace_refuses_a_class_a_trace_file_cannot_hold(tmp_path):
+    # a record carries only the class name, which reads back as 128 or 640
+    # bits: a generated 256-bit data packet would come back as 640 bits
+    path = tmp_path / "trace.csv"
+    spec = SyntheticSpec("uniform_random", 0.5, data_payload_bits=256)
+    generated = generate(spec, MeshConfig.grid(2, 2), 1, 50)
+    first = next(ev for ev in generated if ev.klass.kind == "data")
+    with pytest.raises(ConfigError, match=f"packet {first.packet_id}:"):
+        save_trace(generated, str(path))
+    for klass in (PacketClass("control", 64), PacketClass("bulk", 128)):
+        events = [TrafficEvent(0, 0, 1, packet_class("data"), 0), TrafficEvent(3, 1, 0, klass, 7)]
+        with pytest.raises(ConfigError, match="packet 7:"):
+            save_trace(events, str(path))
+    assert not path.exists()
 
 
 def test_profile_weights():
