@@ -8,7 +8,6 @@ baseline/static/adaptive experiment drivers behind the ``hybridnoc`` CLI.
 """
 
 from .allocator import (
-    AllocationError,
     CandidatePair,
     CircuitPlan,
     GaParams,
@@ -23,7 +22,6 @@ from .allocator import (
 )
 from .energy import (
     EnergyCoefficients,
-    EnergyError,
     EnergyReport,
     account,
 )
@@ -59,7 +57,6 @@ from .topology import (
     ConfigError,
     MeshConfig,
     Path,
-    TopologyError,
     xy_route,
 )
 from .traffic import (

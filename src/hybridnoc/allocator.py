@@ -15,7 +15,7 @@ import random
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .topology import MAX_CS_SUBNETS, ConfigError, MeshConfig, Path, xy_route
 from .traffic import TraceFormatError, TrafficProfile, read_records
@@ -31,15 +31,11 @@ _PLAN_HEADER = re.compile(
 _PROFILE_GRAN = {"e2e": "ni", "r2r": "router"}
 
 
-class AllocationError(ConfigError):
-    """Inconsistent plan, profile or allocator parameters."""
-
-
 def profile_granularity_for(plan_granularity: str) -> str:
     try:
         return _PROFILE_GRAN[plan_granularity]
     except KeyError:
-        raise AllocationError(f"unknown plan granularity {plan_granularity!r}") from None
+        raise ConfigError(f"unknown plan granularity {plan_granularity!r}") from None
 
 
 @dataclass(frozen=True)
@@ -52,9 +48,9 @@ class CandidatePair:
     path: Path
 
 
-@dataclass
+@dataclass(frozen=True)
 class CircuitPlan:
-    """Circuits packed into subnets, indexed 0..k-1 over the CS subnets."""
+    """Circuits packed into subnets 0..k-1 of the CS subnets; building one runs validate."""
 
     granularity: str
     subnets: Tuple[Tuple[CandidatePair, ...], ...]
@@ -63,12 +59,13 @@ class CircuitPlan:
 
     def __post_init__(self) -> None:
         if self.granularity not in PLAN_GRANULARITIES:
-            raise AllocationError(f"unknown plan granularity {self.granularity!r}")
+            raise ConfigError(f"unknown plan granularity {self.granularity!r}")
+        self.validate()
 
     @classmethod
     def empty(cls, k: int, granularity: str, provenance: str = "empty") -> "CircuitPlan":
         if k < 0:
-            raise AllocationError("subnet count cannot be negative")
+            raise ConfigError("subnet count cannot be negative")
         return cls(granularity, tuple(() for _ in range(k)), provenance)
 
     @property
@@ -81,24 +78,19 @@ class CircuitPlan:
     def circuit_count(self) -> int:
         return sum(len(s) for s in self.subnets)
 
-    def pair_index(self) -> Dict[Tuple[int, int], int]:
-        """(src, dst) -> subnet index; a pair appears at most once."""
-        index: Dict[Tuple[int, int], int] = {}
-        for s, c in self.all_circuits():
-            key = (c.src, c.dst)
-            if key in index:
-                raise AllocationError(f"pair {key} placed in two subnets")
-            index[key] = s
-        return index
-
     def validate(self) -> None:
-        """Recheck conflict freedom from scratch; raises on violation."""
-        self.pair_index()
+        """Check that no pair repeats and no two circuits in a subnet conflict."""
+        seen: Set[Tuple[int, int]] = set()
+        for _, c in self.all_circuits():
+            key = (c.src, c.dst)
+            if key in seen:
+                raise ConfigError(f"pair {key} placed in two subnets")
+            seen.add(key)
         for circuits in self.subnets:
             clash = _first_clash(circuits, self.granularity == "r2r")
             if clash:
                 a, b = ((circuits[i].src, circuits[i].dst) for i in clash)
-                raise AllocationError(f"circuits {a} and {b} conflict in one subnet")
+                raise ConfigError(f"circuits {a} and {b} conflict in one subnet")
 
 
 def _conflict_masks(candidates: Sequence[CandidatePair], endpoint_ports: bool) -> List[int]:
@@ -229,7 +221,7 @@ def candidates_from_profile(
     """
     expected = profile_granularity_for(plan_granularity)
     if profile.granularity != expected:
-        raise AllocationError(
+        raise ConfigError(
             f"{plan_granularity} plans need a {expected}-granularity profile, "
             f"got {profile.granularity}"
         )
@@ -253,7 +245,7 @@ def _problem(profile: TrafficProfile, mesh: MeshConfig, k: int,
              granularity: str) -> Tuple[List[CandidatePair], List[int], List[int]]:
     """Candidates for k subnets, heaviest first, with their conflict masks and weights."""
     if k < 1:
-        raise AllocationError("need at least one CS subnet to allocate into")
+        raise ConfigError("need at least one CS subnet to allocate into")
     cands = candidates_from_profile(profile, mesh, granularity)
     return cands, _conflict_masks(cands, granularity == "r2r"), [c.weight for c in cands]
 
@@ -294,14 +286,14 @@ class GaParams:
 
     def __post_init__(self) -> None:
         if not 2 <= self.population_size <= MAX_POPULATION:
-            raise AllocationError(
+            raise ConfigError(
                 f"population must hold at least two individuals and at most {MAX_POPULATION}")
         if self.generations < 0:
-            raise AllocationError("generations cannot be negative")
+            raise ConfigError("generations cannot be negative")
         if not 0.0 <= self.chromosome_mutation_probability <= 1.0:
-            raise AllocationError("chromosome_mutation_probability must be in [0, 1]")
+            raise ConfigError("chromosome_mutation_probability must be in [0, 1]")
         if not 0 <= self.elitism_count < self.population_size:
-            raise AllocationError("elitism_count must be below the population size")
+            raise ConfigError("elitism_count must be below the population size")
 
 
 def _lanes(n: int, p: float) -> Tuple[int, int, int]:
@@ -493,7 +485,7 @@ def enumerate_oracle(
     cands, masks, weights = _problem(profile, mesh, k, granularity)
     n = len(cands)
     if n > MAX_ORACLE_PAIRS:
-        raise AllocationError(f"{n} candidates exceed the oracle cap of {MAX_ORACLE_PAIRS}")
+        raise ConfigError(f"{n} candidates exceed the oracle cap of {MAX_ORACLE_PAIRS}")
     if n == 0:
         return CircuitPlan.empty(k, granularity, provenance="oracle")
 

@@ -25,6 +25,9 @@ from .allocator import (
     save_plan,
 )
 from .orchestrator import (
+    DEFAULT_INJECTION_RATE,
+    DEFAULT_PATTERN,
+    DEFAULT_TRAFFIC_CYCLES,
     ExperimentConfig,
     load_config,
     read_run_report,
@@ -193,10 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="injection-rate or subnet-count sweep")
     p_sweep.add_argument("--mesh", default="4x4")
-    p_sweep.add_argument("--pattern", default="uniform_random", choices=PATTERNS)
-    p_sweep.add_argument("--regularity", type=float, default=0.0)
-    p_sweep.add_argument("--cycles", type=int, default=20000)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--pattern", default=DEFAULT_PATTERN, choices=PATTERNS)
+    p_sweep.add_argument("--regularity", type=float, default=SyntheticSpec.regularity)
+    p_sweep.add_argument("--cycles", type=int, default=DEFAULT_TRAFFIC_CYCLES)
+    p_sweep.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p_sweep.add_argument("--out", help="also write the table to this file")
     p_sweep.add_argument("--rates", help="comma list of injection rates")
     p_sweep.add_argument(
@@ -206,21 +209,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--subnets", type=int, default=1,
                          help="subnet count for --rates with --fabric hybrid")
     p_sweep.add_argument("--subnet-counts", help="comma list, e.g. 2,4,8")
-    p_sweep.add_argument("--rate", type=float, default=0.05,
+    p_sweep.add_argument("--rate", type=float, default=DEFAULT_INJECTION_RATE,
                          help="injection rate for a subnet-count sweep")
-    p_sweep.add_argument("--allocator", default="greedy", choices=METHODS)
-    p_sweep.add_argument("--granularity", default="e2e", choices=PLAN_GRANULARITIES)
+    p_sweep.add_argument("--allocator", default=ExperimentConfig.allocator, choices=METHODS)
+    p_sweep.add_argument("--granularity", default=ExperimentConfig.granularity,
+                         choices=PLAN_GRANULARITIES)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_alloc = sub.add_parser("allocate", help="profile file -> plan file")
     p_alloc.add_argument("profile")
     p_alloc.add_argument("--mesh", default="4x4")
-    p_alloc.add_argument("--granularity", default="e2e", choices=PLAN_GRANULARITIES)
+    p_alloc.add_argument("--granularity", default=ExperimentConfig.granularity,
+                         choices=PLAN_GRANULARITIES)
     p_alloc.add_argument("--subnets", type=int, default=1,
                          help="number of CS subnets to fill")
     p_alloc.add_argument("--method", default="greedy", choices=METHODS)
-    p_alloc.add_argument("--generations", type=int, default=5000)
-    p_alloc.add_argument("--seed", type=int, default=0)
+    p_alloc.add_argument("--generations", type=int, default=GaParams.generations)
+    p_alloc.add_argument("--seed", type=int, default=GaParams.seed)
     p_alloc.add_argument("--limit", type=int,
                          help="keep only the heaviest N profile pairs")
     p_alloc.add_argument("--out", required=True)

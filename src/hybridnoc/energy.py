@@ -16,10 +16,6 @@ from .simcore import SimStats
 from .topology import ConfigError
 
 
-class EnergyError(ConfigError):
-    """Accounting asked for something undefined (e.g. zero ejected flits)."""
-
-
 @dataclass(frozen=True)
 class EnergyCoefficients:
     """Per-event dynamic energies and per-cycle static powers.
@@ -40,7 +36,7 @@ class EnergyCoefficients:
     def __post_init__(self) -> None:
         for f in fields(self):
             if not getattr(self, f.name) >= 0:
-                raise EnergyError(f"{f.name} must be >= 0")
+                raise ConfigError(f"{f.name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,7 @@ class EnergyReport:
     def __post_init__(self) -> None:
         drift = abs(sum(self.breakdown.values()) - self.total_energy)
         if drift > 1e-9 * max(1.0, abs(self.total_energy)):
-            raise EnergyError("breakdown does not sum to total")
+            raise ConfigError("breakdown does not sum to total")
 
 
 def account(stats: SimStats, coeffs: EnergyCoefficients) -> EnergyReport:
@@ -64,7 +60,7 @@ def account(stats: SimStats, coeffs: EnergyCoefficients) -> EnergyReport:
     power over non-gated buffers plus a per-router rest-of-router term.
     """
     if stats.flits_ejected == 0:
-        raise EnergyError("no ejected flits; energy per flit is undefined")
+        raise ConfigError("no ejected flits; energy per flit is undefined")
 
     buffer_dyn = (
         sum(stats.buffer_writes) * coeffs.e_buffer_write

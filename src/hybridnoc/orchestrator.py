@@ -60,6 +60,13 @@ _SATURATION_FACTOR = 10.0
 DESK_EPOCH_CYCLES = 100_000
 EPOCH_TO_PERIOD_RATIO = 200
 
+# generated traffic that names none of these, in a config file or a sweep:
+# SyntheticSpec has no default pattern or rate, and every mode but adaptive
+# (two epochs) runs this many cycles
+DEFAULT_PATTERN = "uniform_random"
+DEFAULT_INJECTION_RATE = 0.05
+DEFAULT_TRAFFIC_CYCLES = 20_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -96,7 +103,7 @@ class ExperimentConfig:
             return self.traffic_cycles
         if self.mode == "adaptive_hybrid":
             return 2 * self.resolved_epoch_cycles()
-        return 20_000
+        return DEFAULT_TRAFFIC_CYCLES
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -603,7 +610,7 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"[traffic] trace cannot be combined with {', '.join(mixed)}")
     else:
         traffic_spec = _from_section(
-            SyntheticSpec, tr, pattern="uniform_random", injection_rate=0.05
+            SyntheticSpec, tr, pattern=DEFAULT_PATTERN, injection_rate=DEFAULT_INJECTION_RATE
         )
     return _from_section(
         ExperimentConfig, section("experiment"),

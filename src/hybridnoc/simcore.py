@@ -475,7 +475,7 @@ class Simulation:
 
         n_vc = self.n_vc = self.vcc.vc_count
         depth = self.vcc.buffer_depth_flits
-        rr0 = seed % max(1, n_vc)
+        rr0 = seed % n_vc
         self.invc: List[List[List[_InVC]]] = []
         base = 0
         for r, ports in enumerate(self.peer):
@@ -522,7 +522,6 @@ class Simulation:
         k = self.layout.cs_subnet_count
         if plan.subnet_count > k:
             raise ConfigError(f"plan wants {plan.subnet_count} CS subnets, layout offers {k}")
-        plan.validate()
         e2e = plan.granularity == "e2e"
         unit, n = ("NI", self.mesh.n_nis) if e2e else ("router", self.mesh.n_routers)
         for _, circ in plan.all_circuits():
@@ -1189,7 +1188,9 @@ def _lone_life(hops: int, n_flits: int, vcc: VcConfig) -> Tuple[tuple, SimStats]
     depends on.  It runs corner to corner on the smallest mesh whose corners
     lie hops apart: a line of hops + 1 routers below MAX_MESH_SIDE hops, and
     MAX_MESH_SIDE routers wide from there on, 32x32 for the 62 hops of the
-    largest mesh.  _dispatch queues it, so the measuring run never replays."""
+    largest mesh.  _dispatch queues it, so the measuring run never replays,
+    and it drains within a limit of the key alone, 8 (hops + 1)(n_flits + 4)
+    cycles."""
     width = min(hops, MAX_MESH_SIDE - 1) + 1
     mesh = MeshConfig(width, hops + 2 - width, 1 if hops else 2)
     dst = mesh.n_nis - 1
@@ -1197,7 +1198,7 @@ def _lone_life(hops: int, n_flits: int, vcc: VcConfig) -> Tuple[tuple, SimStats]
     sim._route_to(dst)
     sim._dispatch(_Packet(TrafficEvent(0, 0, dst, None, 0), (0, dst),
                           (0, hops, 0, ()), (n_flits, 0)))
-    sim.run_to_completion()
+    sim._drive(8 * (hops + 1) * (n_flits + 4), drain=True)
     stats = sim.finalize()
     return tuple((r.inject_cycle, r.eject_cycle) for r in stats.flit_records), stats
 

@@ -21,10 +21,6 @@ class ConfigError(ValueError):
     fit with the others (CLI exit 1); data files raise TraceFormatError."""
 
 
-class TopologyError(ConfigError):
-    """Malformed mesh parameters or out-of-range endpoints."""
-
-
 # most routers along a mesh side and NIs on a mesh, which size its tables
 MAX_MESH_SIDE = 32
 MAX_NIS = 1024
@@ -44,17 +40,17 @@ class MeshConfig:
 
     def __post_init__(self) -> None:
         if not (1 <= self.width <= MAX_MESH_SIDE and 1 <= self.height <= MAX_MESH_SIDE):
-            raise TopologyError(f"mesh sides must be 1 to {MAX_MESH_SIDE} routers")
+            raise ConfigError(f"mesh sides must be 1 to {MAX_MESH_SIDE} routers")
         nis = 1 if self.ni_per_router is None else self.ni_per_router
         if isinstance(nis, int):
             nis = (nis,) * (self.width * self.height)
         object.__setattr__(self, "ni_per_router", tuple(nis))
         if len(self.ni_per_router) != self.width * self.height:
-            raise TopologyError("ni_per_router needs one entry per router")
+            raise ConfigError("ni_per_router needs one entry per router")
         if any(n < 0 for n in self.ni_per_router):
-            raise TopologyError("NI counts cannot be negative")
+            raise ConfigError("NI counts cannot be negative")
         if not 0 < sum(self.ni_per_router) <= MAX_NIS:
-            raise TopologyError(f"a mesh needs 1 to {MAX_NIS} network interfaces")
+            raise ConfigError(f"a mesh needs 1 to {MAX_NIS} network interfaces")
         # first NI id hosted by each router, one extra sentinel at the end
         starts = [0]
         for n in self.ni_per_router:
@@ -93,19 +89,19 @@ class MeshConfig:
 
     def coords(self, router: int) -> Tuple[int, int]:
         if not 0 <= router < self.n_routers:
-            raise TopologyError(f"router {router} out of range")
+            raise ConfigError(f"router {router} out of range")
         return router % self.width, router // self.width
 
     def router_of_ni(self, ni: int) -> int:
         routers = self._ni_router  # type: ignore[attr-defined]
         if not 0 <= ni < len(routers):
-            raise TopologyError(f"NI {ni} out of range")
+            raise ConfigError(f"NI {ni} out of range")
         return routers[ni]
 
     def nis_of_router(self, router: int) -> range:
         starts = self._ni_starts  # type: ignore[attr-defined]
         if not 0 <= router < self.n_routers:
-            raise TopologyError(f"router {router} out of range")
+            raise ConfigError(f"router {router} out of range")
         return range(starts[router], starts[router + 1])
 
     def neighbors(self, router: int) -> Tuple[int, ...]:
@@ -130,13 +126,13 @@ class MeshConfig:
         """Next router on the X-Y route to dst_router: X first, then Y."""
         w, n = self.width, self.width * self.height
         if not (0 <= router < n and 0 <= dst_router < n):
-            raise TopologyError(f"route {router} -> {dst_router} leaves the mesh")
+            raise ConfigError(f"route {router} -> {dst_router} leaves the mesh")
         dx = dst_router % w - router % w
         if dx:
             return router + 1 if dx > 0 else router - 1
         if dst_router != router:  # same column: north when dst_router is above
             return router + w if dst_router > router else router - w
-        raise TopologyError(f"router {router} is the destination itself")
+        raise ConfigError(f"router {router} is the destination itself")
 
     def hop_distance(self, router_a: int, router_b: int) -> int:
         xa, ya = self.coords(router_a)
@@ -160,11 +156,11 @@ class Path:
 def xy_route(mesh: MeshConfig, src_router: int, dst_router: int) -> Path:
     """Dimension-ordered route: X first, then Y.
 
-    Raises TopologyError for out-of-range routers or src == dst (paths are
+    Raises ConfigError for out-of-range routers or src == dst (paths are
     never empty).
     """
     if src_router == dst_router:
-        raise TopologyError("no path between a router and itself")
+        raise ConfigError("no path between a router and itself")
     links = []
     r = src_router
     while r != dst_router:

@@ -37,7 +37,8 @@ class TraceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class PacketClass:
-    """A payload size category. kind is a label, payload_bits the truth."""
+    """A payload size category.  payload_bits sets the flit count and kind
+    the vnet: control packets take vnet 0, any other kind vnet 1 % vnets."""
 
     kind: str
     payload_bits: int

@@ -357,7 +357,7 @@ def test_c8_adaptive_replanning(capsys, tmp_path):
         epochs = run_adaptive(config)
         assert len(epochs) == 4
         new_hot = set(designated_pairs(MESH4, 77, 8))
-        recovered_plan = set(epochs[3].plan.pair_index())
+        recovered_plan = {(c.src, c.dst) for _, c in epochs[3].plan.all_circuits()}
         assert recovered_plan & new_hot
         pre_flip = epochs[1].stats.percent_in_circuit()
         recovered = epochs[3].stats.percent_in_circuit()

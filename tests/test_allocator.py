@@ -1,5 +1,6 @@
 """Circuit allocation: greedy first-fit, genetic search, exact enumeration."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from conflict_reference import links_conflict
 from hybridnoc import (
-    AllocationError,
     CandidatePair,
     CircuitPlan,
     ConfigError,
@@ -149,11 +149,11 @@ def test_candidates_order():
 def test_candidates_granularity_mismatch():
     prof = TrafficProfile("ni")
     prof.entries[(0, 2)] = PairTraffic(flit_count=5, hop_count=2)
-    with pytest.raises(AllocationError):
+    with pytest.raises(ConfigError, match="r2r plans need a router-granularity profile"):
         candidates_from_profile(prof, CHAIN_MESH, "r2r")
     assert profile_granularity_for("e2e") == "ni"
     assert profile_granularity_for("r2r") == "router"
-    with pytest.raises(AllocationError):
+    with pytest.raises(ConfigError, match="unknown plan granularity 'chip'"):
         profile_granularity_for("chip")
 
 
@@ -217,7 +217,7 @@ def test_oracle_refuses_large_instances(monkeypatch):
     pairs = [(a, b) for a in range(8) for b in range(8, 11)]
     prof = router_profile(mesh, {p: 5 for p in pairs})
     assert len(candidates_from_profile(prof, mesh, "r2r")) > 20
-    with pytest.raises(AllocationError, match="oracle cap of 20"):
+    with pytest.raises(ConfigError, match="oracle cap of 20"):
         enumerate_oracle(prof, mesh, 2, "r2r")
     # the cap is read when the oracle runs
     monkeypatch.setattr(allocator, "MAX_ORACLE_PAIRS", 30)
@@ -366,37 +366,38 @@ def test_randbelow_draws_as_randrange():
 
 
 def test_ga_params_validation():
-    for bad in (
-        dict(population_size=1),
-        dict(population_size=MAX_POPULATION + 1),
-        dict(generations=-1),
-        dict(chromosome_mutation_probability=1.5),
-        dict(chromosome_mutation_probability=-0.1),
-        dict(elitism_count=10, population_size=10),
-        dict(elitism_count=-1),
+    for bad, fragment in (
+        (dict(population_size=1), "population must hold at least two"),
+        (dict(population_size=MAX_POPULATION + 1), "population must hold at least two"),
+        (dict(generations=-1), "generations cannot be negative"),
+        (dict(chromosome_mutation_probability=1.5), "chromosome_mutation_probability must be"),
+        (dict(chromosome_mutation_probability=-0.1), "chromosome_mutation_probability must be"),
+        (dict(elitism_count=10, population_size=10), "elitism_count must be below"),
+        (dict(elitism_count=-1), "elitism_count must be below"),
     ):
-        with pytest.raises(AllocationError):
+        with pytest.raises(ConfigError, match=fragment):
             GaParams(**bad)
     assert GaParams(population_size=MAX_POPULATION).population_size == MAX_POPULATION
     prof = router_profile(CHAIN_MESH, CHAIN_COUNTS)
-    with pytest.raises(AllocationError):
+    with pytest.raises(ConfigError, match="need at least one CS subnet"):
         ga_allocate(prof, CHAIN_MESH, 0, GaParams(), "r2r")
-    with pytest.raises(AllocationError):
+    with pytest.raises(ConfigError, match="need at least one CS subnet"):
         greedy_allocate(prof, CHAIN_MESH, 0, "r2r")
 
 
 def test_plan_validate_catches_conflicts():
     prof = router_profile(CHAIN_MESH, CHAIN_COUNTS)
     cands = {(c.src, c.dst): c for c in candidates_from_profile(prof, CHAIN_MESH, "r2r")}
-    clashing = CircuitPlan("r2r", ((cands[A], cands[B]),))
-    with pytest.raises(AllocationError):
-        clashing.validate()
-    duplicated = CircuitPlan("r2r", ((cands[A],), (cands[A],)))
-    with pytest.raises(AllocationError):
-        duplicated.pair_index()
-    with pytest.raises(AllocationError):
+    with pytest.raises(ConfigError, match="conflict in one subnet"):
+        CircuitPlan("r2r", ((cands[A], cands[B]),))
+    with pytest.raises(ConfigError, match=re.escape(f"pair {A} placed in two subnets")):
+        CircuitPlan("r2r", ((cands[A],), (cands[A],)))
+    plan = CircuitPlan("r2r", ((cands[A],), (cands[B],)))
+    with pytest.raises(dataclasses.FrozenInstanceError):  # a built plan stays checked
+        plan.subnets = ((cands[A], cands[B]),)
+    with pytest.raises(ConfigError, match="unknown plan granularity 'mixed'"):
         CircuitPlan("mixed", ())
-    with pytest.raises(AllocationError):
+    with pytest.raises(ConfigError, match="subnet count cannot be negative"):
         CircuitPlan.empty(-1, "e2e")
 
 
@@ -432,8 +433,8 @@ def test_conflict_masks_intersect_exactly_where_paths_conflict(case):
     assert _first_clash(cands, ports) == brute
     if brute:
         a, b = ((cands[i].src, cands[i].dst) for i in brute)
-        with pytest.raises(AllocationError, match=re.escape(f"circuits {a} and {b} conflict")):
-            CircuitPlan(granularity, (tuple(cands),)).validate()
+        with pytest.raises(ConfigError, match=re.escape(f"circuits {a} and {b} conflict")):
+            CircuitPlan(granularity, (tuple(cands),))
 
 
 def resume_matches_scratch(masks, weights, k, parent_order, changed):
@@ -544,18 +545,18 @@ def r2r_circuit(mesh, src, dst):
 def test_plan_validate_r2r_endpoint_ports():
     mesh = MeshConfig.grid(3, 3)  # router 4 is the centre
     # 4->5 leaves east and 4->7 leaves north: no shared link, one source router
-    same_src = CircuitPlan("r2r", ((r2r_circuit(mesh, 4, 5), r2r_circuit(mesh, 4, 7)),))
-    with pytest.raises(AllocationError, match=r"\(4, 5\) and \(4, 7\)"):
-        same_src.validate()
+    same_src = (r2r_circuit(mesh, 4, 5), r2r_circuit(mesh, 4, 7))
+    with pytest.raises(ConfigError, match=r"\(4, 5\) and \(4, 7\)"):
+        CircuitPlan("r2r", (same_src,))
     # 3->4 arrives from the west and 1->4 from the south: one destination router
-    same_dst = CircuitPlan("r2r", ((r2r_circuit(mesh, 3, 4), r2r_circuit(mesh, 1, 4)),))
-    with pytest.raises(AllocationError, match=r"\(3, 4\) and \(1, 4\)"):
-        same_dst.validate()
+    same_dst = (r2r_circuit(mesh, 3, 4), r2r_circuit(mesh, 1, 4))
+    with pytest.raises(ConfigError, match=r"\(3, 4\) and \(1, 4\)"):
+        CircuitPlan("r2r", (same_dst,))
     # one circuit ends where the next begins: different ports, so no clash
     chain = CircuitPlan("r2r", ((r2r_circuit(mesh, 3, 4), r2r_circuit(mesh, 4, 5)),))
     chain.validate()
     # at e2e granularity the shared routers are not a conflict
-    CircuitPlan("e2e", same_src.subnets).validate()
+    CircuitPlan("e2e", (same_src,)).validate()
 
 
 def test_plan_round_trip(tmp_path):
@@ -570,7 +571,8 @@ def test_plan_round_trip(tmp_path):
     assert first_line == "granularity=r2r subnets=3"
     back = load_plan(str(path), mesh)
     assert back.granularity == "r2r"
-    assert back.pair_index() == plan.pair_index()
+    assert [(s, c.src, c.dst) for s, c in back.all_circuits()] == \
+        [(s, c.src, c.dst) for s, c in plan.all_circuits()]
 
 
 def test_load_plan_rejects_bad_files(tmp_path):
@@ -633,4 +635,4 @@ def test_load_plan_e2e_maps_nis(tmp_path):
         load_plan(str(p), mesh)
     p.write_text("granularity=e2e subnets=1\n0,0,6\n")
     plan = load_plan(str(p), mesh)
-    assert plan.pair_index() == {(0, 6): 0}
+    assert [(s, (c.src, c.dst)) for s, c in plan.all_circuits()] == [(0, (0, 6))]

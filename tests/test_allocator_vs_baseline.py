@@ -204,7 +204,7 @@ def test_enumerate_oracle_matches_frozen_baseline(scenario):
     try:
         expected = _plan(base, scenario, "oracle")
     except base.AllocationError:  # above the candidate cap
-        with pytest.raises(hn.AllocationError):
+        with pytest.raises(hn.ConfigError, match="oracle cap of"):
             _plan(hn, scenario, "oracle")
         return
     assert _plan(hn, scenario, "oracle") == expected

@@ -10,18 +10,20 @@ import hybridnoc
 from hybridnoc import (
     SUMMARY_HEADER,
     ConfigError,
+    GaParams,
     MeshConfig,
     SimulationError,
     SyntheticSpec,
     TraceFormatError,
     generate,
+    load_config,
     load_plan,
     profile,
     read_run_report,
     save_profile,
     save_trace,
 )
-from hybridnoc.cli import main
+from hybridnoc.cli import build_parser, main
 from hybridnoc.simcore import MAX_BUFFER_DEPTH_FLITS, MAX_VCS_PER_VNET, MAX_VNETS
 from hybridnoc.topology import MAX_CS_SUBNETS, MAX_MESH_SIDE, MAX_NIS
 from hybridnoc.traffic import MAX_PAYLOAD_BITS
@@ -136,6 +138,24 @@ def test_only_the_ga_reads_generations_and_seed(tmp_path, capsys):
             assert "generations cannot be negative" in capsys.readouterr().err
         else:
             assert isinstance(plans[0], str) and plans[0] == plans[1]
+
+
+def test_option_defaults_are_their_owners_defaults(tmp_path):
+    # each default is read from the one place that owns it: a config file
+    # with no [traffic] keys, an ExperimentConfig, a SyntheticSpec, GaParams
+    ini = tmp_path / "bare.ini"
+    ini.write_text("")
+    config = load_config(str(ini))
+    spec = config.traffic_spec
+    ga = GaParams()
+    sweep = build_parser().parse_args(["sweep"])
+    assert (sweep.pattern, sweep.rate, sweep.cycles, sweep.regularity) == \
+        (spec.pattern, spec.injection_rate, config.resolved_traffic_cycles(), spec.regularity)
+    assert (sweep.allocator, sweep.granularity, sweep.seed) == \
+        (config.allocator, config.granularity, config.seed)
+    alloc = build_parser().parse_args(["allocate", "p.profile", "--out", "p.plan"])
+    assert (alloc.granularity, alloc.generations, alloc.seed) == \
+        (config.granularity, ga.generations, ga.seed)
 
 
 def test_allocate_requires_out(tmp_path, capsys):

@@ -14,12 +14,13 @@ from hypothesis import assume, given, settings, strategies as st
 from hybridnoc import (
     CandidatePair,
     CircuitPlan,
+    GaParams,
     MeshConfig,
     PacketClass,
     SubnetLayout,
     TrafficEvent,
     VcConfig,
-    greedy_allocate,
+    candidates_from_profile,
     load_plan,
     profile_from_flit_counts,
     profile_granularity_for,
@@ -27,6 +28,7 @@ from hybridnoc import (
     simulate,
     xy_route,
 )
+from hybridnoc.allocator import MAX_ORACLE_PAIRS, METHODS, allocate
 
 HALF = SubnetLayout(128, 2)  # one 64-bit VC subnet, one 64-bit CS subnet
 
@@ -94,16 +96,22 @@ def subnet_pairs(plan):
 
 @settings(max_examples=60)
 @given(profiles())
-def test_greedy_plan_file_round_trip(case):
+def test_allocated_plan_file_round_trip(case):
+    # every allocator's plan is conflict-free: it saves, and loads back
+    # through load_plan's checks as the same subnets and paths
     mesh, granularity, k, counts = case
     prof = profile_from_flit_counts(counts, mesh, profile_granularity_for(granularity))
-    plan = greedy_allocate(prof, mesh, k, granularity)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "greedy.plan")
-        save_plan(plan, path)
-        back = load_plan(path, mesh)
-    assert back.granularity == granularity
-    assert back.subnet_count == k
-    assert subnet_pairs(back) == subnet_pairs(plan)
-    assert [c.path for _, c in back.all_circuits()] == [c.path for _, c in plan.all_circuits()]
-    back.validate()
+    n = len(candidates_from_profile(prof, mesh, granularity))
+    for method in METHODS:
+        if method == "oracle" and n > MAX_ORACLE_PAIRS:
+            continue
+        plan = allocate(method, prof, mesh, k, granularity, GaParams(generations=5))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, f"{method}.plan")
+            save_plan(plan, path)
+            back = load_plan(path, mesh)
+        assert back.granularity == granularity
+        assert back.subnet_count == k
+        assert subnet_pairs(back) == subnet_pairs(plan)
+        assert [c.path for _, c in back.all_circuits()] == \
+            [c.path for _, c in plan.all_circuits()]

@@ -7,7 +7,6 @@ from hybridnoc import (
     CircuitPlan,
     ConfigError,
     EnergyCoefficients,
-    EnergyError,
     EnergyReport,
     MeshConfig,
     PacketClass,
@@ -66,7 +65,7 @@ def test_account_zero_coefficients():
 
 def test_account_refuses_empty_runs():
     stats = simulate(MESH, FULL, VC, [])
-    with pytest.raises(EnergyError):
+    with pytest.raises(ConfigError, match="no ejected flits"):
         account(stats, EnergyCoefficients())
 
 
@@ -145,12 +144,12 @@ def test_energy_coefficients_from_config(tmp_path):
     for bad in ("e_fan = 1.0", "e_crossbar = fast", "e_buffer_write = -1.0"):
         with pytest.raises(ConfigError):
             coeffs(bad + "\n")
-    with pytest.raises(EnergyError):
+    with pytest.raises(ConfigError, match="e_buffer_write must be >= 0"):
         EnergyCoefficients(e_buffer_write=-1.0)
 
 
 def test_report_rejects_breakdown_drift():
-    with pytest.raises(EnergyError):
+    with pytest.raises(ConfigError, match="breakdown does not sum to total"):
         EnergyReport(
             total_energy=10.0,
             energy_per_flit=10.0,

@@ -55,6 +55,11 @@ def make_config(**over):
     return ExperimentConfig(**base)
 
 
+def placed(plan):
+    """(src, dst) -> subnet of each of plan's circuits."""
+    return {(c.src, c.dst): s for s, c in plan.all_circuits()}
+
+
 def test_run_baseline_ignores_layout_split():
     cfg = make_config(mode="baseline_vc", layout=SubnetLayout(128, 8))
     result = run_baseline(cfg)
@@ -89,7 +94,7 @@ def test_run_static_deterministic():
     a = run_static(make_config())
     b = run_static(make_config())
     assert a.stats == b.stats
-    assert a.plan.pair_index() == b.plan.pair_index()
+    assert placed(a.plan) == placed(b.plan)
 
 
 def test_run_static_empty_trace(tmp_path):
@@ -146,8 +151,8 @@ def test_run_adaptive_stationary_traffic_converges():
         traffic_spec=SyntheticSpec("regular_mix", 0.05, regularity=1.0)
     )
     epochs = run_adaptive(cfg)
-    pairs1 = set(epochs[1].plan.pair_index())
-    pairs2 = set(epochs[2].plan.pair_index())
+    pairs1 = set(placed(epochs[1].plan))
+    pairs2 = set(placed(epochs[2].plan))
     # the hot set does not move, so neither should the plan
     assert pairs1 == pairs2
     assert pairs1 == set(designated_pairs(cfg.mesh, cfg.seed, 8))
@@ -158,7 +163,7 @@ def test_run_adaptive_plans_come_from_reported_profiles():
     epochs = run_adaptive(cfg)
     for er in epochs[1:]:
         rebuilt = build_plan(er.profile, cfg, adaptive=True)
-        assert rebuilt.pair_index() == er.plan.pair_index()
+        assert placed(rebuilt) == placed(er.plan)
 
 
 def test_run_adaptive_short_trace_falls_back(caplog):
@@ -457,8 +462,8 @@ def test_two_phase_trace_recovers(tmp_path):
     epochs = run_adaptive(cfg)
     assert len(epochs) == 4
     new_hot = set(designated_pairs(MESH, 77, 8))
-    stale = set(epochs[2].plan.pair_index())
-    fresh = set(epochs[3].plan.pair_index())
+    stale = set(placed(epochs[2].plan))
+    fresh = set(placed(epochs[3].plan))
     # epoch 2 still runs the pre-flip plan; epoch 3 was planned from
     # post-flip observations
     assert not (stale & new_hot)
@@ -491,5 +496,5 @@ def test_sparse_trace_drains_through_adaptive_epochs(tmp_path):
     # two 640-bit packets and one 128-bit one at the 32-bit subnet width
     assert sum(er.stats.flits_ejected for er in epochs) == 20 + 20 + 4
     # epoch 1 runs the circuit planned from epoch 0's packet
-    assert (0, 15) in epochs[1].plan.pair_index()
+    assert (0, 15) in placed(epochs[1].plan)
     assert epochs[1].stats.in_circuit_flits == 20

@@ -20,7 +20,6 @@ from hybridnoc import (
     SimulationError,
     SubnetLayout,
     SyntheticSpec,
-    TopologyError,
     TrafficEvent,
     VcConfig,
     generate,
@@ -266,7 +265,7 @@ def test_refused_plan_leaves_the_run_as_it_was():
     trace = [TrafficEvent(c, 0, 3, data, c) for c in range(0, 60, 2)]
     trace += [TrafficEvent(c, 5, 9, data, 100 + c) for c in range(0, 60, 7)]
     trace.sort(key=lambda ev: ev.inject_cycle)
-    too_wide = CircuitPlan("e2e", e2e_plan(MESH, (0, 3)).subnets * 2)
+    too_wide = CircuitPlan("e2e", e2e_plan(MESH, (0, 3)).subnets + e2e_plan(MESH, (5, 9)).subnets)
     # NI 16 is one past the mesh's last; its path is a valid one
     off_mesh = CircuitPlan("e2e", ((CandidatePair(0, 16, 1, xy_route(MESH, 0, 15)),),))
     with pytest.raises(ConfigError, match=r"plan NI pair \(0, 16\) out of range"):
@@ -456,7 +455,7 @@ def test_events_naming_nis_off_the_mesh_raise_topology_error(fabric, ni, end):
     if fabric == "planned":
         layout = HALF
         plan = CircuitPlan("e2e", ((CandidatePair(0, 5, 1, xy_route(MESH, 0, 5)),),))
-    with pytest.raises(TopologyError, match=f"NI {ni} out of range"):
+    with pytest.raises(ConfigError, match=f"NI {ni} out of range"):
         simulate(MESH, layout, VC, trace, plan, cs_all=(fabric == "cs_all"))
 
 
@@ -1048,6 +1047,30 @@ def test_a_lone_packet_as_long_as_a_mesh_side_replays(mesh, vcc, cuts):
     stepped = stepping(Simulation(mesh, HALF, vcc, trace, None, 1, record_flits=True))
     assert run_windows(sim, cuts) == run_windows(stepped, cuts)
     assert made == [True]
+
+
+def test_a_lone_life_is_measured_whatever_the_drain_limit(monkeypatch):
+    # the measuring run drains within a limit of its own, so a small
+    # _DRAIN_CYCLES, as a drain-limit test may set, neither fails it nor
+    # makes the outcome depend on which lives are already cached
+    monkeypatch.setattr(simcore, "_DRAIN_CYCLES", 20)
+    simcore._lone_life.cache_clear()
+    trace = [TrafficEvent(0, 0, 15, PacketClass("data", 320), 0)]  # 5 flits on HALF
+    sim = Simulation(MESH, HALF, VC, trace, None, 0)
+    made = decisions(sim)
+    sim.run_until(200)
+    assert made == [True]
+    assert sim.finalize().flits_ejected == 5
+
+
+@pytest.mark.parametrize("n_flits", [1, 5, 40])
+def test_the_lone_life_limit_holds_with_margin(n_flits):
+    # with one-flit buffers each hop waits a credit round trip, the slowest
+    # a lone packet goes; over 62 hops, the longest route on any mesh, the
+    # life takes under half the measuring run's limit
+    hops = 62
+    flits, _ = simcore._lone_life(hops, n_flits, VcConfig(buffer_depth_flits=1))
+    assert 2 * flits[-1][1] < 8 * (hops + 1) * (n_flits + 4)
 
 
 def test_routes_are_built_per_destination_on_first_use(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conflict_reference import links_conflict
-from hybridnoc import MeshConfig, TopologyError, xy_route
+from hybridnoc import ConfigError, MeshConfig, xy_route
 from hybridnoc.topology import MAX_MESH_SIDE, MAX_NIS
 
 # unit steps in E, W, N, S order; y grows northward
@@ -83,7 +83,7 @@ def test_xy_route_is_the_xy_next_walk(width, height, data):
     m = MeshConfig.grid(width, height)
     a, b = (data.draw(st.integers(0, m.n_routers - 1)) for _ in range(2))
     if a == b:
-        with pytest.raises(TopologyError):
+        with pytest.raises(ConfigError, match="is the destination itself"):
             m.xy_next(a, b)
         return
     seq = [a]
@@ -96,9 +96,9 @@ def test_xy_route_is_the_xy_next_walk(width, height, data):
 def test_xy_next_rejects_routers_off_the_mesh():
     m = MeshConfig.grid(3, 2)
     for a, b in ((-1, 2), (6, 2), (2, -1), (2, 6), (0, 7)):
-        with pytest.raises(TopologyError, match="leaves the mesh"):
+        with pytest.raises(ConfigError, match="leaves the mesh"):
             m.xy_next(a, b)
-        with pytest.raises(TopologyError, match="leaves the mesh"):
+        with pytest.raises(ConfigError, match="leaves the mesh"):
             xy_route(m, a, b)
 
 
@@ -108,11 +108,11 @@ def test_mesh_sizes_are_bounded_before_any_table_is_built():
     assert MeshConfig.grid(1, MAX_MESH_SIDE).n_routers == MAX_MESH_SIDE
     assert MeshConfig(2, 1, (MAX_NIS, 0)).n_nis == MAX_NIS
     for w, h in ((MAX_MESH_SIDE + 1, 1), (1, MAX_MESH_SIDE + 1), (0, 1)):
-        with pytest.raises(TopologyError, match=f"mesh sides must be 1 to {MAX_MESH_SIDE}"):
+        with pytest.raises(ConfigError, match=f"mesh sides must be 1 to {MAX_MESH_SIDE}"):
             MeshConfig.grid(w, h)
-    with pytest.raises(TopologyError, match=f"1 to {MAX_NIS} network interfaces"):
+    with pytest.raises(ConfigError, match=f"1 to {MAX_NIS} network interfaces"):
         MeshConfig.grid(1, 1, MAX_NIS + 1)
-    with pytest.raises(TopologyError, match=f"1 to {MAX_NIS} network interfaces"):
+    with pytest.raises(ConfigError, match=f"1 to {MAX_NIS} network interfaces"):
         MeshConfig(2, 1, (MAX_NIS, 1))
     # one count for every router is the same mesh as the full tuple
     assert MeshConfig(3, 2, 2) == MeshConfig(3, 2, (2,) * 6) == MeshConfig.grid(3, 2, 2)
@@ -121,9 +121,9 @@ def test_mesh_sizes_are_bounded_before_any_table_is_built():
 def test_xy_route_determinism_and_errors():
     m = MeshConfig.grid(3, 3)
     assert xy_route(m, 0, 8) == xy_route(m, 0, 8)
-    with pytest.raises(TopologyError):
+    with pytest.raises(ConfigError, match="no path between a router and itself"):
         xy_route(m, 2, 2)
-    with pytest.raises(TopologyError):
+    with pytest.raises(ConfigError, match="leaves the mesh"):
         xy_route(m, 0, 9)
 
 
@@ -247,22 +247,22 @@ def test_cmp_mesh_counts():
 
 
 def test_validation_errors():
-    with pytest.raises(TopologyError):
+    with pytest.raises(ConfigError, match="mesh sides must be 1 to"):
         MeshConfig.grid(0, 3)
-    with pytest.raises(TopologyError):
+    with pytest.raises(ConfigError, match="one entry per router"):
         MeshConfig(2, 2, (1, 1, 1))  # wrong length
-    with pytest.raises(TopologyError):
+    with pytest.raises(ConfigError, match="NI counts cannot be negative"):
         MeshConfig(2, 2, (1, 1, 1, -1))
-    with pytest.raises(TopologyError):
+    with pytest.raises(ConfigError, match="network interfaces"):
         MeshConfig(2, 2, (0, 0, 0, 0))
     m = MeshConfig.grid(2, 2)
-    with pytest.raises(TopologyError):
+    with pytest.raises(ConfigError, match="NI 4 out of range"):
         m.router_of_ni(4)
-    with pytest.raises(TopologyError):
+    with pytest.raises(ConfigError, match="router -1 out of range"):
         m.coords(-1)
-    with pytest.raises(TopologyError):
+    with pytest.raises(ConfigError, match="router 4 out of range"):
         m.neighbors(4)
-    with pytest.raises(TopologyError):
+    with pytest.raises(ConfigError, match="router 1 is the destination itself"):
         m.xy_next(1, 1)
-    with pytest.raises(TopologyError):
+    with pytest.raises(ConfigError, match="leaves the mesh"):
         m.xy_next(0, 4)
