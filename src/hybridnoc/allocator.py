@@ -90,7 +90,9 @@ class CircuitPlan:
             clash = _first_clash(circuits, self.granularity == "r2r")
             if clash:
                 a, b = ((circuits[i].src, circuits[i].dst) for i in clash)
-                raise ConfigError(f"circuits {a} and {b} conflict in one subnet")
+                err = ConfigError(f"circuits {a} and {b} conflict in one subnet")
+                err.pairs = (a, b)  # for load_plan, which names their lines
+                raise err
 
 
 def _conflict_masks(candidates: Sequence[CandidatePair], endpoint_ports: bool) -> List[int]:
@@ -589,9 +591,8 @@ def load_plan(path: str, mesh: MeshConfig) -> CircuitPlan:
             if ra == rb:
                 raise TraceFormatError(f"line {lineno}: circuit endpoints share a router")
             subnets[s].append(CandidatePair(src, dst, 0, xy_route(mesh, ra, rb)))
-    for circuits in subnets:
-        clash = _first_clash(circuits, not e2e)
-        if clash:
-            a, b = (seen[circuits[i].src, circuits[i].dst] for i in clash)
-            raise TraceFormatError(f"line {b}: circuit conflicts with line {a} in its subnet")
-    return CircuitPlan(granularity, tuple(tuple(s) for s in subnets), provenance="file")
+    try:  # no pair repeats, so validate can refuse only a conflict
+        return CircuitPlan(granularity, tuple(tuple(s) for s in subnets), provenance="file")
+    except ConfigError as err:
+        a, b = (seen[pair] for pair in err.pairs)
+        raise TraceFormatError(f"line {b}: circuit conflicts with line {a} in its subnet") from None

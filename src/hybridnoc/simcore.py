@@ -312,14 +312,15 @@ class _Packet:
     lat (the unloaded latency of each of its flits) and resources are the
     circuit's on an installed circuit; a plan change queues the packets of
     its circuits again, and those with no circuit in the new plan go over
-    the VC subnet.  subnet, sent (its head's cycle onto the wire) and seq
-    (its place in send order) are set when it is sent on a circuit; subnet
-    stays None on the VC subnet.  next_out is the index of the flit that
-    must eject next.
+    the VC subnet.  routers are those of its X-Y path, source first, and
+    mask has bit r set for each.  subnet, sent (its head's cycle onto the
+    wire) and seq (its place in send order) are set when it is sent on a
+    circuit; subnet stays None on the VC subnet.  next_out is the index of
+    the flit that must eject next.
     """
 
     __slots__ = (
-        "pid", "src", "dst", "pair", "created", "src_router",
+        "pid", "src", "dst", "pair", "created", "src_router", "routers", "mask",
         "n_flits", "vnet", "hops", "resources", "subnet", "lat", "next_out",
         "sent", "seq",
     )
@@ -328,7 +329,7 @@ class _Packet:
         self.pid = ev.packet_id
         self.src, self.dst = self.pair = pair
         self.created = ev.inject_cycle
-        self.src_router, self.hops, self.lat, self.resources = geometry
+        self.src_router, self.hops, self.lat, self.resources, self.routers, self.mask = geometry
         self.n_flits, self.vnet = shape
         self.subnet: Optional[int] = None
         self.next_out = 0
@@ -405,9 +406,10 @@ class Simulation:
         self.window_start = 0
         self.carried = 0
 
-        # filled on first use: an NI pair's source router, hops, and lat and
-        # resources off installed circuits; a packet class's (n_flits, vnet);
-        # a destination NI's X-Y route, its output port at each router
+        # filled on first use: an NI pair's source router, hops, lat and
+        # resources off installed circuits, and its path's routers and their
+        # mask; a packet class's (n_flits, vnet); a destination NI's X-Y
+        # route, its output port at each router
         self.pair_table: Dict[Tuple[int, int], Tuple] = {}
         self.class_table: Dict[PacketClass, Tuple[int, int]] = {}
         self.route: Dict[int, List[int]] = {}
@@ -490,6 +492,9 @@ class Simulation:
         self.va_pending: List[_InVC] = []
         # the VCs that VA granted, in key order
         self.sa_active: List[_InVC] = []
+        # per router, the stepped VC packets whose path holds it, from their
+        # dispatch until their tail ejects
+        self.stepping: List[int] = [0] * n_routers
 
     def _new_stats(self) -> SimStats:
         """Zeroed counters carrying the figures fixed for the whole run."""
@@ -514,6 +519,42 @@ class Simulation:
         xy_next, nbrs = self.mesh.xy_next, self.nbrs
         self.route[ni] = [nbrs[r].index(xy_next(r, d)) if r != d else self.local_port[ni]
                           for r in range(self.mesh.n_routers)]
+
+    def _path(self, r: int, ni: int) -> Tuple[Tuple[int, ...], int]:
+        """The routers of the X-Y route from router r toward NI ni, read off
+        ni's route row, and their mask; the walk ends at the one port with
+        no router at its far end, ni's local port."""
+        row, peer = self.route[ni], self.peer
+        routers, mask = [r], 1 << r
+        far = peer[r][row[r]]
+        while far:
+            r = far[0]
+            routers.append(r)
+            mask |= 1 << r
+            far = peer[r][row[r]]
+        return tuple(routers), mask
+
+    def _geometry(self, pair: Tuple[int, int]) -> Tuple:
+        """pair_table's entry for an NI pair, worked out and filed.
+
+        router_of_ni range-checks the pair.  Off the all-circuit fabric, its
+        destination NI gets its route row here if it has none, so every
+        packet that may take the VC subnet, a circuit packet that a plan
+        change moves there included, finds its row.
+        """
+        mesh, (src, dst) = self.mesh, pair
+        src_r, dst_r = mesh.router_of_ni(src), mesh.router_of_ni(dst)
+        hops = mesh.hop_distance(src_r, dst_r)
+        if self.cs_all:  # a packet holds its path's links and ejection port
+            path = xy_route(mesh, src_r, dst_r).links if hops else ()
+            geometry = (src_r, hops, unloaded_latency("cs-e2e", hops),
+                        tuple(("link",) + l for l in path) + (("ej", dst),), (), 0)
+        else:
+            if dst not in self.route:
+                self._route_to(dst)
+            geometry = (src_r, hops, unloaded_latency("vc", hops), ()) + self._path(src_r, dst)
+        self.pair_table[pair] = geometry
+        return geometry
 
     def _check_plan(self, plan: CircuitPlan) -> None:
         """Refuse a plan this run cannot install, before anything changes."""
@@ -551,36 +592,21 @@ class Simulation:
     # --- intake and classification ----------------------------------------
 
     def _intake(self, ev: TrafficEvent) -> None:
-        """Make ev's packet and queue it, or replay a VC packet that is alone.
+        """Make ev's packet and queue it, or replay a VC packet that is alone
+        on its routers.
 
-        A packet is alone from intake to last ejection if the VC subnet holds
-        no flit (no VC queued, routed or granted, no flit on a link), each
-        input VC on its path has full credit, none due, and before the cycle
-        of that ejection no plan activates and every packet takes a circuit.
-        It then takes its vnet's first VC at every hop and wins every switch
-        request, so _replay files its life at once.  What comes in on that
-        last cycle starts after its credits return, as if it had stepped.
-
-        A pair not seen yet has its routers range-checked and its figures
-        worked out into pair_table; off the all-circuit fabric, its
-        destination NI gets its route row then if it has none, so every
-        packet that may take the VC subnet, a circuit packet that a plan
-        change moves there included, finds its row.
+        A packet is alone on its routers from intake to last ejection if no
+        stepped VC packet holds a router of its X-Y path, each input VC on
+        its path has full credit, none due, and before the cycle of that
+        ejection no plan activates and no packet off the circuits comes in
+        over one of its routers.  It then takes its vnet's first VC at every
+        hop and wins every switch request, and shares no VC, port, credit or
+        SA pointer with packets elsewhere, so _replay files its life at
+        once.  What comes in on that last cycle starts after its credits
+        return, as if it had stepped.
         """
         pair = (ev.src, ev.dst)
-        geometry = self.pair_table.get(pair)
-        if geometry is None:  # router_of_ni range-checks a pair not seen yet
-            mesh = self.mesh
-            src_r, dst_r = (mesh.router_of_ni(ni) for ni in pair)
-            hops = mesh.hop_distance(src_r, dst_r)
-            geometry = (src_r, hops, unloaded_latency("vc", hops), ())
-            if self.cs_all:  # a packet holds its path's links and ejection port
-                path = xy_route(mesh, src_r, dst_r).links if hops else ()
-                geometry = (src_r, hops, unloaded_latency("cs-e2e", hops),
-                            tuple(("link",) + l for l in path) + (("ej", ev.dst),))
-            elif ev.dst not in self.route:
-                self._route_to(ev.dst)
-            self.pair_table[pair] = geometry
+        geometry = self.pair_table.get(pair) or self._geometry(pair)
         shape = self.class_table.get(ev.klass)
         if shape is None:
             shape = self.class_table[ev.klass] = (
@@ -597,36 +623,44 @@ class Simulation:
 
     def _replay(self, pkt: _Packet) -> bool:
         """File pkt's life from its intake cycle as _lone_life measured it, and
-        move its path's SA pointers, if it is alone and limit does not cut it.
+        move its path's SA pointers, if it is alone on its routers (see
+        _intake) and limit does not cut it.
 
-        Its path is the walk of its destination's route row from its NI's
-        input port, which ends at the destination's local port, the one port
-        with no router at its far end."""
-        if self.va_pending or self.busy_nis or self.sa_active or self.arrival_ev:
-            return False
-        flits, life = _lone_life(pkt.hops, pkt.n_flits, self.vcc)
+        The tests go cheapest first.  A pair first met in the look-ahead
+        gets its pair_table entry there, so one naming an NI off the mesh
+        raises within the call that would take it in.  Its path is the walk
+        of its destination's route row from its NI's input port."""
+        stepping = self.stepping
+        for r in pkt.routers:
+            if stepping[r]:
+                return False
+        v, depth = pkt.vnet * self.vcc.vcs_per_vnet, self.vcc.buffer_depth_flits
+        row, far, path = self.route[pkt.dst], (pkt.src_router, self.local_port[pkt.src]), []
+        while far:
+            r, p = far
+            ivc = self.invc[r][p][v]
+            if ivc.credit != depth:
+                return False
+            path.append(ivc)
+            far = self.peer[r][row[r]]
+        flits, life = _lone_life(pkt.hops, pkt.n_flits, depth)
         last = pkt.created + flits[-1][1]
         if last >= self.limit or self.plan_schedule and self.plan_schedule[0][0] < last:
             return False
         trace, i = self.trace, self.trace_ptr + 1
         while i < len(trace) and trace[i].inject_cycle < last:
-            if (trace[i].src, trace[i].dst) not in self.match:
+            pair = (trace[i].src, trace[i].dst)
+            if pair not in self.match and (
+                    self.pair_table.get(pair) or self._geometry(pair))[5] & pkt.mask:
                 return False
             i += 1
-        v = pkt.vnet * self.vcc.vcs_per_vnet
-        row, far, path = self.route[pkt.dst], (pkt.src_router, self.local_port[pkt.src]), []
-        while far:
-            r, p = far
-            path.append(self.invc[r][p][v])
-            far = self.peer[r][row[r]]
-        if any(ivc.credit != self.vcc.buffer_depth_flits for ivc in path):
-            return False
         for ivc in path:
             ivc.rr[row[ivc.router]] = ivc.after
+        created, eject_ev = pkt.created, self.eject_ev
         for idx, (entered, out) in enumerate(flits):
-            flit = _Flit(pkt, idx, pkt.created + entered)
-            flit.out = pkt.created + out
-            self.eject_ev.setdefault(2 * flit.out, []).append(flit)
+            flit = _Flit(pkt, idx, created + entered)
+            flit.out = out = created + out
+            eject_ev.setdefault(2 * out, []).append(flit)
         st = self.stats
         for name in ("flits_injected", "sw_allocations", "vc_allocations"):
             setattr(st, name, getattr(st, name) + getattr(life, name))
@@ -638,12 +672,17 @@ class Simulation:
     def _dispatch(self, pkt: _Packet) -> None:
         """Queue pkt at its circuit or, with none, at its NI's VC side.
 
-        An NI joins busy_nis, at its place in ascending order, when its VC
-        queue goes from empty to one packet while it sends none; this covers
-        the packets a plan change moves back to the VC subnet.
+        On the VC side pkt steps: it counts in stepping on each router of
+        its path until its tail ejects.  An NI joins busy_nis, at its place
+        in ascending order, when its VC queue goes from empty to one packet
+        while it sends none; both cover the packets a plan change moves back
+        to the VC subnet.
         """
         circuit = self.match.get(pkt.pair)
         if circuit is None:
+            stepping = self.stepping
+            for r in pkt.routers:
+                stepping[r] += 1
             queue = self.ni_queue.setdefault(pkt.src, deque())
             queue.append(pkt)
             if len(queue) == 1 and pkt.src not in self.ni_cur:
@@ -672,7 +711,7 @@ class Simulation:
         for q in self.circuits:
             self.wire_free[q] = drain_end
         for pkt in sorted(stranded, key=lambda p: (p.created, p.pid)):
-            pkt.lat, pkt.resources = self.pair_table[pkt.pair][2:]
+            pkt.lat, pkt.resources = self.pair_table[pkt.pair][2:4]
             self._dispatch(pkt)
         # keep per-NI FIFO order after moving packets back to the VC side
         for ni, dq in self.ni_queue.items():
@@ -861,7 +900,8 @@ class Simulation:
         the link to the VC that VA reserved (3 cycles) or out to its NI (2
         cycles, into the ejection ledger), and returns a credit upstream (2
         cycles).  Buffer reads and crossbar passes are one per grant, so
-        SimStats derives them from sw_allocations.
+        SimStats derives them from sw_allocations.  A packet's count in
+        stepping drops as its tail ejects.
         """
         sa_active = self.sa_active
         requests: List[_InVC] = []
@@ -898,11 +938,18 @@ class Simulation:
                 ivc.reserved = False
                 ivc.down = None
                 del sa_active[bisect_left(sa_active, ivc.key, key=_BY_KEY)]
-        # new keys: SA schedules these once a cycle, and a replay's lie before later SA's
+                if down is None:
+                    stepping = self.stepping
+                    for r in flit.pkt.routers:
+                        stepping[r] -= 1
+        # new keys: SA schedules arrivals and credits once a cycle; a replay
+        # may have filed flits ejecting at out on other routers
         if arrivals:
             self.arrival_ev[c + 3] = arrivals
         if ejects:
-            self.eject_ev[2 * out] = ejects
+            filed = self.eject_ev.setdefault(2 * out, ejects)
+            if filed is not ejects:
+                filed += ejects
         if returns:
             self.credit_ev[out] = returns
         st = self.stats
@@ -939,7 +986,9 @@ class Simulation:
         circuit record with flits left again under 2 * end + 1.  A flit
         counts for per-packet order, latency and pair counts, a circuit flit
         for its subnet's events; flits created before the warm-up window are
-        not measured.  Flit records go by cycle, VC first, then send order.
+        not measured.  Flit records go by cycle, VC first, then by destination
+        NI (the order of SA's winners, by router, then by local port) or by
+        send order.
 
         Nothing _drive runs reads what retirement writes, so it settles only
         at the first cycle it reaches, stepped or jumped to, at least
@@ -971,7 +1020,7 @@ class Simulation:
             pair = pkt.pair
             pair_flits[pair] = pair_flits.get(pair, 0) + 1
             if records is not None:
-                records.append((flit.out, 0, 0, FlitRecord(
+                records.append((flit.out, 0, pkt.dst, FlitRecord(
                     pkt.pid, idx, flit.entered, flit.out, "vc", pkt.hops)))
         st.lat_net_sum["vc"] += net
         # a circuit flit's network latency is its unloaded latency, pkt.lat
@@ -1012,12 +1061,12 @@ class Simulation:
         remains, and raise SimulationError if work remains at limit.  A
         limit before self.cycle is a ConfigError: the clock never runs back.
 
-        Only VC work keeps the clock stepping, and a lone VC packet makes
-        none: _intake replays its life whole if it ends before limit.  Without
-        VC work the clock jumps (no further than limit) to the next cycle with
-        work: the next packet, plan activation, flit arrival, credit return,
-        or next_send, before which no waiting circuit, all-circuit NIs
-        included, may send.
+        Only VC work keeps the clock stepping, and a VC packet alone on its
+        routers makes none: _intake replays its life whole if it ends before
+        limit, while packets elsewhere step on.  Without VC work the clock
+        jumps (no further than limit) to the next cycle with work: the next
+        packet, plan activation, flit arrival, credit return, or next_send,
+        before which no waiting circuit, all-circuit NIs included, may send.
         Skipping to it changes nothing: wire_free entries only move later,
         and only in a stepped cycle (a send, or a plan activation), in which
         _phase_cs_service runs after them and sets next_send again.
@@ -1182,22 +1231,23 @@ class Simulation:
 
 
 @lru_cache(maxsize=None)
-def _lone_life(hops: int, n_flits: int, vcc: VcConfig) -> Tuple[tuple, SimStats]:
+def _lone_life(hops: int, n_flits: int, depth: int) -> Tuple[tuple, SimStats]:
     """Each flit's (entered, out) cycle and the counters of one n_flits packet
-    stepped alone from cycle 0 over hops hops, all that a lone packet's life
-    depends on.  It runs corner to corner on the smallest mesh whose corners
-    lie hops apart: a line of hops + 1 routers below MAX_MESH_SIDE hops, and
-    MAX_MESH_SIDE routers wide from there on, 32x32 for the 62 hops of the
-    largest mesh.  _dispatch queues it, so the measuring run never replays,
-    and it drains within a limit of the key alone, 8 (hops + 1)(n_flits + 4)
-    cycles."""
+    stepped alone from cycle 0 over hops hops with buffers of depth flits,
+    all that a lone packet's life depends on: it takes its vnet's first VC
+    at every hop, so it is measured with one VC per port.  It runs corner
+    to corner on the smallest mesh whose corners lie hops apart: a line of
+    hops + 1 routers below MAX_MESH_SIDE hops, and MAX_MESH_SIDE routers
+    wide from there on, 32x32 for the 62 hops of the largest mesh.
+    _dispatch queues it, so the measuring run never replays, and it drains
+    within a limit of the key alone, 8 (hops + 1)(n_flits + 4) cycles."""
     width = min(hops, MAX_MESH_SIDE - 1) + 1
     mesh = MeshConfig(width, hops + 2 - width, 1 if hops else 2)
     dst = mesh.n_nis - 1
-    sim = Simulation(mesh, SubnetLayout(), vcc, (), record_flits=True)
+    sim = Simulation(mesh, SubnetLayout(), VcConfig(1, 1, depth), (), record_flits=True)
     sim._route_to(dst)
     sim._dispatch(_Packet(TrafficEvent(0, 0, dst, None, 0), (0, dst),
-                          (0, hops, 0, ()), (n_flits, 0)))
+                          (0, hops, 0, ()) + sim._path(0, dst), (n_flits, 0)))
     sim._drive(8 * (hops + 1) * (n_flits + 4), drain=True)
     stats = sim.finalize()
     return tuple((r.inject_cycle, r.eject_cycle) for r in stats.flit_records), stats

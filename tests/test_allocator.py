@@ -626,6 +626,29 @@ def test_load_plan_bounds_the_subnet_count_before_building_subnets(tmp_path):
             load_plan(str(p), mesh)
 
 
+def test_load_plan_builds_each_subnets_conflict_masks_once(tmp_path, monkeypatch):
+    # the plan's own validate is the one conflict check of a load, and a
+    # clash it finds is still named by the lines of the file
+    mesh = MeshConfig.grid(4, 4)
+    calls = []
+    masks = allocator._conflict_masks
+
+    def counted(*args):
+        calls.append(args)
+        return masks(*args)
+
+    monkeypatch.setattr(allocator, "_conflict_masks", counted)
+    p = tmp_path / "plan.txt"
+    p.write_text("granularity=r2r subnets=8\n"
+                 + "".join(f"{s},{s},{s + 8}\n{s},{s + 8},{s}\n" for s in range(8)))
+    assert load_plan(str(p), mesh).circuit_count() == 16
+    assert len(calls) == 8
+    p.write_text("granularity=r2r subnets=8\n0,0,3\n5,4,7\n5,12,15\n5,5,6\n")
+    with pytest.raises(TraceFormatError,
+                       match="^line 5: circuit conflicts with line 3 in its subnet$"):
+        load_plan(str(p), mesh)
+
+
 def test_load_plan_e2e_maps_nis(tmp_path):
     mesh = MeshConfig.grid(2, 2, 2)
     p = tmp_path / "plan.txt"

@@ -907,7 +907,7 @@ CTRL = PacketClass("control", 64)
 DATA = PacketClass("data", 640)
 # the cycle, from its intake, that the tail of a lone DATA packet over 6 hops
 # ejects on a subnet of HALF: 10 flits of 64 bits
-LAST = simcore._lone_life(6, 10, VC)[0][-1][1]
+LAST = simcore._lone_life(6, 10, VC.buffer_depth_flits)[0][-1][1]
 
 
 def stepping(sim):
@@ -957,28 +957,54 @@ def test_lone_packets_are_replayed_without_switch_allocation():
     assert made == [True] * len(trace)
 
 
+def test_packets_on_routers_apart_replay_side_by_side():
+    # the four rows of the 4x4 mesh share no router: two packets start
+    # together on rows 0 and 3, two more on rows 1 and 2 while both are in
+    # flight, and none steps
+    trace = [TrafficEvent(0, 0, 3, DATA, 0), TrafficEvent(0, 12, 15, DATA, 1),
+             TrafficEvent(4, 4, 7, CTRL, 2), TrafficEvent(9, 8, 11, DATA, 3)]
+    sim = Simulation(MESH, HALF, VC, trace, None, 1, record_flits=True)
+    made = decisions(sim)
+
+    def phase_sa(c):
+        raise AssertionError(f"a replayed packet bid for the switch in cycle {c}")
+
+    sim._phase_sa = phase_sa
+    stepped = stepping(Simulation(MESH, HALF, VC, trace, None, 1, record_flits=True))
+    assert run_windows(sim, [150]) == run_windows(stepped, [150])
+    assert made == [True] * 4
+
+
 @pytest.mark.parametrize("later, activation, cuts, tamper, made", [
-    ([TrafficEvent(20, 5, 6, CTRL, 1)], None, [], False, [False, False]),
+    ([TrafficEvent(20, 5, 6, CTRL, 1)], None, [], False, [True, True]),
+    ([TrafficEvent(20, 2, 6, CTRL, 1)], None, [], False, [False, False]),
     ([TrafficEvent(LAST, 5, 6, CTRL, 1)], None, [], False, [True, True]),
     ([TrafficEvent(20, 1, 2, CTRL, 1)], None, [], False, [True]),
     ([TrafficEvent(LAST - 3, 11, 15, CTRL, 1)], None, [], False, [False, False]),
     ([TrafficEvent(LAST - 1, 11, 15, CTRL, 1)], None, [], False, [False, True]),
     ([TrafficEvent(LAST - 1, 11, 15, DATA, 1)], None, [], False, [False, False]),
+    ([TrafficEvent(LAST - 3, 11, 15, CTRL, 1)], 10, [], False, [False, False]),
+    ([TrafficEvent(LAST - 1, 11, 15, CTRL, 1)], 10, [], False, [False, True]),
     ([], 10, [], False, [False]),
     ([], LAST, [], False, [True]),
     ([], None, [LAST], False, [False]),
     ([], None, [LAST + 1], False, [True]),
     ([], None, [], True, [False]),
-], ids=["vc-intake-inside", "vc-intake-at-last", "circuit-intake-inside", "tail-in-a-router",
-        "credit-due-off-path", "credit-due-on-path", "plan-inside", "plan-at-last",
+], ids=["vc-intake-off-path", "vc-intake-on-path", "vc-intake-at-last", "circuit-intake-inside",
+        "tail-in-a-router", "credit-due-off-path", "credit-due-on-path",
+        "stepped-tail-in-a-router", "stepped-tail-ejected", "plan-inside", "plan-at-last",
         "cut-at-last", "cut-past-last", "credits"])
 def test_replay_declines_what_may_meet_the_packet(later, activation, cuts, tamper, made):
-    # a DATA packet NI 0 -> 15 at cycle 0, with a circuit NI 1 -> 2 installed;
-    # whatever comes in, activates or cuts before its last cycle makes it step,
-    # and each run matches one where every packet steps.  Stepped, its tail
-    # waits alone in router 15 in cycle LAST - 3, and in LAST - 1 it has left
-    # but router 11 still waits for credits of its VC of vnet 1, the vnet of
-    # DATA (CTRL takes vnet 0)
+    # a DATA packet NI 0 -> 15 at cycle 0 over routers 0, 1, 2, 3, 7, 11, 15,
+    # with a circuit NI 1 -> 2 installed; a VC packet that comes in before its
+    # last cycle on one of those routers, or a plan or cut before then, makes
+    # it step, and each run matches one where every packet steps.  A packet
+    # on routers 5 and 6 replays beside it; one on router 2 steps, as the
+    # first still steps there.  Stepped, its tail waits alone in router 15 in
+    # cycle LAST - 3, which makes a packet over router 15 step even when a
+    # plan, not that packet, made the first one step; in LAST - 1 it has
+    # left but router 11 still waits for credits of its VC of vnet 1, the
+    # vnet of DATA (CTRL takes vnet 0)
     trace = [TrafficEvent(0, 0, 15, DATA, 0)] + later
 
     def run(sim):
@@ -999,12 +1025,13 @@ def test_replay_declines_what_may_meet_the_packet(later, activation, cuts, tampe
 
 def assert_lives_as_on_a_line(mesh, layout, vcc, event, seed):
     """event's packet, stepped alone on mesh, has the schedule and counts
-    _lone_life measures on a line of the same length."""
+    _lone_life measures on a line of the same length with one VC per port
+    of vcc's buffer depth."""
     sim = stepping(Simulation(mesh, layout, vcc, [event], None, seed, record_flits=True))
     sim.run_to_completion()
     stats = sim.finalize()
     hops = mesh.hop_distance(mesh.router_of_ni(event.src), mesh.router_of_ni(event.dst))
-    flits, life = simcore._lone_life(hops, len(stats.flit_records), vcc)
+    flits, life = simcore._lone_life(hops, len(stats.flit_records), vcc.buffer_depth_flits)
     start = event.inject_cycle
     assert [(r.inject_cycle - start, r.eject_cycle - start) for r in stats.flit_records] == \
         list(flits)
@@ -1069,7 +1096,7 @@ def test_the_lone_life_limit_holds_with_margin(n_flits):
     # a lone packet goes; over 62 hops, the longest route on any mesh, the
     # life takes under half the measuring run's limit
     hops = 62
-    flits, _ = simcore._lone_life(hops, n_flits, VcConfig(buffer_depth_flits=1))
+    flits, _ = simcore._lone_life(hops, n_flits, 1)
     assert 2 * flits[-1][1] < 8 * (hops + 1) * (n_flits + 4)
 
 

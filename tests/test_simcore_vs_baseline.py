@@ -30,12 +30,17 @@ stepping them, with circuit packets coming in inside their lives, then a
 contended burst through the same routers, where the switch allocator's
 pointers that the replays moved decide who goes first; runs are cut inside
 a replayed life, in the warm-up and at an epoch boundary, where a new plan
-activates.
+activates.  Concurrent-lives scenarios run VC streams on two or three rows
+of a 4x4 mesh at once, which replay side by side, each packet alone on its
+routers, with packets crossing between the rows past replayed lives and
+stepped packets; VC flits of different routers eject in one cycle, and
+flit records hold their order.  Both kinds end with no stepped packet
+still counted on any router.
 
 Burst, hot-spot and saturation scenarios draw 1-4 NIs per router, as on
-the 51-NI CMP, and the VC organization (vnets, VCs per vnet, buffer
-depth), down to one VC of one slot, so NIs and heads often wait for a
-free VC or a free buffer slot.
+the 51-NI CMP; they and the concurrent-lives scenarios draw the VC
+organization (vnets, VCs per vnet, buffer depth), down to one VC of one
+slot, so NIs and heads often wait for a free VC or a free buffer slot.
 """
 
 import dataclasses
@@ -564,7 +569,65 @@ def lone_lives(draw):
 @settings(max_examples=80, phases=NO_SHRINK)
 @given(lone_lives())
 def test_lone_packets_then_a_burst_match_frozen_baseline(case):
-    scenario, hot, cuts, boundary, second = case
+    _assert_cut_runs_match(*case)
+
+
+@st.composite
+def concurrent_lives(draw):
+    """VC streams on two or three rows of a 4x4 mesh, which X-Y routes keep
+    apart, so their packets replay side by side, each alone on its routers;
+    a few packets cross from one stream's row to another's, meeting replayed
+    lives and stepped packets on the way; on a planned fabric, data packets
+    of 1-2 hot pairs come in too.  Up to two cuts fall inside a stream
+    packet's life and at an epoch boundary where a second plan activates.
+    """
+    nis = tuple(draw(ni_counts(4, 4, 2)))
+    mesh = hn.MeshConfig(4, 4, nis)
+    k = draw(st.sampled_from([1, 2, 4]))
+    fabric = "vc" if k == 1 else draw(st.sampled_from(["e2e", "r2r"]))
+    classes = st.sampled_from([("control", 64), ("control", 128), ("data", 640)])
+    rows = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3, unique=True))
+    row_nis = [[ni for x in range(4) for ni in mesh.nis_of_router(4 * y + x)] for y in rows]
+    packets = []
+    lives = []  # intake cycles of the stream packets
+    for ends in row_nis:
+        cycle = draw(st.integers(0, 30))
+        for _ in range(draw(st.integers(2, 8))):
+            src, dst = draw(st.permutations(ends))[:2]
+            packets.append((cycle, src, dst) + draw(classes))
+            lives.append(cycle)
+            cycle += draw(st.sampled_from([0, 5, 20, 40, 60, 90]))
+    end = max(lives)
+    for _ in range(draw(st.integers(1, 4))):
+        src_row, dst_row = draw(st.permutations(row_nis))[:2]
+        packets.append((draw(st.integers(0, end)), draw(st.sampled_from(src_row)),
+                        draw(st.sampled_from(dst_row))) + draw(classes))
+    ni_pairs = st.permutations(range(mesh.n_nis)).map(lambda p: tuple(p[:2]))
+    hot = draw(st.lists(ni_pairs, min_size=1, max_size=2, unique=True))
+    for _ in range(draw(st.integers(0, 4) if k > 1 else st.just(0))):
+        packets.append((draw(st.integers(0, end)),) + draw(st.sampled_from(hot))
+                       + ("data", 640))
+    packets.sort(key=lambda pkt: pkt[0])
+    boundary = draw(st.integers(1, end + 10))
+    cuts = {draw(st.sampled_from(lives)) + draw(st.integers(1, 40)), boundary}
+    cuts = sorted(draw(st.sets(st.sampled_from(sorted(cuts)), min_size=1)))
+    scenario = (4, 4, nis, k, fabric, packets, None, draw(st.integers(0, 3)),
+                (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 6))))
+    second = draw(st.sampled_from([None, "empty", "later"])) if k > 1 else None
+    return scenario, hot, cuts, boundary, second
+
+
+@settings(max_examples=60, phases=NO_SHRINK)
+@given(concurrent_lives())
+def test_concurrent_lone_lives_match_frozen_baseline(case):
+    _assert_cut_runs_match(*case)
+
+
+def _assert_cut_runs_match(scenario, hot, cuts, boundary, second):
+    """The engine and the frozen copy retire the same flits by each cut and
+    end with the same figures, with no packet left counted on a router, and
+    the engine's windows, pair counts and SA pointers equal those of its
+    own run that never replays."""
     plans = (_plan(scenario, hot),)
     if second is not None:
         plans += (boundary, _replan(scenario, boundary, second))
@@ -577,6 +640,7 @@ def test_lone_packets_then_a_burst_match_frozen_baseline(case):
         sim.run_to_completion()
     assert _retired(sims[0]) == _retired(sims[1])
     assert figures(sims[0].finalize()) == figures(sims[1].finalize())
+    assert not any(sims[0].stepping)  # every stepped packet left its routers
     # the frozen copy's counters do not close per window, so the windows
     # closed at the cuts are held to a run of the engine that never replays
     sims = [_simulation(hn, scenario, *plans) for _ in range(2)]
