@@ -31,7 +31,7 @@ from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .allocator import CircuitPlan
-from .topology import MAX_CS_SUBNETS, MAX_MESH_SIDE, ConfigError, MeshConfig, xy_route
+from .topology import MAX_CS_SUBNETS, MAX_MESH_SIDE, ConfigError, MeshConfig
 from .traffic import PacketClass, TrafficEvent, flits_for_packet
 
 log = logging.getLogger(__name__)
@@ -309,18 +309,18 @@ class _InVC:
 class _Packet:
     """A packet from intake to ejection.
 
-    lat (the unloaded latency of each of its flits) and resources are the
-    circuit's on an installed circuit; a plan change queues the packets of
-    its circuits again, and those with no circuit in the new plan go over
-    the VC subnet.  routers are those of its X-Y path, source first, and
-    mask has bit r set for each.  subnet, sent (its head's cycle onto the
-    wire) and seq (its place in send order) are set when it is sent on a
-    circuit; subnet stays None on the VC subnet.  next_out is the index of
-    the flit that must eject next.
+    hops, lat (the unloaded latency of each of its flits), resources,
+    routers, mask and inputs are its pair's pair_table entry (see
+    Simulation._geometry), lat and resources the circuit's on an installed
+    circuit; a plan change queues the packets of its circuits again, and
+    those with no circuit in the new plan go over the VC subnet.  subnet,
+    sent (its head's cycle onto the wire) and seq (its place in send order)
+    are set when it is sent on a circuit; subnet stays None on the VC
+    subnet.  next_out is the index of the flit that must eject next.
     """
 
     __slots__ = (
-        "pid", "src", "dst", "pair", "created", "src_router", "routers", "mask",
+        "pid", "src", "dst", "pair", "created", "routers", "mask", "inputs",
         "n_flits", "vnet", "hops", "resources", "subnet", "lat", "next_out",
         "sent", "seq",
     )
@@ -329,7 +329,7 @@ class _Packet:
         self.pid = ev.packet_id
         self.src, self.dst = self.pair = pair
         self.created = ev.inject_cycle
-        self.src_router, self.hops, self.lat, self.resources, self.routers, self.mask = geometry
+        self.hops, self.lat, self.resources, self.routers, self.mask, self.inputs = geometry
         self.n_flits, self.vnet = shape
         self.subnet: Optional[int] = None
         self.next_out = 0
@@ -406,10 +406,9 @@ class Simulation:
         self.window_start = 0
         self.carried = 0
 
-        # filled on first use: an NI pair's source router, hops, lat and
-        # resources off installed circuits, and its path's routers and their
-        # mask; a packet class's (n_flits, vnet); a destination NI's X-Y
-        # route, its output port at each router
+        # filled on first use: an NI pair's path (see _geometry); a packet
+        # class's (n_flits, vnet); a destination NI's X-Y route, its output
+        # port at each router
         self.pair_table: Dict[Tuple[int, int], Tuple] = {}
         self.class_table: Dict[PacketClass, Tuple[int, int]] = {}
         self.route: Dict[int, List[int]] = {}
@@ -512,48 +511,42 @@ class Simulation:
             gated_buffers_per_cycle=gated * per_subnet,
         )
 
-    def _route_to(self, ni: int) -> None:
-        """Fill route[ni]: at each router, the port of the X-Y route toward NI
-        ni; at ni's own router, ni's local port."""
+    def _route_to(self, ni: int) -> List[int]:
+        """Fill and return route[ni]: at each router, the port of the X-Y
+        route toward NI ni; at ni's own router, ni's local port."""
         d = self.mesh.router_of_ni(ni)
         xy_next, nbrs = self.mesh.xy_next, self.nbrs
-        self.route[ni] = [nbrs[r].index(xy_next(r, d)) if r != d else self.local_port[ni]
-                          for r in range(self.mesh.n_routers)]
-
-    def _path(self, r: int, ni: int) -> Tuple[Tuple[int, ...], int]:
-        """The routers of the X-Y route from router r toward NI ni, read off
-        ni's route row, and their mask; the walk ends at the one port with
-        no router at its far end, ni's local port."""
-        row, peer = self.route[ni], self.peer
-        routers, mask = [r], 1 << r
-        far = peer[r][row[r]]
-        while far:
-            r = far[0]
-            routers.append(r)
-            mask |= 1 << r
-            far = peer[r][row[r]]
-        return tuple(routers), mask
+        row = self.route[ni] = [nbrs[r].index(xy_next(r, d)) if r != d else self.local_port[ni]
+                                for r in range(self.mesh.n_routers)]
+        return row
 
     def _geometry(self, pair: Tuple[int, int]) -> Tuple:
-        """pair_table's entry for an NI pair, worked out and filed.
+        """pair_table's entry (hops, lat, resources, routers, mask, inputs)
+        for an NI pair, worked out and filed.
 
-        router_of_ni range-checks the pair.  Off the all-circuit fabric, its
-        destination NI gets its route row here if it has none, so every
-        packet that may take the VC subnet, a circuit packet that a plan
-        change moves there included, finds its row.
-        """
-        mesh, (src, dst) = self.mesh, pair
-        src_r, dst_r = mesh.router_of_ni(src), mesh.router_of_ni(dst)
-        hops = mesh.hop_distance(src_r, dst_r)
-        if self.cs_all:  # a packet holds its path's links and ejection port
-            path = xy_route(mesh, src_r, dst_r).links if hops else ()
-            geometry = (src_r, hops, unloaded_latency("cs-e2e", hops),
-                        tuple(("link",) + l for l in path) + (("ej", dst),), (), 0)
-        else:
-            if dst not in self.route:
-                self._route_to(dst)
-            geometry = (src_r, hops, unloaded_latency("vc", hops), ()) + self._path(src_r, dst)
-        self.pair_table[pair] = geometry
+        It is the one walk of the pair's X-Y path on every fabric: from the
+        source NI's input port, along the destination's route row (filled
+        here if missing) to the one port with no router at its far end.
+        routers are those it enters, source first, mask has bit r set for
+        each, and inputs holds the VCs of the port it enters each by.  lat
+        and resources are those off installed circuits: the VC latency, or on
+        the all-circuit fabric the e2e latency and the path's links and
+        ejection port.  router_of_ni and _route_to range-check the pair."""
+        src, dst = pair
+        far = (self.mesh.router_of_ni(src), self.local_port[src])
+        row = self.route.get(dst) or self._route_to(dst)
+        routers, inputs = [], []
+        while far:
+            r, p = far
+            routers.append(r)
+            inputs.append(self.invc[r][p])
+            far = self.peer[r][row[r]]
+        hops = len(routers) - 1
+        lat, resources = unloaded_latency("cs-e2e" if self.cs_all else "vc", hops), ()
+        if self.cs_all:
+            resources = tuple(("link", a, b) for a, b in zip(routers, routers[1:])) + (("ej", dst),)
+        geometry = self.pair_table[pair] = (hops, lat, resources, tuple(routers),
+                                            sum(1 << r for r in routers), tuple(inputs))
         return geometry
 
     def _check_plan(self, plan: CircuitPlan) -> None:
@@ -626,23 +619,17 @@ class Simulation:
         move its path's SA pointers, if it is alone on its routers (see
         _intake) and limit does not cut it.
 
-        The tests go cheapest first.  A pair first met in the look-ahead
-        gets its pair_table entry there, so one naming an NI off the mesh
-        raises within the call that would take it in.  Its path is the walk
-        of its destination's route row from its NI's input port."""
+        The tests go cheapest first, on pkt's pair_table entry.  A pair first
+        met in the look-ahead gets its entry there, so one naming an NI off
+        the mesh raises within the call that would take it in."""
         stepping = self.stepping
         for r in pkt.routers:
             if stepping[r]:
                 return False
         v, depth = pkt.vnet * self.vcc.vcs_per_vnet, self.vcc.buffer_depth_flits
-        row, far, path = self.route[pkt.dst], (pkt.src_router, self.local_port[pkt.src]), []
-        while far:
-            r, p = far
-            ivc = self.invc[r][p][v]
-            if ivc.credit != depth:
+        for vcs in pkt.inputs:
+            if vcs[v].credit != depth:
                 return False
-            path.append(ivc)
-            far = self.peer[r][row[r]]
         flits, life = _lone_life(pkt.hops, pkt.n_flits, depth)
         last = pkt.created + flits[-1][1]
         if last >= self.limit or self.plan_schedule and self.plan_schedule[0][0] < last:
@@ -651,10 +638,12 @@ class Simulation:
         while i < len(trace) and trace[i].inject_cycle < last:
             pair = (trace[i].src, trace[i].dst)
             if pair not in self.match and (
-                    self.pair_table.get(pair) or self._geometry(pair))[5] & pkt.mask:
+                    self.pair_table.get(pair) or self._geometry(pair))[4] & pkt.mask:
                 return False
             i += 1
-        for ivc in path:
+        row = self.route[pkt.dst]
+        for vcs in pkt.inputs:
+            ivc = vcs[v]
             ivc.rr[row[ivc.router]] = ivc.after
         created, eject_ev = pkt.created, self.eject_ev
         for idx, (entered, out) in enumerate(flits):
@@ -711,7 +700,7 @@ class Simulation:
         for q in self.circuits:
             self.wire_free[q] = drain_end
         for pkt in sorted(stranded, key=lambda p: (p.created, p.pid)):
-            pkt.lat, pkt.resources = self.pair_table[pkt.pair][2:4]
+            pkt.lat, pkt.resources = self.pair_table[pkt.pair][1:3]
             self._dispatch(pkt)
         # keep per-NI FIFO order after moving packets back to the VC side
         for ni, dq in self.ni_queue.items():
@@ -762,16 +751,12 @@ class Simulation:
             queue = self.ni_queue[ni]
             if cur is None:
                 pkt = queue[0]
-                r = pkt.src_router
-                p = self.local_port[ni]
-                v = self._free_vc(r, p, pkt.vnet)
-                if v < 0:
+                ivc = self._free_vc(pkt.inputs[0], pkt.vnet)
+                if ivc is None:
                     continue
-                ivc = self.invc[r][p][v]
                 ivc.reserved = True
                 queue.popleft()
-                cur = [pkt, ivc, 0]
-                ni_cur[ni] = cur
+                cur = ni_cur[ni] = [pkt, ivc, 0]
             pkt, ivc, idx = cur
             if len(ivc.buf) >= depth:
                 continue
@@ -785,18 +770,17 @@ class Simulation:
             busy_nis[:] = [ni for ni in busy_nis if ni in ni_cur or self.ni_queue[ni]]
         self.stats.flits_injected += injected
 
-    def _free_vc(self, r: int, p: int, vnet: int) -> int:
-        """Index of the first free VC of vnet at input port p, or -1.
+    def _free_vc(self, vcs: List[_InVC], vnet: int) -> Optional[_InVC]:
+        """The first free VC of vnet among vcs, one input port's VCs, or None.
 
         A VC is reserved before its head flit is written and freed as its
         tail leaves, so an unreserved VC is also empty.
         """
-        vcs = self.invc[r][p]
         base = vnet * self.vcc.vcs_per_vnet
         for v in range(base, base + self.vcc.vcs_per_vnet):
             if not vcs[v].reserved:
-                return v
-        return -1
+                return vcs[v]
+        return None
 
     def _phase_cs_service(self, c: int) -> None:
         """Send on each waiting circuit the first head packet, round-robin
@@ -875,11 +859,10 @@ class Simulation:
             far = peer[ivc.router][ivc.out_port]
             if far is not None:
                 nbr, p2 = far
-                target = self._free_vc(nbr, p2, ivc.buf[0].pkt.vnet)
-                if target < 0:
+                down = self._free_vc(self.invc[nbr][p2], ivc.buf[0].pkt.vnet)
+                if down is None:
                     still.append(ivc)
                     continue
-                down = self.invc[nbr][p2][target]
                 down.reserved = True
                 ivc.down = down
             insort(self.sa_active, ivc, key=_BY_KEY)
@@ -1239,15 +1222,15 @@ def _lone_life(hops: int, n_flits: int, depth: int) -> Tuple[tuple, SimStats]:
     to corner on the smallest mesh whose corners lie hops apart: a line of
     hops + 1 routers below MAX_MESH_SIDE hops, and MAX_MESH_SIDE routers
     wide from there on, 32x32 for the 62 hops of the largest mesh.
-    _dispatch queues it, so the measuring run never replays, and it drains
-    within a limit of the key alone, 8 (hops + 1)(n_flits + 4) cycles."""
+    _dispatch queues it with the entry _geometry files for its pair, so the
+    measuring run never replays, and it drains within a limit of the key
+    alone, 8 (hops + 1)(n_flits + 4) cycles."""
     width = min(hops, MAX_MESH_SIDE - 1) + 1
     mesh = MeshConfig(width, hops + 2 - width, 1 if hops else 2)
     dst = mesh.n_nis - 1
     sim = Simulation(mesh, SubnetLayout(), VcConfig(1, 1, depth), (), record_flits=True)
-    sim._route_to(dst)
     sim._dispatch(_Packet(TrafficEvent(0, 0, dst, None, 0), (0, dst),
-                          (0, hops, 0, ()) + sim._path(0, dst), (n_flits, 0)))
+                          sim._geometry((0, dst)), (n_flits, 0)))
     sim._drive(8 * (hops + 1) * (n_flits + 4), drain=True)
     stats = sim.finalize()
     return tuple((r.inject_cycle, r.eject_cycle) for r in stats.flit_records), stats

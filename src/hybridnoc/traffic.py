@@ -384,9 +384,14 @@ def save_profile(prof: TrafficProfile, path: str) -> None:
 
 def load_profile(path: str, granularity: str) -> TrafficProfile:
     prof = TrafficProfile(granularity)
+    seen: Dict[Tuple[int, int], int] = {}  # pair -> its line
     with open(path, "rb") as fh:
         for lineno, (src, dst, flits, hops) in read_records(fh, (int,) * 4):
             if flits < 0 or hops < 0:
                 raise TraceFormatError(f"line {lineno}: negative count")
+            if src == dst:
+                raise TraceFormatError(f"line {lineno}: endpoint {src} is paired with itself")
+            if seen.setdefault((src, dst), lineno) != lineno:
+                raise TraceFormatError(f"line {lineno}: pair repeats line {seen[src, dst]}")
             prof.entries[(src, dst)] = PairTraffic(flits, hops)
     return prof

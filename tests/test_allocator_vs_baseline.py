@@ -9,7 +9,6 @@ Greedy and the oracle must give the same plans as the copy's.
 
 import os
 import random
-import shutil
 import subprocess
 from pathlib import Path
 from unittest import mock
@@ -20,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import hybridnoc as hn
 from hybridnoc import allocator
 from frozen_baseline import NO_SHRINK, base
+from python310 import python_3_10
 
 # probabilities spread over [0, 1] (hypothesis draws floats mostly at the
 # ends)
@@ -267,27 +267,9 @@ print("OK")
 
 def test_ga_allocate_matches_frozen_baseline_under_python_3_10():
     """Python 3.10 is the oldest version the package supports."""
-    exe = shutil.which("python3.10")
-    if exe is None:
-        pytest.skip("python3.10 is not on PATH")
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root / 'bench' / 'baseline'}")
-
-    def probe():
-        return subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"],
-                              capture_output=True, text=True, timeout=30, env=env)
-
-    started = probe()
-    if started.stdout.strip() != "(3, 10)" and shutil.which("pyenv"):
-        # a pyenv shim with no 3.10 selected: retry once with an installed 3.10.*
-        installed = subprocess.run(["pyenv", "versions", "--bare"], capture_output=True,
-                                   text=True, timeout=30).stdout.split()
-        version = next((v for v in installed if v.startswith("3.10.")), None)
-        if version is not None:
-            env["PYENV_VERSION"] = version
-            started = probe()
-    if started.stdout.strip() != "(3, 10)":
-        pytest.skip(f"python3.10 on PATH does not run: {started.stderr.strip()[:80]!r}")
+    exe, env = python_3_10(dict(
+        os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root / 'bench' / 'baseline'}"))
     done = subprocess.run([exe, "-B", "-c", _PY310_CHECK], capture_output=True, text=True,
                           timeout=60, env=env)
     assert done.returncode == 0 and done.stdout.strip() == "OK", done.stderr

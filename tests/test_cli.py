@@ -715,6 +715,20 @@ def test_profile_with_a_negative_count_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "p.plan").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0,5,10,2\n0,5,20,2\n", "line 2: pair repeats line 1"),
+    ("# src,dst,flit_count,hop_count\n0,5,10,2\n\n3,3,10,0\n",
+     "line 4: endpoint 3 is paired with itself"),
+], ids=["repeat", "self"])
+def test_profile_with_a_repeated_or_self_pair_is_exit_2(tmp_path, capsys, text, message):
+    # a profile holds one line per pair of distinct endpoints
+    prof_path = tmp_path / "p.profile"
+    prof_path.write_text(text)
+    assert main(["allocate", str(prof_path), "--out", str(tmp_path / "p.plan")]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "p.plan").exists()
+
+
 def test_compare_against_a_baseline_of_zero_latency_is_exit_2(tmp_path, capsys):
     report = ("[run]\nlabel = {}\npercent_in_circuit = 0\n"
               "[latency]\nmean = {}\n[energy]\nper_flit = 2\n")

@@ -9,7 +9,12 @@ change that means to alter a table updates the digests here and says
 why.
 """
 
+import os
+import subprocess
+from pathlib import Path
+
 from output_set import CALLS, digests
+from python310 import python_3_10
 
 # one per call of output_set.CALLS, in order: the 18 rate sweeps, then the
 # two subnet-count sweeps
@@ -43,3 +48,15 @@ def test_output_set_matches_its_committed_digests():
     assert len(CALLS) == len(DIGESTS) == 20
     assert dict(zip(each, DIGESTS)) == each
     assert total == TOTAL
+
+
+def test_output_set_reads_the_same_under_python_3_10():
+    # the oldest supported interpreter prints the same digests; the script
+    # puts the package's src/ on its own path
+    exe, env = python_3_10(os.environ)
+    done = subprocess.run([exe, "-B", str(Path(__file__).with_name("output_set.py"))],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    *each, total = [line.split()[:2] for line in done.stdout.splitlines()]
+    assert [digest for digest, _ in each] == list(DIGESTS)
+    assert total == [TOTAL, "all"]

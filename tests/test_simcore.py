@@ -32,7 +32,7 @@ from hybridnoc import (
     unloaded_latency,
     xy_route,
 )
-from hybridnoc import simcore
+from hybridnoc import simcore, topology
 from hybridnoc.simcore import _SETTLE_CYCLES
 
 MESH = MeshConfig.grid(4, 4)
@@ -46,6 +46,10 @@ DST_AT_HOPS = {1: 1, 2: 2, 3: 3, 4: 7, 5: 11, 6: 15}
 
 def one_packet(dst, klass, cycle=0, src=0):
     return [TrafficEvent(cycle, src, dst, klass, 0)]
+
+
+def no_xy_route(*args):
+    raise AssertionError("the engine routes through its route rows only")
 
 
 def e2e_plan(mesh, *pairs):
@@ -462,7 +466,8 @@ def test_events_naming_nis_off_the_mesh_raise_topology_error(fabric, ni, end):
 @pytest.mark.parametrize("cs_all", [False, True])
 def test_per_packet_figures_are_worked_out_once_per_pair_and_class(monkeypatch, cs_all):
     # a packet's routers, hops, latency, path and flit count come from
-    # tables filled on first use, and circuit packets make no _Flit
+    # tables filled on first use, its pair's from one walk of a route row,
+    # and circuit packets make no _Flit
     trace = generate(SyntheticSpec("uniform_random", 0.3), MESH, 1, 1500)
     calls = collections.Counter()
 
@@ -472,16 +477,22 @@ def test_per_packet_figures_are_worked_out_once_per_pair_and_class(monkeypatch, 
             return fn(*args)
         return wrapper
 
-    for name in ("xy_route", "flits_for_packet", "unloaded_latency"):
+    geometry = Simulation._geometry
+
+    def walked(sim, pair):
+        calls[sim.mesh] += 1  # the lone-life runs walk meshes of their own
+        return geometry(sim, pair)
+
+    for name in ("flits_for_packet", "unloaded_latency"):
         monkeypatch.setattr(simcore, name, counted(name, getattr(simcore, name)))
-    monkeypatch.setattr(MeshConfig, "hop_distance", counted("hops", MeshConfig.hop_distance))
+    monkeypatch.setattr(Simulation, "_geometry", walked)
+    monkeypatch.setattr(topology, "xy_route", no_xy_route)
     if cs_all:
         monkeypatch.setattr(simcore, "_Flit", None)
     stats = simulate(MESH, FULL, VC, trace, cs_all=cs_all)
     pairs = {(ev.src, ev.dst) for ev in trace}
     assert stats.packets_seen == len(trace) > 3 * len(pairs)
-    assert calls["hops"] == len(pairs)
-    assert calls["xy_route"] == (len(pairs) if cs_all else 0)
+    assert calls[MESH] == len(pairs)
     assert calls["flits_for_packet"] == len({ev.klass for ev in trace}) == 2
     assert calls["unloaded_latency"] <= 2 * len(pairs)
 
@@ -1102,7 +1113,8 @@ def test_the_lone_life_limit_holds_with_margin(n_flits):
 
 def test_routes_are_built_per_destination_on_first_use(monkeypatch):
     # building a Simulation routes nothing; a run routes toward each NI its
-    # traffic heads for, once, from every other router
+    # traffic heads for, once, from every other router, on the all-circuit
+    # fabric too
     plan = e2e_plan(MESH, (0, 5))
     calls = collections.Counter()
     xy_next = MeshConfig.xy_next
@@ -1112,6 +1124,7 @@ def test_routes_are_built_per_destination_on_first_use(monkeypatch):
         return xy_next(mesh, router, dst_router)
 
     monkeypatch.setattr(MeshConfig, "xy_next", counted)
+    monkeypatch.setattr(topology, "xy_route", no_xy_route)
     Simulation(MeshConfig.grid(32, 32), HALF, VC, [], None, 0)
     assert not calls
     trace = generate(SyntheticSpec("uniform_random", 0.05), MESH, 2, 400)
@@ -1120,4 +1133,9 @@ def test_routes_are_built_per_destination_on_first_use(monkeypatch):
     sim.run_to_completion()
     dsts = {ev.dst for ev in trace}
     assert len(dsts) > 1
+    assert calls[MESH] == (MESH.n_routers - 1) * len(dsts)
+    calls.clear()
+    sim = Simulation(MESH, FULL, VC, trace, None, 0, cs_all=True)
+    assert not calls
+    sim.run_to_completion()
     assert calls[MESH] == (MESH.n_routers - 1) * len(dsts)
