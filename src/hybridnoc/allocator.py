@@ -14,6 +14,7 @@ import math
 import random
 import re
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -497,17 +498,32 @@ def enumerate_oracle(
     # circuit leaves its subnet by xor
     subnets = [0] * k
     assign: List[List[int]] = [[] for _ in range(k)]
+    # each candidate is charged to the bit of its mask the most candidates
+    # hold, the lowest such bit on a tie
+    bits = [[b for b in range(mask.bit_length()) if mask >> b & 1] for mask in masks]
+    held = Counter(b for own in bits for b in own)
+    charge = [max(own, key=lambda b: (held[b], -b)) for own in bits]
 
     def search(i: int, current: int) -> None:
         nonlocal best_weight, best_assign
         # a remaining candidate can add weight only if it fits some subnet
-        # now: subnets only fill along a branch
+        # now, as subnets only fill along a branch; a subnet holds a bit at
+        # most once, so at most k - (subnets holding b) more of those charged
+        # to bit b can add.  Candidates go heaviest first, so the first that
+        # fit while their bit has room are the best such choice.  The search
+        # takes only a strictly heavier leaf, so a tighter bound prunes
+        # nothing that could replace the incumbent: the plan is the same
         bound = current
+        room: Dict[int, int] = {}
         for j in range(i, n):
             mask = masks[j]
             for s in subnets:
                 if not s & mask:
-                    bound += weights[j]
+                    b = charge[j]
+                    left = room.get(b, k - sum(t >> b & 1 for t in subnets))
+                    if left:
+                        bound += weights[j]
+                        room[b] = left - 1
                     break
         if bound <= best_weight:
             return

@@ -310,7 +310,7 @@ class _Packet:
     """A packet from intake to ejection.
 
     hops, lat (the unloaded latency of each of its flits), resources,
-    routers, mask and inputs are its pair's pair_table entry (see
+    ports, mask and inputs are its pair's pair_table entry (see
     Simulation._geometry), lat and resources the circuit's on an installed
     circuit; a plan change queues the packets of its circuits again, and
     those with no circuit in the new plan go over the VC subnet.  subnet,
@@ -320,7 +320,7 @@ class _Packet:
     """
 
     __slots__ = (
-        "pid", "src", "dst", "pair", "created", "routers", "mask", "inputs",
+        "pid", "src", "dst", "pair", "created", "ports", "mask", "inputs",
         "n_flits", "vnet", "hops", "resources", "subnet", "lat", "next_out",
         "sent", "seq",
     )
@@ -329,7 +329,7 @@ class _Packet:
         self.pid = ev.packet_id
         self.src, self.dst = self.pair = pair
         self.created = ev.inject_cycle
-        self.hops, self.lat, self.resources, self.routers, self.mask, self.inputs = geometry
+        self.hops, self.lat, self.resources, self.ports, self.mask, self.inputs = geometry
         self.n_flits, self.vnet = shape
         self.subnet: Optional[int] = None
         self.next_out = 0
@@ -478,27 +478,33 @@ class Simulation:
         depth = self.vcc.buffer_depth_flits
         rr0 = seed % n_vc
         self.invc: List[List[List[_InVC]]] = []
-        base = 0
+        # port ids: input port p of router r is first_port[r] + p, its VCs'
+        # key // n_vc, and the ejection port to NI ni is n_ports + ni
+        self.first_port: List[int] = []
+        n_ports = 0
         for r, ports in enumerate(self.peer):
             ring = len(ports) * n_vc
             rr = [rr0] * len(ports)
+            base = n_ports * n_vc
             self.invc.append([
                 [_InVC(r, p * n_vc + v, base + p * n_vc + v, rr, ring,
                        far is not None, depth) for v in range(n_vc)]
                 for p, far in enumerate(ports)
             ])
-            base += ring
+            self.first_port.append(n_ports)
+            n_ports += len(ports)
+        self.n_ports = n_ports
         self.va_pending: List[_InVC] = []
         # the VCs that VA granted, in key order
         self.sa_active: List[_InVC] = []
-        # per router, the stepped VC packets whose path holds it, from their
-        # dispatch until their tail ejects
-        self.stepping: List[int] = [0] * n_routers
+        # per port id, the stepped VC packets whose path holds it, from
+        # their dispatch until their tail ejects
+        self.stepping: List[int] = [0] * (n_ports + mesh.n_nis)
 
     def _new_stats(self) -> SimStats:
         """Zeroed counters carrying the figures fixed for the whole run."""
         k = self.layout.subnet_count
-        per_subnet = sum(len(ports) for ports in self.peer) * self.n_vc
+        per_subnet = self.n_ports * self.n_vc
         gated = 0
         if self.layout.gate_cs_buffers or self.cs_all:
             # subnet 0 keeps its VC buffers unless the fabric is all-circuit
@@ -521,32 +527,41 @@ class Simulation:
         return row
 
     def _geometry(self, pair: Tuple[int, int]) -> Tuple:
-        """pair_table's entry (hops, lat, resources, routers, mask, inputs)
+        """pair_table's entry (hops, lat, resources, ports, mask, inputs)
         for an NI pair, worked out and filed.
 
         It is the one walk of the pair's X-Y path on every fabric: from the
         source NI's input port, along the destination's route row (filled
         here if missing) to the one port with no router at its far end.
-        routers are those it enters, source first, mask has bit r set for
-        each, and inputs holds the VCs of the port it enters each by.  lat
-        and resources are those off installed circuits: the VC latency, or on
-        the all-circuit fabric the e2e latency and the path's links and
-        ejection port.  router_of_ni and _route_to range-check the pair."""
+        inputs holds the VCs of the input port it enters each router by,
+        source first; ports are the ids of those input ports and then of its
+        ejection port (see _build_geometry), and mask has the bit of each
+        set.  Every output port it leaves by but the last is the next input
+        port, so ports are every port of the path.  lat and resources are
+        those off installed circuits: the VC latency, or on the all-circuit
+        fabric the e2e latency and the path's links and ejection port.
+        router_of_ni and _route_to range-check the pair."""
         src, dst = pair
         far = (self.mesh.router_of_ni(src), self.local_port[src])
         row = self.route.get(dst) or self._route_to(dst)
-        routers, inputs = [], []
+        invc, peer, first_port = self.invc, self.peer, self.first_port
+        ports, inputs = [], []
+        mask = 0
         while far:
             r, p = far
-            routers.append(r)
-            inputs.append(self.invc[r][p])
-            far = self.peer[r][row[r]]
-        hops = len(routers) - 1
+            inputs.append(invc[r][p])
+            port = first_port[r] + p
+            ports.append(port)
+            mask |= 1 << port
+            far = peer[r][row[r]]
+        ports.append(self.n_ports + dst)
+        hops = len(inputs) - 1
         lat, resources = unloaded_latency("cs-e2e" if self.cs_all else "vc", hops), ()
         if self.cs_all:
-            resources = tuple(("link", a, b) for a, b in zip(routers, routers[1:])) + (("ej", dst),)
-        geometry = self.pair_table[pair] = (hops, lat, resources, tuple(routers),
-                                            sum(1 << r for r in routers), tuple(inputs))
+            resources = tuple(("link", a[0].router, b[0].router)
+                              for a, b in zip(inputs, inputs[1:])) + (("ej", dst),)
+        geometry = self.pair_table[pair] = (hops, lat, resources, tuple(ports),
+                                            mask | 1 << ports[-1], tuple(inputs))
         return geometry
 
     def _check_plan(self, plan: CircuitPlan) -> None:
@@ -586,17 +601,24 @@ class Simulation:
 
     def _intake(self, ev: TrafficEvent) -> None:
         """Make ev's packet and queue it, or replay a VC packet that is alone
-        on its routers.
+        on its ports.
 
-        A packet is alone on its routers from intake to last ejection if no
-        stepped VC packet holds a router of its X-Y path, each input VC on
-        its path has full credit, none due, and before the cycle of that
+        A packet is alone on its ports from intake to last ejection if no
+        stepped VC packet holds a port of its X-Y path, each input VC on its
+        path has full credit, none due, and before the cycle of that
         ejection no plan activates and no packet off the circuits comes in
-        over one of its routers.  It then takes its vnet's first VC at every
-        hop and wins every switch request, and shares no VC, port, credit or
-        SA pointer with packets elsewhere, so _replay files its life at
-        once.  What comes in on that last cycle starts after its credits
-        return, as if it had stepped.
+        over one of its ports.  It then takes its vnet's first VC at every
+        hop and wins every switch request, so _replay files its life at
+        once.  A port test is exact: VA picks among the VCs of one input
+        port and credits are kept per VC, and SA is separable and output
+        first, with a round-robin pointer per output port, each output port
+        granting one request and each input port winning once a cycle.  So
+        two packets meet only at an input port both enter by or an output
+        port both leave by, which is the next hop's input port or the one
+        ejection port to their NI.  A packet that crosses one of its routers
+        on other ports changes none of its grants, nor it theirs.  What
+        comes in on that last cycle starts after its credits return, as if
+        it had stepped.
         """
         pair = (ev.src, ev.dst)
         geometry = self.pair_table.get(pair) or self._geometry(pair)
@@ -616,15 +638,15 @@ class Simulation:
 
     def _replay(self, pkt: _Packet) -> bool:
         """File pkt's life from its intake cycle as _lone_life measured it, and
-        move its path's SA pointers, if it is alone on its routers (see
+        move its path's SA pointers, if it is alone on its ports (see
         _intake) and limit does not cut it.
 
         The tests go cheapest first, on pkt's pair_table entry.  A pair first
         met in the look-ahead gets its entry there, so one naming an NI off
         the mesh raises within the call that would take it in."""
         stepping = self.stepping
-        for r in pkt.routers:
-            if stepping[r]:
+        for port in pkt.ports:
+            if stepping[port]:
                 return False
         v, depth = pkt.vnet * self.vcc.vcs_per_vnet, self.vcc.buffer_depth_flits
         for vcs in pkt.inputs:
@@ -661,8 +683,8 @@ class Simulation:
     def _dispatch(self, pkt: _Packet) -> None:
         """Queue pkt at its circuit or, with none, at its NI's VC side.
 
-        On the VC side pkt steps: it counts in stepping on each router of
-        its path until its tail ejects.  An NI joins busy_nis, at its place
+        On the VC side pkt steps: it counts in stepping on each port of its
+        path until its tail ejects.  An NI joins busy_nis, at its place
         in ascending order, when its VC queue goes from empty to one packet
         while it sends none; both cover the packets a plan change moves back
         to the VC subnet.
@@ -670,8 +692,8 @@ class Simulation:
         circuit = self.match.get(pkt.pair)
         if circuit is None:
             stepping = self.stepping
-            for r in pkt.routers:
-                stepping[r] += 1
+            for port in pkt.ports:
+                stepping[port] += 1
             queue = self.ni_queue.setdefault(pkt.src, deque())
             queue.append(pkt)
             if len(queue) == 1 and pkt.src not in self.ni_cur:
@@ -923,10 +945,10 @@ class Simulation:
                 del sa_active[bisect_left(sa_active, ivc.key, key=_BY_KEY)]
                 if down is None:
                     stepping = self.stepping
-                    for r in flit.pkt.routers:
-                        stepping[r] -= 1
+                    for port in flit.pkt.ports:
+                        stepping[port] -= 1
         # new keys: SA schedules arrivals and credits once a cycle; a replay
-        # may have filed flits ejecting at out on other routers
+        # may have filed flits ejecting at out on other ports
         if arrivals:
             self.arrival_ev[c + 3] = arrivals
         if ejects:
@@ -1045,11 +1067,12 @@ class Simulation:
         limit before self.cycle is a ConfigError: the clock never runs back.
 
         Only VC work keeps the clock stepping, and a VC packet alone on its
-        routers makes none: _intake replays its life whole if it ends before
-        limit, while packets elsewhere step on.  Without VC work the clock
-        jumps (no further than limit) to the next cycle with work: the next
-        packet, plan activation, flit arrival, credit return, or next_send,
-        before which no waiting circuit, all-circuit NIs included, may send.
+        ports makes none: _intake replays its life whole if it ends before
+        limit, while packets on other ports, of its routers too, step on.
+        Without VC work the clock jumps (no further than limit) to the next
+        cycle with work: the next packet, plan activation, flit arrival,
+        credit return, or next_send, before which no waiting circuit,
+        all-circuit NIs included, may send.
         Skipping to it changes nothing: wire_free entries only move later,
         and only in a stepped cycle (a send, or a plan activation), in which
         _phase_cs_service runs after them and sets next_send again.

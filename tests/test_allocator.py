@@ -1,10 +1,13 @@
 """Circuit allocation: greedy first-fit, genetic search, exact enumeration."""
 
 import dataclasses
+import importlib.util
 import itertools
 import math
+import pathlib
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,7 @@ from hybridnoc import (
     ga_allocate,
     greedy_allocate,
     load_plan,
+    load_profile,
     plan_weight,
     profile_granularity_for,
     save_plan,
@@ -198,7 +202,7 @@ def brute_force_optimum(cands, k, endpoint_ports):
     return best
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_oracle_against_brute_force(k):
     mesh = MeshConfig.grid(3, 2)
     rng = random.Random(99 + k)
@@ -210,6 +214,37 @@ def test_oracle_against_brute_force(k):
         cands = candidates_from_profile(prof, mesh, "r2r")
         assert plan_weight(oracle, prof) == brute_force_optimum(cands, k, True)
         oracle.validate()
+
+
+@pytest.mark.parametrize("granularity", ["r2r", "e2e"])
+def test_oracle_searches_a_dense_profile_in_few_nodes(tmp_path, monkeypatch, granularity):
+    # the top 20 pairs of the benchmark's heavy-tailed 8x8 profile at seed 0,
+    # in 3 subnets: a bound that adds every remaining candidate that fits
+    # some subnet searched 2,687,509 nodes (r2r) and 5,920,381 (e2e); with at
+    # most k - (subnets holding b) more candidates on each bit b it searches
+    # 61 and 62, and finds the same optimum
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "pairs.profile"
+    workloads.write_heavy_tailed_profile(str(path), 8, 8, 2000, 0)
+    prof = load_profile(str(path), profile_granularity_for(granularity))
+    prof.entries = {pair: prof.entries[pair] for pair in prof.sorted_pairs()[:20]}
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        nodes += event == "call" and frame.f_code.co_name == "search"
+
+    sys.setprofile(count)
+    try:
+        plan = enumerate_oracle(prof, MeshConfig.grid(8, 8), 3, granularity)
+    finally:
+        sys.setprofile(None)
+    assert nodes < 1000
+    assert plan.meta["weight"] == plan_weight(plan, prof) == 128821
 
 
 def test_oracle_refuses_large_instances(monkeypatch):

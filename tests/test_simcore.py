@@ -986,9 +986,28 @@ def test_packets_on_routers_apart_replay_side_by_side():
     assert made == [True] * 4
 
 
+def test_packets_crossing_a_router_on_other_ports_replay_side_by_side():
+    # NI 0 -> 3 runs along row 0 and NI 1 -> 13 down column 1: both cross
+    # router 1, the first from its west to its east port, the second from
+    # NI 1's port to its south port, so they share no port and neither steps
+    trace = [TrafficEvent(0, 0, 3, DATA, 0), TrafficEvent(0, 1, 13, DATA, 1)]
+    sim = Simulation(MESH, HALF, VC, trace, None, 1, record_flits=True)
+    made = decisions(sim)
+
+    def phase_sa(c):
+        raise AssertionError(f"a replayed packet bid for the switch in cycle {c}")
+
+    sim._phase_sa = phase_sa
+    stepped = stepping(Simulation(MESH, HALF, VC, trace, None, 1, record_flits=True))
+    assert run_windows(sim, [150]) == run_windows(stepped, [150])
+    assert made == [True, True]
+
+
 @pytest.mark.parametrize("later, activation, cuts, tamper, made", [
     ([TrafficEvent(20, 5, 6, CTRL, 1)], None, [], False, [True, True]),
-    ([TrafficEvent(20, 2, 6, CTRL, 1)], None, [], False, [False, False]),
+    ([TrafficEvent(20, 2, 6, CTRL, 1)], None, [], False, [True, True]),
+    ([TrafficEvent(20, 14, 15, CTRL, 1)], None, [], False, [False, False]),
+    ([TrafficEvent(20, 1, 3, CTRL, 1)], None, [], False, [False, False]),
     ([TrafficEvent(LAST, 5, 6, CTRL, 1)], None, [], False, [True, True]),
     ([TrafficEvent(20, 1, 2, CTRL, 1)], None, [], False, [True]),
     ([TrafficEvent(LAST - 3, 11, 15, CTRL, 1)], None, [], False, [False, False]),
@@ -1001,21 +1020,25 @@ def test_packets_on_routers_apart_replay_side_by_side():
     ([], None, [LAST], False, [False]),
     ([], None, [LAST + 1], False, [True]),
     ([], None, [], True, [False]),
-], ids=["vc-intake-off-path", "vc-intake-on-path", "vc-intake-at-last", "circuit-intake-inside",
+], ids=["vc-intake-off-path", "vc-intake-on-path", "ejection-port-only", "input-port-shared",
+        "vc-intake-at-last", "circuit-intake-inside",
         "tail-in-a-router", "credit-due-off-path", "credit-due-on-path",
         "stepped-tail-in-a-router", "stepped-tail-ejected", "plan-inside", "plan-at-last",
         "cut-at-last", "cut-past-last", "credits"])
 def test_replay_declines_what_may_meet_the_packet(later, activation, cuts, tamper, made):
     # a DATA packet NI 0 -> 15 at cycle 0 over routers 0, 1, 2, 3, 7, 11, 15,
     # with a circuit NI 1 -> 2 installed; a VC packet that comes in before its
-    # last cycle on one of those routers, or a plan or cut before then, makes
+    # last cycle over one of its ports, or a plan or cut before then, makes
     # it step, and each run matches one where every packet steps.  A packet
-    # on routers 5 and 6 replays beside it; one on router 2 steps, as the
-    # first still steps there.  Stepped, its tail waits alone in router 15 in
-    # cycle LAST - 3, which makes a packet over router 15 step even when a
-    # plan, not that packet, made the first one step; in LAST - 1 it has
-    # left but router 11 still waits for credits of its VC of vnet 1, the
-    # vnet of DATA (CTRL takes vnet 0)
+    # on routers 5 and 6 replays beside it, and so does NI 2 -> 6, which
+    # crosses router 2 on ports the first does not use.  NI 14 -> 15 shares
+    # only the ejection port to NI 15, and NI 1 -> 3 enters router 2 by the
+    # first's west port: both step, as the first then steps too.  Stepped,
+    # its tail waits alone in router 15 in cycle LAST - 3, which makes a
+    # packet into router 15 by its north port step even when a plan, not
+    # that packet, made the first one step; in LAST - 1 it has left but
+    # router 11 still waits for credits of its VC of vnet 1, the vnet of
+    # DATA (CTRL takes vnet 0)
     trace = [TrafficEvent(0, 0, 15, DATA, 0)] + later
 
     def run(sim):

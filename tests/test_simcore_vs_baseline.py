@@ -32,10 +32,13 @@ pointers that the replays moved decide who goes first; runs are cut inside
 a replayed life, in the warm-up and at an epoch boundary, where a new plan
 activates.  Concurrent-lives scenarios run VC streams on two or three rows
 of a 4x4 mesh at once, which replay side by side, each packet alone on its
-routers, with packets crossing between the rows past replayed lives and
+ports, with packets crossing between the rows past replayed lives and
 stepped packets; VC flits of different routers eject in one cycle, and
-flit records hold their order.  Both kinds end with no stepped packet
-still counted on any router.
+flit records hold their order.  Crossing-lives scenarios run streams along
+rows and columns at once, which meet at routers on disjoint ports and
+replay there side by side, with packets turning from a row onto a column
+over ports of both.  All three kinds end with no stepped packet still
+counted on any port.
 
 Burst, hot-spot and saturation scenarios draw 1-4 NIs per router, as on
 the 51-NI CMP; they and the concurrent-lives scenarios draw the VC
@@ -623,9 +626,69 @@ def test_concurrent_lone_lives_match_frozen_baseline(case):
     _assert_cut_runs_match(*case)
 
 
+@st.composite
+def crossing_lives(draw):
+    """VC streams along one or two rows and one or two columns of a 4x4
+    mesh: X-Y routes keep a row's packets on its east and west ports and a
+    column's on its north and south ports, so streams meet at routers on
+    disjoint ports and replay side by side there.  One to three packets
+    turn from a row stream's NIs to a column stream's, over ports of both;
+    on a planned fabric, data packets of 1-2 hot pairs come in too.  Up to
+    two cuts fall inside a stream packet's life and at an epoch boundary
+    where a second plan activates.
+    """
+    nis = tuple(draw(ni_counts(4, 4, 2)))
+    mesh = hn.MeshConfig(4, 4, nis)
+    k = draw(st.sampled_from([1, 2, 4]))
+    fabric = "vc" if k == 1 else draw(st.sampled_from(["e2e", "r2r"]))
+    classes = st.sampled_from([("control", 64), ("control", 128), ("data", 640)])
+
+    def stream_nis(routers):
+        return [ni for r in routers for ni in mesh.nis_of_router(r)]
+
+    rows = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True))
+    cols = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True))
+    row_nis = [stream_nis(range(4 * y, 4 * y + 4)) for y in rows]
+    col_nis = [stream_nis(range(x, 16, 4)) for x in cols]
+    packets = []
+    lives = []  # intake cycles of the stream packets
+    for ends in row_nis + col_nis:
+        cycle = draw(st.integers(0, 30))
+        for _ in range(draw(st.integers(2, 8))):
+            src, dst = draw(st.permutations(ends))[:2]
+            packets.append((cycle, src, dst) + draw(classes))
+            lives.append(cycle)
+            cycle += draw(st.sampled_from([0, 5, 20, 40, 60, 90]))
+    end = max(lives)
+    for _ in range(draw(st.integers(1, 3))):
+        src = draw(st.sampled_from(draw(st.sampled_from(row_nis))))
+        dst = draw(st.sampled_from(draw(st.sampled_from(col_nis))))
+        if src != dst:
+            packets.append((draw(st.integers(0, end)), src, dst) + draw(classes))
+    ni_pairs = st.permutations(range(mesh.n_nis)).map(lambda p: tuple(p[:2]))
+    hot = draw(st.lists(ni_pairs, min_size=1, max_size=2, unique=True))
+    for _ in range(draw(st.integers(0, 4) if k > 1 else st.just(0))):
+        packets.append((draw(st.integers(0, end)),) + draw(st.sampled_from(hot))
+                       + ("data", 640))
+    packets.sort(key=lambda pkt: pkt[0])
+    boundary = draw(st.integers(1, end + 10))
+    cuts = {draw(st.sampled_from(lives)) + draw(st.integers(1, 40)), boundary}
+    cuts = sorted(draw(st.sets(st.sampled_from(sorted(cuts)), min_size=1)))
+    scenario = (4, 4, nis, k, fabric, packets, None, draw(st.integers(0, 3)),
+                (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 6))))
+    second = draw(st.sampled_from([None, "empty", "later"])) if k > 1 else None
+    return scenario, hot, cuts, boundary, second
+
+
+@settings(max_examples=60, phases=NO_SHRINK)
+@given(crossing_lives())
+def test_crossing_lives_match_frozen_baseline(case):
+    _assert_cut_runs_match(*case)
+
+
 def _assert_cut_runs_match(scenario, hot, cuts, boundary, second):
     """The engine and the frozen copy retire the same flits by each cut and
-    end with the same figures, with no packet left counted on a router, and
+    end with the same figures, with no packet left counted on a port, and
     the engine's windows, pair counts and SA pointers equal those of its
     own run that never replays."""
     plans = (_plan(scenario, hot),)
@@ -640,7 +703,7 @@ def _assert_cut_runs_match(scenario, hot, cuts, boundary, second):
         sim.run_to_completion()
     assert _retired(sims[0]) == _retired(sims[1])
     assert figures(sims[0].finalize()) == figures(sims[1].finalize())
-    assert not any(sims[0].stepping)  # every stepped packet left its routers
+    assert not any(sims[0].stepping)  # every stepped packet left its ports
     # the frozen copy's counters do not close per window, so the windows
     # closed at the cuts are held to a run of the engine that never replays
     sims = [_simulation(hn, scenario, *plans) for _ in range(2)]
