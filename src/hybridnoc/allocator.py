@@ -39,6 +39,16 @@ def profile_granularity_for(plan_granularity: str) -> str:
         raise ConfigError(f"unknown plan granularity {plan_granularity!r}") from None
 
 
+def endpoint_routers(mesh: MeshConfig, granularity: str, *endpoints: int) -> Tuple[int, ...]:
+    """The routers of a plan's endpoints, usually a pair: NIs in an e2e plan,
+    routers in an r2r plan.  An endpoint off the mesh raises ConfigError naming it."""
+    if granularity == "e2e":
+        return tuple([mesh.router_of_ni(ni) for ni in endpoints])
+    for router in endpoints:
+        mesh.coords(router)  # the range check
+    return endpoints
+
+
 @dataclass(frozen=True)
 class CandidatePair:
     """An endpoint pair that could become a circuit."""
@@ -94,6 +104,13 @@ class CircuitPlan:
                 err = ConfigError(f"circuits {a} and {b} conflict in one subnet")
                 err.pairs = (a, b)  # for load_plan, which names their lines
                 raise err
+
+    def check_fits(self, mesh: MeshConfig) -> None:
+        """Refuse a plan drawn on another mesh: each path must be its circuit's X-Y route."""
+        for _, c in self.all_circuits():
+            a, b = endpoint_routers(mesh, self.granularity, c.src, c.dst)
+            if a == b or c.path != xy_route(mesh, a, b):
+                raise ConfigError(f"plan circuit {c.src},{c.dst} is not an X-Y route of this mesh")
 
 
 def _conflict_masks(candidates: Sequence[CandidatePair], endpoint_ports: bool) -> List[int]:
@@ -199,17 +216,10 @@ def _first_fit(
     return placed, total, states, len(masks)
 
 
-def _plan_from_indices(
-    granularity: str,
-    candidates: Sequence[CandidatePair],
-    subnets: Sequence[Sequence[int]],
-    provenance: str,
-) -> CircuitPlan:
-    return CircuitPlan(
-        granularity,
-        tuple(tuple(candidates[i] for i in s) for s in subnets),
-        provenance=provenance,
-    )
+def _plan_from_indices(granularity: str, candidates: Sequence[CandidatePair],
+                       subnets: Sequence[Sequence[int]], provenance: str) -> CircuitPlan:
+    return CircuitPlan(granularity, tuple(tuple(candidates[i] for i in s) for s in subnets),
+                       provenance=provenance)
 
 
 def candidates_from_profile(
@@ -224,24 +234,13 @@ def candidates_from_profile(
     """
     expected = profile_granularity_for(plan_granularity)
     if profile.granularity != expected:
-        raise ConfigError(
-            f"{plan_granularity} plans need a {expected}-granularity profile, "
-            f"got {profile.granularity}"
-        )
-    out: List[CandidatePair] = []
-    for pair in profile.sorted_pairs():
-        entry = profile.entries[pair]
-        if entry.weight <= 0:
-            continue
-        if profile.granularity == "ni":
-            ra = mesh.router_of_ni(pair[0])
-            rb = mesh.router_of_ni(pair[1])
-        else:
-            ra, rb = pair
-        if ra == rb:
-            continue
-        out.append(CandidatePair(pair[0], pair[1], entry.weight, xy_route(mesh, ra, rb)))
-    return out
+        raise ConfigError(f"{plan_granularity} plans need a {expected}-granularity profile, "
+                          f"got {profile.granularity}")
+    pairs = [pair for pair in profile.sorted_pairs() if profile.entries[pair].weight > 0]
+    # one call maps every endpoint, each pair's source then its destination
+    routers = endpoint_routers(mesh, plan_granularity, *(end for pair in pairs for end in pair))
+    return [CandidatePair(src, dst, profile.entries[src, dst].weight, xy_route(mesh, ra, rb))
+            for (src, dst), ra, rb in zip(pairs, routers[::2], routers[1::2]) if ra != rb]
 
 
 def _problem(profile: TrafficProfile, mesh: MeshConfig, k: int,
@@ -592,18 +591,17 @@ def load_plan(path: str, mesh: MeshConfig) -> CircuitPlan:
         if len(digits.lstrip("0")) > 4 or int(digits) > MAX_CS_SUBNETS:
             raise TraceFormatError(f"line {lineno}: a plan has at most {MAX_CS_SUBNETS} subnets")
         k = int(digits)
-        e2e = granularity == "e2e"
-        n_endpoints = mesh.n_nis if e2e else mesh.n_routers
         subnets: List[List[CandidatePair]] = [[] for _ in range(k)]
         seen: Dict[Tuple[int, int], int] = {}  # pair -> its line
         for lineno, (s, src, dst) in rows:
             if not 0 <= s < k:
                 raise TraceFormatError(f"line {lineno}: subnet {s} out of range")
-            if not (0 <= src < n_endpoints and 0 <= dst < n_endpoints):
+            try:
+                ra, rb = endpoint_routers(mesh, granularity, src, dst)
+            except ConfigError:
                 raise TraceFormatError(f"line {lineno}: circuit {src},{dst} leaves the mesh")
             if seen.setdefault((src, dst), lineno) != lineno:
                 raise TraceFormatError(f"line {lineno}: pair repeats line {seen[src, dst]}")
-            ra, rb = (mesh.router_of_ni(src), mesh.router_of_ni(dst)) if e2e else (src, dst)
             if ra == rb:
                 raise TraceFormatError(f"line {lineno}: circuit endpoints share a router")
             subnets[s].append(CandidatePair(src, dst, 0, xy_route(mesh, ra, rb)))

@@ -21,6 +21,7 @@ from .allocator import (
     PLAN_GRANULARITIES,
     GaParams,
     allocate,
+    endpoint_routers,
     profile_granularity_for,
     save_plan,
 )
@@ -157,13 +158,17 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     mesh = _parse_mesh(args.mesh)
     if args.limit is not None and args.limit < 0:
         raise ConfigError(f"--limit must not be negative, got {args.limit}")
-    gran = profile_granularity_for(args.granularity)
-    profile = load_profile(args.profile, gran)
-    n_endpoints = mesh.n_nis if gran == "ni" else mesh.n_routers
-    for pair in profile.entries:
-        for endpoint in pair:
-            if not 0 <= endpoint < n_endpoints:
-                raise TraceFormatError(f"profile endpoint {endpoint} is outside mesh {args.mesh}")
+    profile = load_profile(args.profile, profile_granularity_for(args.granularity))
+    at = {}  # each endpoint's router coordinates, worked out once, in file order
+    for end in dict.fromkeys(end for pair in profile.entries for end in pair):
+        try:
+            at[end] = mesh.coords(*endpoint_routers(mesh, args.granularity, end))
+        except ConfigError:
+            raise TraceFormatError(f"profile endpoint {end} is outside mesh {args.mesh}") from None
+    for (a, b), entry in profile.entries.items():
+        (xa, ya), (xb, yb) = at[a], at[b]
+        if entry.hop_count != abs(xa - xb) + abs(ya - yb):
+            raise TraceFormatError(f"profile pair {a},{b}: hop_count is not its X-Y distance")
     if args.limit is not None:
         keep = profile.sorted_pairs()[: args.limit]
         profile.entries = {pair: profile.entries[pair] for pair in keep}
@@ -171,8 +176,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     ga = GaParams(generations=args.generations, seed=args.seed) if args.method == "ga" else None
     plan = allocate(args.method, profile, mesh, args.subnets, args.granularity, ga)
     save_plan(plan, args.out)
-    print(f"{plan.circuit_count()} circuits over {plan.subnet_count} subnets "
-          f"-> {args.out}")
+    print(f"{plan.circuit_count()} circuits over {plan.subnet_count} subnets -> {args.out}")
     return 0
 
 

@@ -543,10 +543,9 @@ def _mesh_from_section(section: Mapping[str, str]) -> MeshConfig:
         raise ConfigError(f"unknown mesh preset {preset!r}")
     width = _get_int(section, "width", 4)
     height = _get_int(section, "height", 4)
-    raw = section.get("ni_per_router", "1").strip()
-    parts = [p for p in raw.split(",") if p.strip()]
+    raw = section.get("ni_per_router", "1")
     try:
-        counts = [int(p) for p in parts]
+        counts = [int(p) for p in raw.split(",")]
     except ValueError as exc:
         raise ConfigError(f"ni_per_router must be integers, got {raw!r}") from exc
     return MeshConfig(width, height, counts[0] if len(counts) == 1 else tuple(counts))

@@ -571,11 +571,7 @@ class Simulation:
         k = self.layout.cs_subnet_count
         if plan.subnet_count > k:
             raise ConfigError(f"plan wants {plan.subnet_count} CS subnets, layout offers {k}")
-        e2e = plan.granularity == "e2e"
-        unit, n = ("NI", self.mesh.n_nis) if e2e else ("router", self.mesh.n_routers)
-        for _, circ in plan.all_circuits():
-            if not (0 <= circ.src < n and 0 <= circ.dst < n):
-                raise ConfigError(f"plan {unit} pair {(circ.src, circ.dst)} out of range")
+        plan.check_fits(self.mesh)
 
     def _install_plan(self, plan: CircuitPlan) -> None:
         self.circuits = []

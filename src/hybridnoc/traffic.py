@@ -359,15 +359,12 @@ def profile_from_flit_counts(
     for (src, dst), flits in counts.items():
         if flits <= 0:
             continue
+        key = (mesh.router_of_ni(src), mesh.router_of_ni(dst))
+        hops = mesh.hop_distance(*key)
         if granularity == "ni":
             key = (src, dst)
-            hops = mesh.hop_distance(mesh.router_of_ni(src), mesh.router_of_ni(dst))
-        else:
-            key = (mesh.router_of_ni(src), mesh.router_of_ni(dst))
-            hops = mesh.hop_distance(key[0], key[1])
-            if hops == 0:
-                # same-router pairs never leave the local crossbar
-                continue
+        elif hops == 0:
+            continue  # same-router pairs never leave the local crossbar
         prof.entries.setdefault(key, PairTraffic(hop_count=hops)).flit_count += flits
     return prof
 

@@ -46,6 +46,7 @@ from hybridnoc.allocator import (
     _lanes,
     _randbelow,
     allocate,
+    endpoint_routers,
 )
 from hybridnoc.topology import MAX_CS_SUBNETS
 
@@ -159,6 +160,19 @@ def test_candidates_granularity_mismatch():
     assert profile_granularity_for("r2r") == "router"
     with pytest.raises(ConfigError, match="unknown plan granularity 'chip'"):
         profile_granularity_for("chip")
+
+
+def test_endpoint_routers_reads_nis_in_e2e_plans_and_routers_in_r2r_plans():
+    cmp = MeshConfig.cmp_4x4_51ni()  # router 0 hosts NIs 0-3, router 1 NIs 4-6
+    assert endpoint_routers(cmp, "e2e", 3, 4) == (0, 1)
+    assert endpoint_routers(cmp, "r2r", 3, 4) == (3, 4)
+    assert endpoint_routers(cmp, "e2e", 50) == (15,)
+    with pytest.raises(ConfigError, match="NI 51 out of range"):
+        endpoint_routers(cmp, "e2e", 0, 51)
+    with pytest.raises(ConfigError, match="router 16 out of range"):
+        endpoint_routers(cmp, "r2r", 16, 0)
+    with pytest.raises(ConfigError, match="router -1 out of range"):
+        endpoint_routers(cmp, "r2r", 0, -1)
 
 
 def test_candidates_drop_local_and_idle_pairs():

@@ -125,7 +125,7 @@ def test_allocate_rejects_negative_limit(tmp_path, capsys):
 def test_only_the_ga_reads_generations_and_seed(tmp_path, capsys):
     # greedy and oracle ignore --generations and --seed, bad values included
     prof_path = tmp_path / "p.profile"
-    prof_path.write_text("0,5,10,2\n1,6,4,2\n3,12,7,3\n")
+    prof_path.write_text("0,5,10,2\n1,6,4,2\n3,12,7,6\n")
     for method in ("greedy", "oracle", "ga"):
         plans = []
         for generations, seed in (("3", "0"), ("-1", "7")):
@@ -169,15 +169,41 @@ def test_allocate_requires_out(tmp_path, capsys):
     [("0,99,10,3", "e2e"), ("-1,5,10,3", "e2e"), ("0,16,10,3", "r2r")],
 )
 def test_allocate_rejects_out_of_mesh_endpoints(tmp_path, capsys, row, granularity):
+    # the 16 NIs and 16 routers of the 4x4 mesh are 0-15 alike
+    [endpoint] = [e for e in row.split(",")[:2] if not 0 <= int(e) < 16]
     prof_path = tmp_path / "p.profile"
-    prof_path.write_text("0,5,10,3\n" + row + "\n")
+    prof_path.write_text("0,5,10,2\n" + row + "\n")
     rc = main([
         "allocate", str(prof_path), "--mesh", "4x4", "--granularity", granularity,
         "--out", str(tmp_path / "p.plan"),
     ])
     assert rc == 2
-    assert "data error" in capsys.readouterr().err
+    assert f"data error: profile endpoint {endpoint} is outside mesh 4x4" in capsys.readouterr().err
     assert not (tmp_path / "p.plan").exists()
+
+
+@pytest.mark.parametrize("text, pair", [
+    ("0,5,10,99\n1,6,20,2\n", "0,5"),
+    ("0,5,10,0\n", "0,5"),
+    ("0,3,10,3\n1,2,20,2\n", "1,2"),
+], ids=["too-long", "zero", "second-line"])
+def test_allocate_rejects_a_hop_count_that_is_not_the_xy_distance(tmp_path, capsys, text, pair):
+    # allocators rank pairs by flits times hops, so a wrong hop count would
+    # plan 0->5 first with --limit 1, or drop it as weightless
+    prof_path = tmp_path / "p.profile"
+    prof_path.write_text(text)
+    rc = main(["allocate", str(prof_path), "--mesh", "4x4", "--limit", "1",
+               "--out", str(tmp_path / "p.plan")])
+    assert rc == 2
+    assert (f"data error: profile pair {pair}: hop_count is not its X-Y distance"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "p.plan").exists()
+    # at their X-Y distances the heavier pair is the one planned
+    prof_path.write_text("0,5,10,2\n1,6,20,2\n")
+    assert main(["allocate", str(prof_path), "--mesh", "4x4", "--limit", "1",
+                 "--out", str(tmp_path / "p.plan")]) == 0
+    plan = load_plan(str(tmp_path / "p.plan"), MESH)
+    assert [(c.src, c.dst) for _, c in plan.all_circuits()] == [(1, 6)]
 
 
 def test_sweep_rates_csv(tmp_path, capsys):
@@ -361,6 +387,15 @@ def test_sweep_axis_with_no_value_is_exit_1(capsys, monkeypatch, axis, listed):
     captured = capsys.readouterr()
     assert f"config error: list {listed!r} holds no value" in captured.err
     assert captured.out == ""
+
+
+def test_sweep_axis_with_a_value_that_is_no_number_is_exit_1(capsys, monkeypatch):
+    def run(config):
+        raise AssertionError("a sweep run started")
+
+    monkeypatch.setattr(hybridnoc.cli, "sweep_injection", run)
+    assert main(["sweep", "--mesh", "2x2", "--rates", "0.1,x"]) == 1
+    assert "config error: bad list '0.1,x'" in capsys.readouterr().err
 
 
 def test_missing_config_is_exit_1(tmp_path, capsys):
@@ -589,6 +624,18 @@ def test_values_are_checked_as_the_config_loads(tmp_path, capsys, body, fragment
     assert run_ini(tmp_path, "[traffic]\ncycles = 100\n" + body) == 1
     assert fragment in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("counts", ["3,", "1,,2", ",1,2"])
+def test_ni_per_router_with_an_empty_entry_is_exit_1(tmp_path, capsys, counts):
+    # on a 2x1 mesh "3," is no count for every router, nor "1,,2" one per router
+    body = ("[experiment]\nmode = baseline_vc\n[mesh]\nwidth = 2\nheight = 1\n"
+            f"ni_per_router = {counts}\n[traffic]\ncycles = 100\n")
+    assert run_ini(tmp_path, body) == 1
+    assert f"ni_per_router must be integers, got '{counts}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # spaces around an entry are no fault
+    assert run_ini(tmp_path, body.replace(counts, " 1 , 2 ")) == 0
 
 
 def test_percent_in_a_config_value_is_read_literally(tmp_path, capsys):

@@ -16,6 +16,7 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
+from hybridnoc import MeshConfig
 from hybridnoc.cli import main
 from hybridnoc.orchestrator import _CONFIG_KEYS
 
@@ -180,8 +181,23 @@ def test_any_sweep_argv_exits_0_or_1(data):
     run_main(["sweep"] + data.draw(argv_with_faults(options, ("--cycles", axis))))
 
 
-# a valid pair profile over routers and NIs 0-3, which every drawn mesh has
-PROFILE = "# src,dst,flit_count,hop_count\n0,3,40,2\n1,2,30,2\n3,0,20,2\n2,1,10,1\n0,1,5,1\n"
+# profile pairs over routers and NIs 0-3, which every drawn mesh has, with flit counts
+PAIRS = ((0, 3, 40), (1, 2, 30), (3, 0, 20), (2, 1, 10), (0, 1, 5))
+MESHES = {"2x2": MeshConfig.grid(2, 2), "3x2": MeshConfig.grid(3, 2),
+          "4x4": MeshConfig.grid(4, 4), "cmp-4x4-51ni": MeshConfig.cmp_4x4_51ni()}
+
+
+def valid_profile(argv):
+    """PAIRS as a profile whose hop counts are the X-Y distances on argv's
+    --mesh at its --granularity (a bad --mesh stops the run before the read)."""
+    flags = dict(zip(argv[::2], argv[1::2]))
+    mesh = MESHES.get(flags.get("--mesh", "4x4"), MESHES["4x4"])
+    router = (lambda r: r) if flags.get("--granularity") == "r2r" else mesh.router_of_ni
+    lines = [f"{s},{d},{flits},{mesh.hop_distance(router(s), router(d))}"
+             for s, d, flits in PAIRS]
+    return "\n".join(["# src,dst,flit_count,hop_count"] + lines) + "\n"
+
+
 ALLOCATE = {
     "--generations": (("0", "5", "20"), ("-1", "x")),
     "--out": (("{tmp}/c.plan",), ()),
@@ -200,5 +216,5 @@ def test_any_allocate_argv_exits_0_or_1(argv):
     with tempfile.TemporaryDirectory() as tmp:
         profile = os.path.join(tmp, "p.profile")
         with open(profile, "w", encoding="utf-8") as fh:
-            fh.write(PROFILE)
+            fh.write(valid_profile(argv))
         run_main(["allocate", profile] + [word.format(tmp=tmp) for word in argv])

@@ -272,7 +272,7 @@ def test_refused_plan_leaves_the_run_as_it_was():
     too_wide = CircuitPlan("e2e", e2e_plan(MESH, (0, 3)).subnets + e2e_plan(MESH, (5, 9)).subnets)
     # NI 16 is one past the mesh's last; its path is a valid one
     off_mesh = CircuitPlan("e2e", ((CandidatePair(0, 16, 1, xy_route(MESH, 0, 15)),),))
-    with pytest.raises(ConfigError, match=r"plan NI pair \(0, 16\) out of range"):
+    with pytest.raises(ConfigError, match="NI 16 out of range"):
         Simulation(MESH, HALF, VC, trace, off_mesh, 0)
 
     def run(offer):
@@ -281,12 +281,46 @@ def test_refused_plan_leaves_the_run_as_it_was():
         if offer:
             with pytest.raises(ConfigError, match="plan wants 2 CS subnets, layout offers 1"):
                 sim.schedule_plan(too_wide, 30)
-            with pytest.raises(ConfigError, match=r"plan NI pair \(0, 16\) out of range"):
+            with pytest.raises(ConfigError, match="NI 16 out of range"):
                 sim.schedule_plan(off_mesh, 30)
         sim.run_to_completion()
         return dataclasses.asdict(sim.finalize())
 
     assert run(True) == run(False)
+
+
+@pytest.mark.parametrize("granularity", ["e2e", "r2r"])
+def test_plan_drawn_on_another_mesh_is_refused(granularity):
+    # NIs 0-3 and 4-7 are two rows of the 4x4 mesh, 3 hops end to end; a
+    # 2x8 mesh has them too, but 2 hops apart on other links
+    data = PacketClass("data", 640)
+    trace = [TrafficEvent(2 * i, *pair, data, i) for i, pair in enumerate([(0, 3), (4, 7)] * 10)]
+    gran = profile_granularity_for(granularity)
+    plan = greedy_allocate(profile(trace, MESH, gran), MESH, 1, granularity)
+    assert sorted((c.src, c.dst) for _, c in plan.all_circuits()) == [(0, 3), (4, 7)]
+    tall = MeshConfig.grid(2, 8)
+    with pytest.raises(ConfigError, match="plan circuit 0,3 is not an X-Y route of this mesh"):
+        Simulation(tall, HALF, VC, trace, plan, 0)
+
+    def run(offer):
+        sim = Simulation(tall, HALF, VC, trace, None, 0, record_flits=True)
+        sim.run_until(10)
+        if offer:
+            with pytest.raises(ConfigError, match="not an X-Y route of this mesh"):
+                sim.schedule_plan(plan, 20)
+        sim.run_to_completion()
+        return dataclasses.asdict(sim.finalize())
+
+    assert run(True) == run(False)
+    # with two NIs a router, NIs 0 and 1 share one: no circuit joins them
+    if granularity == "e2e":
+        pair = e2e_plan(MESH, (0, 1))
+        with pytest.raises(ConfigError, match="plan circuit 0,1 is not an X-Y route"):
+            Simulation(MeshConfig.grid(4, 4, 2), HALF, VC, [], pair, 0)
+    # the plan drawn on the 2x8 mesh is taken, and its circuits carry traffic
+    own = greedy_allocate(profile(trace, tall, gran), tall, 1, granularity)
+    assert {c.path.hops for _, c in own.all_circuits()} == {2}
+    assert simulate(tall, HALF, VC, trace, own).in_circuit_flits > 0
 
 
 def test_plan_change_past_the_drain_barrier_logs_a_warning(caplog):
@@ -607,6 +641,8 @@ def test_validation_errors(tmp_path):
         SubnetLayout(128, 3)  # does not divide
     with pytest.raises(ConfigError):
         SubnetLayout(128, 0)
+    with pytest.raises(ConfigError, match="link width must be positive"):
+        SubnetLayout(total_width_bits=0)
     # a layout offers at most as many circuit subnets as a plan file names
     assert SubnetLayout(1025, 1025).cs_subnet_count == 1024
     with pytest.raises(ConfigError, match="subnet_count must be at most 1025"):
@@ -621,6 +657,8 @@ def test_validation_errors(tmp_path):
             load_config(str(ini))
     with pytest.raises(ConfigError):
         VcConfig(vnets=0)
+    with pytest.raises(ConfigError, match="buffers must hold at least one flit"):
+        VcConfig(buffer_depth_flits=0)
     trace = [
         TrafficEvent(5, 0, 1, PacketClass("control", 64), 0),
         TrafficEvent(2, 0, 1, PacketClass("control", 64), 1),
@@ -680,6 +718,37 @@ def test_credits_beyond_the_buffer_depth_overflow_it():
     # the fifth flit finds the VC full
     with pytest.raises(SimulationError, match="VC buffer overflow; credit accounting broke"):
         blocked_vc_train(1).run_until(200)
+
+
+def test_flit_order_check_catches_a_tampered_ledger():
+    # each flit is checked against its packet's next flit as it retires: a
+    # stepped VC packet's flit by flit, a circuit packet's unretired flits
+    # as one ledger record
+    data = PacketClass("data", 640)
+    trace = [TrafficEvent(0, 0, 3, data, 0)]
+    sim = Simulation(MESH, HALF, VC, trace, None, 0)
+    sim.run_until(5)  # too short a run to replay the packet, so it steps
+    pkt = sim.ni_cur[0][0]
+    assert pkt.next_out == 0
+    pkt.next_out = 1
+    with pytest.raises(SimulationError, match="packet 0 flit 0 ejected out of order"):
+        sim.run_to_completion()
+    sim = Simulation(MESH, HALF, VC, trace, e2e_plan(MESH, (0, 3)), 0)
+    sim.run_until(10)
+    [(pkt, i)] = [r for key, records in sim.eject_ev.items() if key & 1 for r in records]
+    assert 0 < i < pkt.n_flits
+    pkt.next_out = i + 1
+    with pytest.raises(SimulationError, match=f"packet 0 flit {i} ejected out of order"):
+        sim.run_to_completion()
+
+
+def test_conservation_check_catches_a_tampered_counter():
+    trace = generate(SyntheticSpec("uniform_random", 0.1), MESH, 5, 100)
+    sim = Simulation(MESH, HALF, VC, trace, None, 0)
+    sim.run_until(50)
+    sim.stats.flits_injected += 1
+    with pytest.raises(SimulationError, match="conservation broke: carried in 0, injected"):
+        sim.finalize()
 
 
 def test_cycles_limit_reports_in_flight():
@@ -1135,7 +1204,8 @@ def test_the_lone_life_limit_holds_with_margin(n_flits):
 
 
 def test_routes_are_built_per_destination_on_first_use(monkeypatch):
-    # building a Simulation routes nothing; a run routes toward each NI its
+    # building a Simulation routes nothing but its plan's circuits, which it
+    # checks against this mesh's X-Y routes; a run routes toward each NI its
     # traffic heads for, once, from every other router, on the all-circuit
     # fabric too
     plan = e2e_plan(MESH, (0, 5))
@@ -1152,7 +1222,8 @@ def test_routes_are_built_per_destination_on_first_use(monkeypatch):
     assert not calls
     trace = generate(SyntheticSpec("uniform_random", 0.05), MESH, 2, 400)
     sim = Simulation(MESH, HALF, VC, trace, plan, 0)
-    assert not calls
+    assert calls[MESH] == plan.subnets[0][0].path.hops == 2
+    calls.clear()
     sim.run_to_completion()
     dsts = {ev.dst for ev in trace}
     assert len(dsts) > 1

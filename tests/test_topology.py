@@ -262,6 +262,8 @@ def test_validation_errors():
         m.coords(-1)
     with pytest.raises(ConfigError, match="router 4 out of range"):
         m.neighbors(4)
+    with pytest.raises(ConfigError, match="router -1 out of range"):
+        m.nis_of_router(-1)
     with pytest.raises(ConfigError, match="router 1 is the destination itself"):
         m.xy_next(1, 1)
     with pytest.raises(ConfigError, match="leaves the mesh"):

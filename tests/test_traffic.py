@@ -111,6 +111,17 @@ def test_generate_event_invariants():
     assert generate(spec, m, 7, 0) == []
 
 
+def test_generate_refuses_negative_cycles_and_a_lone_interface():
+    spec = SyntheticSpec("uniform_random", 0.05)
+    with pytest.raises(ConfigError, match="cycles cannot be negative"):
+        generate(spec, MeshConfig.grid(2, 2), 0, -1)
+    lone = MeshConfig.grid(1, 1)
+    with pytest.raises(ConfigError, match="traffic needs at least two interfaces"):
+        generate(spec, lone, 0, 100)
+    # no rate, no packet to place
+    assert generate(SyntheticSpec("uniform_random", 0.0), lone, 0, 100) == []
+
+
 def test_generate_rate_accuracy():
     # accounting is in full-width flits per NI per cycle
     m = MeshConfig.grid(4, 4)
