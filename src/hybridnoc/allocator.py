@@ -488,8 +488,6 @@ def enumerate_oracle(
     n = len(cands)
     if n > MAX_ORACLE_PAIRS:
         raise ConfigError(f"{n} candidates exceed the oracle cap of {MAX_ORACLE_PAIRS}")
-    if n == 0:
-        return CircuitPlan.empty(k, granularity, provenance="oracle")
 
     best_weight = -1
     best_assign: List[List[int]] = [[] for _ in range(k)]

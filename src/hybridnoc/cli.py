@@ -29,6 +29,7 @@ from .orchestrator import (
     DEFAULT_INJECTION_RATE,
     DEFAULT_PATTERN,
     DEFAULT_TRAFFIC_CYCLES,
+    MESH_PRESETS,
     ExperimentConfig,
     load_config,
     read_run_report,
@@ -43,27 +44,18 @@ from .orchestrator import (
 )
 from .simcore import SubnetLayout, VcConfig
 from .topology import ConfigError, MeshConfig
-from .traffic import PATTERNS, SyntheticSpec, TraceFormatError, load_profile
+from .traffic import (PATTERNS, SyntheticSpec, TraceFormatError, comma_list, integer,
+                      load_profile, real)
 
 
 def _parse_mesh(arg: str) -> MeshConfig:
-    if arg == "cmp-4x4-51ni":
-        return MeshConfig.cmp_4x4_51ni()
+    if arg in MESH_PRESETS:
+        return MESH_PRESETS[arg]()
     try:
-        w, h = (int(side) for side in arg.lower().split("x"))
+        w, h = (integer(side) for side in arg.lower().split("x"))
     except ValueError as exc:
-        raise ConfigError(f"bad mesh {arg!r}; want WxH or cmp-4x4-51ni") from exc
+        raise ConfigError(f"bad mesh {arg!r}; want WxH or {' or '.join(MESH_PRESETS)}") from exc
     return MeshConfig.grid(w, h)
-
-
-def _parse_num_list(arg: str, cast) -> List:
-    try:
-        values = [cast(p) for p in arg.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad list {arg!r}") from exc
-    if not values:
-        raise ConfigError(f"list {arg!r} holds no value")
-    return values
 
 
 def _emit(table: str, out: Optional[str]) -> int:
@@ -116,7 +108,7 @@ def _sweep_config(args: argparse.Namespace, subnets: int, rate: float) -> Experi
 def _sweep_rates(args: argparse.Namespace) -> int:
     # the base rate is 0, not --rate: only the swept rates need two interfaces
     config = _sweep_config(args, args.subnets, 0.0)
-    points = sweep_injection(config, _parse_num_list(args.rates, float), args.fabric)
+    points = sweep_injection(config, comma_list(args.rates, real), args.fabric)
     lines = ["fabric,rate,mean_latency,p99_latency,unloaded_mean,saturated,"
              "in_circuit_fraction,flits_ejected"]
     for p in points:
@@ -130,7 +122,7 @@ def _sweep_rates(args: argparse.Namespace) -> int:
 
 def _sweep_subnets(args: argparse.Namespace) -> int:
     base_config = _sweep_config(args, 1, args.rate)
-    counts = _parse_num_list(args.subnet_counts, int)
+    counts = comma_list(args.subnet_counts, integer)
     baseline = run_baseline(base_config)
     if not baseline.stats.flits_ejected:
         raise ConfigError("the baseline run ejected no flits, so it cannot "
@@ -201,19 +193,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="injection-rate or subnet-count sweep")
     p_sweep.add_argument("--mesh", default="4x4")
     p_sweep.add_argument("--pattern", default=DEFAULT_PATTERN, choices=PATTERNS)
-    p_sweep.add_argument("--regularity", type=float, default=SyntheticSpec.regularity)
-    p_sweep.add_argument("--cycles", type=int, default=DEFAULT_TRAFFIC_CYCLES)
-    p_sweep.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p_sweep.add_argument("--regularity", type=real, default=SyntheticSpec.regularity)
+    p_sweep.add_argument("--cycles", type=integer, default=DEFAULT_TRAFFIC_CYCLES)
+    p_sweep.add_argument("--seed", type=integer, default=ExperimentConfig.seed)
     p_sweep.add_argument("--out", help="also write the table to this file")
     p_sweep.add_argument("--rates", help="comma list of injection rates")
     p_sweep.add_argument(
         "--fabric", default="vc", choices=("vc", "cs", "hybrid"),
         help="fabric for an injection-rate sweep",
     )
-    p_sweep.add_argument("--subnets", type=int, default=1,
+    p_sweep.add_argument("--subnets", type=integer, default=1,
                          help="subnet count for --rates with --fabric hybrid")
     p_sweep.add_argument("--subnet-counts", help="comma list, e.g. 2,4,8")
-    p_sweep.add_argument("--rate", type=float, default=DEFAULT_INJECTION_RATE,
+    p_sweep.add_argument("--rate", type=real, default=DEFAULT_INJECTION_RATE,
                          help="injection rate for a subnet-count sweep")
     p_sweep.add_argument("--allocator", default=ExperimentConfig.allocator, choices=METHODS)
     p_sweep.add_argument("--granularity", default=ExperimentConfig.granularity,
@@ -225,12 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc.add_argument("--mesh", default="4x4")
     p_alloc.add_argument("--granularity", default=ExperimentConfig.granularity,
                          choices=PLAN_GRANULARITIES)
-    p_alloc.add_argument("--subnets", type=int, default=1,
+    p_alloc.add_argument("--subnets", type=integer, default=1,
                          help="number of CS subnets to fill")
     p_alloc.add_argument("--method", default="greedy", choices=METHODS)
-    p_alloc.add_argument("--generations", type=int, default=GaParams.generations)
-    p_alloc.add_argument("--seed", type=int, default=GaParams.seed)
-    p_alloc.add_argument("--limit", type=int,
+    p_alloc.add_argument("--generations", type=integer, default=GaParams.generations)
+    p_alloc.add_argument("--seed", type=integer, default=GaParams.seed)
+    p_alloc.add_argument("--limit", type=integer,
                          help="keep only the heaviest N profile pairs")
     p_alloc.add_argument("--out", required=True)
     p_alloc.set_defaults(func=cmd_allocate)

@@ -35,8 +35,8 @@ class EnergyCoefficients:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if not getattr(self, f.name) >= 0:
-                raise ConfigError(f"{f.name} must be >= 0")
+            if not 0 <= getattr(self, f.name) < float("inf"):
+                raise ConfigError(f"{f.name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -41,16 +41,20 @@ from .traffic import (
     TraceFormatError,
     TrafficEvent,
     TrafficProfile,
+    comma_list,
     generate,
+    integer,
     load_trace,
     profile,
     profile_from_flit_counts,
+    real,
 )
 
 log = logging.getLogger(__name__)
 
 MODES = ("baseline_vc", "static_hybrid", "adaptive_hybrid")
 ALLOCATORS = METHODS + ("plan-file",)
+MESH_PRESETS = {"cmp-4x4-51ni": MeshConfig.cmp_4x4_51ni}
 
 # sweep_injection's saturation threshold, as a multiple of the unloaded mean
 _SATURATION_FACTOR = 10.0
@@ -452,7 +456,7 @@ def read_run_report(path: str) -> Report:
 
 
 def _report_value(report: Mapping[str, Mapping[str, str]], name: str,
-                  section: str, key: str, cast=float):
+                  section: str, key: str, cast=real):
     """cast(report[section][key]); TraceFormatError if it is missing or malformed."""
     try:
         return cast(report[section][key])
@@ -475,15 +479,12 @@ def summary_rows(
     base_epf = _report_value(baseline, "baseline report", "energy", "per_flit")
     if not (base_lat > 0 and base_epf > 0):
         raise TraceFormatError("baseline latency/energy must be positive")
-    rows = []
-    for rep in reports:
-        rows.append((
-            _report_value(rep, "report", "run", "label", str),
-            _report_value(rep, "report", "run", "percent_in_circuit"),
-            _report_value(rep, "report", "latency", "mean") / base_lat,
-            _report_value(rep, "report", "energy", "per_flit") / base_epf,
-        ))
-    return rows
+    return [(
+        _report_value(rep, "report", "run", "label", str),
+        _report_value(rep, "report", "run", "percent_in_circuit"),
+        _report_value(rep, "report", "latency", "mean") / base_lat,
+        _report_value(rep, "report", "energy", "per_flit") / base_epf,
+    ) for rep in reports]
 
 
 def summary_table(rows: Sequence[Tuple[str, float, float, float]]) -> str:
@@ -496,22 +497,25 @@ def summary_table(rows: Sequence[Tuple[str, float, float, float]]) -> str:
 # --- INI experiment configs -----------------------------------------------------
 
 def _declared(kind: object) -> type:
-    """X for a field declared Optional[X], else the declared type itself."""
+    """The first type a Union names, X of Optional[X], else the declared type itself."""
     return get_args(kind)[0] if get_origin(kind) is Union else kind
 
 
 def _parse_value(kind: object, key: str, raw: str) -> object:
-    """One INI value as the declared type of the field it sets."""
-    kind = _declared(kind)
+    """One INI value as its field's type; a Tuple[int, ...] reads a comma list, one entry an int."""
+    listed, kind = Tuple[int, ...] in get_args(kind), _declared(kind)
     if kind is bool:
         try:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         except KeyError:
             raise ConfigError(f"{key} must be a boolean, got {raw!r}") from None
     try:
-        return kind(raw)
+        if listed:
+            counts = comma_list(raw, integer)
+            return counts[0] if len(counts) == 1 else tuple(counts)
+        return {int: integer, float: real}.get(kind, kind)(raw)
     except ValueError as exc:
-        raise ConfigError(f"{key} must be of type {kind.__name__}, got {raw!r}") from exc
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _from_section(cls: type, section: Mapping[str, str], **defaults: object):
@@ -528,27 +532,16 @@ def _from_section(cls: type, section: Mapping[str, str], **defaults: object):
     return cls(**values)
 
 
-def _get_int(section: Mapping[str, str], key: str, default: Optional[int]) -> Optional[int]:
-    return _parse_value(int, key, section[key]) if key in section else default
-
-
 def _mesh_from_section(section: Mapping[str, str]) -> MeshConfig:
     preset = section.get("preset")
     if preset:
         mixed = [k for k in section if k != "preset"]
         if mixed:
             raise ConfigError(f"[mesh] preset cannot be combined with {', '.join(mixed)}")
-        if preset == "cmp-4x4-51ni":
-            return MeshConfig.cmp_4x4_51ni()
-        raise ConfigError(f"unknown mesh preset {preset!r}")
-    width = _get_int(section, "width", 4)
-    height = _get_int(section, "height", 4)
-    raw = section.get("ni_per_router", "1")
-    try:
-        counts = [int(p) for p in raw.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"ni_per_router must be integers, got {raw!r}") from exc
-    return MeshConfig(width, height, counts[0] if len(counts) == 1 else tuple(counts))
+        if preset in MESH_PRESETS:
+            return MESH_PRESETS[preset]()
+        raise ConfigError(f"unknown mesh preset {preset!r}; pick one of {', '.join(MESH_PRESETS)}")
+    return _from_section(MeshConfig, section, width=4, height=4)
 
 
 def _field_names(cls: type) -> Tuple[str, ...]:
@@ -566,7 +559,7 @@ _CONFIG_KEYS: Dict[str, Tuple[str, ...]] = {
         name for name, kind in get_type_hints(ExperimentConfig).items()
         if not is_dataclass(_declared(kind)) and name not in _TRAFFIC_FIELDS.values()
     ),
-    "mesh": ("preset", "width", "height", "ni_per_router"),
+    "mesh": ("preset",) + _field_names(MeshConfig),
     "layout": _field_names(SubnetLayout),
     "vc": _field_names(VcConfig),
     "traffic": tuple(_TRAFFIC_FIELDS) + _field_names(SyntheticSpec),
@@ -618,7 +611,7 @@ def load_config(path: str) -> ExperimentConfig:
         vc=vc,
         traffic_spec=traffic_spec,
         trace_path=tr.get("trace"),
-        traffic_cycles=_get_int(tr, "cycles", None),
+        traffic_cycles=_parse_value(int, "cycles", tr["cycles"]) if "cycles" in tr else None,
         coeffs=_from_section(EnergyCoefficients, section("energy")),
         ga=_from_section(GaParams, section("ga")),
         mode="static_hybrid",

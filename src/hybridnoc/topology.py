@@ -36,7 +36,7 @@ class MeshConfig:
 
     width: int
     height: int
-    ni_per_router: Union[None, int, Tuple[int, ...]] = None
+    ni_per_router: Union[int, Tuple[int, ...], None] = None
 
     def __post_init__(self) -> None:
         if not (1 <= self.width <= MAX_MESH_SIDE and 1 <= self.height <= MAX_MESH_SIDE):

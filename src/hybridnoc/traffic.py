@@ -10,6 +10,7 @@ width it was taken at: static and epoch profiles use the subnet width
 from __future__ import annotations
 
 import logging
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -215,11 +216,27 @@ def save_trace(events: Iterable[TrafficEvent], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _decimal(text: str) -> int:
+# integer, real and comma_list read every number of a config, command line or file
+def integer(text: str) -> int:
     """int(text) from ASCII decimal only: int() also reads 1_0, +5 and other digits."""
     if re.fullmatch("-?[0-9]+", text) is None:
         raise ValueError(f"{text!r} is not an ASCII decimal integer")
     return int(text)
+
+
+def real(text: str) -> float:
+    """float(text) if finite and ASCII without _: float() also reads nan, inf, 1_0 and others."""
+    if text.isascii() and "_" not in text and math.isfinite(value := float(text)):
+        return value
+    raise ValueError(f"{text!r} is not a finite ASCII number")
+
+
+def comma_list(text: str, read: Callable[[str], Any]) -> List[Any]:
+    """read() of each stripped comma-list entry; ConfigError if read refuses one, as it must ""."""
+    try:
+        return [read(entry.strip()) for entry in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad list {text!r}: {exc}") from None
 
 
 def read_records(
@@ -234,7 +251,7 @@ def read_records(
     record is its whole line.  Any fault raises TraceFormatError naming the
     line.
     """
-    strict = [_decimal if kind is int else kind for kind in kinds]
+    strict = [integer if kind is int else kind for kind in kinds]
     for lineno, raw in enumerate(lines, start=1):
         try:
             line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()

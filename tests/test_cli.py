@@ -1,5 +1,6 @@
 """Exercise the console entry points end to end."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from hybridnoc import (
 from hybridnoc.cli import build_parser, main
 from hybridnoc.simcore import MAX_BUFFER_DEPTH_FLITS, MAX_VCS_PER_VNET, MAX_VNETS
 from hybridnoc.topology import MAX_CS_SUBNETS, MAX_MESH_SIDE, MAX_NIS
-from hybridnoc.traffic import MAX_PAYLOAD_BITS
+from hybridnoc.traffic import MAX_PAYLOAD_BITS, integer, real
 
 MESH = MeshConfig.grid(4, 4)
 
@@ -138,6 +139,16 @@ def test_only_the_ga_reads_generations_and_seed(tmp_path, capsys):
             assert "generations cannot be negative" in capsys.readouterr().err
         else:
             assert isinstance(plans[0], str) and plans[0] == plans[1]
+
+
+@pytest.mark.parametrize("method", ["greedy", "oracle", "ga"])
+def test_allocate_on_an_empty_profile_writes_k_empty_subnets(tmp_path, method):
+    # the oracle finds the empty plan by its search, not by a case of its own
+    (tmp_path / "p.profile").write_text("# src,dst,flit_count,hop_count\n")
+    plan_path = tmp_path / "p.plan"
+    assert main(["allocate", str(tmp_path / "p.profile"), "--method", method,
+                 "--subnets", "3", "--out", str(plan_path)]) == 0
+    assert plan_path.read_text() == "granularity=e2e subnets=3\n"
 
 
 def test_option_defaults_are_their_owners_defaults(tmp_path):
@@ -374,18 +385,27 @@ def test_sweep_needs_exactly_one_axis(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("listed", [",", ""], ids=["comma", "empty"])
+# how each sweep axis's reader refuses an empty list entry, and two valid entries
+EMPTY_ENTRY = {"--rates": "could not convert string to float: ''",
+               "--subnet-counts": "'' is not an ASCII decimal integer"}
+ENTRIES = {"--rates": ("0.01", "0.02"), "--subnet-counts": ("2", "4")}
+
+
+@pytest.mark.parametrize("listed", [",", "", "{},,{}", "{},"],
+                         ids=["comma", "empty", "inner", "trailing"])
 @pytest.mark.parametrize("axis", ["--rates", "--subnet-counts"])
 def test_sweep_axis_with_no_value_is_exit_1(capsys, monkeypatch, axis, listed):
-    # the empty axis is refused before any run, the subnet sweep's baseline included
+    # an axis with an empty entry is refused before any run, the subnet
+    # sweep's baseline included; an inner or trailing one was dropped before
     def run(config):
         raise AssertionError("a sweep run started")
 
+    listed = listed.format(*ENTRIES[axis])
     monkeypatch.setattr(hybridnoc.cli, "run_baseline", run)
     monkeypatch.setattr(hybridnoc.cli, "sweep_injection", run)
     assert main(["sweep", "--mesh", "2x2", "--cycles", "200", axis, listed]) == 1
     captured = capsys.readouterr()
-    assert f"config error: list {listed!r} holds no value" in captured.err
+    assert f"config error: bad list {listed!r}: {EMPTY_ENTRY[axis]}" in captured.err
     assert captured.out == ""
 
 
@@ -610,14 +630,16 @@ def test_config_file_that_does_not_parse_is_exit_1(tmp_path, capsys, body):
 @pytest.mark.parametrize("body, fragment", [
     ("[experiment]\nlabel = a/b\n", "cannot name a report file"),
     ("[experiment]\nlabel = a\0b\n", "cannot name a report file"),
-    ("[experiment]\nseed = 50%\n", "seed must be of type int, got '50%'"),
-    ("injection_rate = nan\n", "injection_rate must be at least 0"),
-    ("[energy]\ne_crossbar = nan\n", "e_crossbar must be >= 0"),
+    ("[experiment]\nseed = 50%\n", "seed: '50%' is not an ASCII decimal integer"),
+    ("injection_rate = nan\n", "injection_rate: 'nan' is not a finite ASCII number"),
+    ("[energy]\ne_crossbar = nan\n", "e_crossbar: 'nan' is not a finite ASCII number"),
     ("[experiment]\nmode = adaptive_hybrid\nepoch_cycles = 40\nconfig_period_cycles = -1\n",
      "config period must be at least 0"),
-    ("[mesh]\nni_per_router = 1,x\n", "ni_per_router must be integers, got '1,x'"),
+    ("[mesh]\nni_per_router = 1,x\n",
+     "ni_per_router: bad list '1,x': 'x' is not an ASCII decimal integer"),
+    ("[energy]\ne_buffer_write = inf\n", "e_buffer_write: 'inf' is not a finite ASCII number"),
 ], ids=["label-slash", "label-nul", "percent", "nan-rate", "nan-energy", "negative-period",
-        "ni-per-router"])
+        "ni-per-router", "inf-energy"])
 def test_values_are_checked_as_the_config_loads(tmp_path, capsys, body, fragment):
     # body goes on from [traffic]; the output directory is made only after
     # the config has loaded
@@ -632,7 +654,8 @@ def test_ni_per_router_with_an_empty_entry_is_exit_1(tmp_path, capsys, counts):
     body = ("[experiment]\nmode = baseline_vc\n[mesh]\nwidth = 2\nheight = 1\n"
             f"ni_per_router = {counts}\n[traffic]\ncycles = 100\n")
     assert run_ini(tmp_path, body) == 1
-    assert f"ni_per_router must be integers, got '{counts}'" in capsys.readouterr().err
+    assert (f"ni_per_router: bad list '{counts}': '' is not an ASCII decimal integer"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
     # spaces around an entry are no fault
     assert run_ini(tmp_path, body.replace(counts, " 1 , 2 ")) == 0
@@ -680,6 +703,81 @@ def plan_file_config(tmp_path, plan):
 def test_malformed_plan_file_is_exit_2(tmp_path, capsys, plan, fragment):
     assert run_ini(tmp_path, plan_file_config(tmp_path, plan)) == 2
     assert f"data error: {fragment}" in capsys.readouterr().err
+
+
+# int() reads each as 10, 5 or 3, and float() each of these as a number
+NOT_INTEGERS = ["1_0", "+5", "\u0663"]
+NOT_REALS = ["nan", "inf", "1_0", "\u0663"]
+
+
+def valid_ini_with(section, key, value):
+    """A baseline config of 100 cycles with [section] key set to value."""
+    sections = {"experiment": {"mode": "baseline_vc"}, "traffic": {"cycles": "100"}}
+    sections.setdefault(section, {})[key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+@pytest.mark.parametrize("section, key", [
+    ("experiment", "epoch_cycles"), ("experiment", "seed"), ("traffic", "cycles"),
+    ("ga", "generations"), ("mesh", "width"), ("mesh", "ni_per_router"),
+])
+def test_config_integer_that_is_not_ascii_decimal_is_exit_1(tmp_path, capsys, section, key,
+                                                            value):
+    # int() read each value, and the run went ahead
+    assert run_ini(tmp_path, valid_ini_with(section, key, value)) == 1
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", NOT_REALS)
+@pytest.mark.parametrize("section, key", [
+    ("energy", "e_crossbar"), ("traffic", "regularity"), ("traffic", "injection_rate"),
+    ("ga", "chromosome_mutation_probability"),
+])
+def test_config_real_that_is_not_a_finite_ascii_number_is_exit_1(tmp_path, capsys, section,
+                                                                 key, value):
+    assert run_ini(tmp_path, valid_ini_with(section, key, value)) == 1
+    assert f"config error: {key}: {value!r} is not a finite ASCII number" in capsys.readouterr().err
+
+
+def numeric_options():
+    """(subcommand, option, reader) for each option of build_parser() with a type
+    or a numeric default."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[-1], action.type)
+            for name, sub in subparsers.choices.items() for action in sub._actions
+            if action.option_strings and (action.type is not None or (
+                isinstance(action.default, (int, float)) and not isinstance(action.default, bool)))]
+
+
+def test_every_numeric_option_reads_with_a_shared_reader():
+    # a later type=int or type=float would bring back int()'s and float()'s grammar
+    options = numeric_options()
+    assert {option for _, option, _ in options} >= {
+        "--cycles", "--seed", "--subnets", "--generations", "--limit", "--rate", "--regularity"}
+    for command, option, reader in options:
+        assert reader in (integer, real), (command, option, reader)
+
+
+@pytest.mark.parametrize("command, option, value", [
+    (command, option, value) for command, option, reader in numeric_options()
+    for value in (NOT_INTEGERS if reader is integer else NOT_REALS)
+])
+def test_command_line_number_outside_its_grammar_is_exit_1(capsys, command, option, value):
+    # argparse refuses the value before the command reads any file
+    argv = {"sweep": ["sweep", "--rates", "0.01"],
+            "allocate": ["allocate", "p.profile", "--out", "p.plan"]}[command]
+    assert main(argv + [option, value]) == 1
+    assert f"argument {option}: invalid " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mesh", ["1_2x2", "+2x2", "2x\u0663"])
+def test_mesh_side_that_is_not_ascii_decimal_is_exit_1(capsys, mesh):
+    assert main(["sweep", "--mesh", mesh, "--rates", "0.01", "--cycles", "100"]) == 1
+    assert f"config error: bad mesh {mesh!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["1_0", "+5", "\u0663"], ids=["underscore", "plus", "digit"])
@@ -792,6 +890,18 @@ def test_compare_on_a_report_value_that_is_no_number_is_exit_2(tmp_path, capsys)
     (tmp_path / "bad.report").write_text(report.format("bad", "abc"))
     assert main(["compare", str(tmp_path / "base.report"), str(tmp_path / "bad.report")]) == 2
     assert "data error: report [latency] mean: could not convert" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1_0"])
+def test_compare_on_a_report_value_that_is_no_finite_number_is_exit_2(tmp_path, capsys, value):
+    # float() read nan as a number, and the summary printed a nan row
+    report = ("[run]\nlabel = {}\npercent_in_circuit = 0\n"
+              "[latency]\nmean = {}\n[energy]\nper_flit = 2\n")
+    (tmp_path / "base.report").write_text(report.format("base", "10"))
+    (tmp_path / "bad.report").write_text(report.format("bad", value))
+    assert main(["compare", str(tmp_path / "base.report"), str(tmp_path / "bad.report")]) == 2
+    assert (f"data error: report [latency] mean: {value!r} is not a finite ASCII number"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("kind", ["trace", "profile", "plan"])

@@ -57,7 +57,7 @@ VALUES = {
     "elitism_count": (("0", "1"), ("10", "-1")),
 }
 for _coefficient in _CONFIG_KEYS["energy"]:
-    VALUES[_coefficient] = (("0", "0.5", "1"), ("-1", "nan"))
+    VALUES[_coefficient] = (("0", "0.5", "1"), ("-1", "nan", "inf"))
 
 # keys that name data files, and keys every drawn file sets so that a run
 # stays cheap (their defaults are 20000 cycles and 5000 generations)

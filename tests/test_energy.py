@@ -1,5 +1,7 @@
 """Energy accounting over simulation counters."""
 
+import math
+
 import pytest
 
 from hybridnoc import (
@@ -141,11 +143,17 @@ def test_energy_coefficients_from_config(tmp_path):
     read = coeffs("e_crossbar = 2.5\np_router_other = 0\n")
     assert read == EnergyCoefficients(e_crossbar=2.5, p_router_other=0.0)
     assert read.e_buffer_write == 1.0  # untouched default
-    for bad in ("e_fan = 1.0", "e_crossbar = fast", "e_buffer_write = -1.0"):
+    for bad in ("e_fan = 1.0", "e_crossbar = fast", "e_buffer_write = -1.0",
+                "e_buffer_write = inf"):
         with pytest.raises(ConfigError):
             coeffs(bad + "\n")
-    with pytest.raises(ConfigError, match="e_buffer_write must be >= 0"):
-        EnergyCoefficients(e_buffer_write=-1.0)
+
+
+@pytest.mark.parametrize("value", [-1.0, math.inf, math.nan], ids=["negative", "inf", "nan"])
+def test_energy_coefficients_must_be_finite_and_not_negative(value):
+    # an infinite coefficient made account() report a total of inf
+    with pytest.raises(ConfigError, match="e_buffer_write must be finite and >= 0"):
+        EnergyCoefficients(e_buffer_write=value)
 
 
 def test_report_rejects_breakdown_drift():
